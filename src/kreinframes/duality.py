@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Subspace, SubspaceKind
+from .core import KreinSpace, Operator, Subspace
 from .errors import (
     DefinitenessTransportError,
+    DimensionError,
     MemberClassificationError,
     NotAFrameError,
     SingularOperatorError,
@@ -42,6 +43,7 @@ __all__ = [
     "canonical_dual",
     "dual_bounds_check",
     "fundamental_identity_sides",
+    "fundamental_identity_sides_batch",
     "fundamental_identity_residual",
     "fusion_dual_bounds_check",
     "as_weighted_family",
@@ -71,18 +73,12 @@ class VectorFrame:
         self.matrix = matrix
         self.matrix.flags.writeable = False
         self.signs = signs
+        self.sigma = np.asarray(signs, dtype=float)
+        self._s_inv = None  # S^-1, see _inverse_frame_operator
         self.plus_indices = [i for i, s in enumerate(signs) if s == 1]
         self.minus_indices = [i for i, s in enumerate(signs) if s == -1]
-        self.m_plus = (
-            Subspace.from_spanning(space, matrix[:, self.plus_indices])
-            if self.plus_indices
-            else None
-        )
-        self.m_minus = (
-            Subspace.from_spanning(space, matrix[:, self.minus_indices])
-            if self.minus_indices
-            else None
-        )
+        self.m_plus = Subspace.from_spanning(space, matrix[:, self.plus_indices])
+        self.m_minus = Subspace.from_spanning(space, matrix[:, self.minus_indices])
 
     def __len__(self):
         return self.matrix.shape[1]
@@ -97,39 +93,36 @@ class VectorFrame:
         )
 
 
+def _signed_sum(F: VectorFrame, members) -> np.ndarray:
+    """sum over the selected members of sigma_i f_i f_i* J, as (F_I sigma_I)(F_I* J)."""
+    cols = F.matrix[:, members]
+    return (cols * F.sigma[members]) @ (cols.conj().T @ F.space.J)
+
+
+def _member_mask(F: VectorFrame, subset) -> np.ndarray:
+    mask = np.zeros(len(F), dtype=bool)
+    for i in (int(i) for i in subset):
+        if i < 0 or i >= len(F):
+            raise IndexError(f"member index {i} out of range 0..{len(F) - 1}")
+        mask[i] = True
+    return mask
+
+
 def vframe_operator(F: VectorFrame) -> Operator:
     """S f = sum_i sigma_i [f, f_i] f_i."""
-    d = np.diag(np.asarray(F.signs, dtype=float))
-    s = F.matrix @ d @ F.matrix.conj().T @ F.space.J
-    return Operator(F.space, s)
+    return Operator(F.space, _signed_sum(F, slice(None)))
 
 
 def partial_frame_operator(F: VectorFrame, subset) -> Operator:
     """S restricted to a member subset; S_I1 + S_I1c = S by construction."""
-    subset = sorted(set(int(i) for i in subset))
-    for i in subset:
-        if i < 0 or i >= len(F):
-            raise IndexError(f"member index {i} out of range 0..{len(F) - 1}")
-    n = F.space.dim
-    s = np.zeros((n, n), dtype=complex)
-    for i in subset:
-        f = F.matrix[:, i : i + 1]
-        s += F.signs[i] * (f @ f.conj().T @ F.space.J)
-    return Operator(F.space, s)
+    return Operator(F.space, _signed_sum(F, _member_mask(F, subset)))
 
 
 def _side_ok(m, sign, space) -> bool:
-    p, q = space.signature
-    needed = p if sign == 1 else q
     if m is None:
-        return needed == 0
+        return space.signature[(1 - sign) // 2] == 0
     cls = m.classify()
-    want = (
-        SubspaceKind.UNIFORMLY_POSITIVE
-        if sign == 1
-        else SubspaceKind.UNIFORMLY_NEGATIVE
-    )
-    return cls.kind is want and m.dim == needed
+    return cls.maximal_definite and cls.sign == sign
 
 
 def is_j_frame(F: VectorFrame) -> bool:
@@ -155,32 +148,39 @@ def vframe_optimal_bounds(
     m_plus = F.m_plus if over_plus is None else over_plus
     m_minus = F.m_minus if over_minus is None else over_minus
     a_plus = b_plus = a_minus = b_minus = None
+    # the unsigned side sums: every member of a side carries that side's sign
     if m_plus is not None:
-        fp = F.matrix[:, F.plus_indices]
-        s_part = fp @ fp.conj().T @ F.space.J
+        s_part = _signed_sum(F, F.plus_indices)
         a_plus, b_plus = _rayleigh_extremes(F.space, m_plus, s_part, 1)
     if m_minus is not None:
-        fm = F.matrix[:, F.minus_indices]
-        s_part = fm @ fm.conj().T @ F.space.J
+        s_part = -_signed_sum(F, F.minus_indices)
         b_minus, a_minus = _rayleigh_extremes(F.space, m_minus, s_part, -1)
     return FrameBounds(b_minus, a_minus, a_plus, b_plus)
 
 
-def _inverse_frame_operator(F: VectorFrame) -> np.ndarray:
-    s = vframe_operator(F).matrix
-    if np.linalg.cond(s) > 1.0 / F.space.tol.tau_def:
+def _check_nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> None:
+    cond = np.linalg.cond(s)
+    if cond > 1.0 / space.tol.tau_def:
         raise SingularOperatorError(
-            "frame operator is numerically singular (cond = %g)" % np.linalg.cond(s)
+            f"{what} is numerically singular (cond = {cond:g})"
         )
-    return np.linalg.inv(s)
+
+
+def _inverse_frame_operator(F: VectorFrame) -> np.ndarray:
+    # factored once per frame and kept on it: the frame's matrix is read-only
+    if F._s_inv is None:
+        s = vframe_operator(F).matrix
+        _check_nonsingular(s, F.space, "frame operator")
+        F._s_inv = np.linalg.inv(s)
+        F._s_inv.flags.writeable = False
+    return F._s_inv
 
 
 def canonical_dual(F: VectorFrame) -> VectorFrame:
     """The dual frame {S^-1 f_i}; member signs must transport unchanged."""
     if not is_j_frame(F):
         raise NotAFrameError("canonical dual is defined for J-frames only")
-    s_inv = _inverse_frame_operator(F)
-    duals = s_inv @ F.matrix
+    duals = _inverse_frame_operator(F) @ F.matrix
     try:
         dual = VectorFrame(F.space, duals.T)
     except MemberClassificationError as exc:
@@ -244,36 +244,39 @@ def dual_bounds_check(F: VectorFrame) -> DualBoundsReport:
     )
 
 
-def fundamental_identity_sides(F: VectorFrame, subset, f) -> tuple[float, float]:
-    """Both sides of the partial-sum identity for a member subset."""
+def fundamental_identity_sides_batch(F: VectorFrame, masks, fs):
+    """Both sides (lhs, rhs) of the partial-sum identity, one entry per trial.
+
+    Row t of the (trials x m) boolean ``masks`` selects the subset I_t and
+    column t of the (n x trials) ``fs`` is the test vector f_t.  Each side
+    is evaluated from its own definition, over I_t and over its complement:
+    sum_{i in I} sigma_i |[f, f_i]|^2 - sum_i sigma_i |[S_I f, S^-1 f_i]|^2.
+    """
     if not is_j_frame(F):
         raise NotAFrameError("the identity requires a J-frame")
+    masks, fs = np.asarray(masks, dtype=bool), np.asarray(fs, dtype=complex)
+    trials = masks.shape[0] if masks.ndim == 2 else -1
+    if masks.shape != (trials, len(F)) or fs.shape != (F.space.dim, trials):
+        raise DimensionError(
+            f"masks {masks.shape} and vectors {fs.shape} do not fit {F!r}"
+        )
+    J, sigma = F.space.J, F.sigma[:, None]
+    c = F.matrix.conj().T @ (J @ fs)  # c[i, t] = [f_t, f_i]
+    dual_coeffs = (_inverse_frame_operator(F) @ F.matrix).conj().T @ J
+    sides = []
+    for members in (masks.T, ~masks.T):
+        s_f = F.matrix @ np.where(members, sigma * c, 0.0)  # S_I f
+        own = np.where(members, sigma * np.abs(c) ** 2, 0.0).sum(axis=0)
+        sides.append(own - F.sigma @ np.abs(dual_coeffs @ s_f) ** 2)
+    return sides[0], sides[1]
+
+
+def fundamental_identity_sides(F: VectorFrame, subset, f) -> tuple[float, float]:
+    """Both sides of the partial-sum identity for a member subset."""
     f = F.space.check_vector(f)
-    subset = sorted(set(int(i) for i in subset))
-    comp = [i for i in range(len(F)) if i not in subset]
-    s_inv = _inverse_frame_operator(F)
-    duals = s_inv @ F.matrix
-    J = F.space.J
-
-    def coeff_sum(indices, g):
-        # sum over indices of sigma_i |[g, f_i]|^2
-        if not indices:
-            return 0.0
-        cols = F.matrix[:, indices]
-        vals = np.abs(cols.conj().T @ (J @ g)) ** 2
-        sg = np.asarray([F.signs[i] for i in indices], dtype=float)
-        return float(sg @ vals)
-
-    def dual_sum(g):
-        # sum over all i of sigma_i |[g, S^-1 f_i]|^2
-        vals = np.abs(duals.conj().T @ (J @ g)) ** 2
-        return float(np.asarray(F.signs, dtype=float) @ vals)
-
-    s1 = partial_frame_operator(F, subset).matrix @ f
-    s2 = partial_frame_operator(F, comp).matrix @ f
-    lhs = coeff_sum(subset, f) - dual_sum(s1)
-    rhs = coeff_sum(comp, f) - dual_sum(s2)
-    return lhs, rhs
+    mask = _member_mask(F, subset)
+    lhs, rhs = fundamental_identity_sides_batch(F, mask[None, :], f[:, None])
+    return float(lhs[0]), float(rhs[0])
 
 
 def fundamental_identity_residual(F: VectorFrame, subset, f) -> float:
@@ -304,11 +307,7 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     if not cert.is_frame:
         raise NotAFrameError("fusion dual check requires a certified frame")
     s = frame_operator(F).matrix
-    if np.linalg.cond(s) > 1.0 / F.space.tol.tau_def:
-        raise SingularOperatorError(
-            "fusion frame operator is numerically singular (cond = %g)"
-            % np.linalg.cond(s)
-        )
+    _check_nonsingular(s, F.space, "fusion frame operator")
     original = cert.optimal_bounds
     expected = _reciprocal_expected(original)
     try:

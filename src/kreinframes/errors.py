@@ -28,12 +28,14 @@ class DegenerateSubspaceError(KreinFramesError):
 class MemberClassificationError(ClassificationError):
     """A family member fails the uniform-definiteness requirement.
 
-    Carries the offending member index in ``index``.
+    Carries the offending member index in ``index`` and the message without
+    its ``member <index>:`` prefix in ``detail``.
     """
 
     def __init__(self, index, message):
         super().__init__(f"member {index}: {message}")
         self.index = index
+        self.detail = message
 
 
 class WeightError(KreinFramesError):

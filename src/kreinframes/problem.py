@@ -17,10 +17,10 @@ import numpy as np
 
 from .core import KreinSpace, Operator, Subspace, Tolerances
 from .duality import VectorFrame
-from .errors import MemberClassificationError, SchemaError, ValidationError
+from .errors import MemberClassificationError, RankError, SchemaError, ValidationError
 from .fusion import WeightedFamily
 
-__all__ = ["ProblemSpec", "parse_spec", "serialize_spec"]
+__all__ = ["ProblemSpec", "decode_document", "parse_spec", "serialize_spec"]
 
 _TOP_KEYS = {"space", "families", "vector_frames", "operators", "tolerances", "seed"}
 _TOL_KEYS = {"tau_sym", "tau_rank", "tau_def", "tau_num"}
@@ -85,22 +85,26 @@ def _vector(entries, where: str, n: int) -> np.ndarray:
     return v
 
 
+def decode_document(source):
+    """The decoded JSON of a problem document given as a path, JSON text or dict."""
+    if isinstance(source, dict):
+        return source
+    if not isinstance(source, (str, Path)):
+        raise SchemaError(f"unsupported problem source of type {type(source)!r}")
+    try:
+        is_file = Path(str(source)).exists()
+    except OSError:
+        is_file = False
+    text = Path(source).read_text() if is_file else str(source)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
 def parse_spec(source) -> ProblemSpec:
     """Parse and validate a problem document (path, JSON text, or dict)."""
-    if isinstance(source, (str, Path)):
-        try:
-            is_file = Path(str(source)).exists()
-        except OSError:
-            is_file = False
-        text = Path(source).read_text() if is_file else str(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise SchemaError(f"unsupported problem source of type {type(source)!r}")
+    doc = decode_document(source)
     if not isinstance(doc, dict):
         raise SchemaError("the top level of a problem document must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -149,7 +153,10 @@ def parse_spec(source) -> ProblemSpec:
             basis = np.column_stack(
                 [_vector(c, f"{where}[{k}]", dim) for k, c in enumerate(cols)]
             )
-            subspaces.append(Subspace(space, basis))
+            try:
+                subspaces.append(Subspace(space, basis))
+            except RankError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
         weights = fdoc["weights"]
         if not isinstance(weights, list) or len(weights) != len(subspaces):
             raise SchemaError(
@@ -162,7 +169,7 @@ def parse_spec(source) -> ProblemSpec:
             families[name] = WeightedFamily(space, subspaces, [w.real for w in weights])
         except MemberClassificationError as exc:
             raise MemberClassificationError(
-                exc.index, f"family '{name}': {exc}"
+                exc.index, f"family '{name}': {exc.detail}"
             ) from exc
 
     vector_frames: dict[str, VectorFrame] = {}
@@ -176,7 +183,7 @@ def parse_spec(source) -> ProblemSpec:
             vector_frames[name] = VectorFrame(space, vectors)
         except MemberClassificationError as exc:
             raise MemberClassificationError(
-                exc.index, f"vector frame '{name}': {exc}"
+                exc.index, f"vector frame '{name}': {exc.detail}"
             ) from exc
 
     operators: dict[str, Operator] = {}

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kreinframes import KreinSpace, Subspace, VectorFrame, WeightedFamily
+
+# tier-1 stays deterministic: the same examples on every run, and no
+# per-example deadline on a loaded machine
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

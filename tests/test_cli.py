@@ -73,6 +73,30 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_rank_deficient_basis_exits_two(self, capsys, tmp_path):
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "families": {"fam": {"subspaces": [[[1, 0], [2, 0]]], "weights": [1]}},
+        }
+        p = tmp_path / "rankdef.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "all", "--spec", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "error: families.fam.subspaces[0]: basis matrix is rank deficient"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_two(self, capsys, demo_path, samples):
+        code, out, err = run(
+            capsys, "preserve", "--spec", demo_path, "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
+
     def test_unknown_command_exits_two(self, capsys, demo_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--spec", demo_path])
@@ -156,6 +180,35 @@ class TestToleranceOverrides:
         report = json.loads(out)
         assert report["tolerances"]["tau_def"] == 1e-5
         assert report["tolerances"]["tau_num"] == 1e-9
+
+    @pytest.mark.parametrize("source", ["file", "json_text"])
+    def test_override_merges_into_document(self, capsys, tmp_path, source):
+        doc = json.loads(Path(DEMO).read_text())
+        doc["tolerances"] = {"tau_num": 1e-8}
+        spec = json.dumps(doc)
+        if source == "file":
+            p = tmp_path / "demo.json"
+            p.write_text(spec)
+            spec = str(p)
+        code, out, err = run(capsys, "certify", "--spec", spec, "--tol-def", "1e-5")
+        assert code == 0, err
+        tolerances = json.loads(out)["tolerances"]
+        assert tolerances["tau_def"] == 1e-5
+        assert tolerances["tau_num"] == 1e-8
+
+
+class TestIdentityTask:
+    def test_all_on_demo_identity_block(self, capsys, demo_path):
+        code, out, _ = run(capsys, "all", "--spec", demo_path)
+        assert code == 0
+        block = json.loads(out)["results"]["identity"]
+        assert block["pass"] is True
+        entry = block["results"]["vector_frames"]["axes_and_tilt"]
+        assert entry["trials"] == 200
+        assert entry["ok"] is True
+        assert entry["max_relative_residual"] == pytest.approx(
+            3.5527136788004883e-15, abs=1e-10
+        )
 
 
 class TestDualTask:

@@ -1,9 +1,15 @@
 """Tests for vector J-frames, canonical duals and the dual-bound relations."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kreinframes
 from kreinframes import (
+    DimensionError,
     KreinSpace,
     MemberClassificationError,
     NotAFrameError,
@@ -22,8 +28,14 @@ from kreinframes import (
     vframe_operator,
     vframe_optimal_bounds,
 )
-from kreinframes.duality import fundamental_identity_sides
+from kreinframes.cli import run_command
+from kreinframes.duality import (
+    _inverse_frame_operator,
+    fundamental_identity_sides,
+    fundamental_identity_sides_batch,
+)
 from kreinframes.fusion import WeightedFamily
+from kreinframes.problem import parse_spec
 from kreinframes.sampling import (
     random_complex,
     random_fusion_frame,
@@ -31,6 +43,9 @@ from kreinframes.sampling import (
     random_vector_frame,
     rng_from_seed,
 )
+
+
+DEMO_PATH = Path(kreinframes.__file__).parent / "data" / "c3_demo.json"
 
 
 def parseval_frame(n=3):
@@ -298,6 +313,119 @@ class TestFundamentalIdentity:
             fundamental_identity_residual(
                 VectorFrame(minkowski, [[1.0, 0.0]]), [0], [1.0, 0.0]
             )
+
+
+def dense_identity_side(frame, members, f, s_inv, s_members=None):
+    """One side from its definition: dense S_I, explicit S^-1, member loops.
+
+    ``s_members`` replaces the subset inside S_I only (a mutation).
+    """
+    J = frame.space.J
+    s_i = partial_frame_operator(frame, members if s_members is None else s_members)
+    s_f = s_i.matrix @ f
+    duals = s_inv @ frame.matrix
+    own = sum(
+        frame.signs[i] * abs(np.vdot(frame.vector(i), J @ f)) ** 2 for i in members
+    )
+    dual = sum(
+        frame.signs[i] * abs(np.vdot(duals[:, i], J @ s_f)) ** 2
+        for i in range(len(frame))
+    )
+    return own - dual
+
+
+class TestIdentityKernel:
+    @settings(max_examples=12)
+    @given(
+        n=st.sampled_from([16, 64]),
+        extra=st.integers(0, 24),
+        trials=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_matches_dense_definition(self, n, extra, trials, seed):
+        rng = rng_from_seed(seed)
+        frame = random_vector_frame(random_space(rng, n), rng, extra=extra)
+        masks = rng.uniform(size=(trials, len(frame))) < 0.5
+        fs = random_complex(rng, n, trials)
+        lhs, rhs = fundamental_identity_sides_batch(frame, masks, fs)
+        s_inv = np.linalg.inv(vframe_operator(frame).matrix)
+        for t in range(trials):
+            inside = np.flatnonzero(masks[t])
+            outside = np.flatnonzero(~masks[t])
+            want_lhs = dense_identity_side(frame, inside, fs[:, t], s_inv)
+            want_rhs = dense_identity_side(frame, outside, fs[:, t], s_inv)
+            scale = 1.0 + max(abs(want_lhs), abs(want_rhs))
+            assert abs(lhs[t] - want_lhs) < 1e-10 * scale
+            assert abs(rhs[t] - want_rhs) < 1e-10 * scale
+            assert abs(lhs[t] - rhs[t]) < 1e-9 * scale
+
+    def test_single_trial_is_the_batch(self):
+        rng = rng_from_seed(38)
+        frame = random_vector_frame(random_space(rng, 6), rng, extra=3)
+        masks = rng.uniform(size=(5, len(frame))) < 0.5
+        fs = random_complex(rng, 6, 5)
+        lhs, rhs = fundamental_identity_sides_batch(frame, masks, fs)
+        for t in range(5):
+            one = fundamental_identity_sides(frame, np.flatnonzero(masks[t]), fs[:, t])
+            # one column against a block: the same sums, other BLAS kernels
+            np.testing.assert_allclose(one, (lhs[t], rhs[t]), rtol=1e-12, atol=1e-12)
+
+    def test_shape_mismatch_rejected(self, coupled_frame):
+        with pytest.raises(DimensionError):
+            fundamental_identity_sides_batch(
+                coupled_frame, np.ones((1, 3), bool), np.ones((3, 2))
+            )
+        with pytest.raises(DimensionError):
+            fundamental_identity_sides_batch(
+                coupled_frame, np.ones((2, 1), bool), np.ones((3, 2))
+            )
+
+    def test_inverse_is_factored_once(self, coupled_frame):
+        s_inv = _inverse_frame_operator(coupled_frame)
+        assert _inverse_frame_operator(coupled_frame) is s_inv
+        assert not s_inv.flags.writeable
+        np.testing.assert_allclose(
+            s_inv @ vframe_operator(coupled_frame).matrix, np.eye(3), atol=1e-12
+        )
+
+    def relative_residuals(self, frame, masks, fs):
+        lhs, rhs = fundamental_identity_sides_batch(frame, masks, fs)
+        return np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+
+    def test_perturbed_inverse_is_detected(self):
+        rng = rng_from_seed(39)
+        frame = random_vector_frame(random_space(rng, 16), rng, extra=8)
+        masks = rng.uniform(size=(20, len(frame))) < 0.5
+        fs = random_complex(rng, 16, 20)
+        tau = frame.space.tol.tau_num
+        assert self.relative_residuals(frame, masks, fs).max() < tau
+        perturbation = 1e-6 * random_complex(rng, 16, 16)
+        frame._s_inv = _inverse_frame_operator(frame) + perturbation
+        assert self.relative_residuals(frame, masks, fs).min() > tau
+
+    def test_member_dropped_from_partial_operator_is_detected(self):
+        rng = rng_from_seed(40)
+        frame = random_vector_frame(random_space(rng, 16), rng, extra=8)
+        s_inv = np.linalg.inv(vframe_operator(frame).matrix)
+        for _ in range(10):
+            inside = np.flatnonzero(rng.uniform(size=len(frame)) < 0.5)
+            outside = np.setdiff1d(np.arange(len(frame)), inside)
+            f = random_complex(rng, 16)
+            rhs = dense_identity_side(frame, outside, f, s_inv)
+            lhs = dense_identity_side(frame, inside, f, s_inv, s_members=inside[:-1])
+            scale = 1.0 + max(abs(lhs), abs(rhs))
+            assert abs(lhs - rhs) / scale > frame.space.tol.tau_num
+
+    def test_perturbed_inverse_fails_the_identity_task(self):
+        problem = parse_spec(DEMO_PATH)
+        frame = problem.vector_frames["axes_and_tilt"]
+        assert run_command("identity", problem, 0, 20)["pass"] is True
+        frame._s_inv = _inverse_frame_operator(frame) + 1e-6
+        report = run_command("identity", problem, 0, 20)
+        assert report["pass"] is False
+        assert report["results"]["identity"]["results"]["vector_frames"][
+            "axes_and_tilt"
+        ]["ok"] is False
 
 
 class TestFusionDualBounds:

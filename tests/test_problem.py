@@ -144,8 +144,22 @@ class TestFamilies:
         d = doc(
             families={"lightcone": {"subspaces": [[[1, 1]]], "weights": [1]}}
         )
-        with pytest.raises(MemberClassificationError, match="lightcone"):
+        with pytest.raises(MemberClassificationError, match="lightcone") as exc:
             parse_spec(d)
+        assert str(exc.value) == (
+            "member 0: family 'lightcone': member classifies as neutral; "
+            "every member must be uniformly definite"
+        )
+
+    def test_rank_deficient_basis_is_located(self):
+        d = doc(
+            families={"fam": {"subspaces": [[[1, 0], [2, 0]]], "weights": [1]}}
+        )
+        with pytest.raises(ValidationError) as exc:
+            parse_spec(d)
+        assert str(exc.value).startswith(
+            "families.fam.subspaces[0]: basis matrix is rank deficient"
+        )
 
     def test_wrong_vector_length(self):
         d = doc(
@@ -164,8 +178,12 @@ class TestVectorFramesAndOperators:
 
     def test_neutral_vector_names_frame(self):
         d = doc(vector_frames={"null": [[1, 1]]})
-        with pytest.raises(MemberClassificationError, match="null"):
+        with pytest.raises(MemberClassificationError, match="null") as exc:
             parse_spec(d)
+        assert str(exc.value) == (
+            "member 0: vector frame 'null': vector is neutral within tau_def "
+            "([f,f]/||f||^2 = 0)"
+        )
 
     def test_parse_operator(self):
         d = doc(operators={"flip": [[0, 1], [1, 0]]})
