@@ -86,12 +86,13 @@ class KreinSpace:
         n = J.shape[0]
         if J.shape != (n, n):
             raise DimensionError(f"J must be square, got shape {J.shape}")
-        if np.linalg.norm(J - J.conj().T) > tol.tau_sym * max(1.0, np.linalg.norm(J)):
+        # "not <=" so that an overflow to nan fails the checks too
+        if not np.linalg.norm(J - J.conj().T) <= tol.tau_sym * max(1.0, np.linalg.norm(J)):
             raise ValidationError(
                 "J is not Hermitian: ||J - J*|| = %g" % np.linalg.norm(J - J.conj().T)
             )
         res = np.linalg.norm(J @ J - np.eye(n))
-        if res > tol.tau_sym * n:
+        if not res <= tol.tau_sym * n:
             raise ValidationError("J is not involutive: ||J^2 - I|| = %g" % res)
         eigval, eigvec = np.linalg.eigh(J)
         p = int(np.count_nonzero(eigval > 0))

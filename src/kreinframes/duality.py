@@ -58,17 +58,21 @@ class VectorFrame:
         if not cols:
             raise MemberClassificationError(0, "a vector frame needs members")
         matrix = np.column_stack(cols)
-        signs = []
-        for i, f in enumerate(cols):
-            nrm2 = float(np.vdot(f, f).real)
-            if nrm2 == 0.0:
+        # each f over its largest entry: [f,f] and ||f||^2 of huge or tiny
+        # entries stay finite
+        scale = np.abs(np.vstack([matrix.real, matrix.imag])).max(axis=0)
+        f = matrix / np.where(scale == 0.0, 1.0, scale)
+        nrm2 = np.einsum("ij,ij->j", f.conj(), f).real
+        vals = np.einsum("ij,ij->j", f.conj(), space.J @ f).real
+        neutral = np.flatnonzero(np.abs(vals) <= space.tol.tau_def * nrm2)
+        if neutral.size:  # the first offender; a zero vector is neutral too
+            i = int(neutral[0])
+            if scale[i] == 0.0:
                 raise MemberClassificationError(i, "zero vector")
-            val = float(np.vdot(f, space.J @ f).real)
-            if abs(val) <= space.tol.tau_def * nrm2:
-                raise MemberClassificationError(
-                    i, f"vector is neutral within tau_def ([f,f]/||f||^2 = {val / nrm2:g})"
-                )
-            signs.append(1 if val > 0 else -1)
+            raise MemberClassificationError(
+                i, f"vector is neutral within tau_def ([f,f]/||f||^2 = {vals[i] / nrm2[i]:g})"
+            )
+        signs = [1 if v > 0 else -1 for v in vals]
         self.space = space
         self.matrix = matrix
         self.matrix.flags.writeable = False
@@ -148,13 +152,14 @@ def vframe_optimal_bounds(
     m_plus = F.m_plus if over_plus is None else over_plus
     m_minus = F.m_minus if over_minus is None else over_minus
     a_plus = b_plus = a_minus = b_minus = None
-    # the unsigned side sums: every member of a side carries that side's sign
     if m_plus is not None:
-        s_part = _signed_sum(F, F.plus_indices)
-        a_plus, b_plus = _rayleigh_extremes(F.space, m_plus, s_part, 1)
+        a_plus, b_plus = _rayleigh_extremes(
+            F.space, m_plus, F.matrix[:, F.plus_indices], 1
+        )
     if m_minus is not None:
-        s_part = -_signed_sum(F, F.minus_indices)
-        b_minus, a_minus = _rayleigh_extremes(F.space, m_minus, s_part, -1)
+        b_minus, a_minus = _rayleigh_extremes(
+            F.space, m_minus, F.matrix[:, F.minus_indices], -1
+        )
     return FrameBounds(b_minus, a_minus, a_plus, b_plus)
 
 

@@ -5,8 +5,8 @@ its index set into a positive and a negative part.  The family is a
 J-fusion frame when the span of the positive members is maximal uniformly
 positive and the span of the negative members is maximal uniformly
 negative; certification computes both verdicts together with the optimal
-frame bounds (extreme generalized eigenvalues of a Hermitian pencil) and
-the singular-value based bound estimates.
+frame bounds (from the singular values of each side's whitened synthesis
+factor) and the singular-value based bound estimates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     KreinSpace,
@@ -115,10 +114,7 @@ def build_family(space: KreinSpace, subspaces, weights) -> WeightedFamily:
 
 def coefficient_symmetry(F: WeightedFamily) -> np.ndarray:
     """Block-diagonal sign symmetry of the stacked coefficient space."""
-    diag = np.concatenate(
-        [np.full(k, float(s)) for k, s in zip(F.block_dims, F.signs)]
-    )
-    return np.diag(diag)
+    return np.diag(np.repeat(np.asarray(F.signs, dtype=float), F.block_dims))
 
 
 def synthesis_operator(F: WeightedFamily) -> np.ndarray:
@@ -131,10 +127,8 @@ def synthesis_operator(F: WeightedFamily) -> np.ndarray:
 
 def synthesis_part(F: WeightedFamily, sign: int) -> np.ndarray:
     """Synthesis restricted to the blocks of one sign (other blocks zeroed)."""
-    t = np.zeros((F.space.dim, F.total_dim), dtype=complex)
-    for i, ((w, v), sl) in enumerate(zip(F.members(), F.block_slices())):
-        if F.signs[i] == sign:
-            t[:, sl] = v * w.ortho_basis
+    t = synthesis_operator(F)
+    t[:, np.repeat(F.signs, F.block_dims) != sign] = 0.0
     return t
 
 
@@ -145,13 +139,10 @@ def analysis_operator(F: WeightedFamily) -> np.ndarray:
 
 
 def frame_operator(F: WeightedFamily) -> Operator:
-    """S = sum_i sigma_i v_i^2 pi_{W_i} J, assembled from the projections."""
-    n = F.space.dim
-    s = np.zeros((n, n), dtype=complex)
-    for i, (w, v) in enumerate(F.members()):
-        u = w.ortho_basis
-        s += F.signs[i] * v * v * (u @ (u.conj().T @ F.space.J))
-    return Operator(F.space, s)
+    """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
+    t = synthesis_operator(F)
+    sigma = np.repeat(F.signs, F.block_dims)
+    return Operator(F.space, (t * sigma) @ (t.conj().T @ F.space.J))
 
 
 def frame_operator_part(F: WeightedFamily, sign: int) -> Operator:
@@ -160,13 +151,8 @@ def frame_operator_part(F: WeightedFamily, sign: int) -> Operator:
     Both parts are J-positive operators; the frame operator is their
     difference S = S(+) - S(-).
     """
-    n = F.space.dim
-    s = np.zeros((n, n), dtype=complex)
-    for i, (w, v) in enumerate(F.members()):
-        if F.signs[i] == sign:
-            u = w.ortho_basis
-            s += v * v * (u @ (u.conj().T @ F.space.J))
-    return Operator(F.space, s)
+    t = synthesis_part(F, sign)
+    return Operator(F.space, t @ (t.conj().T @ F.space.J))
 
 
 def definite_span(F: WeightedFamily, sign: int) -> Subspace | None:
@@ -205,51 +191,56 @@ class FrameCertificate:
     witnesses: list = field(default_factory=list)
 
 
-def _rayleigh_extremes(space, M: Subspace, s_part: np.ndarray, sign: int):
+def _side_columns(F: WeightedFamily, sign: int) -> np.ndarray:
+    """T_sign: the blocks v_i U_i of the members of one sign, side by side."""
+    idx = F.plus_indices if sign == 1 else F.minus_indices
+    return np.hstack([F.weights[i] * F.subspaces[i].ortho_basis for i in idx])
+
+
+def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     """Extreme values of [S f, f] / [f, f] over a uniformly definite M.
 
-    For sign +1 the compressed form U*JU is positive definite; for sign -1
-    it is negative definite and the pencil is flipped before calling the
-    definite solver.
+    S = T T* J is the unsigned operator of one side's synthesis columns
+    T = ``cols``.  With U = M.ortho_basis and f = U x, [S f, f] = x* a x and
+    [f, f] = x* p x, where a = G G* with G = U* J T, and p = U* J U.  As M is
+    uniformly definite of the given sign, L L* = sign * p is a Cholesky
+    factorization, and the quotient's values are sign * s^2 over the
+    singular values s of L^-1 G, zero-padded to dim M when T has fewer
+    columns.  Taking them from the factor, not from L^-1 a L^-*, keeps the
+    smallest bound accurate relative to itself.  Raises
+    numpy.linalg.LinAlgError when sign * p is not positive definite.
     """
     u = M.ortho_basis
-    a = u.conj().T @ (space.J @ s_part) @ u
-    a = 0.5 * (a + a.conj().T)
-    p = u.conj().T @ space.J @ u
-    p = 0.5 * (p + p.conj().T)
-    if sign == 1:
-        vals = scipy.linalg.eigh(a, p, eigvals_only=True)
-        return float(vals[0]), float(vals[-1])
-    vals = scipy.linalg.eigh(a, -p, eigvals_only=True)
-    # quotient = -mu; ascending mu maps to descending quotient
-    return float(-vals[-1]), float(-vals[0])
+    uj = (space.J @ u).conj().T  # U* J, as J is Hermitian
+    p = uj @ u
+    chol = np.linalg.cholesky(sign * 0.5 * (p + p.conj().T))
+    s2 = np.linalg.svd(np.linalg.solve(chol, uj @ cols), compute_uv=False) ** 2
+    lo = float(s2[-1]) if s2.size == M.dim else 0.0
+    hi = float(s2[0])
+    return (lo, hi) if sign == 1 else (-hi, -lo)
 
 
 def _optimal_bounds(F: WeightedFamily, m_plus, m_minus) -> FrameBounds:
     a_plus = b_plus = a_minus = b_minus = None
     if m_plus is not None:
-        lo, hi = _rayleigh_extremes(
-            F.space, m_plus, frame_operator_part(F, 1).matrix, 1
-        )
-        a_plus, b_plus = lo, hi
+        a_plus, b_plus = _rayleigh_extremes(F.space, m_plus, _side_columns(F, 1), 1)
     if m_minus is not None:
-        lo, hi = _rayleigh_extremes(
-            F.space, m_minus, frame_operator_part(F, -1).matrix, -1
+        b_minus, a_minus = _rayleigh_extremes(
+            F.space, m_minus, _side_columns(F, -1), -1
         )
-        b_minus, a_minus = lo, hi
     return FrameBounds(b_minus, a_minus, a_plus, b_plus)
 
 
 def _estimate_bounds(F: WeightedFamily, m_plus, m_minus) -> FrameBounds:
     a_plus = b_plus = a_minus = b_minus = None
     if m_plus is not None:
-        t = synthesis_part(F, 1)
+        t = _side_columns(F, 1)
         gam_t = reduced_min_modulus(t, tol=F.space.tol)
         gam_g = gramian_min_modulus(m_plus)
         a_plus = gam_t**2 * gam_g**2
         b_plus = np.linalg.norm(t, 2) ** 2 / gam_g
     if m_minus is not None:
-        t = synthesis_part(F, -1)
+        t = _side_columns(F, -1)
         gam_t = reduced_min_modulus(t, tol=F.space.tol)
         gam_g = gramian_min_modulus(m_minus)
         a_minus = -(gam_t**2) * gam_g**2
@@ -425,9 +416,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
         if cls.kind is not want:
             # quotient changes sign or degenerates: no valid constants
             return regular, False
-        lo, hi = _rayleigh_extremes(
-            F.space, m, frame_operator_part(F, sign).matrix, sign
-        )
+        lo, hi = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
         if sign == 1:
             ok = lo > tol.tau_def * max(1.0, abs(hi))
         else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import Operator
 from .errors import NotAFrameError
@@ -111,6 +110,8 @@ def gamma_oracle(T, config: OracleConfig = OracleConfig()) -> float:
     on the restricted normal matrix drives the minimum down.  No singular
     value decomposition is involved.
     """
+    import scipy.linalg  # test-time dependency; kept off the runtime import path
+
     if isinstance(T, Operator):
         T = T.matrix
     t = np.asarray(T, dtype=complex)

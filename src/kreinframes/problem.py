@@ -85,6 +85,13 @@ def _vector(entries, where: str, n: int) -> np.ndarray:
     return v
 
 
+def _finite_energy(m: np.ndarray, where: str) -> np.ndarray:
+    """m, unless its squared norm overflows float64 (every product with it would)."""
+    if not np.isfinite(np.vdot(m, m).real):
+        raise ValidationError(f"{where}: squared norm is not finite in float64")
+    return m
+
+
 def decode_document(source):
     """The decoded JSON of a problem document given as a path, JSON text or dict."""
     if isinstance(source, dict):
@@ -132,7 +139,7 @@ def parse_spec(source) -> ProblemSpec:
     dim = sdoc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("space.dim must be a positive integer")
-    j = _matrix(sdoc["J"], "space.J", n_cols=dim)
+    j = _finite_energy(_matrix(sdoc["J"], "space.J", n_cols=dim), "space.J")
     if j.shape != (dim, dim):
         raise SchemaError(f"space.J must be {dim}x{dim}")
     space = KreinSpace(j, tol=tolerances)  # ValidationError on a bad symmetry
@@ -165,6 +172,7 @@ def parse_spec(source) -> ProblemSpec:
         weights = [_scalar(w, f"families.{name}.weights[{i}]") for i, w in enumerate(weights)]
         if any(w.imag != 0 for w in weights):
             raise SchemaError(f"families.{name}.weights: weights must be real")
+        _finite_energy(np.asarray(weights), f"families.{name}.weights")
         try:
             families[name] = WeightedFamily(space, subspaces, [w.real for w in weights])
         except MemberClassificationError as exc:
@@ -176,9 +184,10 @@ def parse_spec(source) -> ProblemSpec:
     for name, vdoc in _named_section(doc, "vector_frames").items():
         if not isinstance(vdoc, list) or not vdoc:
             raise SchemaError(f"vector_frames.{name}: expected a non-empty array")
-        vectors = [
-            _vector(v, f"vector_frames.{name}[{i}]", dim) for i, v in enumerate(vdoc)
-        ]
+        vectors = []
+        for i, v in enumerate(vdoc):
+            where = f"vector_frames.{name}[{i}]"
+            vectors.append(_finite_energy(_vector(v, where, dim), where))
         try:
             vector_frames[name] = VectorFrame(space, vectors)
         except MemberClassificationError as exc:
@@ -191,7 +200,7 @@ def parse_spec(source) -> ProblemSpec:
         m = _matrix(mdoc, f"operators.{name}", n_cols=dim)
         if m.shape != (dim, dim):
             raise SchemaError(f"operators.{name}: expected a {dim}x{dim} matrix")
-        operators[name] = Operator(space, m)
+        operators[name] = Operator(space, _finite_energy(m, f"operators.{name}"))
 
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):

@@ -7,7 +7,6 @@ and the test suite.  Everything is deterministic given a seed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import KreinSpace, Operator, Subspace, Tolerances, DEFAULT_TOLERANCES
 from .duality import VectorFrame
@@ -129,6 +128,8 @@ def random_j_unitary(
     space: KreinSpace, rng: np.random.Generator, generator_norm: float = 1.0
 ) -> Operator:
     """J-unitary operator exp(JH) with H skew-Hermitian of bounded norm."""
+    import scipy.linalg  # test-time dependency; kept off the runtime import path
+
     h = random_complex(rng, space.dim, space.dim)
     h = 0.5 * (h - h.conj().T)
     nrm = np.linalg.norm(h, 2)

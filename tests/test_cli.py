@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,32 @@ class TestExitCodes:
             "error: families.fam.subspaces[0]: basis matrix is rank deficient"
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, entry, where",
+        [
+            ("vector_frames", {"vf": [[1e308, 0], [0, 1e308]]}, "vector_frames.vf[0]"),
+            ("operators", {"T": [[1e308, 0], [0, 1e308]]}, "operators.T"),
+            (
+                "families",
+                {"fam": {"subspaces": [[[1, 0]], [[0, 1]]], "weights": [1e200, 1]}},
+                "families.fam.weights",
+            ),
+            ("space", {"dim": 2, "J": [[1e200, 0], [0, -1]]}, "space.J"),
+        ],
+    )
+    def test_overflowing_entries_exit_two(self, capsys, tmp_path, section, entry, where):
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "families": {"fam": {"subspaces": [[[1, 0]], [[0, 1]]], "weights": [1, 1]}},
+            section: entry,
+        }
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "all", "--spec", str(p), "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}: squared norm is not finite in float64\n"
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_two(self, capsys, demo_path, samples):
@@ -235,3 +264,37 @@ class TestDualTask:
         fam = json.loads(out)["results"]["dual"]["results"]["families"]["axes"]
         assert fam["advisory"] is True
         assert fam["holds"] is False
+
+
+class TestImportPath:
+    """The runtime needs numpy only: scipy is a test-time dependency."""
+
+    @staticmethod
+    def python(code, *args):
+        src = str(Path(kreinframes.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = self.python("import sys, kreinframes.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_all_runs_without_scipy(self, demo_path):
+        run_all = (
+            "import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['scipy'] = None\n"
+            "from kreinframes.cli import main\n"
+            "sys.exit(main(['all', '--spec', sys.argv[2], '--samples', '20']))\n"
+        )
+        blocked = self.python(run_all, "blocked", demo_path)
+        normal = self.python(run_all, "normal", demo_path)
+        assert blocked.returncode == 0, blocked.stderr
+        assert normal.returncode == 0, normal.stderr
+        verdicts = lambda out: {k: v["pass"] for k, v in json.loads(out)["results"].items()}
+        assert verdicts(blocked.stdout) == verdicts(normal.stdout)
+        assert blocked.stdout == normal.stdout

@@ -48,6 +48,11 @@ class TestKreinSpace:
         with pytest.raises(ValidationError, match="involutive"):
             KreinSpace([[2, 0], [0, 1]])
 
+    def test_overflowing_symmetry_rejected(self):
+        # J @ J overflows to nan, which must fail the involution check
+        with pytest.warns(RuntimeWarning), pytest.raises(ValidationError, match="involutive"):
+            KreinSpace([[1e200, 0], [0, -1]])
+
     def test_printed_example_matrix_rejected(self):
         bad = [[1, 0, 0], [1, 0, 0], [0, 0, -1]]
         with pytest.raises(ValidationError):

@@ -68,6 +68,15 @@ class TestVectorFrame:
         with pytest.raises(MemberClassificationError):
             VectorFrame(minkowski, [[0.0, 0.0]])
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-300])
+    def test_signs_of_extreme_magnitudes(self, minkowski, scale):
+        # [f,f] and ||f||^2 overflow or underflow unless f is scaled first
+        frame = VectorFrame(minkowski, [[scale, 0.0], [0.0, scale], [scale, 0.5 * scale]])
+        assert frame.signs == [1, -1, 1]
+        with pytest.raises(MemberClassificationError) as err:
+            VectorFrame(minkowski, [[scale, scale]])
+        assert str(err.value).endswith("neutral within tau_def ([f,f]/||f||^2 = 0)")
+
     def test_signed_spans_recorded(self, coupled_frame):
         assert coupled_frame.m_plus.dim == 2
         assert coupled_frame.m_minus.dim == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinframes import (
     FrameBounds,
@@ -9,6 +11,7 @@ from kreinframes import (
     NotAFrameError,
     NotSurjectiveError,
     Subspace,
+    VectorFrame,
     WeightError,
     WeightedFamily,
     analysis_operator,
@@ -26,11 +29,13 @@ from kreinframes import (
     optimal_bounds,
     synthesis_operator,
     synthesis_part,
+    vframe_optimal_bounds,
 )
 from kreinframes.oracles import OracleConfig, rayleigh_extremes
 from kreinframes.sampling import (
     random_complex,
     random_fusion_frame,
+    random_maximal_definite_subspace,
     random_space,
     rng_from_seed,
 )
@@ -369,3 +374,80 @@ class TestConverseCheck:
             report = converse_check(fam)
             assert report.verdict
             assert report.agrees_with_certify
+
+
+def j_orthonormal_basis(M, sign):
+    """Columns e_i of M with [e_i, e_j] = sign * delta_ij."""
+    u = M.ortho_basis
+    g = sign * (u.conj().T @ M.space.J @ u)
+    lam, q = np.linalg.eigh(0.5 * (g + g.conj().T))
+    return u @ (q / np.sqrt(lam)) @ q.conj().T
+
+
+class TestKnownAnswerBounds:
+    """Members w_i e_i over J-orthonormal e_i of tilted maximal spans.
+
+    For f = sum_j c_j e_j on one side, [f, f] = sign * sum |c_j|^2 and the
+    frame sum is sum w_i^2 |c_i|^2, so the exact bounds of that side are
+    sign * min w^2 and sign * max w^2.
+    """
+
+    @staticmethod
+    def build(n, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, p=int(rng.integers(1, n)))
+        sides = {}
+        for sign in (1, -1):
+            m = random_maximal_definite_subspace(space, rng, sign, max_tilt=0.9)
+            e = j_orthonormal_basis(m, sign)
+            w = 10.0 ** rng.uniform(-3.0, 0.0, size=e.shape[1])
+            sides[sign] = (e, w)
+        return space, sides
+
+    @staticmethod
+    def exact(sides):
+        wp, wm = sides[1][1] ** 2, sides[-1][1] ** 2
+        return FrameBounds(-wm.max(), -wm.min(), wp.min(), wp.max())
+
+    @staticmethod
+    def assert_bounds(actual, expected, rtol):
+        for a, e in zip(actual.as_tuple(), expected.as_tuple()):
+            assert abs(a - e) <= rtol * abs(e), (a, e)
+
+    @settings(max_examples=16)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_family_and_vector_frame_bounds(self, n, seed):
+        space, sides = self.build(n, seed)
+        subspaces, weights, vectors = [], [], []
+        for e, w in sides.values():
+            for k in range(e.shape[1]):
+                subspaces.append(Subspace(space, e[:, k : k + 1]))
+                # pi_W is the Euclidean projection: scale the weight by ||e||
+                weights.append(w[k] * np.linalg.norm(e[:, k]))
+                vectors.append(w[k] * e[:, k])
+        expected = self.exact(sides)
+        fam = WeightedFamily(space, subspaces, weights)
+        self.assert_bounds(optimal_bounds(fam), expected, 1e-11)
+        frame = VectorFrame(space, vectors)
+        self.assert_bounds(vframe_optimal_bounds(frame), expected, 1e-11)
+
+    @settings(max_examples=8)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_generalized_eigh_reference(self, n, seed):
+        import scipy.linalg  # test-only reference for the pencil (a, p)
+
+        space, sides = self.build(n, seed)
+        subspaces = [Subspace(space, e[:, [k]]) for e, w in sides.values() for k in range(len(w))]
+        weights = np.concatenate([w for _, w in sides.values()])
+        fam = WeightedFamily(space, subspaces, weights)
+        b = optimal_bounds(fam)
+        for sign, got in ((1, (b.a_plus, b.b_plus)), (-1, (b.b_minus, b.a_minus))):
+            u = definite_span(fam, sign).ortho_basis
+            a = u.conj().T @ space.J @ frame_operator_part(fam, sign).matrix @ u
+            p = u.conj().T @ space.J @ u
+            vals = sign * scipy.linalg.eigh(
+                0.5 * (a + a.conj().T), sign * 0.5 * (p + p.conj().T), eigvals_only=True
+            )
+            scale = np.abs(vals).max()
+            assert abs(got[0] - vals.min()) <= 1e-8 * scale
+            assert abs(got[1] - vals.max()) <= 1e-8 * scale
