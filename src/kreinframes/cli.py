@@ -28,12 +28,14 @@ from .duality import (
     vframe_optimal_bounds,
 )
 from .errors import (
+    DefinitenessTransportError,
     KreinFramesError,
     MemberClassificationError,
     NotAFrameError,
     NotSurjectiveError,
     HypothesisNotMetError,
     SchemaError,
+    SingularOperatorError,
     UsageError,
     ValidationError,
 )
@@ -177,11 +179,14 @@ def _task_dual(problem: ProblemSpec, seed, samples):
     out = {"vector_frames": {}, "families": {}}
     ok = True
     for name, vf in _sorted_items(problem.vector_frames):
-        if not is_j_frame(vf):
-            out["vector_frames"][name] = {"error": "not a J-frame"}
+        try:
+            if not is_j_frame(vf):
+                raise NotAFrameError("not a J-frame")
+            report = dual_bounds_check(vf)
+        except (NotAFrameError, SingularOperatorError, DefinitenessTransportError) as exc:
+            out["vector_frames"][name] = {"error": str(exc)}
             ok = False
             continue
-        report = dual_bounds_check(vf)
         out["vector_frames"][name] = _jsonable(report)
         ok = ok and report.ok
     for name, fam in _sorted_items(problem.families):
@@ -214,7 +219,12 @@ def _task_identity(problem: ProblemSpec, seed, samples):
         for t in range(trials):
             masks[t] = rng.uniform(size=len(vf)) < 0.5
             fs[:, t] = random_complex(rng, vf.space.dim)
-        lhs, rhs = fundamental_identity_sides_batch(vf, masks, fs)
+        try:
+            lhs, rhs = fundamental_identity_sides_batch(vf, masks, fs)
+        except SingularOperatorError as exc:
+            out[name] = {"error": str(exc)}
+            ok = False
+            continue
         rel = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
         frame_ok = bool(np.all(rel < vf.space.tol.tau_num))
         out[name] = {

@@ -332,14 +332,13 @@ def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """
     if isinstance(T, Operator):
         T = T.matrix
-    m = _as_matrix(T)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0.0
-    nz = s[s > tol.tau_rank * s[0]]
-    if nz.size == 0:
-        return 0.0
-    return float(nz[-1])
+    return _smallest_nonzero(np.linalg.svd(_as_matrix(T), compute_uv=False), tol)
+
+
+def _smallest_nonzero(s: np.ndarray, tol: Tolerances) -> float:
+    """Smallest of the descending singular values s above tau_rank * s[0], or 0.0."""
+    nz = s[s > tol.tau_rank * s[0]] if s.size and s[0] > 0.0 else s[:0]
+    return float(nz[-1]) if nz.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ optimal bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,10 +26,12 @@ from .errors import (
 from .fusion import (
     FrameBounds,
     WeightedFamily,
-    _optimal_bounds,
+    _assemble_bounds,
     _rayleigh_extremes,
+    _side_columns,
+    _side_verdict,
+    _signed_operator,
     certify,
-    definite_span,
     frame_operator,
 )
 
@@ -97,12 +100,6 @@ class VectorFrame:
         )
 
 
-def _signed_sum(F: VectorFrame, members) -> np.ndarray:
-    """sum over the selected members of sigma_i f_i f_i* J, as (F_I sigma_I)(F_I* J)."""
-    cols = F.matrix[:, members]
-    return (cols * F.sigma[members]) @ (cols.conj().T @ F.space.J)
-
-
 def _member_mask(F: VectorFrame, subset) -> np.ndarray:
     mask = np.zeros(len(F), dtype=bool)
     for i in (int(i) for i in subset):
@@ -114,24 +111,19 @@ def _member_mask(F: VectorFrame, subset) -> np.ndarray:
 
 def vframe_operator(F: VectorFrame) -> Operator:
     """S f = sum_i sigma_i [f, f_i] f_i."""
-    return Operator(F.space, _signed_sum(F, slice(None)))
+    return _signed_operator(F.space, F.matrix, F.sigma)
 
 
 def partial_frame_operator(F: VectorFrame, subset) -> Operator:
     """S restricted to a member subset; S_I1 + S_I1c = S by construction."""
-    return Operator(F.space, _signed_sum(F, _member_mask(F, subset)))
-
-
-def _side_ok(m, sign, space) -> bool:
-    if m is None:
-        return space.signature[(1 - sign) // 2] == 0
-    cls = m.classify()
-    return cls.maximal_definite and cls.sign == sign
+    mask = _member_mask(F, subset)
+    return _signed_operator(F.space, F.matrix[:, mask], F.sigma[mask])
 
 
 def is_j_frame(F: VectorFrame) -> bool:
     """True when both signed spans are maximal uniformly definite."""
-    return _side_ok(F.m_plus, 1, F.space) and _side_ok(F.m_minus, -1, F.space)
+    sides = ((F.m_plus, 1), (F.m_minus, -1))
+    return all(_side_verdict(F.space, m, sign)[2] for m, sign in sides)
 
 
 def vframe_optimal_bounds(
@@ -149,23 +141,14 @@ def vframe_optimal_bounds(
     """
     if not is_j_frame(F):
         raise NotAFrameError("not a J-frame; no optimal bounds")
-    m_plus = F.m_plus if over_plus is None else over_plus
-    m_minus = F.m_minus if over_minus is None else over_minus
-    a_plus = b_plus = a_minus = b_minus = None
-    if m_plus is not None:
-        a_plus, b_plus = _rayleigh_extremes(
-            F.space, m_plus, F.matrix[:, F.plus_indices], 1
-        )
-    if m_minus is not None:
-        b_minus, a_minus = _rayleigh_extremes(
-            F.space, m_minus, F.matrix[:, F.minus_indices], -1
-        )
-    return FrameBounds(b_minus, a_minus, a_plus, b_plus)
+    spans = (over_plus or F.m_plus, over_minus or F.m_minus)
+    cols = lambda sign: F.matrix[:, F.plus_indices if sign == 1 else F.minus_indices]
+    return _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
 
 
 def _check_nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> None:
     cond = np.linalg.cond(s)
-    if cond > 1.0 / space.tol.tau_def:
+    if not cond <= 1.0 / space.tol.tau_def:  # "not <=" so that nan fails too
         raise SingularOperatorError(
             f"{what} is numerically singular (cond = {cond:g})"
         )
@@ -332,9 +315,8 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
             "dual family failed frame certification",
         )
     dual_bounds = dual_cert.optimal_bounds
-    over_original = _optimal_bounds(
-        dual_family, definite_span(F, 1), definite_span(F, -1)
-    )
+    spans, cols = (F.m_plus, F.m_minus), partial(_side_columns, dual_family)
+    over_original = _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
     err = _bounds_rel_error(dual_bounds, expected)
     holds = err < F.space.tol.tau_num
     note = (

@@ -12,6 +12,7 @@ factor) and the singular-value based bound estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .core import (
     KreinSpace,
     Operator,
     Subspace,
-    SubspaceKind,
+    _smallest_nonzero,
+    gramian,
     gramian_min_modulus,
-    reduced_min_modulus,
 )
 from .errors import (
     MemberClassificationError,
@@ -66,8 +67,8 @@ class WeightedFamily:
             )
         signs = []
         for i, (w, v) in enumerate(zip(subspaces, weights)):
-            if v <= 0.0:
-                raise WeightError(f"weight {i} is not positive: {v}")
+            if not 0.0 < v < np.inf:  # "not" so that nan fails too
+                raise WeightError(f"weight {i} is not positive and finite: {v}")
             if w.space is not space:
                 raise MemberClassificationError(i, "member lives in a different space")
             cls = w.classify()
@@ -85,6 +86,8 @@ class WeightedFamily:
         self.minus_indices = [i for i, s in enumerate(signs) if s == -1]
         self.block_dims = [w.dim for w in subspaces]
         self.total_dim = sum(self.block_dims)
+        self.m_plus = _member_span(space, subspaces, self.plus_indices)
+        self.m_minus = _member_span(space, subspaces, self.minus_indices)
         self._certificate: FrameCertificate | None = None
 
     def __len__(self):
@@ -105,6 +108,12 @@ class WeightedFamily:
             f"WeightedFamily({len(self)} members, "
             f"|I+|={len(self.plus_indices)}, |I-|={len(self.minus_indices)})"
         )
+
+
+def _member_span(space: KreinSpace, subspaces, idx) -> Subspace | None:
+    """Span of the members idx from their orthonormal bases; None for an empty idx."""
+    cols = [subspaces[i].ortho_basis for i in idx]
+    return Subspace.from_spanning(space, np.hstack(cols)) if cols else None
 
 
 def build_family(space: KreinSpace, subspaces, weights) -> WeightedFamily:
@@ -138,11 +147,15 @@ def analysis_operator(F: WeightedFamily) -> np.ndarray:
     return coefficient_symmetry(F) @ t.conj().T @ F.space.J
 
 
+def _signed_operator(space: KreinSpace, cols: np.ndarray, d) -> Operator:
+    """T D T* J from synthesis columns T = ``cols`` and the diagonal d of D."""
+    return Operator(space, (cols * d) @ (cols.conj().T @ space.J))
+
+
 def frame_operator(F: WeightedFamily) -> Operator:
     """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
-    t = synthesis_operator(F)
     sigma = np.repeat(F.signs, F.block_dims)
-    return Operator(F.space, (t * sigma) @ (t.conj().T @ F.space.J))
+    return _signed_operator(F.space, synthesis_operator(F), sigma)
 
 
 def frame_operator_part(F: WeightedFamily, sign: int) -> Operator:
@@ -151,17 +164,12 @@ def frame_operator_part(F: WeightedFamily, sign: int) -> Operator:
     Both parts are J-positive operators; the frame operator is their
     difference S = S(+) - S(-).
     """
-    t = synthesis_part(F, sign)
-    return Operator(F.space, t @ (t.conj().T @ F.space.J))
+    return _signed_operator(F.space, _side_columns(F, sign), 1.0)
 
 
 def definite_span(F: WeightedFamily, sign: int) -> Subspace | None:
     """M(sign): span of all members of one sign; None when that side is empty."""
-    idx = F.plus_indices if sign == 1 else F.minus_indices
-    if not idx:
-        return None
-    cols = np.hstack([F.subspaces[i].ortho_basis for i in idx])
-    return Subspace.from_spanning(F.space, cols)
+    return F.m_plus if sign == 1 else F.m_minus
 
 
 @dataclass(frozen=True)
@@ -194,7 +202,22 @@ class FrameCertificate:
 def _side_columns(F: WeightedFamily, sign: int) -> np.ndarray:
     """T_sign: the blocks v_i U_i of the members of one sign, side by side."""
     idx = F.plus_indices if sign == 1 else F.minus_indices
-    return np.hstack([F.weights[i] * F.subspaces[i].ortho_basis for i in idx])
+    blocks = [F.weights[i] * F.subspaces[i].ortho_basis for i in idx]
+    return np.hstack(blocks) if blocks else np.zeros((F.space.dim, 0), dtype=complex)
+
+
+def _side_verdict(space: KreinSpace, M: Subspace | None, sign: int):
+    """(dim, classification or None, maximal) of the side of one sign with span M.
+
+    A side is maximal when its span is maximal uniformly definite of that
+    sign, or when it is empty (M is None) and the canonical component of
+    that sign is {0}.  This is the paper's condition, one side at a time:
+    a family is a J-frame exactly when both of its sides are maximal.
+    """
+    if M is None:
+        return 0, None, space.signature[(1 - sign) // 2] == 0
+    cls = M.classify()
+    return M.dim, cls, cls.maximal_definite and cls.sign == sign
 
 
 def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
@@ -220,39 +243,30 @@ def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     return (lo, hi) if sign == 1 else (-hi, -lo)
 
 
-def _optimal_bounds(F: WeightedFamily, m_plus, m_minus) -> FrameBounds:
-    a_plus = b_plus = a_minus = b_minus = None
-    if m_plus is not None:
-        a_plus, b_plus = _rayleigh_extremes(F.space, m_plus, _side_columns(F, 1), 1)
-    if m_minus is not None:
-        b_minus, a_minus = _rayleigh_extremes(
-            F.space, m_minus, _side_columns(F, -1), -1
-        )
-    return FrameBounds(b_minus, a_minus, a_plus, b_plus)
+def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
+    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD of T."""
+    s = np.linalg.svd(cols, compute_uv=False)
+    gam_g = gramian_min_modulus(M)
+    lo, hi = _smallest_nonzero(s, space.tol) ** 2 * gam_g**2, s[0] ** 2 / gam_g
+    return (lo, hi) if sign == 1 else (-hi, -lo)
 
 
-def _estimate_bounds(F: WeightedFamily, m_plus, m_minus) -> FrameBounds:
-    a_plus = b_plus = a_minus = b_minus = None
-    if m_plus is not None:
-        t = _side_columns(F, 1)
-        gam_t = reduced_min_modulus(t, tol=F.space.tol)
-        gam_g = gramian_min_modulus(m_plus)
-        a_plus = gam_t**2 * gam_g**2
-        b_plus = np.linalg.norm(t, 2) ** 2 / gam_g
-    if m_minus is not None:
-        t = _side_columns(F, -1)
-        gam_t = reduced_min_modulus(t, tol=F.space.tol)
-        gam_g = gramian_min_modulus(m_minus)
-        a_minus = -(gam_t**2) * gam_g**2
-        b_minus = -np.linalg.norm(t, 2) ** 2 / gam_g
+def _assemble_bounds(space, spans, cols, extremes) -> FrameBounds:
+    """FrameBounds from ``extremes(space, M, cols(sign), sign)`` on each side.
+
+    ``spans`` is (M+, M-); a side whose span is None has no bounds.  The
+    extremes of a side come in ascending order: (A+, B+) or (B-, A-).
+    """
+    (a_plus, b_plus), (b_minus, a_minus) = (
+        (None, None) if m is None else extremes(space, m, cols(sign), sign)
+        for m, sign in zip(spans, (1, -1))
+    )
     return FrameBounds(b_minus, a_minus, a_plus, b_plus)
 
 
 def _degenerate_witness(M: Subspace, want_sign: int):
     """A unit vector of M witnessing the classification failure."""
-    g = M.ortho_basis.conj().T @ M.space.J @ M.ortho_basis
-    g = 0.5 * (g + g.conj().T)
-    eigval, eigvec = np.linalg.eigh(g)
+    eigval, eigvec = np.linalg.eigh(gramian(M))
     # worst offender: smallest eigenvalue for a positive side, largest for
     # a negative side
     j = 0 if want_sign == 1 else len(eigval) - 1
@@ -264,46 +278,32 @@ def certify(F: WeightedFamily) -> FrameCertificate:
     """Decide the J-fusion frame property and fill bounds and witnesses."""
     if F._certificate is not None:
         return F._certificate
-    p, q = F.space.signature
-    m_plus = definite_span(F, 1)
-    m_minus = definite_span(F, -1)
     witnesses = []
 
-    def side(m, want_sign, needed_dim, label):
-        want_kind = (
-            SubspaceKind.UNIFORMLY_POSITIVE
-            if want_sign == 1
-            else SubspaceKind.UNIFORMLY_NEGATIVE
-        )
-        if m is None:
-            uniform = True
-            dim = 0
-        else:
-            cls = m.classify()
-            uniform = cls.kind is want_kind
-            dim = m.dim
-            if not uniform:
-                witnesses.append(
-                    {
-                        "side": label,
-                        "reason": f"span classifies as {cls.kind.value}",
-                        "vector": _degenerate_witness(m, want_sign),
-                    }
-                )
-        maximal = uniform and dim == needed_dim
-        if uniform and dim != needed_dim:
+    def side(m, sign, label):
+        dim, cls, maximal = _side_verdict(F.space, m, sign)
+        uniform = cls is None or cls.sign == sign
+        if not uniform:
+            witnesses.append(
+                {
+                    "side": label,
+                    "reason": f"span classifies as {cls.kind.value}",
+                    "vector": _degenerate_witness(m, sign),
+                }
+            )
+        elif not maximal:
             witnesses.append(
                 {
                     "side": label,
                     "reason": "dimension deficit",
                     "dim": dim,
-                    "required": needed_dim,
+                    "required": F.space.signature[(1 - sign) // 2],
                 }
             )
         return dim, uniform, maximal
 
-    pos_dim, pos_uniform, pos_maximal = side(m_plus, 1, p, "+")
-    neg_dim, neg_uniform, neg_maximal = side(m_minus, -1, q, "-")
+    pos_dim, pos_uniform, pos_maximal = side(F.m_plus, 1, "+")
+    neg_dim, neg_uniform, neg_maximal = side(F.m_minus, -1, "-")
     is_frame = pos_maximal and neg_maximal
     cert = FrameCertificate(
         is_frame=is_frame,
@@ -316,8 +316,9 @@ def certify(F: WeightedFamily) -> FrameCertificate:
         witnesses=witnesses,
     )
     if is_frame:
-        cert.optimal_bounds = _optimal_bounds(F, m_plus, m_minus)
-        cert.estimate_bounds = _estimate_bounds(F, m_plus, m_minus)
+        spans, cols = (F.m_plus, F.m_minus), partial(_side_columns, F)
+        cert.optimal_bounds = _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
+        cert.estimate_bounds = _assemble_bounds(F.space, spans, cols, _estimate_extremes)
     F._certificate = cert
     return cert
 
@@ -402,26 +403,18 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
 
     def side_checks(sign):
         m = definite_span(F, sign)
-        p, q = F.space.signature
-        needed = p if sign == 1 else q
-        if m is None:
-            return needed == 0, needed == 0
-        cls = m.classify()
-        regular = cls.regular
-        want = (
-            SubspaceKind.UNIFORMLY_POSITIVE
-            if sign == 1
-            else SubspaceKind.UNIFORMLY_NEGATIVE
-        )
-        if cls.kind is not want:
+        _, cls, maximal = _side_verdict(F.space, m, sign)
+        if cls is None:
+            return maximal, maximal
+        if cls.sign != sign:
             # quotient changes sign or degenerates: no valid constants
-            return regular, False
+            return cls.regular, False
         lo, hi = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
         if sign == 1:
             ok = lo > tol.tau_def * max(1.0, abs(hi))
         else:
             ok = hi < -tol.tau_def * max(1.0, abs(lo))
-        return regular, ok
+        return cls.regular, ok
 
     pos_reg, pos_ok = side_checks(1)
     neg_reg, neg_ok = side_checks(-1)

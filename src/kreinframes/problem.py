@@ -188,6 +188,8 @@ def parse_spec(source) -> ProblemSpec:
         for i, v in enumerate(vdoc):
             where = f"vector_frames.{name}[{i}]"
             vectors.append(_finite_energy(_vector(v, where, dim), where))
+        # the frame operator sums every vector's energy
+        _finite_energy(np.column_stack(vectors), f"vector_frames.{name}")
         try:
             vector_frames[name] = VectorFrame(space, vectors)
         except MemberClassificationError as exc:

@@ -19,7 +19,6 @@ from .core import (
     KreinSpace,
     Operator,
     Subspace,
-    SubspaceKind,
     Tolerances,
     DEFAULT_TOLERANCES,
     j_adjoint,
@@ -32,6 +31,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
+from .fusion import _member_span, _side_verdict
 from .sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -270,28 +270,16 @@ def necessary_conditions_check(
     if not cert.is_frame:
         raise HypothesisNotMetError("the image family must also certify as a frame")
 
-    def signed_span(sign):
-        idx = F.plus_indices if sign == 1 else F.minus_indices
-        cols = np.hstack([family.subspaces[i].ortho_basis for i in idx])
-        return Subspace.from_spanning(F.space, cols)
-
-    p, q = F.space.signature
-    span_p = signed_span(1) if F.plus_indices else None
-    span_m = signed_span(-1) if F.minus_indices else None
-    dim_p = span_p.dim if span_p is not None else 0
-    dim_m = span_m.dim if span_m is not None else 0
-    max_p = (dim_p == p == 0) or (
-        span_p is not None
-        and span_p.classify().kind is SubspaceKind.UNIFORMLY_POSITIVE
-        and dim_p == p
+    # the image members spanned over F's index sets, not over the image
+    # family's own signs: an operator that swaps the signs fails here
+    spans = [
+        _member_span(F.space, family.subspaces, idx)
+        for idx in (F.plus_indices, F.minus_indices)
+    ]
+    (dim_p, _, max_p), (dim_m, _, max_m) = (
+        _side_verdict(F.space, m, sign) for m, sign in zip(spans, (1, -1))
     )
-    max_m = (dim_m == q == 0) or (
-        span_m is not None
-        and span_m.classify().kind is SubspaceKind.UNIFORMLY_NEGATIVE
-        and dim_m == q
-    )
-    pieces = [s.ortho_basis for s in (span_p, span_m) if s is not None]
-    stacked = np.hstack(pieces)
+    stacked = np.hstack([s.ortho_basis for s in spans if s is not None])
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.count_nonzero(sv > F.space.tol.tau_rank * sv[0]))
     direct = rank == dim_p + dim_m == F.space.dim

@@ -11,6 +11,7 @@ counterexample.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -302,8 +303,10 @@ def test_criterion_10_cli_determinism(capsys):
         "--samples",
         "50",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child imports kreinframes from this checkout, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(kreinframes.__file__).parent.parent)}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import kreinframes
+from kreinframes import cli
 from kreinframes.cli import SEED_ENV_VAR, main
+from kreinframes.errors import DefinitenessTransportError
 
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
 
@@ -102,6 +104,11 @@ class TestExitCodes:
                 "families.fam.weights",
             ),
             ("space", {"dim": 2, "J": [[1e200, 0], [0, -1]]}, "space.J"),
+            (
+                "vector_frames",
+                {"vf": [[9e153, 0], [9e153, 0], [9e153, 0], [0, 9e153]]},
+                "vector_frames.vf",
+            ),
         ],
     )
     def test_overflowing_entries_exit_two(self, capsys, tmp_path, section, entry, where):
@@ -264,6 +271,46 @@ class TestDualTask:
         fam = json.loads(out)["results"]["dual"]["results"]["families"]["axes"]
         assert fam["advisory"] is True
         assert fam["holds"] is False
+
+
+class TestSingularFrameOperator:
+    """A J-frame whose frame operator is numerically singular fails its verdict."""
+
+    @pytest.fixture
+    def singular_path(self, tmp_path):
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "vector_frames": {"vf": [[1, 0], [0, 1e-5]]},
+        }
+        p = tmp_path / "singular.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["all", "dual", "identity"])
+    def test_exits_one_with_a_located_error(self, capsys, singular_path, command):
+        code, out, _ = run(capsys, command, "--spec", singular_path, "--samples", "5")
+        assert code == 1
+        results = json.loads(out)["results"]
+        for task in ("dual", "identity") if command == "all" else (command,):
+            assert results[task]["pass"] is False
+            assert results[task]["results"]["vector_frames"]["vf"] == {
+                "error": "frame operator is numerically singular (cond = 1e+10)"
+            }
+        if command == "all":  # a J-frame all the same
+            assert results["certify"]["results"]["vector_frames"]["vf"]["is_frame"] is True
+
+    def test_sign_transport_failure_fails_the_dual(self, capsys, demo_path, monkeypatch):
+        def transport_fails(vf):
+            raise DefinitenessTransportError("sign pattern changed")
+
+        monkeypatch.setattr(cli, "dual_bounds_check", transport_fails)
+        code, out, _ = run(capsys, "dual", "--spec", demo_path)
+        assert code == 1
+        block = json.loads(out)["results"]["dual"]
+        assert block["results"]["vector_frames"]["axes_and_tilt"] == {
+            "error": "sign pattern changed"
+        }
+        assert block["pass"] is False
 
 
 class TestImportPath:

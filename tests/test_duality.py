@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kreinframes
@@ -13,12 +13,14 @@ from kreinframes import (
     KreinSpace,
     MemberClassificationError,
     NotAFrameError,
+    SingularOperatorError,
     Subspace,
     VectorFrame,
     as_weighted_family,
     canonical_dual,
     certify,
     dual_bounds_check,
+    frame_operator,
     fundamental_identity_residual,
     fusion_dual_bounds_check,
     indefinite_product,
@@ -34,12 +36,14 @@ from kreinframes.duality import (
     fundamental_identity_sides,
     fundamental_identity_sides_batch,
 )
-from kreinframes.fusion import WeightedFamily
+from kreinframes.fusion import WeightedFamily, _side_verdict
 from kreinframes.problem import parse_spec
 from kreinframes.sampling import (
     random_complex,
     random_fusion_frame,
+    random_maximal_definite_subspace,
     random_space,
+    random_unit_vector,
     random_vector_frame,
     rng_from_seed,
 )
@@ -513,6 +517,96 @@ class TestAsWeightedFamily:
                 rtol=1e-8,
                 atol=1e-10,
             )
+
+
+def side_vectors(space, rng, sign, kind):
+    """Vectors of one sign whose span is maximal ("full"), uniformly definite of
+    too small a dimension ("deficient"), or indefinite ("indefinite")."""
+    maximal = random_maximal_definite_subspace(space, rng, sign, max_tilt=0.6)
+    d = maximal.dim - (kind == "deficient")
+    if d == 0:
+        return []
+    cols = maximal.ortho_basis[:, :d] @ random_complex(rng, d, d + 2)
+    vectors = [c * rng.uniform(0.5, 2.0) for c in cols.T]
+    if kind == "indefinite":
+        # u +- v/2 keep the sign of u, but their span holds v of the other sign
+        own, other = (
+            (space.plus_basis, space.minus_basis)
+            if sign == 1
+            else (space.minus_basis, space.plus_basis)
+        )
+        u = own @ random_unit_vector(rng, own.shape[1])
+        v = other @ random_unit_vector(rng, other.shape[1])
+        vectors += [u + 0.5 * v, u - 0.5 * v]
+    return vectors
+
+
+class TestSharedSideKernel:
+    """Vector frames and their rank-one families go through one side kernel."""
+
+    KINDS = ("full", "deficient", "indefinite")
+
+    @settings(max_examples=24)
+    @given(
+        n=st.integers(2, 64),
+        kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vector_frame_agrees_with_its_family(self, n, kinds, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n)
+        vectors = side_vectors(space, rng, 1, kinds[0])
+        vectors += side_vectors(space, rng, -1, kinds[1])
+        assume(vectors)
+        frame = VectorFrame(space, vectors)
+        fam = as_weighted_family(frame)
+        cert = certify(fam)
+        sides = (
+            (frame.m_plus, 1, kinds[0], cert.positive_range_dim,
+             cert.positive_uniform, cert.positive_maximal),
+            (frame.m_minus, -1, kinds[1], cert.negative_range_dim,
+             cert.negative_uniform, cert.negative_maximal),
+        )
+        for m, sign, kind, dim, uniform, maximal in sides:
+            v_dim, v_cls, v_maximal = _side_verdict(space, m, sign)
+            v_uniform = v_cls is None or v_cls.sign == sign
+            assert (v_dim, v_uniform, v_maximal) == (dim, uniform, maximal)
+            assert v_maximal == (kind == "full")
+            assert v_uniform == (kind != "indefinite")
+        assert is_j_frame(frame) == cert.is_frame == (kinds == ("full", "full"))
+        s = vframe_operator(frame).matrix
+        np.testing.assert_allclose(
+            frame_operator(fam).matrix, s, rtol=0, atol=1e-12 * np.abs(s).max()
+        )
+        if cert.is_frame:
+            np.testing.assert_allclose(
+                cert.optimal_bounds.as_tuple(),
+                vframe_optimal_bounds(frame).as_tuple(),
+                rtol=1e-9,
+            )
+
+    @settings(max_examples=16)
+    @given(n=st.integers(2, 64), extra=st.integers(0, 16), seed=st.integers(0, 2**32 - 1))
+    def test_partial_operators_sum_to_the_frame_operator(self, n, extra, seed):
+        rng = rng_from_seed(seed)
+        frame = random_vector_frame(random_space(rng, n), rng, extra=extra)
+        subset = np.flatnonzero(rng.uniform(size=len(frame)) < 0.5)
+        rest = np.setdiff1d(np.arange(len(frame)), subset)
+        s = vframe_operator(frame).matrix
+        total = (
+            partial_frame_operator(frame, subset).matrix
+            + partial_frame_operator(frame, rest).matrix
+        )
+        np.testing.assert_allclose(total, s, rtol=0, atol=1e-12 * np.abs(s).max())
+
+    def test_overflowing_frame_operator_is_singular(self, minkowski):
+        # every vector's squared norm is finite, the frame operator's entries
+        # are not, and its condition number is nan
+        frame = VectorFrame(minkowski, [[9e153, 0], [9e153, 0], [9e153, 0], [0, 9e153]])
+        assert is_j_frame(frame)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularOperatorError, match="cond = nan"):
+                canonical_dual(frame)
 
 
 class TestHilbertSpecialization:

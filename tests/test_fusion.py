@@ -24,9 +24,11 @@ from kreinframes import (
     estimate_bounds,
     frame_operator,
     frame_operator_part,
+    gramian_min_modulus,
     indefinite_product,
     j_image_family,
     optimal_bounds,
+    reduced_min_modulus,
     synthesis_operator,
     synthesis_part,
     vframe_optimal_bounds,
@@ -81,6 +83,12 @@ class TestBuildFamily:
             build_family(minkowski, [w1], [1.0, 2.0])
         with pytest.raises(WeightError):
             build_family(minkowski, [], [])
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, minkowski, weight):
+        w1 = Subspace(minkowski, [[1.0], [0.0]])
+        with pytest.raises(WeightError, match="positive and finite"):
+            build_family(minkowski, [w1], [weight])
 
 
 class TestCoefficientSpace:
@@ -287,6 +295,22 @@ class TestEstimateBounds:
             assert bounds_sandwich_ok(
                 optimal_bounds(fam), estimate_bounds(fam), 1e-9
             )
+
+    @settings(max_examples=16)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_equal_the_two_svd_definition(self, n, seed):
+        # gamma(T) and ||T|| of each side, each from its own SVD of the side's
+        # columns v_i U_i: the one-SVD estimate must give the same bits
+        rng = rng_from_seed(seed)
+        fam = random_fusion_frame(random_space(rng, n), rng)
+        est = estimate_bounds(fam)
+        for sign, got in ((1, (est.a_plus, est.b_plus)), (-1, (est.a_minus, est.b_minus))):
+            idx = fam.plus_indices if sign == 1 else fam.minus_indices
+            t = np.hstack([fam.weights[i] * fam.subspaces[i].ortho_basis for i in idx])
+            gam_g = gramian_min_modulus(definite_span(fam, sign))
+            gam_t = reduced_min_modulus(t, tol=fam.space.tol)
+            want = (gam_t**2 * gam_g**2, np.linalg.norm(t, 2) ** 2 / gam_g)
+            assert got == (sign * want[0], sign * want[1])
 
     def test_sandwich_rejects_inverted_bounds(self):
         opt = FrameBounds(-4.0, -2.0, 1.0, 3.0)

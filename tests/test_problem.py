@@ -185,6 +185,13 @@ class TestVectorFramesAndOperators:
             "([f,f]/||f||^2 = 0)"
         )
 
+    def test_stacked_frame_energy_checked(self):
+        # each vector's squared norm is finite, their sum is not
+        vectors = [[9e153, 0], [9e153, 0], [9e153, 0], [0, 9e153]]
+        with pytest.raises(ValidationError) as exc:
+            parse_spec(doc(vector_frames={"vf": vectors}))
+        assert str(exc.value) == "vector_frames.vf: squared norm is not finite in float64"
+
     def test_parse_operator(self):
         d = doc(operators={"flip": [[0, 1], [1, 0]]})
         op = parse_spec(d).operators["flip"]

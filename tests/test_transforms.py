@@ -282,6 +282,22 @@ class TestNecessaryConditions:
         with pytest.raises(HypothesisNotMetError):
             necessary_conditions_check(Operator(c3, np.eye(3)), fam)
 
+    def test_sign_swapping_operator_is_caught(self, minkowski):
+        # T swaps e1 and e2: the image family is a frame again, but the image
+        # of F's positive members is negative, so over F's index sets
+        # neither image span is maximal with its own sign
+        e1 = Subspace(minkowski, [[1.0], [0.0]])
+        e2 = Subspace(minkowski, [[0.0], [1.0]])
+        fam = WeightedFamily(minkowski, [e1, e2], [1.0, 2.0])
+        swap = Operator(minkowski, [[0.0, 1.0], [1.0, 0.0]])
+        assert transform_family(swap, fam)[1].is_frame
+        report = necessary_conditions_check(swap, fam)
+        assert (report.positive_image_dim, report.negative_image_dim) == (1, 1)
+        assert not report.positive_image_maximal
+        assert not report.negative_image_maximal
+        assert report.direct_sum
+        assert not report.holds
+
 
 class TestAlternatingSpace:
     def test_signature(self):
