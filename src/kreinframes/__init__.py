@@ -30,7 +30,6 @@ from .duality import (
     as_weighted_family,
     canonical_dual,
     dual_bounds_check,
-    fundamental_identity_residual,
     fusion_dual_bounds_check,
     is_j_frame,
     partial_frame_operator,
@@ -60,7 +59,6 @@ from .fusion import (
     WeightedFamily,
     analysis_operator,
     bounds_sandwich_ok,
-    build_family,
     certify,
     coefficient_symmetry,
     converse_check,

@@ -276,7 +276,13 @@ def _task_preserve(problem: ProblemSpec, seed, samples):
     ok = True
     supplied = [w for fam in problem.families.values() for w in fam.subspaces]
     for op_name, op in _sorted_items(problem.operators):
-        report = preservation_report(op, supplied, n_random=samples, seed=seed)
+        try:
+            report = preservation_report(op, supplied, n_random=samples, seed=seed)
+        except KreinFramesError as exc:
+            # an override can make a sample rank deficient or not uniformly definite
+            out[op_name] = {"error": str(exc)}
+            ok = False
+            continue
         entry = {}
         for field in ("definiteness_with_sign", "maximality", "regularity"):
             verdict = getattr(report, field)

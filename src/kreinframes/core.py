@@ -182,28 +182,30 @@ class Subspace:
                 f"basis of shape {basis.shape} does not fit C^{space.dim}"
             )
         u, s, _ = np.linalg.svd(basis, full_matrices=False)
-        if s[0] == 0.0 or s[-1] <= space.tol.tau_rank * s[0]:
+        if _rank(s, space.tol) < s.size:
             raise RankError(
                 "basis matrix is rank deficient (singular values %s)" % s
             )
+        self._set(space, basis, u.copy())
+
+    def _set(self, space: KreinSpace, basis: np.ndarray, ortho_basis: np.ndarray):
         self.space = space
         self.basis = basis
         self.basis.flags.writeable = False
-        self.ortho_basis = u.copy()
+        self.ortho_basis = ortho_basis
         self.ortho_basis.flags.writeable = False
         self._classification: Classification | None = None
 
     @classmethod
     def from_spanning(cls, space: KreinSpace, vectors) -> "Subspace | None":
         """Subspace spanned by possibly dependent columns; None for the zero span."""
-        m = _as_matrix(vectors)
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        if s.size == 0 or s[0] <= 0.0:
-            return None
-        r = int(np.count_nonzero(s > space.tol.tau_rank * s[0]))
+        u, s, _ = np.linalg.svd(_as_matrix(vectors), full_matrices=False)
+        r = _rank(s, space.tol)
         if r == 0:
             return None
-        return cls(space, u[:, :r])
+        W, u = cls.__new__(cls), u[:, :r].copy()
+        W._set(space, u, u)
+        return W
 
     @property
     def dim(self) -> int:
@@ -335,10 +337,15 @@ def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return _smallest_nonzero(np.linalg.svd(_as_matrix(T), compute_uv=False), tol)
 
 
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Numerical rank: the count of descending singular values s above tau_rank * s[0]."""
+    return int(np.count_nonzero(s > tol.tau_rank * s[0])) if s.size and s[0] > 0.0 else 0
+
+
 def _smallest_nonzero(s: np.ndarray, tol: Tolerances) -> float:
     """Smallest of the descending singular values s above tau_rank * s[0], or 0.0."""
-    nz = s[s > tol.tau_rank * s[0]] if s.size and s[0] > 0.0 else s[:0]
-    return float(nz[-1]) if nz.size else 0.0
+    r = _rank(s, tol)
+    return float(s[r - 1]) if r else 0.0
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ __all__ = [
     "dual_bounds_check",
     "fundamental_identity_sides",
     "fundamental_identity_sides_batch",
-    "fundamental_identity_residual",
     "fusion_dual_bounds_check",
     "as_weighted_family",
 ]
@@ -61,6 +60,9 @@ class VectorFrame:
         if not cols:
             raise MemberClassificationError(0, "a vector frame needs members")
         matrix = np.column_stack(cols)
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=0))
+        if bad.size:
+            raise MemberClassificationError(int(bad[0]), "vector has a non-finite entry")
         # each f over its largest entry: [f,f] and ||f||^2 of huge or tiny
         # entries stay finite
         scale = np.abs(np.vstack([matrix.real, matrix.imag])).max(axis=0)
@@ -265,11 +267,6 @@ def fundamental_identity_sides(F: VectorFrame, subset, f) -> tuple[float, float]
     mask = _member_mask(F, subset)
     lhs, rhs = fundamental_identity_sides_batch(F, mask[None, :], f[:, None])
     return float(lhs[0]), float(rhs[0])
-
-
-def fundamental_identity_residual(F: VectorFrame, subset, f) -> float:
-    lhs, rhs = fundamental_identity_sides(F, subset, f)
-    return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)

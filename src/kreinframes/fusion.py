@@ -20,6 +20,7 @@ from .core import (
     KreinSpace,
     Operator,
     Subspace,
+    _rank,
     _smallest_nonzero,
     gramian,
     gramian_min_modulus,
@@ -36,7 +37,6 @@ __all__ = [
     "FrameBounds",
     "FrameCertificate",
     "ConverseReport",
-    "build_family",
     "coefficient_symmetry",
     "synthesis_operator",
     "synthesis_part",
@@ -114,11 +114,6 @@ def _member_span(space: KreinSpace, subspaces, idx) -> Subspace | None:
     """Span of the members idx from their orthonormal bases; None for an empty idx."""
     cols = [subspaces[i].ortho_basis for i in idx]
     return Subspace.from_spanning(space, np.hstack(cols)) if cols else None
-
-
-def build_family(space: KreinSpace, subspaces, weights) -> WeightedFamily:
-    """Validate and assemble a weighted family; signs come from classification."""
-    return WeightedFamily(space, subspaces, weights)
 
 
 def coefficient_symmetry(F: WeightedFamily) -> np.ndarray:
@@ -393,9 +388,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
     the direct certification path.
     """
     tol = F.space.tol
-    t = synthesis_operator(F)
-    s = np.linalg.svd(t, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol.tau_rank * s[0])) if s.size else 0
+    rank = _rank(np.linalg.svd(synthesis_operator(F), compute_uv=False), tol)
     if rank < F.space.dim:
         raise NotSurjectiveError(
             f"synthesis operator has rank {rank} < {F.space.dim}"

@@ -129,8 +129,10 @@ def parse_spec(source) -> ProblemSpec:
         if unknown:
             raise SchemaError(f"unknown tolerance keys: {sorted(unknown)}")
         for k, v in tdoc.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < np.inf:
                 raise SchemaError(f"tolerances.{k}: expected a positive number")
+            if k == "tau_rank" and v >= 1:  # every basis would be rank deficient
+                raise SchemaError(f"tolerances.{k}: expected a positive number below 1")
         tolerances = Tolerances(**{k: float(v) for k, v in tdoc.items()})
 
     sdoc = doc["space"]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Subspace, Tolerances, DEFAULT_TOLERANCES
+from .core import KreinSpace, Operator, Subspace, Tolerances, DEFAULT_TOLERANCES, gramian
 from .duality import VectorFrame
 from .fusion import WeightedFamily
 
@@ -67,8 +67,9 @@ def random_maximal_definite_subspace(
 ) -> Subspace:
     """Maximal uniformly definite subspace from a random angular operator.
 
-    The graph of an operator with spectral norm below ``max_tilt`` < 1 is
-    uniformly definite by construction, with margin 1 - max_tilt^2.
+    The graph of an operator with spectral norm below ``max_tilt`` = t < 1
+    is uniformly definite by construction: its compressed Gramian has
+    eigenvalues of modulus above (1 - t^2) / (1 + t^2), 0.22 at t = 0.8.
     """
     if sign == 1:
         dom, codom = space.plus_basis, space.minus_basis
@@ -118,8 +119,7 @@ def random_regular_subspace(
         dim = int(rng.integers(1, n + 1))
     for _ in range(max_tries):
         w = Subspace(space, random_complex(rng, n, dim))
-        g = w.ortho_basis.conj().T @ space.J @ w.ortho_basis
-        if np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))).min() > min_margin:
+        if np.abs(np.linalg.eigvalsh(gramian(w))).min() > min_margin:
             return w
     raise RuntimeError("failed to sample a regular subspace")
 

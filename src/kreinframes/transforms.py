@@ -12,6 +12,7 @@ preserves all three properties).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .core import (
     Subspace,
     Tolerances,
     DEFAULT_TOLERANCES,
+    _rank,
     j_adjoint,
     j_projection,
 )
@@ -87,26 +89,35 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     return Subspace.from_spanning(T.space, T.matrix @ V.basis)
 
 
-def _run_predicate(subspaces, check) -> PredicateVerdict:
+def _sweep(T: Operator, subspaces, n_random, seed, draw, check) -> PredicateVerdict:
+    """First counterexample ``check`` finds in the supplied subspaces, then in
+    ``n_random`` samples ``draw(space, rng)`` takes one at a time from
+    rng_from_seed(seed), so none is drawn after a counterexample."""
+    rng = rng_from_seed(seed)
+    drawn = (draw(T.space, rng) for _ in range(n_random))
     tested = 0
-    for v in subspaces:
-        tested += 1
+    for tested, v in enumerate(chain(subspaces, drawn), 1):
         bad = check(v)
         if bad is not None:
             return PredicateVerdict("counterexample", v, bad, tested)
     return PredicateVerdict("holds-on-samples", None, "", tested)
 
 
+def _signed(sampler):
+    """draw(space, rng) for a sampler of one sign; the sign is drawn first."""
+
+    def draw(space, rng):
+        p, q = space.signature
+        sign = 1 if (q == 0 or (p > 0 and rng.uniform() < 0.5)) else -1
+        return sampler(space, rng, sign)
+
+    return draw
+
+
 def preserves_definiteness_with_sign(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of uniformly definite subspaces stay definite with their sign."""
-    rng = rng_from_seed(seed)
-    pool = list(subspaces)
-    p, q = T.space.signature
-    for _ in range(n_random):
-        sign = 1 if (q == 0 or (p > 0 and rng.uniform() < 0.5)) else -1
-        pool.append(random_definite_subspace(T.space, rng, sign))
 
     def check(v):
         cls = v.classify()
@@ -125,19 +136,14 @@ def preserves_definiteness_with_sign(
             )
         return None
 
-    return _run_predicate(pool, check)
+    draw = _signed(random_definite_subspace)
+    return _sweep(T, subspaces, n_random, seed, draw, check)
 
 
 def preserves_maximality(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of maximal uniformly definite subspaces stay maximal definite."""
-    rng = rng_from_seed(seed)
-    pool = list(subspaces)
-    p, q = T.space.signature
-    for _ in range(n_random):
-        sign = 1 if (q == 0 or (p > 0 and rng.uniform() < 0.5)) else -1
-        pool.append(random_maximal_definite_subspace(T.space, rng, sign))
 
     def check(v):
         img = image_subspace(T, v)
@@ -153,17 +159,14 @@ def preserves_maximality(
             )
         return None
 
-    return _run_predicate(pool, check)
+    draw = _signed(random_maximal_definite_subspace)
+    return _sweep(T, subspaces, n_random, seed, draw, check)
 
 
 def preserves_regularity(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of regular subspaces stay regular."""
-    rng = rng_from_seed(seed)
-    pool = list(subspaces)
-    for _ in range(n_random):
-        pool.append(random_regular_subspace(T.space, rng))
 
     def check(v):
         img = image_subspace(T, v)
@@ -173,7 +176,7 @@ def preserves_regularity(
             return "image is degenerate"
         return None
 
-    return _run_predicate(pool, check)
+    return _sweep(T, subspaces, n_random, seed, random_regular_subspace, check)
 
 
 def preservation_report(
@@ -189,13 +192,6 @@ def preservation_report(
     )
 
 
-def _operator_rank(T: Operator) -> int:
-    s = np.linalg.svd(T.matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > T.space.tol.tau_rank * s[0]))
-
-
 def transform_family(
     T: Operator, F: WeightedFamily
 ) -> tuple[WeightedFamily, FrameCertificate]:
@@ -204,7 +200,7 @@ def transform_family(
     Raises MemberClassificationError when some image is not uniformly
     definite; that is exactly a definiteness-preservation failure.
     """
-    if _operator_rank(T) < T.space.dim:
+    if _rank(np.linalg.svd(T.matrix, compute_uv=False), T.space.tol) < T.space.dim:
         raise NotSurjectiveError("transform requires a surjective operator")
     images = []
     for w in F.subspaces:
@@ -280,8 +276,7 @@ def necessary_conditions_check(
         _side_verdict(F.space, m, sign) for m, sign in zip(spans, (1, -1))
     )
     stacked = np.hstack([s.ortho_basis for s in spans if s is not None])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.count_nonzero(sv > F.space.tol.tau_rank * sv[0]))
+    rank = _rank(np.linalg.svd(stacked, compute_uv=False), F.space.tol)
     direct = rank == dim_p + dim_m == F.space.dim
     return NecessaryConditionsReport(
         dim_p, dim_m, max_p, max_m, direct, max_p and max_m and direct

@@ -49,3 +49,20 @@ def axis_frame(minkowski):
 def coupled_frame(c3):
     """e1, e2 and the negative vector (0, 1, 2); signed spans not J-orthogonal."""
     return VectorFrame(c3, [[1, 0, 0], [0, 1, 0], [0, 1, 2]])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name for one test; returns its calls."""
+
+    def wrap(owner, name):
+        calls, original = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return wrap

@@ -233,6 +233,41 @@ class TestToleranceOverrides:
         assert tolerances["tau_num"] == 1e-8
 
 
+class TestPreserveUnderOverrides:
+    DOC = {
+        "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+        "families": {"f": {"subspaces": [[[1, 0]], [[0, 1]]], "weights": [1, 1]}},
+        "operators": {"I": [[1, 0], [0, 1]]},
+    }
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            # a drawn basis counts as rank deficient
+            ("--tol-rank", "0.5", "basis matrix is rank deficient"),
+            # above the samplers' definiteness margin of 0.22
+            ("--tol-def", "0.3", "definiteness predicate only tests uniformly definite"),
+        ],
+    )
+    def test_sampler_failure_fails_the_verdict(self, capsys, tmp_path, flag, value, error):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(self.DOC))
+        argv = ["all", "--spec", str(p), "--samples", "20", flag, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        block = json.loads(out)["results"]["preserve"]
+        assert block["pass"] is False
+        assert block["results"]["operators"]["I"]["error"].startswith(error)
+
+    @pytest.mark.parametrize("value", ["1", "2"])
+    def test_rank_tolerance_of_one_exits_two(self, capsys, demo_path, value):
+        code, out, err = run(capsys, "certify", "--spec", demo_path, "--tol-rank", value)
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerances.tau_rank: expected a positive number below 1\n"
+
+
 class TestIdentityTask:
     def test_all_on_demo_identity_block(self, capsys, demo_path):
         code, out, _ = run(capsys, "all", "--spec", demo_path)

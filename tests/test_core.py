@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kreinframes import (
     ClassificationError,
+    DEFAULT_TOLERANCES,
     DegenerateSubspaceError,
     DimensionError,
     KreinSpace,
@@ -22,6 +25,7 @@ from kreinframes import (
     orthogonal_projection,
     reduced_min_modulus,
 )
+from kreinframes.core import _rank
 from kreinframes.oracles import projection_oracle
 from kreinframes.sampling import (
     random_complex,
@@ -185,6 +189,67 @@ class TestClassify:
         lo, hi = cls.extremal_gram_eigen
         assert lo == pytest.approx(0.6)
         assert hi == pytest.approx(0.6)
+
+
+class TestRankDecision:
+    TAU = DEFAULT_TOLERANCES.tau_rank
+
+    @pytest.mark.parametrize(
+        "s, rank",
+        [
+            ([], 0),
+            ([0.0, 0.0, 0.0], 0),
+            ([2.0, 1.0, 0.5], 3),
+            # at the cutoff exactly a singular value counts as zero
+            ([2.0, 2.0 * TAU, 0.0], 1),
+            ([2.0, 2.0 * TAU * (1 + 1e-15), 0.0], 2),
+        ],
+    )
+    def test_rank_edge_cases(self, s, rank):
+        assert _rank(np.asarray(s, dtype=float), DEFAULT_TOLERANCES) == rank
+
+    def test_non_finite_basis_rejected(self, minkowski):
+        # its SVD returns nan singular values without raising
+        with pytest.raises(RankError):
+            Subspace(minkowski, [[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_from_spanning_factors_once(self, c3, count_calls):
+        svds = count_calls(np.linalg, "svd")
+        cols = [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]]
+        W = Subspace.from_spanning(c3, cols)
+        assert len(svds) == 1
+        assert W.dim == 2
+        assert W.contains([1.0, 0.0, 1.0]) and W.contains([0.0, 1.0, 0.0])
+
+    @settings(max_examples=12)
+    @given(n=st.integers(2, 64), data=st.data())
+    def test_span_invariant_under_change_of_basis(self, n, data):
+        """Subspace(B), from_spanning(B V) for an invertible V and
+        from_spanning([B, B C]) are one subspace, classified alike."""
+        rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        k = data.draw(st.integers(1, n), label="k")
+        space = random_space(rng, n)
+        b = random_complex(rng, n, k)
+        assume(np.linalg.cond(b) < 1e6)
+        q, _ = np.linalg.qr(random_complex(rng, k, k))
+        v = q * rng.uniform(0.5, 2.0, k)  # cond(V) <= 4
+        c = random_complex(rng, k, data.draw(st.integers(1, 3), label="extra"))
+        spans = [
+            Subspace(space, b),
+            Subspace.from_spanning(space, b @ v),
+            Subspace.from_spanning(space, np.hstack([b, b @ c])),
+        ]
+        ref = spans[0]
+        for W in spans:
+            assert W.dim == k
+            u = W.ortho_basis
+            assert np.abs(u.conj().T @ u - np.eye(k)).max() < 1e-12
+            proj = orthogonal_projection(W).matrix
+            assert np.abs(proj - orthogonal_projection(ref).matrix).max() < 1e-10
+            cls = W.classify()
+            assert cls.kind is ref.classify().kind
+            lo_hi = ref.classify().extremal_gram_eigen
+            np.testing.assert_allclose(cls.extremal_gram_eigen, lo_hi, rtol=0, atol=1e-10)
 
 
 class TestProjections:

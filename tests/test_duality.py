@@ -21,7 +21,6 @@ from kreinframes import (
     certify,
     dual_bounds_check,
     frame_operator,
-    fundamental_identity_residual,
     fusion_dual_bounds_check,
     indefinite_product,
     is_j_frame,
@@ -80,6 +79,13 @@ class TestVectorFrame:
         with pytest.raises(MemberClassificationError) as err:
             VectorFrame(minkowski, [[scale, scale]])
         assert str(err.value).endswith("neutral within tau_def ([f,f]/||f||^2 = 0)")
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0.0, -np.inf)])
+    def test_non_finite_member_rejected(self, minkowski, entry):
+        with pytest.raises(MemberClassificationError) as err:
+            VectorFrame(minkowski, [[1.0, 0.0], [entry, 0.0], [0.0, entry]])
+        assert err.value.index == 1
+        assert err.value.detail == "vector has a non-finite entry"
 
     def test_signed_spans_recorded(self, coupled_frame):
         assert coupled_frame.m_plus.dim == 2
@@ -299,8 +305,8 @@ class TestPartialFrameOperator:
 
 class TestFundamentalIdentity:
     def test_empty_subset(self, coupled_frame):
-        res = fundamental_identity_residual(coupled_frame, [], [1.0, 2.0, 3.0])
-        assert res < 1e-9
+        lhs, rhs = fundamental_identity_sides(coupled_frame, [], [1.0, 2.0, 3.0])
+        assert abs(lhs - rhs) < 1e-9
 
     def test_parseval_any_subset(self):
         rng = rng_from_seed(36)
@@ -308,7 +314,8 @@ class TestFundamentalIdentity:
         for _ in range(10):
             subset = [i for i in range(4) if rng.uniform() < 0.5]
             f = random_complex(rng, 4)
-            assert fundamental_identity_residual(frame, subset, f) < 1e-9
+            lhs, rhs = fundamental_identity_sides(frame, subset, f)
+            assert abs(lhs - rhs) < 1e-9
 
     def test_random_triples(self):
         rng = rng_from_seed(37)
@@ -323,7 +330,7 @@ class TestFundamentalIdentity:
 
     def test_requires_frame(self, minkowski):
         with pytest.raises(NotAFrameError):
-            fundamental_identity_residual(
+            fundamental_identity_sides(
                 VectorFrame(minkowski, [[1.0, 0.0]]), [0], [1.0, 0.0]
             )
 

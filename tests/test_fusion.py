@@ -16,7 +16,6 @@ from kreinframes import (
     WeightedFamily,
     analysis_operator,
     bounds_sandwich_ok,
-    build_family,
     certify,
     coefficient_symmetry,
     converse_check,
@@ -64,13 +63,13 @@ class TestBuildFamily:
     def test_neutral_member_rejected(self, minkowski):
         neutral = Subspace(minkowski, [[1.0], [1.0]])
         with pytest.raises(MemberClassificationError) as err:
-            build_family(minkowski, [neutral], [1.0])
+            WeightedFamily(minkowski, [neutral], [1.0])
         assert err.value.index == 0
 
     def test_indefinite_member_rejected(self, c3):
         w = Subspace(c3, np.eye(3)[:, [0, 2]])
         with pytest.raises(MemberClassificationError):
-            build_family(c3, [w], [1.0])
+            WeightedFamily(c3, [w], [1.0])
 
     def test_tilted_family_partition(self, tilted_family):
         assert tilted_family.signs == [1, 1, -1]
@@ -78,17 +77,17 @@ class TestBuildFamily:
     def test_weight_validation(self, minkowski):
         w1 = Subspace(minkowski, [[1.0], [0.0]])
         with pytest.raises(WeightError):
-            build_family(minkowski, [w1], [-1.0])
+            WeightedFamily(minkowski, [w1], [-1.0])
         with pytest.raises(WeightError):
-            build_family(minkowski, [w1], [1.0, 2.0])
+            WeightedFamily(minkowski, [w1], [1.0, 2.0])
         with pytest.raises(WeightError):
-            build_family(minkowski, [], [])
+            WeightedFamily(minkowski, [], [])
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, minkowski, weight):
         w1 = Subspace(minkowski, [[1.0], [0.0]])
         with pytest.raises(WeightError, match="positive and finite"):
-            build_family(minkowski, [w1], [weight])
+            WeightedFamily(minkowski, [w1], [weight])
 
 
 class TestCoefficientSpace:

@@ -15,8 +15,10 @@ from kreinframes.errors import (
     MemberClassificationError,
     NotSurjectiveError,
 )
+from kreinframes import transforms
 from kreinframes.fusion import certify
 from kreinframes.sampling import (
+    random_definite_subspace,
     random_fusion_frame,
     random_j_unitary,
     random_regular_subspace,
@@ -129,6 +131,41 @@ class TestRegularityPredicate:
         verdict = preserves_regularity(t, [e1], n_random=0)
         assert not verdict.holds
         assert "degenerate" in verdict.detail
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "predicate, sampler, cols",
+        [
+            (preserves_definiteness_with_sign, "random_definite_subspace", [0]),
+            (preserves_maximality, "random_maximal_definite_subspace", [0, 2]),
+            (preserves_regularity, "random_regular_subspace", [0]),
+        ],
+    )
+    def test_supplied_counterexample_draws_no_sample(
+        self, alt4, count_calls, predicate, sampler, cols
+    ):
+        # the images of span{e1} and of span{e1, e3} contain the neutral (1, 1, 0, 0)
+        t = neutral_image_operator(alt4)
+        w = Subspace(alt4, np.eye(4)[:, cols])
+        calls = count_calls(transforms, sampler)
+        verdict = predicate(t, [w], n_random=50, seed=2)
+        assert verdict.counterexample is w
+        assert verdict.samples_tested == 1
+        assert len(calls) == 0
+
+    def test_drawn_counterexample_is_the_last_draw(self, alt4, count_calls):
+        t = neutral_image_operator(alt4)
+        calls = count_calls(transforms, "random_definite_subspace")
+        verdict = preserves_definiteness_with_sign(t, n_random=100, seed=0)
+        assert not verdict.holds
+        assert len(calls) == verdict.samples_tested < 100
+        # the same generator stream, drawn with the sign rule written out
+        rng = rng_from_seed(0)
+        for _ in range(verdict.samples_tested):
+            sign = 1 if rng.uniform() < 0.5 else -1
+            expected = random_definite_subspace(alt4, rng, sign)
+        np.testing.assert_array_equal(verdict.counterexample.basis, expected.basis)
 
 
 class TestPreservationReport:
