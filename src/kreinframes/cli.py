@@ -357,17 +357,16 @@ def _summary_lines(report: dict) -> list[str]:
 
 
 def _resolve_seed(args, problem: ProblemSpec) -> int:
-    if args.seed is not None:
-        return args.seed
-    if problem.seed is not None:
-        return problem.seed
+    seed = args.seed if args.seed is not None else problem.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+    if seed is not None and seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"the seed must be non-negative, got {seed}")
+    return 0 if seed is None else seed
 
 
 def build_parser() -> argparse.ArgumentParser:

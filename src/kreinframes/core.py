@@ -182,7 +182,7 @@ class Subspace:
                 f"basis of shape {basis.shape} does not fit C^{space.dim}"
             )
         u, s, _ = np.linalg.svd(basis, full_matrices=False)
-        if _rank(s, space.tol) < s.size:
+        if _rank(s, space.tol) < basis.shape[1]:  # more columns than dim are dependent
             raise RankError(
                 "basis matrix is rank deficient (singular values %s)" % s
             )

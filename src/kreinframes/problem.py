@@ -10,14 +10,22 @@ given as lists of basis columns.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .core import KreinSpace, Operator, Subspace, Tolerances
 from .duality import VectorFrame
-from .errors import MemberClassificationError, RankError, SchemaError, ValidationError
+from .errors import (
+    MemberClassificationError,
+    RankError,
+    SchemaError,
+    ValidationError,
+    WeightError,
+)
 from .fusion import WeightedFamily
 
 __all__ = ["ProblemSpec", "decode_document", "parse_spec", "serialize_spec"]
@@ -40,25 +48,61 @@ def _scalar(value, where: str) -> complex:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not numbers")
     if isinstance(value, (int, float)):
-        z = complex(value)
+        parts = (value, 0.0)
     elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
-        z = complex(value[0], value[1])
+        parts = value
     else:
         raise SchemaError(
             f"{where}: expected a number or a [re, im] pair, got {value!r}"
         )
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond float64
+        raise ValidationError(f"{where}: number is not finite") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValidationError(f"{where}: number is not finite")
     return z
 
 
-def _matrix(rows, where: str, n_cols: int | None = None) -> np.ndarray:
+def _bulk(value, shape: tuple) -> np.ndarray | None:
+    """value as a complex array of the given shape, converted in one pass, or None.
+
+    Succeeds only where the entry walk would accept value and build the same
+    array bit for bit: every container a list, every entry a JSON number (an
+    int or a float, never a bool) or an [re, im] pair of them, all rows of one
+    form and length, and every number finite in float64.  On None the caller
+    walks the entries, which locates the first fault.
+    """
+    a = np.array(value, dtype=object)
+    if a.shape not in (shape, shape + (2,)):
+        return None
+    items = [value]
+    for _ in a.shape:  # a tuple or an array is no row the walk accepts
+        if not set(map(type, items)) <= {list}:
+            return None
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= {int, float}:
+        return None
+    try:
+        f = a.astype(float)
+    except OverflowError:  # an integer beyond float64
+        return None
+    if not np.isfinite(f).all():
+        return None
+    # a view keeps the sign of a zero real part, which re + 1j * im would not
+    return f.astype(complex) if a.shape == shape else f.view(complex)[..., 0]
+
+
+def _matrix(rows, where: str, n_cols: int) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{where}: expected a non-empty array of rows")
+    m = _bulk(rows, (len(rows), n_cols))
+    if m is not None:
+        return m
     parsed = []
     width = None
     for i, row in enumerate(rows):
@@ -71,7 +115,7 @@ def _matrix(rows, where: str, n_cols: int | None = None) -> np.ndarray:
             raise SchemaError(f"{where}: rows have inconsistent lengths")
         parsed.append(entries)
     m = np.asarray(parsed, dtype=complex)
-    if n_cols is not None and m.shape[1] != n_cols:
+    if m.shape[1] != n_cols:
         raise SchemaError(f"{where}: expected rows of length {n_cols}")
     return m
 
@@ -79,6 +123,9 @@ def _matrix(rows, where: str, n_cols: int | None = None) -> np.ndarray:
 def _vector(entries, where: str, n: int) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise SchemaError(f"{where}: expected a non-empty array")
+    v = _bulk(entries, (n,))
+    if v is not None:
+        return v
     v = np.asarray([_scalar(x, f"{where}[{i}]") for i, x in enumerate(entries)])
     if v.shape != (n,):
         raise SchemaError(f"{where}: expected a vector of length {n}")
@@ -129,7 +176,12 @@ def parse_spec(source) -> ProblemSpec:
         if unknown:
             raise SchemaError(f"unknown tolerance keys: {sorted(unknown)}")
         for k, v in tdoc.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < np.inf:
+            # "<= max" so that an integer beyond float64 fails too
+            if (
+                not isinstance(v, (int, float))
+                or isinstance(v, bool)
+                or not 0 < v <= sys.float_info.max
+            ):
                 raise SchemaError(f"tolerances.{k}: expected a positive number")
             if k == "tau_rank" and v >= 1:  # every basis would be rank deficient
                 raise SchemaError(f"tolerances.{k}: expected a positive number below 1")
@@ -159,9 +211,10 @@ def parse_spec(source) -> ProblemSpec:
             where = f"families.{name}.subspaces[{i}]"
             if not isinstance(cols, list) or not cols:
                 raise SchemaError(f"{where}: expected a non-empty list of columns")
-            basis = np.column_stack(
-                [_vector(c, f"{where}[{k}]", dim) for k, c in enumerate(cols)]
-            )
+            columns = _bulk(cols, (len(cols), dim))
+            if columns is None:
+                columns = [_vector(c, f"{where}[{k}]", dim) for k, c in enumerate(cols)]
+            basis = np.column_stack(columns)
             try:
                 subspaces.append(Subspace(space, basis))
             except RankError as exc:
@@ -171,25 +224,29 @@ def parse_spec(source) -> ProblemSpec:
             raise SchemaError(
                 f"families.{name}.weights: expected {len(subspaces)} numbers"
             )
-        weights = [_scalar(w, f"families.{name}.weights[{i}]") for i, w in enumerate(weights)]
-        if any(w.imag != 0 for w in weights):
+        weights = _vector(weights, f"families.{name}.weights", len(subspaces))
+        if np.any(weights.imag != 0):
             raise SchemaError(f"families.{name}.weights: weights must be real")
-        _finite_energy(np.asarray(weights), f"families.{name}.weights")
+        _finite_energy(weights, f"families.{name}.weights")
         try:
-            families[name] = WeightedFamily(space, subspaces, [w.real for w in weights])
+            families[name] = WeightedFamily(space, subspaces, weights.real)
         except MemberClassificationError as exc:
             raise MemberClassificationError(
                 exc.index, f"family '{name}': {exc.detail}"
             ) from exc
+        except WeightError as exc:
+            raise ValidationError(f"families.{name}.weights: {exc}") from exc
 
     vector_frames: dict[str, VectorFrame] = {}
     for name, vdoc in _named_section(doc, "vector_frames").items():
         if not isinstance(vdoc, list) or not vdoc:
             raise SchemaError(f"vector_frames.{name}: expected a non-empty array")
+        rows = _bulk(vdoc, (len(vdoc), dim))
         vectors = []
         for i, v in enumerate(vdoc):
             where = f"vector_frames.{name}[{i}]"
-            vectors.append(_finite_energy(_vector(v, where, dim), where))
+            v = _vector(v, where, dim) if rows is None else rows[i]
+            vectors.append(_finite_energy(v, where))
         # the frame operator sums every vector's energy
         _finite_energy(np.column_stack(vectors), f"vector_frames.{name}")
         try:
@@ -224,7 +281,8 @@ def _named_section(doc, key) -> dict:
 
 
 def _num(z: complex):
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
+    # a bare real parses with imaginary part +0.0, so -0.0 stays a pair
+    return z.real if z.imag == 0.0 and not np.signbit(z.imag) else [z.real, z.imag]
 
 
 def _matrix_doc(m: np.ndarray):

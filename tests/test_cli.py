@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kreinframes
 from kreinframes import cli
@@ -14,6 +20,7 @@ from kreinframes.cli import SEED_ENV_VAR, main
 from kreinframes.errors import DefinitenessTransportError
 
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
+HUGE = 10**400  # a JSON integer beyond float64
 
 
 @pytest.fixture
@@ -123,6 +130,55 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: {where}: squared norm is not finite in float64\n"
+
+    @pytest.mark.parametrize(
+        "section, entry, where",
+        [
+            ("space", {"dim": 2, "J": [[1, 0], [0, HUGE]]}, "space.J[1][1]"),
+            ("operators", {"T": [[1, 0], [0, HUGE]]}, "operators.T[1][1]"),
+            (
+                "families",
+                {"fam": {"subspaces": [[[1, 0]], [[0, HUGE]]], "weights": [1, 1]}},
+                "families.fam.subspaces[1][0][1]",
+            ),
+            (
+                "families",
+                {"fam": {"subspaces": [[[1, 0]], [[0, 1]]], "weights": [1, -HUGE]}},
+                "families.fam.weights[1]",
+            ),
+            ("vector_frames", {"vf": [[1, 0], [0, [1, HUGE]]]}, "vector_frames.vf[1][1]"),
+        ],
+        ids=["space", "operators", "basis", "weights", "vector_frames"],
+    )
+    def test_integers_beyond_float64_exit_two(
+        self, capsys, tmp_path, section, entry, where
+    ):
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "families": {"fam": {"subspaces": [[[1, 0]], [[0, 1]]], "weights": [1, 1]}},
+            section: entry,
+        }
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "all", "--spec", str(p), "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}: number is not finite\n"
+
+    @pytest.mark.parametrize("source", ["flag", "document", "environment"])
+    def test_negative_seed_exits_two(self, capsys, tmp_path, monkeypatch, source):
+        doc = {"space": {"dim": 2, "J": [[1, 0], [0, -1]]}}
+        if source == "document":
+            doc["seed"] = -1
+        if source == "environment":
+            monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps(doc))
+        flag = ("--seed", "-1") if source == "flag" else ()
+        code, out, err = run(capsys, "all", "--spec", str(p), "--samples", "5", *flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_two(self, capsys, demo_path, samples):
@@ -380,3 +436,82 @@ class TestImportPath:
         verdicts = lambda out: {k: v["pass"] for k, v in json.loads(out)["results"].items()}
         assert verdicts(blocked.stdout) == verdicts(normal.stdout)
         assert blocked.stdout == normal.stdout
+
+REALS = [0, 1, -1, 2, 0.5, -0.0, 1e-12, 1e150, 1e-300, HUGE]
+JUNK = [True, False, "1", None, [1, 2, 3], [[1, 0]], -HUGE, [HUGE, 0], [0.0, True], {}]
+
+
+@st.composite
+def fuzz_documents(draw):
+    """Mostly well-formed documents (n <= 6) with junk, pairs and ragged rows mixed in."""
+    n = draw(st.integers(1, 6))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    noise = draw(st.sampled_from([0, 0, 1, 4]))  # percent of entries replaced
+
+    def entry(value):
+        roll = draw(st.integers(0, 99))  # small values are drawn most often
+        if roll >= 100 - noise:
+            return draw(st.sampled_from(JUNK))
+        if roll >= 100 - 2 * noise:
+            return draw(st.sampled_from(REALS))
+        return [value, 0] if roll % 5 == 1 else value
+
+    def rows(matrix):
+        out = [[entry(v) for v in row] for row in matrix]
+        if draw(st.integers(0, 19)) == 19:  # a ragged row
+            out[draw(st.integers(0, len(out) - 1))].pop()
+        return out
+
+    def unit_columns(count):
+        cols = []
+        for _ in range(count):
+            col = [0.0] * n
+            col[draw(st.integers(0, n - 1))] = 1.0
+            col[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.0, 0.5, 1.0]))
+            cols.append(col)
+        return cols
+
+    doc = {"space": {"dim": n, "J": rows(np.diag(signs).tolist())}}
+    if draw(st.booleans()):
+        count = draw(st.integers(1, 2 * n))
+        members = [rows(unit_columns(draw(st.integers(1, 2)))) for _ in range(count)]
+        weights = [entry(draw(st.sampled_from([0.5, 1, 2]))) for _ in members]
+        doc["families"] = {"fam": {"subspaces": members, "weights": weights}}
+    if draw(st.booleans()):
+        doc["vector_frames"] = {"vf": rows(unit_columns(draw(st.integers(1, 2 * n))))}
+    if draw(st.booleans()):
+        entries = st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n)
+        doc["operators"] = {"T": rows([draw(entries) for _ in range(n)])}
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(["tau_sym", "tau_rank", "tau_def", "tau_num"]))
+        doc["tolerances"] = {
+            key: draw(st.sampled_from([1e-12, 1e-6, 0.3, 0.5, 1, 2, HUGE, True, "x", 0]))
+        }
+    if draw(st.integers(0, 3)) == 0:
+        doc["seed"] = draw(st.sampled_from([0, 7, -1, HUGE, True, "s"]))
+    return doc
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # numpy's overflow warnings print once per process, so a second run
+        # in the same process would differ on stderr for that reason alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+OVERRIDES = [(), ("--tol-def", "0.3"), ("--tol-rank", "0.5"), ("--tol-num", "1e-3")]
+
+
+class TestFuzz:
+    @settings(max_examples=40)
+    @given(doc=fuzz_documents(), flag=st.sampled_from(OVERRIDES))
+    def test_exit_contract_and_determinism(self, doc, flag):
+        """Every document exits 0, 1 or 2 without a traceback, byte-identically twice."""
+        argv = ("all", "--spec", json.dumps(doc), "--samples", "3", *flag)
+        first = run_main(*argv)
+        assert first[0] in (0, 1, 2)
+        assert run_main(*argv) == first

@@ -184,6 +184,11 @@ class TestClassify:
         with pytest.raises(RankError):
             Subspace(c3, np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]))
 
+    def test_more_columns_than_the_space_rejected(self):
+        # full rank 2 in C^2, but three columns are no basis
+        with pytest.raises(RankError):
+            Subspace(KreinSpace(np.eye(2)), [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
     def test_gram_extremes_recorded(self, c3):
         cls = Subspace(c3, W_LINE).classify()
         lo, hi = cls.extremal_gram_eigen
