@@ -86,14 +86,15 @@ class KreinSpace:
         n = J.shape[0]
         if J.shape != (n, n):
             raise DimensionError(f"J must be square, got shape {J.shape}")
-        # "not <=" so that an overflow to nan fails the checks too
-        if not np.linalg.norm(J - J.conj().T) <= tol.tau_sym * max(1.0, np.linalg.norm(J)):
-            raise ValidationError(
-                "J is not Hermitian: ||J - J*|| = %g" % np.linalg.norm(J - J.conj().T)
-            )
-        res = np.linalg.norm(J @ J - np.eye(n))
-        if not res <= tol.tau_sym * n:
-            raise ValidationError("J is not involutive: ||J^2 - I|| = %g" % res)
+        # "not <=" so that an overflow to inf or nan fails the checks too,
+        # without numpy's warning about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = np.linalg.norm(J - J.conj().T)
+            if not asym <= tol.tau_sym * max(1.0, np.linalg.norm(J)):
+                raise ValidationError("J is not Hermitian: ||J - J*|| = %g" % asym)
+            res = np.linalg.norm(J @ J - np.eye(n))
+            if not res <= tol.tau_sym * n:
+                raise ValidationError("J is not involutive: ||J^2 - I|| = %g" % res)
         eigval, eigvec = np.linalg.eigh(J)
         p = int(np.count_nonzero(eigval > 0))
         q = n - p
@@ -112,9 +113,6 @@ class KreinSpace:
     def from_signs(cls, signs, tol: Tolerances = DEFAULT_TOLERANCES) -> "KreinSpace":
         """Space with a diagonal symmetry built from a +-1 sign pattern."""
         return cls(np.diag(np.asarray(signs, dtype=float)), tol=tol)
-
-    def product(self, x, y) -> complex:
-        return indefinite_product(self, x, y)
 
     def check_vector(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=complex)

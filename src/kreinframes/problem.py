@@ -183,7 +183,9 @@ def parse_spec(source) -> ProblemSpec:
                 or not 0 < v <= sys.float_info.max
             ):
                 raise SchemaError(f"tolerances.{k}: expected a positive number")
-            if k == "tau_rank" and v >= 1:  # every basis would be rank deficient
+            # at 1 or more every basis is rank deficient (tau_rank), or every
+            # subspace neutral, as orthonormal Gramians lie in [-1, 1] (tau_def)
+            if k in ("tau_rank", "tau_def") and v >= 1:
                 raise SchemaError(f"tolerances.{k}: expected a positive number below 1")
         tolerances = Tolerances(**{k: float(v) for k, v in tdoc.items()})
 

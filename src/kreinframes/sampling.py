@@ -86,40 +86,27 @@ def random_maximal_definite_subspace(
 
 
 def random_definite_subspace(
-    space: KreinSpace,
-    rng: np.random.Generator,
-    sign: int,
-    dim: int | None = None,
-    max_tilt: float = 0.8,
+    space: KreinSpace, rng: np.random.Generator, sign: int
 ) -> Subspace:
     """Uniformly definite subspace: a random slice of a random maximal one."""
-    maximal = random_maximal_definite_subspace(space, rng, sign, max_tilt)
+    maximal = random_maximal_definite_subspace(space, rng, sign)
     d = maximal.dim
-    if dim is None:
-        dim = int(rng.integers(1, d + 1))
-    if not 1 <= dim <= d:
-        raise ValueError(f"dim must be in 1..{d}")
+    dim = int(rng.integers(1, d + 1))
     coeff = random_complex(rng, d, dim)
     return Subspace(space, maximal.basis @ coeff)
 
 
-def random_regular_subspace(
-    space: KreinSpace,
-    rng: np.random.Generator,
-    dim: int | None = None,
-    min_margin: float = 1e-3,
-    max_tries: int = 200,
-) -> Subspace:
-    """Random subspace with Gramian eigenvalues bounded away from zero.
+def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subspace:
+    """Random subspace with Gramian eigenvalues above 1e-3 in modulus.
 
-    May be indefinite; rejection-samples until the regularity margin holds.
+    May be indefinite; rejection-samples up to 200 bases of one random
+    dimension until the regularity margin holds.
     """
     n = space.dim
-    if dim is None:
-        dim = int(rng.integers(1, n + 1))
-    for _ in range(max_tries):
+    dim = int(rng.integers(1, n + 1))
+    for _ in range(200):
         w = Subspace(space, random_complex(rng, n, dim))
-        if np.abs(np.linalg.eigvalsh(gramian(w))).min() > min_margin:
+        if np.abs(np.linalg.eigvalsh(gramian(w))).min() > 1e-3:
             return w
     raise RuntimeError("failed to sample a regular subspace")
 

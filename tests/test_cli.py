@@ -62,6 +62,29 @@ class TestExitCodes:
             "is_frame"
         ]
 
+    def test_family_named_vector_frames(self, capsys, demo_path):
+        doc = json.loads(Path(demo_path).read_text())
+        doc["families"] = {"vector_frames": doc["families"]["tilted_lines"]}
+        code, out, _ = run(capsys, "certify", "--spec", json.dumps(doc))
+        assert code == 0
+        results = json.loads(out)["results"]["certify"]["results"]
+        assert list(results["families"]) == ["vector_frames"]
+        assert results["families"]["vector_frames"]["is_frame"] is True
+        assert results["vector_frames"] == {"axes_and_tilt": {"is_frame": True}}
+
+    def test_overflowing_symmetry_prints_only_the_error(self, capsys):
+        spec = json.dumps({"space": {"dim": 2, "J": [[1e150, 0], [0, 1]]}})
+        with warnings.catch_warnings():
+            # print warnings to stderr, as Python does outside pytest
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda *w: sys.stderr.write(
+                warnings.formatwarning(*w[:4])
+            )
+            for _ in range(2):
+                assert run(capsys, "all", "--spec", spec) == (
+                    2, "", "error: J is not involutive: ||J^2 - I|| = inf\n"
+                )
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "certify", "--spec", "/no/such/file.json")
         assert code == 2

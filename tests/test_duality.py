@@ -500,6 +500,23 @@ class TestFusionDualBounds:
         with pytest.raises(NotAFrameError):
             fusion_dual_bounds_check(fam)
 
+    @pytest.mark.parametrize("members_per_side", [None, 6])
+    def test_one_solve_for_every_member(
+        self, tilted_family, count_calls, members_per_side
+    ):
+        # the demo family, or twelve members in C^5: S is factored once for
+        # all members, next to one Cholesky solve per side for the dual's
+        # bounds and one per side for its bounds over the original spans
+        fam = tilted_family
+        if members_per_side is not None:
+            space = KreinSpace.from_signs([1, 1, 1, -1, -1])
+            fam = random_fusion_frame(space, rng_from_seed(8), members_per_side)
+        certify(fam)
+        solve = count_calls(np.linalg, "solve")
+        assert fusion_dual_bounds_check(fam).dual_is_frame
+        assert len(solve) == 1 + 4
+        assert solve[0][1].shape == (fam.space.dim, fam.total_dim)
+
 
 class TestAsWeightedFamily:
     def test_bounds_agree(self, coupled_frame):

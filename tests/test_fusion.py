@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kreinframes import fusion
 from kreinframes import (
     FrameBounds,
     MemberClassificationError,
@@ -388,6 +389,32 @@ class TestConverseCheck:
         assert not report.positive_constants
         assert report.agrees_with_certify
         assert not certify(fam).is_frame
+
+    def test_reuses_certify(self, tilted_family, count_calls):
+        # surjectivity from the spans' dimensions, constants from the bounds
+        certify(tilted_family)
+        svd = count_calls(np.linalg, "svd")
+        solve = count_calls(np.linalg, "solve")
+        assert converse_check(tilted_family).verdict
+        assert (len(svd), len(solve)) == (0, 0)
+
+    def test_definite_side_of_non_frame(self, c3, count_calls):
+        # an indefinite positive span next to a maximal uniformly negative
+        # one: surjective, and the negative constants come from the quotient
+        subspaces = [
+            Subspace(c3, [[1.0], [0.0], [0.0]]),
+            Subspace(c3, [[0.0], [1.0], [0.5]]),
+            Subspace(c3, [[0.0], [1.0], [0.8]]),
+            Subspace(c3, [[0.0], [0.0], [1.0]]),
+        ]
+        fam = WeightedFamily(c3, subspaces, [1.0] * 4)
+        extremes = count_calls(fusion, "_rayleigh_extremes")
+        report = converse_check(fam)
+        assert report.surjective and report.negative_regular
+        assert report.negative_constants
+        assert not report.positive_constants
+        assert not report.verdict
+        assert len(extremes) == 1
 
     def test_random_frames_consistent(self):
         rng = rng_from_seed(29)

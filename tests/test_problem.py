@@ -128,12 +128,14 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match=message):
             parse_spec(doc(tolerances={key: value}))
 
+    @pytest.mark.parametrize("key", ["tau_rank", "tau_def"])
     @pytest.mark.parametrize("value", [1, 1.0, 2.5])
-    def test_rank_tolerance_below_one(self, value):
-        message = r"^tolerances\.tau_rank: expected a positive number below 1$"
+    def test_rank_tolerance_below_one(self, key, value):
+        message = rf"^tolerances\.{key}: expected a positive number below 1$"
         with pytest.raises(SchemaError, match=message):
-            parse_spec(doc(tolerances={"tau_rank": value}))
-        assert parse_spec(doc(tolerances={"tau_rank": 0.5})).tolerances.tau_rank == 0.5
+            parse_spec(doc(tolerances={key: value}))
+        tolerances = parse_spec(doc(tolerances={key: 0.5})).tolerances
+        assert getattr(tolerances, key) == 0.5
 
 
 class TestFamilies:
