@@ -5,13 +5,12 @@ members span a maximal uniformly positive subspace and whose negative
 members span a maximal uniformly negative one.  The frame operator
 S f = sum_i sigma_i [f, f_i] f_i is then bijective and J-selfadjoint; the
 canonical dual {S^-1 f_i} reconstructs every vector and has reciprocal
-optimal bounds.
+optimal bounds.  The functions of ``fusion`` take a vector frame unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,11 +25,11 @@ from .errors import (
 from .fusion import (
     FrameBounds,
     WeightedFamily,
-    _assemble_bounds,
     _rayleigh_extremes,
-    _side_columns,
+    _set_sides,
     _side_verdict,
     _signed_operator,
+    _span_bounds,
     certify,
     frame_operator,
 )
@@ -78,16 +77,10 @@ class VectorFrame:
                 i, f"vector is neutral within tau_def ([f,f]/||f||^2 = {vals[i] / nrm2[i]:g})"
             )
         signs = [1 if v > 0 else -1 for v in vals]
-        self.space = space
+        # the vectors are the synthesis columns and span the signed sides
+        _set_sides(self, space, signs, 1, matrix, matrix)
         self.matrix = matrix
-        self.matrix.flags.writeable = False
-        self.signs = signs
-        self.sigma = np.asarray(signs, dtype=float)
         self._s_inv = None  # S^-1, see _inverse_frame_operator
-        self.plus_indices = [i for i, s in enumerate(signs) if s == 1]
-        self.minus_indices = [i for i, s in enumerate(signs) if s == -1]
-        self.m_plus = Subspace.from_spanning(space, matrix[:, self.plus_indices])
-        self.m_minus = Subspace.from_spanning(space, matrix[:, self.minus_indices])
 
     def __len__(self):
         return self.matrix.shape[1]
@@ -111,15 +104,14 @@ def _member_mask(F: VectorFrame, subset) -> np.ndarray:
     return mask
 
 
-def vframe_operator(F: VectorFrame) -> Operator:
-    """S f = sum_i sigma_i [f, f_i] f_i."""
-    return _signed_operator(F.space, F.matrix, F.sigma)
+# S f = sum_i sigma_i [f, f_i] f_i: the frame operator of the rank-one family
+vframe_operator = frame_operator
 
 
 def partial_frame_operator(F: VectorFrame, subset) -> Operator:
     """S restricted to a member subset; S_I1 + S_I1c = S by construction."""
     mask = _member_mask(F, subset)
-    return _signed_operator(F.space, F.matrix[:, mask], F.sigma[mask])
+    return _signed_operator(F.space, F.matrix[:, mask], F._column_signs[mask])
 
 
 def is_j_frame(F: VectorFrame) -> bool:
@@ -128,33 +120,31 @@ def is_j_frame(F: VectorFrame) -> bool:
     return all(_side_verdict(F.space, m, sign)[2] for m, sign in sides)
 
 
-def _vframe_columns(F: VectorFrame, sign: int) -> np.ndarray:
-    """The vectors of one sign, side by side."""
-    return F.matrix[:, F.plus_indices if sign == 1 else F.minus_indices]
-
-
 def vframe_optimal_bounds(F: VectorFrame) -> FrameBounds:
     """Extreme values of sum_i sigma_i |[f, f_i]|^2 / [f, f] over each signed span."""
     if not is_j_frame(F):
         raise NotAFrameError("not a J-frame; no optimal bounds")
-    spans, cols = (F.m_plus, F.m_minus), partial(_vframe_columns, F)
-    return _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
+    return _span_bounds(F, F, _rayleigh_extremes)
 
 
-def _check_nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> None:
+def _nonsingular(factor, s: np.ndarray, space: KreinSpace, what: str, *rhs):
+    """factor(s, *rhs) for an S with cond(S) <= 1/tau_def; else SingularOperatorError."""
     cond = np.linalg.cond(s)
     if not cond <= 1.0 / space.tol.tau_def:  # "not <=" so that nan fails too
         raise SingularOperatorError(
             f"{what} is numerically singular (cond = {cond:g})"
         )
+    try:
+        return factor(s, *rhs)
+    except np.linalg.LinAlgError as exc:  # a zero pivot, past a tiny tau_def
+        raise SingularOperatorError(f"{what} is exactly singular") from exc
 
 
 def _inverse_frame_operator(F: VectorFrame) -> np.ndarray:
     # factored once per frame and kept on it: the frame's matrix is read-only
     if F._s_inv is None:
-        s = vframe_operator(F).matrix
-        _check_nonsingular(s, F.space, "frame operator")
-        F._s_inv = np.linalg.inv(s)
+        s = frame_operator(F).matrix
+        F._s_inv = _nonsingular(np.linalg.inv, s, F.space, "frame operator")
         F._s_inv.flags.writeable = False
     return F._s_inv
 
@@ -219,8 +209,7 @@ def dual_bounds_check(F: VectorFrame) -> DualBoundsReport:
     original = vframe_optimal_bounds(F)
     dual_frame = canonical_dual(F)
     dual_own = vframe_optimal_bounds(dual_frame)
-    spans, cols = (F.m_plus, F.m_minus), partial(_vframe_columns, dual_frame)
-    dual = _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
+    dual = _span_bounds(F, dual_frame, _rayleigh_extremes)
     expected = _reciprocal_expected(original)
     err = _bounds_rel_error(dual, expected)
     return DualBoundsReport(
@@ -244,14 +233,14 @@ def fundamental_identity_sides_batch(F: VectorFrame, masks, fs):
         raise DimensionError(
             f"masks {masks.shape} and vectors {fs.shape} do not fit {F!r}"
         )
-    J, sigma = F.space.J, F.sigma[:, None]
+    J, sigma = F.space.J, F._column_signs[:, None]
     c = F.matrix.conj().T @ (J @ fs)  # c[i, t] = [f_t, f_i]
     dual_coeffs = (_inverse_frame_operator(F) @ F.matrix).conj().T @ J
     sides = []
     for members in (masks.T, ~masks.T):
         s_f = F.matrix @ np.where(members, sigma * c, 0.0)  # S_I f
         own = np.where(members, sigma * np.abs(c) ** 2, 0.0).sum(axis=0)
-        sides.append(own - F.sigma @ np.abs(dual_coeffs @ s_f) ** 2)
+        sides.append(own - F._column_signs @ np.abs(dual_coeffs @ s_f) ** 2)
     return sides[0], sides[1]
 
 
@@ -286,15 +275,14 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     if not cert.is_frame:
         raise NotAFrameError("fusion dual check requires a certified frame")
     s = frame_operator(F).matrix
-    _check_nonsingular(s, F.space, "fusion frame operator")
     original = cert.optimal_bounds
     expected = _reciprocal_expected(original)
     # one factorization of S for every member's basis
-    dual_bases = np.linalg.solve(s, np.hstack([w.basis for w in F.subspaces]))
+    bases = np.hstack([w.basis for w in F.subspaces])
+    dual_bases = _nonsingular(np.linalg.solve, s, F.space, "fusion frame operator", bases)
+    blocks = np.split(dual_bases, np.cumsum(F.block_dims)[:-1], axis=1)
     try:
-        dual_subspaces = [
-            Subspace(F.space, dual_bases[:, sl]) for sl in F.block_slices()
-        ]
+        dual_subspaces = [Subspace(F.space, b) for b in blocks]
         dual_family = WeightedFamily(F.space, dual_subspaces, F.weights)
     except MemberClassificationError as exc:
         return FusionDualReport(
@@ -308,8 +296,7 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
             "dual family failed frame certification",
         )
     dual_bounds = dual_cert.optimal_bounds
-    spans, cols = (F.m_plus, F.m_minus), partial(_side_columns, dual_family)
-    over_original = _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
+    over_original = _span_bounds(F, dual_family, _rayleigh_extremes)
     err = _bounds_rel_error(dual_bounds, expected)
     holds = err < F.space.tol.tau_num
     note = (

@@ -7,12 +7,14 @@ positive and the span of the negative members is maximal uniformly
 negative; certification computes both verdicts together with the optimal
 frame bounds (from the singular values of each side's whitened synthesis
 factor) and the singular-value based bound estimates.
+
+A vector frame is the rank-one family of its vectors with weight 1: it
+shares the family's representation and goes through every function here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -78,30 +80,19 @@ class WeightedFamily:
                     "every member must be uniformly definite",
                 )
             signs.append(cls.sign)
-        self.space = space
         self.subspaces = subspaces
         self.weights = weights
-        self.signs = signs
-        self.plus_indices = [i for i, s in enumerate(signs) if s == 1]
-        self.minus_indices = [i for i, s in enumerate(signs) if s == -1]
         self.block_dims = [w.dim for w in subspaces]
         self.total_dim = sum(self.block_dims)
-        self.m_plus = _member_span(space, subspaces, self.plus_indices)
-        self.m_minus = _member_span(space, subspaces, self.minus_indices)
-        self._certificate: FrameCertificate | None = None
+        bases = np.hstack([w.ortho_basis for w in subspaces])
+        columns = np.hstack([v * w.ortho_basis for w, v in zip(subspaces, weights)])
+        _set_sides(self, space, signs, self.block_dims, columns, bases)
 
     def __len__(self):
         return len(self.subspaces)
 
     def members(self):
         return list(zip(self.subspaces, self.weights))
-
-    def block_slices(self):
-        out, off = [], 0
-        for k in self.block_dims:
-            out.append(slice(off, off + k))
-            off += k
-        return out
 
     def __repr__(self):
         return (
@@ -110,29 +101,41 @@ class WeightedFamily:
         )
 
 
-def _member_span(space: KreinSpace, subspaces, idx) -> Subspace | None:
-    """Span of the members idx from their orthonormal bases; None for an empty idx."""
-    cols = [subspaces[i].ortho_basis for i in idx]
-    return Subspace.from_spanning(space, np.hstack(cols)) if cols else None
+def _set_sides(F, space: KreinSpace, signs, block_dims, columns, bases) -> None:
+    """Give F the read-only synthesis columns T, their signs, each sign's
+    member indices and the spans M(+-) of the unweighted columns ``bases``;
+    member i has sign signs[i] and block_dims[i] columns."""
+    F.space = space
+    F.signs = signs
+    F.plus_indices = [i for i, s in enumerate(signs) if s == 1]
+    F.minus_indices = [i for i, s in enumerate(signs) if s == -1]
+    F._column_signs = np.repeat(np.asarray(signs, dtype=float), block_dims)
+    F._columns = columns
+    F._columns.flags.writeable = False
+    F.m_plus = _masked_span(space, bases, F._column_signs == 1)
+    F.m_minus = _masked_span(space, bases, F._column_signs == -1)
+    F._certificate = None
+
+
+def _masked_span(space: KreinSpace, cols: np.ndarray, mask) -> Subspace | None:
+    """Span of the columns ``mask`` selects; None when it selects none."""
+    return Subspace.from_spanning(space, cols[:, mask]) if mask.any() else None
 
 
 def coefficient_symmetry(F: WeightedFamily) -> np.ndarray:
     """Block-diagonal sign symmetry of the stacked coefficient space."""
-    return np.diag(np.repeat(np.asarray(F.signs, dtype=float), F.block_dims))
+    return np.diag(F._column_signs)
 
 
 def synthesis_operator(F: WeightedFamily) -> np.ndarray:
     """n x K matrix whose i-th block is v_i times an orthonormal basis of W_i."""
-    t = np.zeros((F.space.dim, F.total_dim), dtype=complex)
-    for (w, v), sl in zip(F.members(), F.block_slices()):
-        t[:, sl] = v * w.ortho_basis
-    return t
+    return F._columns.copy()
 
 
 def synthesis_part(F: WeightedFamily, sign: int) -> np.ndarray:
     """Synthesis restricted to the blocks of one sign (other blocks zeroed)."""
     t = synthesis_operator(F)
-    t[:, np.repeat(F.signs, F.block_dims) != sign] = 0.0
+    t[:, F._column_signs != sign] = 0.0
     return t
 
 
@@ -149,8 +152,7 @@ def _signed_operator(space: KreinSpace, cols: np.ndarray, d) -> Operator:
 
 def frame_operator(F: WeightedFamily) -> Operator:
     """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
-    sigma = np.repeat(F.signs, F.block_dims)
-    return _signed_operator(F.space, synthesis_operator(F), sigma)
+    return _signed_operator(F.space, F._columns, F._column_signs)
 
 
 def frame_operator_part(F: WeightedFamily, sign: int) -> Operator:
@@ -195,10 +197,8 @@ class FrameCertificate:
 
 
 def _side_columns(F: WeightedFamily, sign: int) -> np.ndarray:
-    """T_sign: the blocks v_i U_i of the members of one sign, side by side."""
-    idx = F.plus_indices if sign == 1 else F.minus_indices
-    blocks = [F.weights[i] * F.subspaces[i].ortho_basis for i in idx]
-    return np.hstack(blocks) if blocks else np.zeros((F.space.dim, 0), dtype=complex)
+    """T_sign: the synthesis columns of the members of one sign."""
+    return F._columns[:, F._column_signs == sign]
 
 
 def _side_verdict(space: KreinSpace, M: Subspace | None, sign: int):
@@ -246,15 +246,14 @@ def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     return (lo, hi) if sign == 1 else (-hi, -lo)
 
 
-def _assemble_bounds(space, spans, cols, extremes) -> FrameBounds:
-    """FrameBounds from ``extremes(space, M, cols(sign), sign)`` on each side.
+def _span_bounds(F, G, extremes) -> FrameBounds:
+    """Bounds of G's synthesis columns over F's signed spans, a side at a time.
 
-    ``spans`` is (M+, M-); a side whose span is None has no bounds.  The
-    extremes of a side come in ascending order: (A+, B+) or (B-, A-).
-    """
+    ``extremes(space, M, cols, sign)`` gives a side's extremes in ascending
+    order, (A+, B+) or (B-, A-); a side whose span M is None has none."""
     (a_plus, b_plus), (b_minus, a_minus) = (
-        (None, None) if m is None else extremes(space, m, cols(sign), sign)
-        for m, sign in zip(spans, (1, -1))
+        (None, None) if m is None else extremes(F.space, m, _side_columns(G, sign), sign)
+        for m, sign in ((F.m_plus, 1), (F.m_minus, -1))
     )
     return FrameBounds(b_minus, a_minus, a_plus, b_plus)
 
@@ -311,9 +310,8 @@ def certify(F: WeightedFamily) -> FrameCertificate:
         witnesses=witnesses,
     )
     if is_frame:
-        spans, cols = (F.m_plus, F.m_minus), partial(_side_columns, F)
-        cert.optimal_bounds = _assemble_bounds(F.space, spans, cols, _rayleigh_extremes)
-        cert.estimate_bounds = _assemble_bounds(F.space, spans, cols, _estimate_extremes)
+        cert.optimal_bounds = _span_bounds(F, F, _rayleigh_extremes)
+        cert.estimate_bounds = _span_bounds(F, F, _estimate_extremes)
     F._certificate = cert
     return cert
 

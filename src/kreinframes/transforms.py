@@ -33,7 +33,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
-from .fusion import _member_span, _side_verdict
+from .fusion import _masked_span, _side_verdict
 from .sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -268,10 +268,9 @@ def necessary_conditions_check(
 
     # the image members spanned over F's index sets, not over the image
     # family's own signs: an operator that swaps the signs fails here
-    spans = [
-        _member_span(F.space, family.subspaces, idx)
-        for idx in (F.plus_indices, F.minus_indices)
-    ]
+    bases = np.hstack([w.ortho_basis for w in family.subspaces])
+    signs = np.repeat(F.signs, family.block_dims)
+    spans = [_masked_span(F.space, bases, signs == sign) for sign in (1, -1)]
     (dim_p, _, max_p), (dim_m, _, max_m) = (
         _side_verdict(F.space, m, sign) for m, sign in zip(spans, (1, -1))
     )

@@ -413,6 +413,29 @@ class TestSingularFrameOperator:
         if command == "all":  # a J-frame all the same
             assert results["certify"]["results"]["vector_frames"]["vf"]["is_frame"] is True
 
+    @pytest.mark.parametrize("command", ["dual", "identity"])
+    def test_exactly_singular_past_a_tiny_tau_def(self, capsys, tmp_path, command):
+        # two near-neutral vectors of opposite sign: cond(S) stays below
+        # 1/tau_def, and the LU factorization of S meets a zero pivot
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "vector_frames": {"v": [
+                [-0.027649280432602362, 0.02764928043224608],
+                [-1.1156770845743353, 1.11567708470135],
+            ]},
+            "tolerances": {"tau_def": 1e-70},
+        }
+        p = tmp_path / "near_neutral.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--spec", str(p), "--samples", "3")
+        assert code == 1
+        assert "Traceback" not in err
+        block = json.loads(out)["results"][command]
+        assert block["pass"] is False
+        assert block["results"]["vector_frames"]["v"] == {
+            "error": "frame operator is exactly singular"
+        }
+
     def test_sign_transport_failure_fails_the_dual(self, capsys, demo_path, monkeypatch):
         def transport_fails(vf):
             raise DefinitenessTransportError("sign pattern changed")
@@ -461,12 +484,17 @@ class TestImportPath:
         assert blocked.stdout == normal.stdout
 
 REALS = [0, 1, -1, 2, 0.5, -0.0, 1e-12, 1e150, 1e-300, HUGE]
+NEAR_ONE = [1 + s * 10.0**-k for k in (8, 10, 12, 14, 16) for s in (-1, 1)]
 JUNK = [True, False, "1", None, [1, 2, 3], [[1, 0]], -HUGE, [HUGE, 0], [0.0, True], {}]
 
 
 @st.composite
 def fuzz_documents(draw):
-    """Mostly well-formed documents (n <= 6) with junk, pairs and ragged rows mixed in."""
+    """Mostly well-formed documents (n <= 6) with junk, pairs and ragged rows mixed in.
+
+    Some put near-neutral columns next to a tau_def as small as 1e-300, so a
+    frame operator can pass the condition-number test yet be exactly singular.
+    """
     n = draw(st.integers(1, 6))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
     noise = draw(st.sampled_from([0, 0, 1, 4]))  # percent of entries replaced
@@ -485,23 +513,37 @@ def fuzz_documents(draw):
             out[draw(st.integers(0, len(out) - 1))].pop()
         return out
 
-    def unit_columns(count):
+    plus = [i for i, s in enumerate(signs) if s == 1]
+    minus = [i for i, s in enumerate(signs) if s == -1]
+    # near-neutral columns mixed in, all on one pair of coordinates of opposite sign
+    near = bool(plus and minus) and draw(st.booleans())
+    pair = (draw(st.sampled_from(plus)), draw(st.sampled_from(minus))) if near else None
+
+    def unit_columns(count, near_neutral=False):
         cols = []
         for _ in range(count):
             col = [0.0] * n
-            col[draw(st.integers(0, n - 1))] = 1.0
-            col[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.0, 0.5, 1.0]))
+            if near_neutral and draw(st.integers(0, 3)):
+                # near-neutral: ||f-|| / ||f+|| within 1e-8 ... 1e-16 of 1
+                scale = draw(st.sampled_from([1.0, -0.03, 1.1]))
+                col[pair[0]] = scale
+                col[pair[1]] = -scale * draw(st.sampled_from(NEAR_ONE))
+            else:
+                col[draw(st.integers(0, n - 1))] = 1.0
+                col[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.0, 0.5, 1.0]))
             cols.append(col)
         return cols
 
     doc = {"space": {"dim": n, "J": rows(np.diag(signs).tolist())}}
     if draw(st.booleans()):
         count = draw(st.integers(1, 2 * n))
-        members = [rows(unit_columns(draw(st.integers(1, 2)))) for _ in range(count)]
+        # two near-neutral columns on one pair would be rank deficient
+        dims = [draw(st.integers(1, 2)) for _ in range(count)]
+        members = [rows(unit_columns(k, near and k == 1)) for k in dims]
         weights = [entry(draw(st.sampled_from([0.5, 1, 2]))) for _ in members]
         doc["families"] = {"fam": {"subspaces": members, "weights": weights}}
     if draw(st.booleans()):
-        doc["vector_frames"] = {"vf": rows(unit_columns(draw(st.integers(1, 2 * n))))}
+        doc["vector_frames"] = {"vf": rows(unit_columns(draw(st.integers(1, 2 * n)), near))}
     if draw(st.booleans()):
         entries = st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n)
         doc["operators"] = {"T": rows([draw(entries) for _ in range(n)])}
@@ -510,6 +552,8 @@ def fuzz_documents(draw):
         doc["tolerances"] = {
             key: draw(st.sampled_from([1e-12, 1e-6, 0.3, 0.5, 1, 2, HUGE, True, "x", 0]))
         }
+    elif near and draw(st.integers(0, 3)):  # near-neutral columns pass as definite
+        doc["tolerances"] = {"tau_def": draw(st.sampled_from([1e-20, 1e-70, 1e-300]))}
     if draw(st.integers(0, 3)) == 0:
         doc["seed"] = draw(st.sampled_from([0, 7, -1, HUGE, True, "s"]))
     return doc
@@ -526,7 +570,10 @@ def run_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-OVERRIDES = [(), ("--tol-def", "0.3"), ("--tol-rank", "0.5"), ("--tol-num", "1e-3")]
+OVERRIDES = [
+    (), ("--tol-def", "0.3"), ("--tol-def", "1e-300"), ("--tol-rank", "0.5"),
+    ("--tol-num", "1e-3"),
+]
 
 
 class TestFuzz:

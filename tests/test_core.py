@@ -33,6 +33,7 @@ from kreinframes.sampling import (
     random_complex,
     random_definite_subspace,
     random_maximal_definite_subspace,
+    random_regular_subspace,
     random_space,
     rng_from_seed,
 )
@@ -346,6 +347,17 @@ class TestProjections:
         np.testing.assert_allclose(
             orthogonal_projection(w)(x), projection_oracle(w, x), atol=1e-10
         )
+
+    @settings(max_examples=12)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_j_projection_idempotent_and_j_selfadjoint(self, n, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n)
+        q = j_projection(random_regular_subspace(space, rng))
+        # Q = U G^-1 U* J: its roundoff grows with ||Q||^2 <= ||G^-1||^2
+        atol = 1e-12 * np.linalg.norm(q.matrix, 2) ** 2
+        np.testing.assert_allclose(q.matrix @ q.matrix, q.matrix, rtol=0, atol=atol)
+        np.testing.assert_allclose(j_adjoint(q).matrix, q.matrix, rtol=0, atol=atol)
 
 
 class TestGramian:

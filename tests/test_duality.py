@@ -24,6 +24,7 @@ from kreinframes import (
     fusion_dual_bounds_check,
     indefinite_product,
     is_j_frame,
+    is_j_isometry_multiple,
     j_adjoint,
     partial_frame_operator,
     vframe_operator,
@@ -36,10 +37,12 @@ from kreinframes.duality import (
     fundamental_identity_sides_batch,
 )
 from kreinframes.fusion import WeightedFamily, _side_verdict
+from kreinframes.oracles import OracleConfig, rayleigh_extremes
 from kreinframes.problem import parse_spec
 from kreinframes.sampling import (
     random_complex,
     random_fusion_frame,
+    random_j_unitary,
     random_maximal_definite_subspace,
     random_space,
     random_unit_vector,
@@ -598,6 +601,11 @@ class TestSharedSideKernel:
             assert v_maximal == (kind == "full")
             assert v_uniform == (kind != "indefinite")
         assert is_j_frame(frame) == cert.is_frame == (kinds == ("full", "full"))
+        verdicts = lambda c: (
+            c.is_frame, c.positive_range_dim, c.negative_range_dim, c.positive_uniform,
+            c.negative_uniform, c.positive_maximal, c.negative_maximal,
+        )
+        assert verdicts(certify(frame)) == verdicts(cert)
         s = vframe_operator(frame).matrix
         np.testing.assert_allclose(
             frame_operator(fam).matrix, s, rtol=0, atol=1e-12 * np.abs(s).max()
@@ -631,6 +639,68 @@ class TestSharedSideKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SingularOperatorError, match="cond = nan"):
                 canonical_dual(frame)
+
+
+class TestFamilyFunctionsTakeVectorFrames:
+    """A VectorFrame is the rank-one family: the functions of fusion take it."""
+
+    @pytest.mark.parametrize("n, seed", [(12, 0), (16, 1), (24, 2)])
+    def test_optimal_bounds_against_the_rayleigh_oracle(self, n, seed):
+        import scipy.linalg  # test-only reference for the side pencils
+
+        rng = rng_from_seed(seed)
+        frame = random_vector_frame(random_space(rng, n), rng, extra=2)
+        bounds = certify(frame).optimal_bounds
+        assert bounds.as_tuple() == vframe_optimal_bounds(frame).as_tuple()
+        assert np.array_equal(frame_operator(frame).matrix, vframe_operator(frame).matrix)
+        config = OracleConfig(n_samples=2000, seed=seed)
+        sides = ((1, bounds.a_plus, bounds.b_plus), (-1, bounds.b_minus, bounds.a_minus))
+        for sign, lo, hi in sides:
+            scale = max(abs(lo), abs(hi))
+            # sampled quotients are attained values: never outside the bounds
+            o_lo, o_hi = rayleigh_extremes(frame, sign, config)
+            assert lo - 1e-12 * scale <= o_lo <= o_hi <= hi + 1e-12 * scale
+            # random search stops short of the extremes in a span of dim >= 6
+            assert o_lo - lo < 0.05 * scale and hi - o_hi < 0.05 * scale
+            # the pencil of the side, solved densely
+            u = frame.m_plus.ortho_basis if sign == 1 else frame.m_minus.ortho_basis
+            g = u.conj().T @ frame.space.J @ frame.matrix[:, np.array(frame.signs) == sign]
+            p = u.conj().T @ frame.space.J @ u
+            vals = sign * scipy.linalg.eigh(
+                g @ g.conj().T, sign * 0.5 * (p + p.conj().T), eigvals_only=True
+            )
+            assert abs(vals.min() - lo) <= 1e-9 * scale
+            assert abs(vals.max() - hi) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("vectors, sides", [
+        ([[1.0, 0.0], [2.0, 0.5], [0.0, 1.0]], 2),  # both signs
+        ([[1.0, 0.0], [2.0, 0.5]], 1),  # no negative vector
+    ])
+    def test_one_svd_per_nonempty_side(self, minkowski, count_calls, vectors, sides):
+        svd = count_calls(np.linalg, "svd")
+        cholesky = count_calls(np.linalg, "cholesky")
+        frame = VectorFrame(minkowski, vectors)
+        assert len(svd) == sides
+        is_j_frame(frame)
+        assert (len(svd), len(cholesky)) == (sides, 0)
+
+    @settings(max_examples=10)
+    @given(n=st.integers(2, 64), c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_scale_under_a_multiple_of_a_j_unitary(self, n, c, seed):
+        # T = sqrt(c) U with U J-unitary has T# T = c I: every frame
+        # quotient over the image spans is c times the original one
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n)
+        frame = random_vector_frame(space, rng)
+        t = kreinframes.Operator(space, np.sqrt(c) * random_j_unitary(space, rng).matrix)
+        scalar, scale = is_j_isometry_multiple(t)
+        assert scalar and scale == pytest.approx(c, rel=1e-9)
+        image = VectorFrame(space, (t.matrix @ frame.matrix).T)
+        np.testing.assert_allclose(
+            vframe_optimal_bounds(image).as_tuple(),
+            c * np.array(vframe_optimal_bounds(frame).as_tuple()),
+            rtol=1e-9,
+        )
 
 
 class TestHilbertSpecialization:

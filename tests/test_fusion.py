@@ -358,6 +358,19 @@ class TestJImageFamily:
                 atol=1e-10,
             )
 
+    @settings(max_examples=10)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_preserved_property(self, n, seed):
+        # J is J-unitary: it maps each signed span onto a span of the same
+        # sign and keeps every frame quotient
+        rng = rng_from_seed(seed)
+        fam = random_fusion_frame(random_space(rng, n), rng)
+        np.testing.assert_allclose(
+            optimal_bounds(j_image_family(fam)).as_tuple(),
+            optimal_bounds(fam).as_tuple(),
+            rtol=1e-9,
+        )
+
     def test_requires_frame(self, minkowski):
         fam = WeightedFamily(minkowski, [Subspace(minkowski, [[1.0], [0.0]])], [1.0])
         with pytest.raises(NotAFrameError):
