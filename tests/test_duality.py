@@ -660,7 +660,7 @@ class TestFamilyFunctionsTakeVectorFrames:
             # sampled quotients are attained values: never outside the bounds
             o_lo, o_hi = rayleigh_extremes(frame, sign, config)
             assert lo - 1e-12 * scale <= o_lo <= o_hi <= hi + 1e-12 * scale
-            # random search stops short of the extremes in a span of dim >= 6
+            # its random search stops a few percent short of the extremes here
             assert o_lo - lo < 0.05 * scale and hi - o_hi < 0.05 * scale
             # the pencil of the side, solved densely
             u = frame.m_plus.ortho_basis if sign == 1 else frame.m_minus.ortho_basis
