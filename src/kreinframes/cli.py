@@ -33,7 +33,6 @@ from .errors import (
     MemberClassificationError,
     NotAFrameError,
     NotSurjectiveError,
-    HypothesisNotMetError,
     SchemaError,
     SingularOperatorError,
     UsageError,
@@ -43,9 +42,9 @@ from .fusion import bounds_sandwich_ok, certify, converse_check
 from .problem import ProblemSpec, decode_document, parse_spec
 from .sampling import random_complex, rng_from_seed
 from .transforms import (
+    _necessary_conditions,
+    _preservation_reports,
     is_j_isometry_multiple,
-    necessary_conditions_check,
-    preservation_report,
     transform_family,
 )
 
@@ -241,7 +240,7 @@ def _task_transform(problem: ProblemSpec, seed, samples):
         entry = {"j_isometry_multiple": scalar, "isometry_scale": c, "families": {}}
         for fam_name, fam in _sorted_items(problem.families):
             try:
-                _, cert = transform_family(op, fam)
+                image, cert = transform_family(op, fam)
             except MemberClassificationError as exc:
                 i = exc.index
                 witness = _unit(op.matrix @ fam.subspaces[i].basis[:, 0])
@@ -258,12 +257,10 @@ def _task_transform(problem: ProblemSpec, seed, samples):
                 continue
             fam_entry = {"certificate": _jsonable(cert)}
             if cert.is_frame and certify(fam).is_frame:
-                try:
-                    fam_entry["necessary_conditions"] = _jsonable(
-                        necessary_conditions_check(op, fam)
-                    )
-                except HypothesisNotMetError as exc:
-                    fam_entry["necessary_conditions"] = {"error": str(exc)}
+                # the hypotheses of necessary_conditions_check, checked above
+                fam_entry["necessary_conditions"] = _jsonable(
+                    _necessary_conditions(fam, image)
+                )
             entry["families"][fam_name] = fam_entry
             ok = ok and cert.is_frame
         out[op_name] = entry
@@ -274,12 +271,12 @@ def _task_preserve(problem: ProblemSpec, seed, samples):
     out = {}
     ok = True
     supplied = [w for fam in problem.families.values() for w in fam.subspaces]
-    for op_name, op in _sorted_items(problem.operators):
-        try:
-            report = preservation_report(op, supplied, n_random=samples, seed=seed)
-        except KreinFramesError as exc:
+    ops = _sorted_items(problem.operators)
+    reports = _preservation_reports([op for _, op in ops], supplied, samples, seed)
+    for (op_name, op), report in zip(ops, reports):
+        if isinstance(report, KreinFramesError):
             # an override can make a sample rank deficient or not uniformly definite
-            out[op_name] = {"error": str(exc)}
+            out[op_name] = {"error": str(report)}
             ok = False
             continue
         entry = {}

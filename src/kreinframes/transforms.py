@@ -17,11 +17,13 @@ from itertools import chain
 import numpy as np
 
 from .core import (
+    Classification,
     KreinSpace,
     Operator,
     Subspace,
     Tolerances,
     DEFAULT_TOLERANCES,
+    _classification,
     _rank,
     j_adjoint,
     j_projection,
@@ -30,6 +32,7 @@ from .errors import (
     ClassificationError,
     DegenerateSubspaceError,
     HypothesisNotMetError,
+    KreinFramesError,
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
@@ -89,18 +92,50 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     return Subspace.from_spanning(T.space, T.matrix @ V.basis)
 
 
-def _sweep(T: Operator, subspaces, n_random, seed, draw, check) -> PredicateVerdict:
-    """First counterexample ``check`` finds in the supplied subspaces, then in
-    ``n_random`` samples ``draw(space, rng)`` takes one at a time from
-    rng_from_seed(seed), so none is drawn after a counterexample."""
+def _image_class(T: Operator, V: Subspace) -> tuple[int, Classification] | None:
+    """Dimension and class of image_subspace(T, V), by the same arithmetic
+    without building it; None when the image is {0}."""
+    u, s, _ = np.linalg.svd(T.matrix @ V.basis, full_matrices=False)
+    r = _rank(s, T.space.tol)
+    return (r, _classification(T.space, u[:, :r].copy())) if r else None
+
+
+def _sweep(ops, subspaces, n_random, seed, draw, check) -> list:
+    """Per operator T, the first counterexample ``check(T, v)`` finds in the
+    supplied subspaces, then in ``n_random`` samples ``draw(space, rng)``
+    takes one at a time from rng_from_seed(seed).
+
+    Each subspace is tested on every operator that has not stopped, and none
+    is drawn once all have.  A library error from a draw or from ``check``'s
+    test of the subspace itself is the result of every operator still
+    sweeping.
+    """
+    if not ops:
+        return []
+    out = [None] * len(ops)
     rng = rng_from_seed(seed)
-    drawn = (draw(T.space, rng) for _ in range(n_random))
+    drawn = (draw(ops[0].space, rng) for _ in range(n_random))
     tested = 0
-    for tested, v in enumerate(chain(subspaces, drawn), 1):
-        bad = check(v)
-        if bad is not None:
-            return PredicateVerdict("counterexample", v, bad, tested)
-    return PredicateVerdict("holds-on-samples", None, "", tested)
+    try:
+        for tested, v in enumerate(chain(subspaces, drawn), 1):
+            for i, T in enumerate(ops):
+                bad = None if out[i] is not None else check(T, v)
+                if bad is not None:
+                    out[i] = PredicateVerdict("counterexample", v, bad, tested)
+            if None not in out:
+                return out
+    except KreinFramesError as exc:
+        return [exc if r is None else r for r in out]
+    held = PredicateVerdict("holds-on-samples", None, "", tested)
+    return [held if r is None else r for r in out]
+
+
+def _one(results):
+    """The verdict of a one-operator sweep; its library error is raised."""
+    (r,) = results
+    if isinstance(r, KreinFramesError):
+        raise r
+    return r
 
 
 def _signed(sampler):
@@ -114,82 +149,92 @@ def _signed(sampler):
     return draw
 
 
+def _check_definite(T, v):
+    cls = v.classify()
+    if not cls.uniformly_definite:
+        raise ClassificationError(
+            "definiteness predicate only tests uniformly definite subspaces"
+        )
+    img = _image_class(T, v)
+    if img is None:
+        return "image is the zero subspace"
+    icls = img[1]
+    if icls.sign != cls.sign:
+        return (
+            f"image of a {cls.kind.value} subspace classifies as "
+            f"{icls.kind.value}"
+        )
+    return None
+
+
+def _check_maximal(T, v):
+    img = _image_class(T, v)
+    if img is None:
+        return "image is the zero subspace"
+    dim, icls = img
+    if not icls.uniformly_definite:
+        return f"image classifies as {icls.kind.value}"
+    if not icls.maximal_definite:
+        return (
+            f"image is uniformly definite but of dimension {dim}, "
+            "not maximal"
+        )
+    return None
+
+
+def _check_regular(T, v):
+    img = _image_class(T, v)  # the zero subspace is trivially regular
+    return None if img is None or img[1].regular else "image is degenerate"
+
+
 def preserves_definiteness_with_sign(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of uniformly definite subspaces stay definite with their sign."""
-
-    def check(v):
-        cls = v.classify()
-        if not cls.uniformly_definite:
-            raise ClassificationError(
-                "definiteness predicate only tests uniformly definite subspaces"
-            )
-        img = image_subspace(T, v)
-        if img is None:
-            return "image is the zero subspace"
-        icls = img.classify()
-        if icls.sign != cls.sign:
-            return (
-                f"image of a {cls.kind.value} subspace classifies as "
-                f"{icls.kind.value}"
-            )
-        return None
-
     draw = _signed(random_definite_subspace)
-    return _sweep(T, subspaces, n_random, seed, draw, check)
+    return _one(_sweep([T], subspaces, n_random, seed, draw, _check_definite))
 
 
 def preserves_maximality(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of maximal uniformly definite subspaces stay maximal definite."""
-
-    def check(v):
-        img = image_subspace(T, v)
-        if img is None:
-            return "image is the zero subspace"
-        icls = img.classify()
-        if not icls.uniformly_definite:
-            return f"image classifies as {icls.kind.value}"
-        if not icls.maximal_definite:
-            return (
-                f"image is uniformly definite but of dimension {img.dim}, "
-                "not maximal"
-            )
-        return None
-
     draw = _signed(random_maximal_definite_subspace)
-    return _sweep(T, subspaces, n_random, seed, draw, check)
+    return _one(_sweep([T], subspaces, n_random, seed, draw, _check_maximal))
 
 
 def preserves_regularity(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of regular subspaces stay regular."""
-
-    def check(v):
-        img = image_subspace(T, v)
-        if img is None:
-            return None  # the zero subspace is trivially regular
-        if not img.classify().regular:
-            return "image is degenerate"
-        return None
-
-    return _sweep(T, subspaces, n_random, seed, random_regular_subspace, check)
+    draw = random_regular_subspace
+    return _one(_sweep([T], subspaces, n_random, seed, draw, _check_regular))
 
 
 def preservation_report(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PreservationReport:
+    return _one(_preservation_reports([T], subspaces, n_random, seed))
+
+
+def _preservation_reports(ops, subspaces, n_random, seed) -> list:
+    """preservation_report of each operator, or the library error that stopped
+    it, from one sweep per predicate over the same subspaces.  An operator
+    with an error runs no later predicate."""
     definite = [s for s in subspaces if s.classify().uniformly_definite]
     maximal = [s for s in definite if s.classify().maximal_definite]
     regular = [s for s in subspaces if s.classify().regular]
-    return PreservationReport(
-        preserves_definiteness_with_sign(T, definite, n_random, seed),
-        preserves_maximality(T, maximal, n_random, seed),
-        preserves_regularity(T, regular, n_random, seed),
-    )
+    verdicts = [[] for _ in ops]
+    for pool, draw, check in (
+        (definite, _signed(random_definite_subspace), _check_definite),
+        (maximal, _signed(random_maximal_definite_subspace), _check_maximal),
+        (regular, random_regular_subspace, _check_regular),
+    ):
+        live = [i for i, v in enumerate(verdicts) if isinstance(v, list)]
+        results = _sweep([ops[i] for i in live], pool, n_random, seed, draw, check)
+        for i, r in zip(live, results):
+            verdicts[i] = r if isinstance(r, KreinFramesError) else verdicts[i] + [r]
+    return [PreservationReport(*v) if isinstance(v, list) else v for v in verdicts]
 
 
 def transform_family(
@@ -265,7 +310,13 @@ def necessary_conditions_check(
     family, cert = transform_family(T, F)
     if not cert.is_frame:
         raise HypothesisNotMetError("the image family must also certify as a frame")
+    return _necessary_conditions(F, family)
 
+
+def _necessary_conditions(
+    F: WeightedFamily, family: WeightedFamily
+) -> NecessaryConditionsReport:
+    """necessary_conditions_check on F's image family, both already frames."""
     # the image members spanned over F's index sets, not over the image
     # family's own signs: an operator that swaps the signs fails here
     bases = np.hstack([w.ortho_basis for w in family.subspaces])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreinframes
-from kreinframes import cli
+from kreinframes import cli, transforms
 from kreinframes.cli import SEED_ENV_VAR, main
 from kreinframes.errors import DefinitenessTransportError
 
@@ -339,12 +339,51 @@ class TestPreserveUnderOverrides:
         assert block["pass"] is False
         assert block["results"]["operators"]["I"]["error"].startswith(error)
 
+    @pytest.mark.parametrize("value", ["0.15", "0.3"])
+    def test_refuted_operator_keeps_its_counterexample(self, capsys, tmp_path, value):
+        # N sends e1 onto the neutral line (1, 1): refuted on the first
+        # supplied subspace, before the draw that fails tau_def = 0.3
+        doc = {**self.DOC, "operators": {"I": [[1, 0], [0, 1]], "N": [[1, 1], [1, 2]]}}
+        alone = {**self.DOC, "operators": {"N": [[1, 1], [1, 2]]}}
+        blocks = []
+        for name, d in (("both", doc), ("alone", alone)):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(d))
+            argv = ["preserve", "--spec", str(p), "--samples", "20", "--tol-def", value]
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert "Traceback" not in err
+            blocks.append(json.loads(out)["results"]["preserve"]["results"]["operators"])
+        both, alone = blocks
+        refuted = both["N"]["definiteness_with_sign"]
+        assert refuted["status"] == "counterexample"
+        assert refuted["samples_tested"] == 1
+        assert both["N"] == alone["N"]
+        if value == "0.3":
+            assert both["I"]["error"].startswith(
+                "definiteness predicate only tests uniformly definite"
+            )
+        else:
+            assert "error" not in both["I"]
+
     @pytest.mark.parametrize("value", ["1", "2"])
     def test_rank_tolerance_of_one_exits_two(self, capsys, demo_path, value):
         code, out, err = run(capsys, "certify", "--spec", demo_path, "--tol-rank", value)
         assert code == 2
         assert out == ""
         assert err == "error: tolerances.tau_rank: expected a positive number below 1\n"
+
+
+class TestTransformTask:
+    def test_builds_each_image_family_once(self, capsys, demo_path, count_calls):
+        # the necessary conditions reuse the image family the certificate used
+        images = count_calls(transforms, "image_subspace")
+        code, out, _ = run(capsys, "transform", "--spec", demo_path)
+        assert code == 0
+        entry = json.loads(out)["results"]["transform"]["results"]["operators"]
+        families = entry["fundamental_symmetry"]["families"]
+        assert families["tilted_lines"]["necessary_conditions"]["holds"] is True
+        assert len(images) == 3  # one per member, none again for the conditions
 
 
 class TestIdentityTask:

@@ -8,10 +8,13 @@ from kreinframes import (
     Operator,
     Subspace,
     SubspaceKind,
+    Tolerances,
     WeightedFamily,
 )
 from kreinframes.errors import (
+    ClassificationError,
     HypothesisNotMetError,
+    KreinFramesError,
     MemberClassificationError,
     NotSurjectiveError,
 )
@@ -183,6 +186,132 @@ class TestPreservationReport:
         report = preservation_report(t, [e1], n_random=0)
         assert not report.definiteness_with_sign.holds
         assert not report.regularity.holds
+
+
+def one_operator_report(T, subspaces, n_random, seed):
+    """preservation_report of T alone, or the library error it raises."""
+    try:
+        return preservation_report(T, subspaces, n_random, seed)
+    except KreinFramesError as exc:
+        return exc
+
+
+def assert_same_report(joint, alone):
+    if isinstance(alone, KreinFramesError):
+        assert type(joint) is type(alone) and str(joint) == str(alone)
+        return
+    for field in ("definiteness_with_sign", "maximality", "regularity"):
+        a, b = getattr(joint, field), getattr(alone, field)
+        assert (a.status, a.detail, a.samples_tested) == (
+            b.status, b.detail, b.samples_tested
+        ), field
+        if b.counterexample is None:
+            assert a.counterexample is None
+        else:
+            np.testing.assert_array_equal(a.counterexample.basis, b.counterexample.basis)
+            np.testing.assert_array_equal(
+                a.counterexample.ortho_basis, b.counterexample.ortho_basis
+            )
+
+
+def mixed_operators(space, seed=3):
+    """J-unitary, scaled, neutral-image, rank-deficient and zero operators."""
+    u = random_j_unitary(space, rng_from_seed(seed))
+    return [
+        u,
+        Operator(space, 2.5 * u.matrix),
+        neutral_image_operator(space),
+        Operator(space, np.diag([1.0, 1.0, 0.0, 0.0])),
+        Operator(space, np.zeros((4, 4))),
+    ]
+
+
+def alt4_subspaces(space):
+    """e1, span{e1, e3} (maximal positive), span{e1, e2} and a neutral line."""
+    return [
+        Subspace(space, np.eye(4)[:, cols])
+        for cols in ([0], [0, 2], [0, 1])
+    ] + [Subspace(space, [[1.0], [1.0], [0.0], [0.0]])]
+
+
+class TestJointSweep:
+    """One sweep per predicate for several operators gives each operator's
+    one-operator result."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_matches_one_operator_calls(self, alt4, seed, supplied):
+        ops = mixed_operators(alt4)
+        subspaces = alt4_subspaces(alt4) if supplied else []
+        joint = transforms._preservation_reports(ops, subspaces, 40, seed)
+        assert len(joint) == len(ops)
+        for T, report in zip(ops, joint):
+            assert_same_report(report, one_operator_report(T, subspaces, 40, seed))
+
+    @pytest.mark.parametrize(
+        "tol, errors",
+        [
+            (Tolerances(tau_def=0.15), 0),
+            (Tolerances(tau_def=0.3), 1),
+            (Tolerances(tau_rank=0.5), 5),
+        ],
+    )
+    def test_errors_match_one_operator_calls(self, tol, errors):
+        # tolerances past the samplers' margins: the identity's draws, or
+        # every draw, raise; the other operators are refuted first
+        space = alternating_signature_space(4, tol=tol)
+        ops = mixed_operators(space) + [Operator(space, np.eye(4))]
+        subspaces = [Subspace(space, np.eye(4)[:, [0]])]
+        joint = transforms._preservation_reports(ops, subspaces, 60, 1)
+        alone = [one_operator_report(T, subspaces, 60, 1) for T in ops]
+        assert sum(isinstance(r, KreinFramesError) for r in alone) == errors
+        for report, expected in zip(joint, alone):
+            assert_same_report(report, expected)
+
+    def test_refuted_operator_keeps_its_counterexample_past_an_error(self):
+        # the neutral-image operator is refuted on e1 before the draw that
+        # fails tau_def = 0.3, so only the identity gets the error
+        space = alternating_signature_space(4, tol=Tolerances(tau_def=0.3))
+        e1 = Subspace(space, np.eye(4)[:, [0]])
+        ops = [neutral_image_operator(space), Operator(space, np.eye(4))]
+        refuted, failed = transforms._preservation_reports(ops, [e1], 60, 1)
+        assert isinstance(failed, ClassificationError)
+        assert refuted.definiteness_with_sign.counterexample is e1
+        assert refuted.maximality.samples_tested > 0
+
+    def test_operators_that_hold_draw_each_sample_once(self, alt4, count_calls):
+        ops = mixed_operators(alt4)[:2]
+        samplers = (
+            "random_definite_subspace",
+            "random_maximal_definite_subspace",
+            "random_regular_subspace",
+        )
+        calls = {name: count_calls(transforms, name) for name in samplers}
+        reports = transforms._preservation_reports(ops, [], 25, 4)
+        assert all(r.definiteness_with_sign.holds for r in reports)
+        assert all(r.maximality.holds and r.regularity.holds for r in reports)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(samplers, 25)
+
+    @pytest.mark.parametrize(
+        "field, sampler",
+        [
+            ("definiteness_with_sign", "random_definite_subspace"),
+            ("maximality", "random_maximal_definite_subspace"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_draw_after_the_last_operator_stops(
+        self, alt4, count_calls, field, sampler, seed
+    ):
+        ops = mixed_operators(alt4)[2:]
+        calls = count_calls(transforms, sampler)
+        reports = transforms._preservation_reports(ops, [], 100, seed)
+        verdicts = [getattr(r, field) for r in reports]
+        assert not any(v.holds for v in verdicts)
+        assert len(calls) == max(v.samples_tested for v in verdicts) < 100
+
+    def test_no_operators(self, alt4):
+        assert transforms._preservation_reports([], alt4_subspaces(alt4), 10, 0) == []
 
 
 class TestTransformFamily:
