@@ -227,13 +227,9 @@ class Subspace:
 
 def classify(W: Subspace) -> Classification:
     """Definiteness class of a subspace from its compressed Gramian U*JU."""
-    return _classification(W.space, W.ortho_basis)
-
-
-def _classification(space: KreinSpace, u: np.ndarray) -> Classification:
-    """Definiteness class of the span of the orthonormal columns u."""
-    tol = space.tol
-    eigs = np.linalg.eigvalsh(_compressed(space, u))
+    tol = W.space.tol
+    g = gramian(W)
+    eigs = np.linalg.eigvalsh(g)
     lo, hi = float(eigs[0]), float(eigs[-1])
     has_pos = hi > tol.tau_def
     has_neg = lo < -tol.tau_def
@@ -255,11 +251,11 @@ def _classification(space: KreinSpace, u: np.ndarray) -> Classification:
     else:
         kind = SubspaceKind.NEUTRAL
     regular = bool(np.abs(eigs).min() > tol.tau_def)
-    p, q = space.signature
+    p, q = W.space.signature
     if kind is SubspaceKind.UNIFORMLY_POSITIVE:
-        maximal = u.shape[1] == p
+        maximal = W.dim == p
     elif kind is SubspaceKind.UNIFORMLY_NEGATIVE:
-        maximal = u.shape[1] == q
+        maximal = W.dim == q
     else:
         maximal = False
     return Classification(kind, regular, maximal, (lo, hi))
@@ -318,12 +314,8 @@ def j_projection(W: Subspace) -> Operator:
 
 def gramian(W: Subspace) -> np.ndarray:
     """Compressed Gramian U*JU of W in its orthonormal-basis coordinates."""
-    return _compressed(W.space, W.ortho_basis)
-
-
-def _compressed(space: KreinSpace, u: np.ndarray) -> np.ndarray:
-    """Hermitian part of U*JU for the orthonormal columns u."""
-    g = u.conj().T @ space.J @ u
+    u = W.ortho_basis
+    g = u.conj().T @ W.space.J @ u
     return 0.5 * (g + g.conj().T)
 
 

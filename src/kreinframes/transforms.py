@@ -17,13 +17,11 @@ from itertools import chain
 import numpy as np
 
 from .core import (
-    Classification,
     KreinSpace,
     Operator,
     Subspace,
     Tolerances,
     DEFAULT_TOLERANCES,
-    _classification,
     _rank,
     j_adjoint,
     j_projection,
@@ -92,14 +90,6 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     return Subspace.from_spanning(T.space, T.matrix @ V.basis)
 
 
-def _image_class(T: Operator, V: Subspace) -> tuple[int, Classification] | None:
-    """Dimension and class of image_subspace(T, V), by the same arithmetic
-    without building it; None when the image is {0}."""
-    u, s, _ = np.linalg.svd(T.matrix @ V.basis, full_matrices=False)
-    r = _rank(s, T.space.tol)
-    return (r, _classification(T.space, u[:, :r].copy())) if r else None
-
-
 def _sweep(ops, subspaces, n_random, seed, draw, check) -> list:
     """Per operator T, the first counterexample ``check(T, v)`` finds in the
     supplied subspaces, then in ``n_random`` samples ``draw(space, rng)``
@@ -155,10 +145,10 @@ def _check_definite(T, v):
         raise ClassificationError(
             "definiteness predicate only tests uniformly definite subspaces"
         )
-    img = _image_class(T, v)
+    img = image_subspace(T, v)
     if img is None:
         return "image is the zero subspace"
-    icls = img[1]
+    icls = img.classify()
     if icls.sign != cls.sign:
         return (
             f"image of a {cls.kind.value} subspace classifies as "
@@ -168,23 +158,23 @@ def _check_definite(T, v):
 
 
 def _check_maximal(T, v):
-    img = _image_class(T, v)
+    img = image_subspace(T, v)
     if img is None:
         return "image is the zero subspace"
-    dim, icls = img
+    icls = img.classify()
     if not icls.uniformly_definite:
         return f"image classifies as {icls.kind.value}"
     if not icls.maximal_definite:
         return (
-            f"image is uniformly definite but of dimension {dim}, "
+            f"image is uniformly definite but of dimension {img.dim}, "
             "not maximal"
         )
     return None
 
 
 def _check_regular(T, v):
-    img = _image_class(T, v)  # the zero subspace is trivially regular
-    return None if img is None or img[1].regular else "image is degenerate"
+    img = image_subspace(T, v)  # the zero subspace is trivially regular
+    return None if img is None or img.classify().regular else "image is degenerate"
 
 
 def preserves_definiteness_with_sign(
