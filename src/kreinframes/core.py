@@ -65,6 +65,8 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+_SAFETY = 4.0  # how far a bound must clear a threshold to settle a decision
+
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -184,14 +186,18 @@ class Subspace:
             raise RankError(
                 "basis matrix is rank deficient (singular values %s)" % s
             )
-        self._set(space, basis, u.copy())
+        self._set(space, basis, u.copy(), float(s[0]) / float(s[-1]))
 
-    def _set(self, space: KreinSpace, basis: np.ndarray, ortho_basis: np.ndarray):
+    def _set(self, space: KreinSpace, basis: np.ndarray, ortho_basis, cond: float):
         self.space = space
         self.basis = basis
         self.basis.flags.writeable = False
-        self.ortho_basis = ortho_basis
-        self.ortho_basis.flags.writeable = False
+        self._ortho = ortho_basis  # None until ortho_basis is first read
+        if ortho_basis is not None:
+            ortho_basis.flags.writeable = False
+        # kappa(basis), and the smallest |Gramian eigenvalue| once classified;
+        # _graph sets bounds on both instead
+        self._cond, self._margin = cond, None
         self._classification: Classification | None = None
 
     @classmethod
@@ -202,17 +208,49 @@ class Subspace:
         if r == 0:
             return None
         W, u = cls.__new__(cls), u[:, :r].copy()
-        W._set(space, u, u)
+        W._set(space, u, u, 1.0)
+        return W
+
+    @classmethod
+    def _graph(cls, space: KreinSpace, basis: np.ndarray, tilt: float) -> "Subspace":
+        """Subspace(space, basis) for a graph basis dom + codom K, ||K|| <= tilt < 1.
+
+        basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + tilt^2), and
+        the Gramian margin from below by (1 - tilt^2) / (1 + tilt^2) (see
+        AngularOperator).  While the first bound settles the rank, the SVD
+        waits until ``ortho_basis`` is read.
+        """
+        cond = float(np.sqrt(1.0 + tilt * tilt))
+        if _SAFETY * space.tol.tau_rank * cond < 1.0:
+            W = cls.__new__(cls)
+            W._set(space, basis, None, cond)
+        else:
+            W = cls(space, basis)
+        W._margin = (1.0 - tilt * tilt) / (1.0 + tilt * tilt)
         return W
 
     @property
+    def ortho_basis(self) -> np.ndarray:
+        if self._ortho is None:
+            u = np.linalg.svd(self.basis, full_matrices=False)[0].copy()
+            u.flags.writeable = False
+            self._ortho = u
+        return self._ortho
+
+    @property
     def dim(self) -> int:
-        return self.ortho_basis.shape[1]
+        return self.basis.shape[1]
 
     def classify(self) -> Classification:
         if self._classification is None:
-            self._classification = classify(self)
+            self._classification, self._margin = _classify(self)
         return self._classification
+
+    def _gram_margin(self) -> float:
+        """The smallest |Gramian eigenvalue|, or a lower bound (see _graph)."""
+        if self._margin is None:
+            self.classify()
+        return self._margin
 
     def contains(self, x, rtol: float | None = None) -> bool:
         v = self.space.check_vector(x)
@@ -227,6 +265,11 @@ class Subspace:
 
 def classify(W: Subspace) -> Classification:
     """Definiteness class of a subspace from its compressed Gramian U*JU."""
+    return _classify(W)[0]
+
+
+def _classify(W: Subspace) -> tuple[Classification, float]:
+    """classify(W) and the smallest |eigenvalue| of its Gramian."""
     tol = W.space.tol
     g = gramian(W)
     eigs = np.linalg.eigvalsh(g)
@@ -250,7 +293,8 @@ def classify(W: Subspace) -> Classification:
         )
     else:
         kind = SubspaceKind.NEUTRAL
-    regular = bool(np.abs(eigs).min() > tol.tau_def)
+    margin = float(np.abs(eigs).min())
+    regular = margin > tol.tau_def
     p, q = W.space.signature
     if kind is SubspaceKind.UNIFORMLY_POSITIVE:
         maximal = W.dim == p
@@ -258,7 +302,7 @@ def classify(W: Subspace) -> Classification:
         maximal = W.dim == q
     else:
         maximal = False
-    return Classification(kind, regular, maximal, (lo, hi))
+    return Classification(kind, regular, maximal, (lo, hi)), margin
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     Subspace,
     Tolerances,
     DEFAULT_TOLERANCES,
+    _SAFETY,
     _rank,
     j_adjoint,
     j_projection,
@@ -91,9 +92,10 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
 
 
 def _sweep(ops, subspaces, n_random, seed, draw, check) -> list:
-    """Per operator T, the first counterexample ``check(T, v)`` finds in the
-    supplied subspaces, then in ``n_random`` samples ``draw(space, rng)``
-    takes one at a time from rng_from_seed(seed).
+    """Per pair (T, cert) in ``ops``, the first counterexample ``check(T, v)``
+    finds in the supplied subspaces, then in ``n_random`` samples
+    ``draw(space, rng)`` takes one at a time from rng_from_seed(seed).  A
+    check that _settles(v, cert) decides is not made.
 
     Each subspace is tested on every operator that has not stopped, and none
     is drawn once all have.  A library error from a draw or from ``check``'s
@@ -104,12 +106,13 @@ def _sweep(ops, subspaces, n_random, seed, draw, check) -> list:
         return []
     out = [None] * len(ops)
     rng = rng_from_seed(seed)
-    drawn = (draw(ops[0].space, rng) for _ in range(n_random))
+    drawn = (draw(ops[0][0].space, rng) for _ in range(n_random))
     tested = 0
     try:
         for tested, v in enumerate(chain(subspaces, drawn), 1):
-            for i, T in enumerate(ops):
-                bad = None if out[i] is not None else check(T, v)
+            for i, (T, cert) in enumerate(ops):
+                skip = out[i] is not None or _settles(v, cert)
+                bad = None if skip else check(T, v)
                 if bad is not None:
                     out[i] = PredicateVerdict("counterexample", v, bad, tested)
             if None not in out:
@@ -137,6 +140,30 @@ def _signed(sampler):
         return sampler(space, rng, sign)
 
     return draw
+
+
+def _settles(v: Subspace, cert) -> bool:
+    """Whether ``cert`` = _isometry_scale(T) proves that T(V) has V's
+    dimension and inertia with a Gramian margin above tau_def.  V's margin
+    is then above tau_def too, so a drawn V, or one from the pools of
+    _preservation_reports, passes its check and so does its image.
+
+    With T# T = c I + E and ||E|| = r, T* J T = c J + J E.  On an
+    orthonormal basis of V, whose Gramian margin is delta, the image's
+    Gramian keeps V's signs at modulus c delta - r or more (Weyl), and
+    orthonormalising divides it by at most ||T||^2 (Ostrowski).  T V.basis
+    has condition number at most kappa(T) kappa(V.basis).
+    """
+    if cert is None:
+        return False
+    c, r, norm, kappa = cert
+    tol, kappa = v.space.tol, kappa * v._cond
+    slack = 1e-13 * v.space.dim * kappa  # rounding in the image's classification
+    return (
+        c > 0
+        and kappa * (_SAFETY * tol.tau_rank + slack) < 1.0
+        and c * v._gram_margin() - r > (_SAFETY * tol.tau_def + slack) * norm * norm
+    )
 
 
 def _check_definite(T, v):
@@ -182,7 +209,7 @@ def preserves_definiteness_with_sign(
 ) -> PredicateVerdict:
     """Images of uniformly definite subspaces stay definite with their sign."""
     draw = _signed(random_definite_subspace)
-    return _one(_sweep([T], subspaces, n_random, seed, draw, _check_definite))
+    return _one(_sweep([(T, None)], subspaces, n_random, seed, draw, _check_definite))
 
 
 def preserves_maximality(
@@ -190,7 +217,7 @@ def preserves_maximality(
 ) -> PredicateVerdict:
     """Images of maximal uniformly definite subspaces stay maximal definite."""
     draw = _signed(random_maximal_definite_subspace)
-    return _one(_sweep([T], subspaces, n_random, seed, draw, _check_maximal))
+    return _one(_sweep([(T, None)], subspaces, n_random, seed, draw, _check_maximal))
 
 
 def preserves_regularity(
@@ -198,7 +225,7 @@ def preserves_regularity(
 ) -> PredicateVerdict:
     """Images of regular subspaces stay regular."""
     draw = random_regular_subspace
-    return _one(_sweep([T], subspaces, n_random, seed, draw, _check_regular))
+    return _one(_sweep([(T, None)], subspaces, n_random, seed, draw, _check_regular))
 
 
 def preservation_report(
@@ -210,10 +237,12 @@ def preservation_report(
 def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     """preservation_report of each operator, or the library error that stopped
     it, from one sweep per predicate over the same subspaces.  An operator
-    with an error runs no later predicate."""
+    with an error runs no later predicate.  Images that _settles decides
+    are not computed."""
     definite = [s for s in subspaces if s.classify().uniformly_definite]
     maximal = [s for s in definite if s.classify().maximal_definite]
     regular = [s for s in subspaces if s.classify().regular]
+    ops = [(T, _isometry_scale(T)) for T in ops]
     verdicts = [[] for _ in ops]
     for pool, draw, check in (
         (definite, _signed(random_definite_subspace), _check_definite),
@@ -261,19 +290,29 @@ def projection_commutation_check(T: Operator, V: Subspace) -> float:
     return float(np.linalg.norm(lhs - lhs @ q_img, 2))
 
 
+def _isometry_scale(T: Operator) -> tuple[float, float, float, float]:
+    """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
+    trace(T# T) / n; kappa is inf for a singular T."""
+    g = j_adjoint(T).matrix @ T.matrix
+    n = T.space.dim
+    c = (complex(np.trace(g)) / n).real
+    residual = float(np.linalg.norm(g - c * np.eye(n), 2))
+    s = np.linalg.svd(T.matrix, compute_uv=False)
+    kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
+    return c, residual, float(s[0]), kappa
+
+
 def is_j_isometry_multiple(T: Operator) -> tuple[bool, float]:
     """Whether T# T = c I for a real c > 0; returns (verdict, c).
 
     Such operators scale the indefinite product by c and therefore preserve
-    definiteness with sign, maximality and regularity exactly.
+    definiteness with sign, maximality and regularity exactly.  The residual
+    ||T# T - c I||_2 must be below tau_num * n * ||T||_2^2, so the verdict
+    does not change when T is scaled.
     """
-    g = j_adjoint(T).matrix @ T.matrix
-    n = T.space.dim
-    c = complex(np.trace(g)) / n
-    residual = np.linalg.norm(g - c * np.eye(n), 2)
-    tol = T.space.tol.tau_num * max(1.0, abs(c)) * n
-    scalar = residual < tol and abs(c.imag) < tol
-    return bool(scalar and c.real > 0), float(c.real)
+    c, residual, norm, _ = _isometry_scale(T)
+    scalar = residual < T.space.tol.tau_num * T.space.dim * norm * norm
+    return scalar and c > 0, c
 
 
 @dataclass(frozen=True)

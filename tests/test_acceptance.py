@@ -46,12 +46,8 @@ from kreinframes.fusion import (
 from kreinframes.oracles import OracleConfig, gamma_oracle, rayleigh_extremes
 from kreinframes.sampling import (
     random_complex,
-    random_fusion_frame,
-    random_j_unitary,
     random_maximal_definite_subspace,
     random_regular_subspace,
-    random_space,
-    random_vector_frame,
     rng_from_seed,
 )
 from kreinframes.transforms import (
@@ -62,6 +58,13 @@ from kreinframes.transforms import (
     preserves_definiteness_with_sign,
     projection_commutation_check,
     transform_family,
+)
+
+from generators import (
+    random_fusion_frame,
+    random_j_unitary,
+    random_space,
+    random_vector_frame,
 )
 
 DEMO = Path(kreinframes.__file__).parent / "data" / "c3_demo.json"

@@ -34,9 +34,10 @@ from kreinframes.sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
     random_regular_subspace,
-    random_space,
     rng_from_seed,
 )
+
+from generators import random_space
 
 W_LINE = np.array([[0.0], [1.0], [0.5]])
 

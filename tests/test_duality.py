@@ -41,13 +41,16 @@ from kreinframes.oracles import OracleConfig, rayleigh_extremes
 from kreinframes.problem import parse_spec
 from kreinframes.sampling import (
     random_complex,
+    random_maximal_definite_subspace,
+    rng_from_seed,
+)
+
+from generators import (
     random_fusion_frame,
     random_j_unitary,
-    random_maximal_definite_subspace,
     random_space,
     random_unit_vector,
     random_vector_frame,
-    rng_from_seed,
 )
 
 

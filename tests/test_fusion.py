@@ -36,11 +36,11 @@ from kreinframes import (
 from kreinframes.oracles import OracleConfig, rayleigh_extremes
 from kreinframes.sampling import (
     random_complex,
-    random_fusion_frame,
     random_maximal_definite_subspace,
-    random_space,
     rng_from_seed,
 )
+
+from generators import random_fusion_frame, random_space
 
 
 def axis_family(space, weights=(1.0, 1.0)):

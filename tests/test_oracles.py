@@ -18,12 +18,9 @@ from kreinframes.oracles import (
     projection_oracle,
     rayleigh_extremes,
 )
-from kreinframes.sampling import (
-    random_complex,
-    random_fusion_frame,
-    random_space,
-    rng_from_seed,
-)
+from kreinframes.sampling import random_complex, rng_from_seed
+
+from generators import random_fusion_frame, random_space
 
 FAST = OracleConfig(n_samples=2000, seed=0)
 

@@ -16,7 +16,9 @@ from kreinframes.errors import (
     ValidationError,
 )
 from kreinframes.problem import ProblemSpec, parse_spec, serialize_spec
-from kreinframes.sampling import random_fusion_frame, random_space, rng_from_seed
+from kreinframes.sampling import rng_from_seed
+
+from generators import random_fusion_frame, random_space
 
 MINIMAL = {"space": {"dim": 2, "J": [[1, 0], [0, -1]]}}
 

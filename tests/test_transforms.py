@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinframes import (
     KreinSpace,
@@ -20,10 +22,10 @@ from kreinframes.errors import (
 )
 from kreinframes import transforms
 from kreinframes.fusion import certify
+from kreinframes.core import gramian
 from kreinframes.sampling import (
     random_definite_subspace,
-    random_fusion_frame,
-    random_j_unitary,
+    random_maximal_definite_subspace,
     random_regular_subspace,
     rng_from_seed,
 )
@@ -40,6 +42,8 @@ from kreinframes.transforms import (
     projection_commutation_check,
     transform_family,
 )
+
+from generators import random_fusion_frame, random_j_unitary, random_space
 
 
 @pytest.fixture
@@ -314,6 +318,161 @@ class TestJointSweep:
         assert transforms._preservation_reports([], alt4_subspaces(alt4), 10, 0) == []
 
 
+PREDICATES = {
+    "definiteness_with_sign": (
+        transforms._signed(random_definite_subspace), transforms._check_definite
+    ),
+    "maximality": (
+        transforms._signed(random_maximal_definite_subspace), transforms._check_maximal
+    ),
+    "regularity": (random_regular_subspace, transforms._check_regular),
+}
+
+
+def sampled_report(T, n_random, seed):
+    """The three one-operator predicates, which test every image."""
+    return transforms.PreservationReport(
+        preserves_definiteness_with_sign(T, (), n_random, seed),
+        preserves_maximality(T, (), n_random, seed),
+        preserves_regularity(T, (), n_random, seed),
+    )
+
+
+@pytest.fixture
+def alt48_ops():
+    """A J-unitary operator, twice it and the neutral-image operator on C^48."""
+    space = alternating_signature_space(48)
+    u = random_j_unitary(space, rng_from_seed(3))
+    return [u, Operator(space, 2.0 * u.matrix), neutral_image_operator(space)]
+
+
+class TestCertificate:
+    """T# T = c I + E settles an image check only where the check passes."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 48),
+        log_c=st.floats(-3.0, 3.0),
+        boost=st.floats(0.0, 3.45),  # kappa(T) up to exp(2 * 3.45), about 1e3
+        log_tau_def=st.floats(-8.0, -0.7),
+        log_tau_rank=st.floats(-10.0, -2.0),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_settled_checks_pass(
+        self, n, log_c, boost, log_tau_def, log_tau_rank, diagonal, seed
+    ):
+        rng = rng_from_seed(seed)
+        tol = Tolerances(tau_def=10.0**log_tau_def, tau_rank=10.0**log_tau_rank)
+        space = random_space(rng, n, diagonal=diagonal, tol=tol)
+        t = Operator(space, 10.0 ** (log_c / 2) * random_j_unitary(space, rng, boost).matrix)
+        cert = transforms._isometry_scale(t)
+        c, r, norm, kappa = cert
+        for draw, check in PREDICATES.values():
+            for _ in range(4):
+                try:
+                    v = draw(space, rng)
+                except KreinFramesError:
+                    continue  # a basis rank deficient at this tau_rank
+                settled = transforms._settles(v, cert)
+                if settled:
+                    assert check(t, v) is None
+                # the bounds behind the certificate, on the computed image
+                bound = (c * v._gram_margin() - r) / norm**2
+                if not settled and (bound <= 0 or kappa * v._cond * tol.tau_rank > 0.5):
+                    continue
+                img = image_subspace(t, v)
+                eigs = np.linalg.eigvalsh(gramian(img))
+                assert img.dim == v.dim
+                assert np.abs(eigs).min() > bound - 1e-9
+                signs = np.sign(np.linalg.eigvalsh(gramian(v)))
+                np.testing.assert_array_equal(np.sign(eigs), signs)
+
+    @pytest.mark.parametrize(
+        "tol, boost",
+        [(Tolerances(tau_def=0.01), 1.5), (Tolerances(tau_rank=1e-3), 3.2)],
+    )
+    def test_unsettled_images_are_computed(self, count_calls, tol, boost):
+        # the bound is within the safety factor of tau_def for some samples,
+        # or kappa(T) kappa(V.basis) tau_rank is not far below 1 for some
+        space = alternating_signature_space(48, tol=tol)
+        t = Operator(space, 3.0 * random_j_unitary(space, rng_from_seed(5), boost).matrix)
+        calls = count_calls(transforms, "image_subspace")
+        (report,) = transforms._preservation_reports([t], [], 40, 1)
+        assert 0 < len(calls) < 3 * 40
+        calls.clear()
+        assert_same_report(report, sampled_report(t, 40, 1))
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize(
+        "matrix, settles",
+        [
+            (np.eye(4), True),
+            (neutral_image_operator(alternating_signature_space(4)).matrix, False),
+            (np.zeros((4, 4)), False),
+            (np.fliplr(np.eye(4)), False),  # T# T = -I
+        ],
+    )
+    def test_only_isometry_multiples_settle(self, alt4, matrix, settles):
+        cert = transforms._isometry_scale(Operator(alt4, matrix))
+        for v in alt4_subspaces(alt4)[:2] + [Subspace(alt4, np.eye(4)[:, 1:3])]:
+            assert transforms._settles(v, cert) is settles
+
+
+class TestCertifiedSweep:
+    def test_certified_operators_compute_no_image(self, alt48_ops, count_calls):
+        calls = count_calls(transforms, "image_subspace")
+        reports = transforms._preservation_reports(alt48_ops[:2], [], 50, 0)
+        assert len(calls) == 0
+        for T, report in zip(alt48_ops, reports):
+            assert_same_report(report, sampled_report(T, 50, 0))
+
+    def test_only_the_other_operator_computes_images(self, alt48_ops, count_calls):
+        calls = count_calls(transforms, "image_subspace")
+        reports = transforms._preservation_reports(alt48_ops, [], 50, 0)
+        neutral = reports[2]
+        tested = [getattr(neutral, f).samples_tested for f in PREDICATES]
+        assert len(calls) == sum(tested)
+        assert all(args[0] is alt48_ops[2] for args in calls)
+        for T, report in zip(alt48_ops, reports):
+            assert_same_report(report, sampled_report(T, 50, 0))
+
+    def test_maximal_draws_make_no_svd(self, alt48_ops, count_calls):
+        ops = [(T, transforms._isometry_scale(T)) for T in alt48_ops]
+        images = count_calls(transforms, "image_subspace")
+        svds = count_calls(np.linalg, "svd")
+        draw, check = PREDICATES["maximality"]
+        verdicts = transforms._sweep(ops, [], 100, 0, draw, check)
+        assert [v.holds for v in verdicts] == [True, True, False]
+        # one SVD per image of the neutral-image operator, none per draw
+        assert len(svds) == len(images) == verdicts[2].samples_tested
+        v = verdicts[2].counterexample
+        u = v.ortho_basis  # the reported counterexample's SVD
+        assert len(svds) == len(images) + 1
+        eager = Subspace(v.space, v.basis)
+        np.testing.assert_array_equal(u, eager.ortho_basis)
+        assert v.classify() == eager.classify()
+
+    def test_definite_draws_make_one_svd_each(self, count_calls):
+        space = alternating_signature_space(48)
+        svds = count_calls(np.linalg, "svd")
+        rng = rng_from_seed(0)
+        drawn = [random_definite_subspace(space, rng, sign) for sign in (1, -1, 1)]
+        assert len(svds) == len(drawn)
+
+    @pytest.mark.parametrize("tau_rank, svds_per_draw", [(1e-10, 0), (0.3, 1)])
+    def test_draw_defers_its_svd_while_its_rank_is_settled(
+        self, count_calls, tau_rank, svds_per_draw
+    ):
+        # at 4 tau_rank sqrt(1 + t^2) >= 1 the draw decides its rank by the
+        # SVD, as Subspace does
+        space = alternating_signature_space(48, tol=Tolerances(tau_rank=tau_rank))
+        svds = count_calls(np.linalg, "svd")
+        rng = rng_from_seed(0)
+        for _ in range(5):
+            random_maximal_definite_subspace(space, rng, 1)
+        assert len(svds) == 5 * svds_per_draw
+
 class TestTransformFamily:
     def test_identity_reproduces_bounds(self, tilted_family):
         family, cert = transform_family(
@@ -367,7 +526,7 @@ class TestTransformFamily:
 
 
 def rng_and_space(rng):
-    from kreinframes.sampling import random_space
+    from generators import random_space
 
     n = int(rng.integers(2, 5))
     p = int(rng.integers(1, n))
@@ -409,6 +568,19 @@ class TestJIsometryMultiple:
     def test_neutral_image_operator_is_not(self, alt4):
         verdict, _ = is_j_isometry_multiple(neutral_image_operator(alt4))
         assert not verdict
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5])
+    def test_scaled_neutral_image_operator_is_not(self, alt4, scale):
+        t = Operator(alt4, scale * neutral_image_operator(alt4).matrix)
+        verdict, _ = is_j_isometry_multiple(t)
+        assert not verdict
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_scaled_j_unitary_at_any_scale(self, c3, scale):
+        u = random_j_unitary(c3, rng_from_seed(37))
+        verdict, c = is_j_isometry_multiple(Operator(c3, scale * u.matrix))
+        assert verdict
+        assert c == pytest.approx(scale**2)
 
     def test_negative_multiple_rejected(self, c3):
         # T# T = -I has no positive scale factor
