@@ -77,6 +77,8 @@ def _jsonable(obj):
     if isinstance(obj, np.complexfloating):
         return _jsonable(complex(obj))
     if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):  # each entry's [re, im], in one numpy step
+            return np.stack((obj.real, obj.imag), axis=-1).tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, enum.Enum):
         return obj.value
@@ -115,7 +117,7 @@ def _task_classify(problem: ProblemSpec, seed, samples):
                     "kind": cls.kind,
                     "regular": cls.regular,
                     "maximal_definite": cls.maximal_definite,
-                    "extremal_gram_eigen": list(cls.extremal_gram_eigen),
+                    "extremal_gram_eigen": cls.extremal_gram_eigen,
                 }
             )
         out["families"][name] = {"members": members, "signs": fam.signs}
@@ -129,12 +131,15 @@ def _task_certify(problem: ProblemSpec, seed, samples):
     ok = True
     for name, fam in _sorted_items(problem.families):
         cert = certify(fam)
-        entry = _jsonable(cert)
-        for w in entry["witnesses"]:
-            if "vector" in w:
-                w["vector"] = _jsonable(_unit(np.asarray(w["vector"])))
+        # copies, as bounds and transform reuse the cached cert; a witness is
+        # normalised as (n, 2) [re, im] pairs to keep the bits it reports
+        entry = {**vars(cert), "witnesses": [
+            {**w, "vector": _unit(np.stack((w["vector"].real, w["vector"].imag), -1))}
+            if "vector" in w else w
+            for w in cert.witnesses
+        ]}
         try:
-            entry["converse"] = _jsonable(converse_check(fam))
+            entry["converse"] = converse_check(fam)
         except NotSurjectiveError as exc:
             entry["converse"] = {"error": str(exc)}
         out["families"][name] = entry
@@ -159,8 +164,8 @@ def _task_bounds(problem: ProblemSpec, seed, samples):
             cert.optimal_bounds, cert.estimate_bounds, fam.space.tol.tau_num
         )
         out["families"][name] = {
-            "optimal": _jsonable(cert.optimal_bounds),
-            "estimate": _jsonable(cert.estimate_bounds),
+            "optimal": cert.optimal_bounds,
+            "estimate": cert.estimate_bounds,
             "sandwich_ok": sandwich,
         }
         ok = ok and sandwich
@@ -169,7 +174,7 @@ def _task_bounds(problem: ProblemSpec, seed, samples):
             out["vector_frames"][name] = {"error": "not a J-frame"}
             ok = False
             continue
-        out["vector_frames"][name] = {"optimal": _jsonable(vframe_optimal_bounds(vf))}
+        out["vector_frames"][name] = {"optimal": vframe_optimal_bounds(vf)}
     return out, ok
 
 
@@ -185,7 +190,7 @@ def _task_dual(problem: ProblemSpec, seed, samples):
             out["vector_frames"][name] = {"error": str(exc)}
             ok = False
             continue
-        out["vector_frames"][name] = _jsonable(report)
+        out["vector_frames"][name] = report
         ok = ok and report.ok
     for name, fam in _sorted_items(problem.families):
         try:
@@ -193,11 +198,9 @@ def _task_dual(problem: ProblemSpec, seed, samples):
         except KreinFramesError as exc:
             out["families"][name] = {"advisory": True, "error": str(exc)}
             continue
-        entry = _jsonable(report)
         # the fusion-level reciprocal relation is recorded per instance and
         # does not gate the exit status
-        entry["advisory"] = True
-        out["families"][name] = entry
+        out["families"][name] = {**vars(report), "advisory": True}
     return out, ok
 
 
@@ -242,12 +245,10 @@ def _task_transform(problem: ProblemSpec, seed, samples):
             try:
                 image, cert = transform_family(op, fam)
             except MemberClassificationError as exc:
-                i = exc.index
-                witness = _unit(op.matrix @ fam.subspaces[i].basis[:, 0])
                 entry["families"][fam_name] = {
                     "is_frame": False,
                     "error": str(exc),
-                    "witness": _jsonable(witness),
+                    "witness": _unit(op.matrix @ fam.subspaces[exc.index].basis[:, 0]),
                 }
                 ok = False
                 continue
@@ -255,12 +256,10 @@ def _task_transform(problem: ProblemSpec, seed, samples):
                 entry["families"][fam_name] = {"is_frame": False, "error": str(exc)}
                 ok = False
                 continue
-            fam_entry = {"certificate": _jsonable(cert)}
+            fam_entry = {"certificate": cert}
             if cert.is_frame and certify(fam).is_frame:
                 # the hypotheses of necessary_conditions_check, checked above
-                fam_entry["necessary_conditions"] = _jsonable(
-                    _necessary_conditions(fam, image)
-                )
+                fam_entry["necessary_conditions"] = _necessary_conditions(fam, image)
             entry["families"][fam_name] = fam_entry
             ok = ok and cert.is_frame
         out[op_name] = entry
@@ -290,9 +289,9 @@ def _task_preserve(problem: ProblemSpec, seed, samples):
             if verdict.counterexample is not None:
                 v = verdict.counterexample
                 v_entry["counterexample"] = {
-                    "subspace": _jsonable(v),
+                    "subspace": v,
                     "detail": verdict.detail,
-                    "image_witness": _jsonable(_unit(op.matrix @ v.basis[:, 0])),
+                    "image_witness": _unit(op.matrix @ v.basis[:, 0]),
                 }
             entry[field] = v_entry
             ok = ok and verdict.holds
@@ -325,19 +324,19 @@ def run_command(command: str, problem: ProblemSpec, seed: int, samples: int) -> 
     passed = True
     for name in names:
         res, ok = _TASKS[name](problem, seed, samples)
-        results[name] = {"results": _jsonable(res), "pass": ok}
+        results[name] = {"results": res, "pass": ok}
         passed = passed and ok
-    return {
+    return _jsonable({
         "tool": "kreinframes",
         "version": __version__,
         "command": command,
         "seed": seed,
         "samples": samples,
-        "tolerances": _jsonable(problem.tolerances),
-        "space": {"dim": problem.space.dim, "signature": list(problem.space.signature)},
+        "tolerances": problem.tolerances,
+        "space": {"dim": problem.space.dim, "signature": problem.space.signature},
         "results": results,
         "pass": passed,
-    }
+    })
 
 
 def _summary_lines(report: dict) -> list[str]:

@@ -265,7 +265,7 @@ class Subspace:
 
 def classify(W: Subspace) -> Classification:
     """Definiteness class of a subspace from its compressed Gramian U*JU."""
-    return _classify(W)[0]
+    return W.classify()
 
 
 def _classify(W: Subspace) -> tuple[Classification, float]:

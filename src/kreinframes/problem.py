@@ -153,6 +153,9 @@ def decode_document(source):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
+        if not is_file and exc.pos == len(text) - len(text.lstrip(" \t\n\r")):
+            # not even the start of a JSON value: most likely a mistyped path
+            raise SchemaError(f"no such file: {str(source)!r}") from exc
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 

@@ -12,11 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .core import Operator
-from .errors import NotAFrameError
-from .fusion import WeightedFamily, certify, definite_span, frame_operator_part
-from .sampling import random_complex, rng_from_seed
+from kreinframes.core import Operator
+from kreinframes.errors import NotAFrameError
+from kreinframes.fusion import (
+    WeightedFamily,
+    certify,
+    definite_span,
+    frame_operator_part,
+)
+from kreinframes.sampling import random_complex, rng_from_seed
 
 __all__ = ["OracleConfig", "rayleigh_extremes", "projection_oracle", "gamma_oracle"]
 
@@ -110,8 +116,6 @@ def gamma_oracle(T, config: OracleConfig = OracleConfig()) -> float:
     on the restricted normal matrix drives the minimum down.  No singular
     value decomposition is involved.
     """
-    import scipy.linalg  # test-time dependency; kept off the runtime import path
-
     if isinstance(T, Operator):
         T = T.matrix
     t = np.asarray(T, dtype=complex)

@@ -43,7 +43,6 @@ from kreinframes.fusion import (
     j_image_family,
     optimal_bounds,
 )
-from kreinframes.oracles import OracleConfig, gamma_oracle, rayleigh_extremes
 from kreinframes.sampling import (
     random_complex,
     random_maximal_definite_subspace,
@@ -66,6 +65,7 @@ from generators import (
     random_space,
     random_vector_frame,
 )
+from oracles import OracleConfig, gamma_oracle, rayleigh_extremes
 
 DEMO = Path(kreinframes.__file__).parent / "data" / "c3_demo.json"
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -18,8 +20,11 @@ import kreinframes
 from kreinframes import cli, transforms
 from kreinframes.cli import SEED_ENV_VAR, main
 from kreinframes.errors import DefinitenessTransportError
+from kreinframes.fusion import certify
+from kreinframes.problem import parse_spec
 
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HUGE = 10**400  # a JSON integer beyond float64
 
 
@@ -89,6 +94,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "certify", "--spec", "/no/such/file.json")
         assert code == 2
         assert "error" in err
+
+    def test_missing_file_is_named(self, capsys, tmp_path):
+        missing = str(tmp_path / "no_such_file.json")
+        code, out, err = run(capsys, "all", "--spec", missing)
+        assert (code, out, err) == (2, "", f"error: no such file: {missing!r}\n")
 
     def test_schema_error_exits_two(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -254,6 +264,123 @@ class TestFormats:
         assert fam["sandwich_ok"] is True
         opt = fam["optimal"]
         assert opt["a_plus"] > 0 > opt["a_minus"]
+
+
+def entrywise_pairs(entries):
+    """Nested lists of complex numbers with each entry as its [re, im]."""
+    if isinstance(entries, list):
+        return [entrywise_pairs(v) for v in entries]
+    return [entries.real, entries.imag]
+
+
+class TestReportConversion:
+    def test_complex_arrays_convert_entry_by_entry(self):
+        parts = [-0.0, 0.0, np.inf, -np.inf, np.nan, -2.5e-300, 1.0 / 3.0]
+        z = np.empty(len(parts) ** 2, dtype=complex)
+        z.real, z.imag = np.repeat(parts, len(parts)), np.tile(parts, len(parts))
+        square = z.reshape(len(parts), len(parts))
+        for a in (z, square, square.T, square[:, 1]):
+            # json.dumps tells -0.0 from 0.0 and writes nan and inf
+            want = entrywise_pairs(a.tolist())
+            assert json.dumps(cli._jsonable(a)) == json.dumps(want)
+
+    def test_certify_leaves_the_cached_certificate(self):
+        # three positive lines span all of C^3: the positive span is indefinite
+        problem = parse_spec({
+            "space": {"dim": 3, "J": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]},
+            "families": {"fam": {
+                "subspaces": [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0.9]], [[0, 0, 1]]],
+                "weights": [1, 1, 1, 1],
+            }},
+        })
+        cert = certify(problem.families["fam"])
+        fields, vector = dict(vars(cert)), cert.witnesses[0]["vector"].copy()
+        report = cli.run_command("all", problem, 0, 5)
+        entry = report["results"]["certify"]["results"]["families"]["fam"]
+        assert "converse" in entry and len(entry["witnesses"][0]["vector"]) == 3
+        assert certify(problem.families["fam"]) is cert and vars(cert) == fields
+        assert np.array_equal(cert.witnesses[0]["vector"], vector)
+
+    def test_all_converts_its_report_once(self, capsys, demo_path, monkeypatch):
+        convert, depth, outermost = cli._jsonable, [0], []
+
+        def counted(obj):
+            # a call made while another runs comes from _jsonable's own recursion
+            if depth[0] == 0:
+                outermost.append(obj)
+            depth[0] += 1
+            try:
+                return convert(obj)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cli, "_jsonable", counted)
+        code, _, _ = run(capsys, "all", "--spec", demo_path, "--samples", "20")
+        assert code == 0
+        assert len(outermost) == 1
+
+
+def perfbench_module(name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+POOL_DOCS = [
+    ("cli_small", "demo-0"),
+    ("cli_small", "n4-0"),
+    ("cli_small", "n6-0"),
+    ("cli_small", "schema-0"),
+    ("cli_small", "rankdef-0"),
+    ("fusion_docs", "frame_diag-0"),
+    ("fusion_docs", "nonframe_full-0"),
+    ("vframe_docs", "diag-0"),
+    ("preserve_docs", "alt-0"),
+]
+
+# perfbench/docs.py run as the references were recorded: with one BLAS thread,
+# as the documents' matrix products round differently on more
+WRITE_POOL_DOCS = """
+import json, os, sys
+sys.path.insert(0, "perfbench")
+import docs
+for workload, doc_id in json.loads(sys.argv[2]):
+    cls, k = doc_id.rsplit("-", 1)
+    with open(os.path.join(sys.argv[1], f"{workload}-{doc_id}.json"), "w") as fh:
+        fh.write(docs.make_doc(workload, cls, int(k)).text)
+"""
+
+
+class TestPoolReports:
+    """One benchmark pool document of each class against its recorded reference."""
+
+    @pytest.fixture(scope="class")
+    def pool_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pool")
+        subprocess.run(
+            [sys.executable, "-c", WRITE_POOL_DOCS, str(out), json.dumps(POOL_DOCS)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            cwd=PERFBENCH.parent,  # docs.DEMO_PATH is relative to the repository root
+            check=True,
+        )
+        return out
+
+    @pytest.mark.parametrize("workload, doc_id", POOL_DOCS)
+    def test_report_passes_the_gate(
+        self, capsys, monkeypatch, pool_dir, workload, doc_id
+    ):
+        docs, gate = perfbench_module("docs"), perfbench_module("gate")
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        path = pool_dir / f"{workload}-{doc_id}.json"
+        ref = perfbench_module("refs").load(workload)["docs"][doc_id]
+        assert ref["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        samples = str(docs.SAMPLES[workload])
+        argv = ("all", "--spec", str(path), "--samples", samples)
+        result = gate.outcome(*run(capsys, *argv))
+        assert gate.check(ref, result) == []
 
 
 class TestSeedResolution:

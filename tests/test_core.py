@@ -19,6 +19,7 @@ from kreinframes import (
     SubspaceKind,
     ValidationError,
     angular_operator,
+    classify,
     gramian,
     gramian_min_modulus,
     indefinite_product,
@@ -28,7 +29,6 @@ from kreinframes import (
     reduced_min_modulus,
 )
 from kreinframes.core import _rank
-from kreinframes.oracles import projection_oracle
 from kreinframes.sampling import (
     random_complex,
     random_definite_subspace,
@@ -38,6 +38,7 @@ from kreinframes.sampling import (
 )
 
 from generators import random_space
+from oracles import projection_oracle
 
 W_LINE = np.array([[0.0], [1.0], [0.5]])
 
@@ -201,6 +202,13 @@ class TestClassify:
         lo, hi = cls.extremal_gram_eigen
         assert lo == pytest.approx(0.6)
         assert hi == pytest.approx(0.6)
+
+    def test_function_returns_the_subspace_classification(self, c3):
+        W = Subspace(c3, W_LINE)
+        cls = classify(W)
+        # one classification per subspace, cached with its Gramian margin
+        assert cls is W.classify()
+        assert W._margin == pytest.approx(0.6)
 
 
 class TestRankDecision:

@@ -37,7 +37,6 @@ from kreinframes.duality import (
     fundamental_identity_sides_batch,
 )
 from kreinframes.fusion import WeightedFamily, _side_verdict
-from kreinframes.oracles import OracleConfig, rayleigh_extremes
 from kreinframes.problem import parse_spec
 from kreinframes.sampling import (
     random_complex,
@@ -52,6 +51,7 @@ from generators import (
     random_unit_vector,
     random_vector_frame,
 )
+from oracles import OracleConfig, rayleigh_extremes
 
 
 DEMO_PATH = Path(kreinframes.__file__).parent / "data" / "c3_demo.json"

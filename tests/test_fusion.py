@@ -33,7 +33,6 @@ from kreinframes import (
     synthesis_part,
     vframe_optimal_bounds,
 )
-from kreinframes.oracles import OracleConfig, rayleigh_extremes
 from kreinframes.sampling import (
     random_complex,
     random_maximal_definite_subspace,
@@ -41,6 +40,7 @@ from kreinframes.sampling import (
 )
 
 from generators import random_fusion_frame, random_space
+from oracles import OracleConfig, rayleigh_extremes
 
 
 def axis_family(space, weights=(1.0, 1.0)):

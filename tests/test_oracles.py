@@ -12,15 +12,15 @@ from kreinframes import KreinSpace, Subspace, WeightedFamily
 from kreinframes.core import reduced_min_modulus
 from kreinframes.errors import NotAFrameError
 from kreinframes.fusion import optimal_bounds
-from kreinframes.oracles import (
+from kreinframes.sampling import random_complex, rng_from_seed
+
+from generators import random_fusion_frame, random_space
+from oracles import (
     OracleConfig,
     gamma_oracle,
     projection_oracle,
     rayleigh_extremes,
 )
-from kreinframes.sampling import random_complex, rng_from_seed
-
-from generators import random_fusion_frame, random_space
 
 FAST = OracleConfig(n_samples=2000, seed=0)
 
