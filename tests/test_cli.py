@@ -365,6 +365,7 @@ class TestPoolReports:
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
             cwd=PERFBENCH.parent,  # docs.DEMO_PATH is relative to the repository root
             check=True,
+            timeout=120,
         )
         return out
 
