@@ -33,7 +33,6 @@ from .duality import (
     fusion_dual_bounds_check,
     is_j_frame,
     partial_frame_operator,
-    vframe_operator,
     vframe_optimal_bounds,
 )
 from .errors import (

@@ -212,21 +212,22 @@ class Subspace:
         return W
 
     @classmethod
-    def _graph(cls, space: KreinSpace, basis: np.ndarray, tilt: float) -> "Subspace":
-        """Subspace(space, basis) for a graph basis dom + codom K, ||K|| <= tilt < 1.
+    def _graph(
+        cls, space: KreinSpace, basis: np.ndarray, cond: float, margin: float
+    ) -> "Subspace":
+        """Subspace(space, basis) for the basis of a graph of an angular operator
+        (or of its restriction), given an upper bound ``cond`` on kappa(basis)
+        and a lower bound ``margin`` on the smallest |Gramian eigenvalue|.
 
-        basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + tilt^2), and
-        the Gramian margin from below by (1 - tilt^2) / (1 + tilt^2) (see
-        AngularOperator).  While the first bound settles the rank, the SVD
-        waits until ``ortho_basis`` is read.
+        While the first bound settles the rank, the SVD and the classification
+        wait until ``ortho_basis`` or ``classify`` is read.
         """
-        cond = float(np.sqrt(1.0 + tilt * tilt))
         if _SAFETY * space.tol.tau_rank * cond < 1.0:
             W = cls.__new__(cls)
             W._set(space, basis, None, cond)
         else:
             W = cls(space, basis)
-        W._margin = (1.0 - tilt * tilt) / (1.0 + tilt * tilt)
+        W._margin = margin
         return W
 
     @property

@@ -38,7 +38,6 @@ __all__ = [
     "VectorFrame",
     "DualBoundsReport",
     "FusionDualReport",
-    "vframe_operator",
     "partial_frame_operator",
     "is_j_frame",
     "vframe_optimal_bounds",
@@ -102,10 +101,6 @@ def _member_mask(F: VectorFrame, subset) -> np.ndarray:
             raise IndexError(f"member index {i} out of range 0..{len(F) - 1}")
         mask[i] = True
     return mask
-
-
-# S f = sum_i sigma_i [f, f_i] f_i: the frame operator of the rank-one family
-vframe_operator = frame_operator
 
 
 def partial_frame_operator(F: VectorFrame, subset) -> Operator:

@@ -37,8 +37,9 @@ def random_maximal_definite_subspace(
 
     The graph of an operator with spectral norm below ``max_tilt`` = t < 1
     is uniformly definite by construction: its compressed Gramian has
-    eigenvalues of modulus above (1 - t^2) / (1 + t^2), 0.22 at t = 0.8.
-    Its SVD waits until its orthonormal basis is read (``Subspace._graph``).
+    eigenvalues of modulus above (1 - t^2) / (1 + t^2), 0.22 at t = 0.8, and
+    basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + t^2).  Its SVD
+    waits until its orthonormal basis is read (``Subspace._graph``).
     """
     if sign == 1:
         dom, codom = space.plus_basis, space.minus_basis
@@ -53,18 +54,26 @@ def random_maximal_definite_subspace(
     if nrm > 0:
         tilt = float(rng.uniform(0.0, max_tilt))
         k *= tilt / nrm
-    return Subspace._graph(space, dom + codom @ k, tilt)
+    cond = float(np.sqrt(1.0 + tilt * tilt))
+    margin = (1.0 - tilt * tilt) / (1.0 + tilt * tilt)
+    return Subspace._graph(space, dom + codom @ k, cond, margin)
 
 
 def random_definite_subspace(
     space: KreinSpace, rng: np.random.Generator, sign: int
 ) -> Subspace:
-    """Uniformly definite subspace: a random slice of a random maximal one."""
+    """Uniformly definite subspace: a random slice of a random maximal one.
+
+    The slice keeps the maximal one's margin bound (Cauchy interlacing), and
+    kappa(basis) is at most kappa(maximal.basis) kappa(coeff).
+    """
     maximal = random_maximal_definite_subspace(space, rng, sign)
     d = maximal.dim
     dim = int(rng.integers(1, d + 1))
     coeff = random_complex(rng, d, dim)
-    return Subspace(space, maximal.basis @ coeff)
+    s = np.linalg.svd(coeff, compute_uv=False)
+    cond = maximal._cond * s[0] / s[-1]  # inf, so the exact path, if s[-1] is 0
+    return Subspace._graph(space, maximal.basis @ coeff, cond, maximal._margin)
 
 
 def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subspace:

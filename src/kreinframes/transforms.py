@@ -146,24 +146,32 @@ def _settles(v: Subspace, cert) -> bool:
     """Whether ``cert`` = _isometry_scale(T) proves that T(V) has V's
     dimension and inertia with a Gramian margin above tau_def.  V's margin
     is then above tau_def too, so a drawn V, or one from the pools of
-    _preservation_reports, passes its check and so does its image.
+    _preservation_reports, passes its check and so does its image.  With
+    H = T* J T appended to ``cert``, it is enough that T(V) is regular.
 
     With T# T = c I + E and ||E|| = r, T* J T = c J + J E.  On an
-    orthonormal basis of V, whose Gramian margin is delta, the image's
+    orthonormal basis U of V, whose Gramian margin is delta, the image's
     Gramian keeps V's signs at modulus c delta - r or more (Weyl), and
     orthonormalising divides it by at most ||T||^2 (Ostrowski).  T V.basis
-    has condition number at most kappa(T) kappa(V.basis).
+    has condition number at most kappa(T) kappa(V.basis).  For any T, T U =
+    Q R gives the image's Gramian Q* J Q = R^-* (U* H U) R^-1, so its
+    eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.
     """
     if cert is None:
         return False
-    c, r, norm, kappa = cert
+    c, r, norm, kappa, *h = cert
     tol, kappa = v.space.tol, kappa * v._cond
     slack = 1e-13 * v.space.dim * kappa  # rounding in the image's classification
-    return (
-        c > 0
-        and kappa * (_SAFETY * tol.tau_rank + slack) < 1.0
-        and c * v._gram_margin() - r > (_SAFETY * tol.tau_def + slack) * norm * norm
-    )
+    if kappa * (_SAFETY * tol.tau_rank + slack) >= 1.0:
+        return False
+    floor = (_SAFETY * tol.tau_def + slack) * norm * norm
+    if c > 0 and c * v._gram_margin() - r > floor:
+        return True
+    if not h:
+        return False
+    u = v.ortho_basis
+    g = u.conj().T @ h[0] @ u
+    return np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))).min() > floor
 
 
 def _check_definite(T, v):
@@ -238,19 +246,23 @@ def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     """preservation_report of each operator, or the library error that stopped
     it, from one sweep per predicate over the same subspaces.  An operator
     with an error runs no later predicate.  Images that _settles decides
-    are not computed."""
+    are not computed; for regularity it may also use T* J T."""
     definite = [s for s in subspaces if s.classify().uniformly_definite]
     maximal = [s for s in definite if s.classify().maximal_definite]
     regular = [s for s in subspaces if s.classify().regular]
-    ops = [(T, _isometry_scale(T)) for T in ops]
+    certs = [_isometry_scale(T) for T in ops]
+    # and T* J T for regularity only: an invertible T that keeps both signs'
+    # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
+    congruent = [(*c, T.matrix.conj().T @ T.space.J @ T.matrix) for T, c in zip(ops, certs)]
     verdicts = [[] for _ in ops]
-    for pool, draw, check in (
-        (definite, _signed(random_definite_subspace), _check_definite),
-        (maximal, _signed(random_maximal_definite_subspace), _check_maximal),
-        (regular, random_regular_subspace, _check_regular),
+    for pool, draw, check, cs in (
+        (definite, _signed(random_definite_subspace), _check_definite, certs),
+        (maximal, _signed(random_maximal_definite_subspace), _check_maximal, certs),
+        (regular, random_regular_subspace, _check_regular, congruent),
     ):
         live = [i for i, v in enumerate(verdicts) if isinstance(v, list)]
-        results = _sweep([ops[i] for i in live], pool, n_random, seed, draw, check)
+        sweeping = [(ops[i], cs[i]) for i in live]
+        results = _sweep(sweeping, pool, n_random, seed, draw, check)
         for i, r in zip(live, results):
             verdicts[i] = r if isinstance(r, KreinFramesError) else verdicts[i] + [r]
     return [PreservationReport(*v) if isinstance(v, list) else v for v in verdicts]

@@ -46,24 +46,39 @@ def _quotients(a: np.ndarray, p: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _random_search(a, p, c0, rng, minimize, rounds=40, batch=64):
-    """Shrinking random perturbation search around the best sampled point."""
-    k = c0.shape[0]
-    best = c0 / np.linalg.norm(c0)
-    sign = 1.0 if minimize else -1.0
-    best_val = sign * _quotients(a, p, best[:, None])[0]
-    scale = 0.5
-    for _ in range(rounds):
-        cand = best[:, None] + scale * random_complex(rng, k, batch)
-        cand /= np.linalg.norm(cand, axis=0, keepdims=True)
+def _ascend(a, p, c0, minimize, steps=2000):
+    """The quotient reached by gradient ascent (descent when ``minimize``)
+    from c0 on the unit sphere.
+
+    Directions are Polak-Ribiere conjugate gradients.  Along c + t d the
+    quotient is stationary where a quadratic in t vanishes, so each step
+    goes to the better of its two roots; it stops when that no longer helps.
+    """
+    sign = -1.0 if minimize else 1.0
+    c = c0 / np.linalg.norm(c0)
+    d = g_old = None
+    for _ in range(steps):
+        ac, pc = a @ c, p @ c
+        num, den = np.vdot(c, ac).real, np.vdot(c, pc).real
+        g = sign * (ac - num / den * pc) / den
+        if not g.any():
+            break  # a stationary point
+        beta = 0.0 if g_old is None else np.vdot(g, g - g_old).real / np.vdot(g_old, g_old).real
+        d = g if beta <= 0.0 else g + beta * d
+        ad, pd = a @ d, p @ d
+        cad, dad = np.vdot(c, ad).real, np.vdot(d, ad).real
+        cpd, dpd = np.vdot(c, pd).real, np.vdot(d, pd).real
+        q2, q1, q0 = dad * cpd - cad * dpd, dad * den - num * dpd, cad * den - num * cpd
+        # its roots r / q2 and q0 / r, without cancellation
+        r = -0.5 * (q1 + np.copysign(np.sqrt(max(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
+        t = np.array([r / q2 if q2 else 0.0, q0 / r if r else 0.0])
+        cand = c[:, None] + d[:, None] * t
         vals = sign * _quotients(a, p, cand)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = vals[j]
-            best = cand[:, j]
-        else:
-            scale *= 0.7
-    return sign * best_val
+        j = int(np.argmax(vals))
+        if not vals[j] > sign * num / den:
+            break
+        c, g_old = cand[:, j] / np.linalg.norm(cand[:, j]), g
+    return _quotients(a, p, c[:, None])[0]
 
 
 def rayleigh_extremes(
@@ -73,8 +88,8 @@ def rayleigh_extremes(
 
     Draws unit coefficient vectors in the span, evaluates
     sum v_i^2 [pi_{W_i} J f, f] / [f, f] directly, and (optionally)
-    sharpens both extremes by local random search.  Never solves an
-    eigenproblem.
+    sharpens both extremes by gradient ascent from the best samples.  Never
+    solves an eigenproblem.
     """
     if not certify(F).is_frame:
         raise NotAFrameError("the Rayleigh oracle requires a certified frame")
@@ -96,8 +111,8 @@ def rayleigh_extremes(
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
     lo, hi = float(vals[lo_i]), float(vals[hi_i])
     if config.refine:
-        lo = min(lo, _random_search(a, p, coeffs[:, lo_i], rng, minimize=True))
-        hi = max(hi, _random_search(a, p, coeffs[:, hi_i], rng, minimize=False))
+        lo = min(lo, _ascend(a, p, coeffs[:, lo_i], minimize=True))
+        hi = max(hi, _ascend(a, p, coeffs[:, hi_i], minimize=False))
     return lo, hi
 
 

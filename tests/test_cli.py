@@ -339,6 +339,8 @@ POOL_DOCS = [
     ("fusion_docs", "nonframe_full-0"),
     ("vframe_docs", "diag-0"),
     ("preserve_docs", "alt-0"),
+    # the pool's deepest definiteness refutation: draw 26, a lazy slice
+    ("preserve_docs", "alt-8"),
 ]
 
 # perfbench/docs.py run as the references were recorded: with one BLAS thread,

@@ -27,6 +27,7 @@ from kreinframes.sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
     random_regular_subspace,
+    random_complex,
     rng_from_seed,
 )
 from kreinframes.transforms import (
@@ -432,7 +433,9 @@ class TestCertifiedSweep:
         reports = transforms._preservation_reports(alt48_ops, [], 50, 0)
         neutral = reports[2]
         tested = [getattr(neutral, f).samples_tested for f in PREDICATES]
-        assert len(calls) == sum(tested)
+        # congruence by T* J T settles each of its 50 regularity checks
+        assert tested[2] == 50
+        assert len(calls) == tested[0] + tested[1]
         assert all(args[0] is alt48_ops[2] for args in calls)
         for T, report in zip(alt48_ops, reports):
             assert_same_report(report, sampled_report(T, 50, 0))
@@ -472,6 +475,111 @@ class TestCertifiedSweep:
         for _ in range(5):
             random_maximal_definite_subspace(space, rng, 1)
         assert len(svds) == 5 * svds_per_draw
+
+
+def congruent_cert(T):
+    """The regularity sweep's certificate: _isometry_scale(T) and T* J T."""
+    return (*transforms._isometry_scale(T), T.matrix.conj().T @ T.space.J @ T.matrix)
+
+
+class TestCongruence:
+    """T* J T settles a regularity check only where the check passes."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 48),
+        log_scale=st.floats(-3.0, 3.0),
+        log_kappa=st.floats(0.0, 3.0),
+        log_tau_def=st.floats(-8.0, -2.0),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_settled_checks_pass(self, n, log_scale, log_kappa, log_tau_def, diagonal, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
+        # an invertible T with kappa(T) = 10^log_kappa, no J-isometry multiple
+        q1, _ = np.linalg.qr(random_complex(rng, n, n))
+        q2, _ = np.linalg.qr(random_complex(rng, n, n))
+        s = np.logspace(0.0, -log_kappa, n) if n > 1 else np.ones(1)
+        t = Operator(space, 10.0**log_scale * (q1 * s) @ q2)
+        assert not is_j_isometry_multiple(t)[0]
+        cert = congruent_cert(t)
+        norm = cert[2]
+        for _ in range(6):
+            v = random_regular_subspace(space, rng)
+            if not transforms._settles(v, cert):
+                continue
+            assert transforms._check_regular(t, v) is None
+            # Ostrowski: the image's Gramian keeps |eigenvalues of U* H U| / ||T||^2
+            u = v.ortho_basis
+            g = u.conj().T @ cert[4] @ u
+            bound = np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))).min() / norm**2
+            img = image_subspace(t, v)
+            assert img.dim == v.dim
+            assert np.abs(np.linalg.eigvalsh(gramian(img))).min() > bound * (1 - 1e-9)
+
+    def test_settles_most_draws_at_default_tolerances(self, alt48_ops):
+        t = alt48_ops[2]
+        cert = congruent_cert(t)
+        rng = rng_from_seed(0)
+        draws = [random_regular_subspace(t.space, rng) for _ in range(40)]
+        assert not any(transforms._settles(v, cert[:4]) for v in draws)
+        assert all(transforms._settles(v, cert) for v in draws)
+
+    @pytest.mark.parametrize(
+        "eps, degenerate",
+        # the image of span{e1 + eps e2} has a Gramian of about -eps
+        [(0.0, True), (1e-9, True), (3e-8, False)],
+    )
+    def test_near_neutral_images_fall_back(self, minkowski, eps, degenerate):
+        t = neutral_image_operator(minkowski)
+        v = Subspace(minkowski, [[1.0], [eps]])
+        assert not transforms._settles(v, congruent_cert(t))
+        (report,) = transforms._preservation_reports([t], [v], 0, 0)
+        assert report.regularity.holds is not degenerate
+        if degenerate:
+            assert report.regularity.counterexample is v
+            assert report.regularity.detail == "image is degenerate"
+
+    def test_a_regular_image_settles(self, minkowski):
+        # T e2 = (1, 2), with [x, x] = -3
+        t = neutral_image_operator(minkowski)
+        v = Subspace(minkowski, [[0.0], [1.0]])
+        assert transforms._settles(v, congruent_cert(t))
+        assert transforms._check_regular(t, v) is None
+
+
+class TestDefiniteSlices:
+    """A definite draw is a lazy slice of its maximal graph."""
+
+    @pytest.mark.parametrize("n", [4, 12, 48])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bounds_hold_and_bits_match(self, n, sign):
+        space = alternating_signature_space(n)
+        rng = rng_from_seed(n)
+        for _ in range(10):
+            v = random_definite_subspace(space, rng, sign)
+            assert v._ortho is None and v._classification is None
+            margin, cond = v._gram_margin(), v._cond
+            eager = Subspace(space, v.basis)
+            assert margin <= eager._gram_margin() * (1 + 1e-12)
+            assert cond >= eager._cond * (1 - 1e-12)
+            np.testing.assert_array_equal(v.ortho_basis, eager.ortho_basis)
+            assert v.classify() == eager.classify()
+            assert v.classify().sign == sign
+
+    def test_large_tau_rank_takes_the_exact_path(self, count_calls):
+        # 4 tau_rank cond >= 1: the maximal draw and its slice each make their
+        # SVD, besides the slice's coefficient SVD
+        space = alternating_signature_space(12, tol=Tolerances(tau_rank=0.3))
+        svds = count_calls(np.linalg, "svd")
+        v = random_definite_subspace(space, rng_from_seed(0), 1)
+        assert len(svds) == 3
+        assert v._ortho is not None
+        eager = Subspace(space, v.basis)
+        np.testing.assert_array_equal(v.ortho_basis, eager.ortho_basis)
+        assert v._cond == eager._cond
+
 
 class TestTransformFamily:
     def test_identity_reproduces_bounds(self, tilted_family):
