@@ -526,13 +526,14 @@ class TestCongruence:
         assert not any(transforms._settles(v, cert[:4]) for v in draws)
         assert all(transforms._settles(v, cert) for v in draws)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize(
         "eps, degenerate",
         # the image of span{e1 + eps e2} has a Gramian of about -eps
         [(0.0, True), (1e-9, True), (3e-8, False)],
     )
-    def test_near_neutral_images_fall_back(self, minkowski, eps, degenerate):
-        t = neutral_image_operator(minkowski)
+    def test_near_neutral_images_fall_back(self, minkowski, scale, eps, degenerate):
+        t = Operator(minkowski, scale * neutral_image_operator(minkowski).matrix)
         v = Subspace(minkowski, [[1.0], [eps]])
         assert not transforms._settles(v, congruent_cert(t))
         (report,) = transforms._preservation_reports([t], [v], 0, 0)
