@@ -25,7 +25,6 @@ from .duality import (
     fusion_dual_bounds_check,
     fundamental_identity_sides_batch,
     is_j_frame,
-    vframe_optimal_bounds,
 )
 from .errors import (
     DefinitenessTransportError,
@@ -38,7 +37,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .fusion import bounds_sandwich_ok, certify, converse_check
+from .fusion import bounds_sandwich_ok, certify, converse_check, optimal_bounds
 from .problem import ProblemSpec, decode_document, parse_spec
 from .sampling import random_complex, rng_from_seed
 from .transforms import (
@@ -63,19 +62,15 @@ SEED_ENV_VAR = "KREIN_FRAMES_SEED"
 
 
 def _jsonable(obj):
-    """Report payloads to JSON-safe structures; complex becomes [re, im]."""
+    """Report payloads to JSON-safe structures; complex becomes [re, im].
+
+    Raises TypeError for a type no report holds, rather than writing its
+    repr, which can embed an address and so change from run to run.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, float):  # np.float64 too
         return obj if np.isfinite(obj) else repr(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _jsonable(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return _jsonable(complex(obj))
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):  # each entry's [re, im], in one numpy step
             return np.stack((obj.real, obj.imag), axis=-1).tolist()
@@ -92,7 +87,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return repr(obj)
+    raise TypeError(f"no JSON form for a report value of type {type(obj).__name__}")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -174,7 +169,7 @@ def _task_bounds(problem: ProblemSpec, seed, samples):
             out["vector_frames"][name] = {"error": "not a J-frame"}
             ok = False
             continue
-        out["vector_frames"][name] = {"optimal": vframe_optimal_bounds(vf)}
+        out["vector_frames"][name] = {"optimal": optimal_bounds(vf)}
     return out, ok
 
 

@@ -80,7 +80,8 @@ class KreinSpace:
 
     The symmetry may be any Hermitian involution, not necessarily diagonal;
     the canonical positive/negative components are obtained from its
-    eigendecomposition and exposed as ``plus_basis`` / ``minus_basis``.
+    eigendecomposition and exposed as ``plus_basis`` / ``minus_basis``, or
+    by sign as ``component(sign)``.
     """
 
     def __init__(self, J, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -115,6 +116,10 @@ class KreinSpace:
     def from_signs(cls, signs, tol: Tolerances = DEFAULT_TOLERANCES) -> "KreinSpace":
         """Space with a diagonal symmetry built from a +-1 sign pattern."""
         return cls(np.diag(np.asarray(signs, dtype=float)), tol=tol)
+
+    def component(self, sign: int) -> np.ndarray:
+        """Orthonormal basis of the canonical component of one sign (+1 or -1)."""
+        return self.plus_basis if sign == 1 else self.minus_basis
 
     def check_vector(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=complex)
@@ -253,12 +258,11 @@ class Subspace:
             self.classify()
         return self._margin
 
-    def contains(self, x, rtol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies in W within relative residual tau_num."""
         v = self.space.check_vector(x)
-        if rtol is None:
-            rtol = self.space.tol.tau_num
         res = v - self.ortho_basis @ (self.ortho_basis.conj().T @ v)
-        return np.linalg.norm(res) <= rtol * max(1.0, np.linalg.norm(v))
+        return np.linalg.norm(res) <= self.space.tol.tau_num * max(1.0, np.linalg.norm(v))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in C^{self.space.dim})"
@@ -432,10 +436,7 @@ def angular_operator(M: Subspace, sign: int) -> AngularOperator:
             "of the same sign"
         )
     space = M.space
-    if sign == 1:
-        dom, codom = space.plus_basis, space.minus_basis
-    else:
-        dom, codom = space.minus_basis, space.plus_basis
+    dom, codom = space.component(sign), space.component(-sign)
     b = M.ortho_basis
     bd = dom.conj().T @ b  # domain components, injective on a definite M
     bc = codom.conj().T @ b

@@ -181,6 +181,10 @@ class FrameBounds:
     def as_tuple(self):
         return (self.b_minus, self.a_minus, self.a_plus, self.b_plus)
 
+    def side(self, sign: int):
+        """One side's bounds in ascending order: (A+, B+) for +1, (B-, A-) for -1."""
+        return (self.a_plus, self.b_plus) if sign == 1 else (self.b_minus, self.a_minus)
+
 
 @dataclass
 class FrameCertificate:
@@ -210,7 +214,7 @@ def _side_verdict(space: KreinSpace, M: Subspace | None, sign: int):
     a family is a J-frame exactly when both of its sides are maximal.
     """
     if M is None:
-        return 0, None, space.signature[(1 - sign) // 2] == 0
+        return 0, None, space.component(sign).shape[1] == 0
     cls = M.classify()
     return M.dim, cls, cls.maximal_definite and cls.sign == sign
 
@@ -234,8 +238,7 @@ def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     chol = np.linalg.cholesky(sign * 0.5 * (p + p.conj().T))
     s2 = np.linalg.svd(np.linalg.solve(chol, uj @ cols), compute_uv=False) ** 2
     lo = float(s2[-1]) if s2.size == M.dim else 0.0
-    hi = float(s2[0])
-    return (lo, hi) if sign == 1 else (-hi, -lo)
+    return (sign * lo, sign * float(s2[0]))[::sign]  # ascending, as FrameBounds.side
 
 
 def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
@@ -243,19 +246,19 @@ def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     s = np.linalg.svd(cols, compute_uv=False)
     gam_g = gramian_min_modulus(M)
     lo, hi = _smallest_nonzero(s, space.tol) ** 2 * gam_g**2, s[0] ** 2 / gam_g
-    return (lo, hi) if sign == 1 else (-hi, -lo)
+    return (sign * lo, sign * hi)[::sign]  # ascending, as FrameBounds.side
 
 
 def _span_bounds(F, G, extremes) -> FrameBounds:
     """Bounds of G's synthesis columns over F's signed spans, a side at a time.
 
     ``extremes(space, M, cols, sign)`` gives a side's extremes in ascending
-    order, (A+, B+) or (B-, A-); a side whose span M is None has none."""
-    (a_plus, b_plus), (b_minus, a_minus) = (
+    order, as ``FrameBounds.side``; a side whose span M is None has none."""
+    plus, minus = (
         (None, None) if m is None else extremes(F.space, m, _side_columns(G, sign), sign)
         for m, sign in ((F.m_plus, 1), (F.m_minus, -1))
     )
-    return FrameBounds(b_minus, a_minus, a_plus, b_plus)
+    return FrameBounds(*minus, *plus)
 
 
 def _degenerate_witness(M: Subspace, want_sign: int):
@@ -268,13 +271,15 @@ def _degenerate_witness(M: Subspace, want_sign: int):
     return w / np.linalg.norm(w)
 
 
-def certify(F: WeightedFamily) -> FrameCertificate:
-    """Decide the J-fusion frame property and fill bounds and witnesses."""
+def _decide(F: WeightedFamily) -> FrameCertificate:
+    """The frame decision of F, made once and kept on it: the verdict, the
+    witnesses and, for a frame, the optimal bounds (no estimate bounds)."""
     if F._certificate is not None:
         return F._certificate
     witnesses = []
 
-    def side(m, sign, label):
+    def side(sign):
+        m, label = definite_span(F, sign), "+" if sign == 1 else "-"
         dim, cls, maximal = _side_verdict(F.space, m, sign)
         uniform = cls is None or cls.sign == sign
         if not uniform:
@@ -291,13 +296,13 @@ def certify(F: WeightedFamily) -> FrameCertificate:
                     "side": label,
                     "reason": "dimension deficit",
                     "dim": dim,
-                    "required": F.space.signature[(1 - sign) // 2],
+                    "required": F.space.component(sign).shape[1],
                 }
             )
         return dim, uniform, maximal
 
-    pos_dim, pos_uniform, pos_maximal = side(F.m_plus, 1, "+")
-    neg_dim, neg_uniform, neg_maximal = side(F.m_minus, -1, "-")
+    pos_dim, pos_uniform, pos_maximal = side(1)
+    neg_dim, neg_uniform, neg_maximal = side(-1)
     is_frame = pos_maximal and neg_maximal
     cert = FrameCertificate(
         is_frame=is_frame,
@@ -311,13 +316,21 @@ def certify(F: WeightedFamily) -> FrameCertificate:
     )
     if is_frame:
         cert.optimal_bounds = _span_bounds(F, F, _rayleigh_extremes)
-        cert.estimate_bounds = _span_bounds(F, F, _estimate_extremes)
     F._certificate = cert
     return cert
 
 
+def certify(F: WeightedFamily) -> FrameCertificate:
+    """Decide the J-fusion frame property and fill bounds and witnesses: the
+    kept decision of ``_decide``, plus a frame's estimate bounds."""
+    cert = _decide(F)
+    if cert.is_frame and cert.estimate_bounds is None:
+        cert.estimate_bounds = _span_bounds(F, F, _estimate_extremes)
+    return cert
+
+
 def optimal_bounds(F: WeightedFamily) -> FrameBounds:
-    cert = certify(F)
+    cert = _decide(F)
     if not cert.is_frame:
         raise NotAFrameError("family is not a J-fusion frame; no optimal bounds")
     return cert.optimal_bounds
@@ -332,7 +345,7 @@ def estimate_bounds(F: WeightedFamily) -> FrameBounds:
 
 def j_image_family(F: WeightedFamily) -> WeightedFamily:
     """The family {(J(W_i), v_i)}; a frame again, with identical bounds."""
-    if not certify(F).is_frame:
+    if not _decide(F).is_frame:
         raise NotAFrameError("J-image family is defined for frames only")
     images = [Subspace(F.space, F.space.J @ w.basis) for w in F.subspaces]
     return WeightedFamily(F.space, images, F.weights)
@@ -348,20 +361,14 @@ def bounds_sandwich_ok(
         return x <= y + slack
 
     ok = True
-    if (optimal.a_plus is None) != (estimate.a_plus is None):
-        return False
-    if optimal.a_plus is not None:
-        ok = ok and estimate.a_plus > 0
-        ok = ok and leq(estimate.a_plus, optimal.a_plus)
-        ok = ok and leq(optimal.a_plus, optimal.b_plus)
-        ok = ok and leq(optimal.b_plus, estimate.b_plus)
-    if (optimal.a_minus is None) != (estimate.a_minus is None):
-        return False
-    if optimal.a_minus is not None:
-        ok = ok and estimate.a_minus < 0
-        ok = ok and leq(estimate.b_minus, optimal.b_minus)
-        ok = ok and leq(optimal.b_minus, optimal.a_minus)
-        ok = ok and leq(optimal.a_minus, estimate.a_minus)
+    for sign in (1, -1):
+        opt, est = optimal.side(sign), estimate.side(sign)
+        a_opt, a_est = opt[::sign][0], est[::sign][0]  # A, the bound nearer zero
+        if (a_opt is None) != (a_est is None):
+            return False
+        if a_opt is not None:
+            ok = (ok and sign * a_est > 0 and leq(est[0], opt[0])
+                  and leq(opt[0], opt[1]) and leq(opt[1], est[1]))
     return bool(ok)
 
 
@@ -391,7 +398,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
     ``agrees_with_certify`` holds by construction; it stays for the report.
     """
     tol = F.space.tol
-    cert = certify(F)
+    cert = _decide(F)
     if cert.positive_uniform and cert.negative_uniform:
         rank = cert.positive_range_dim + cert.negative_range_dim
     else:
@@ -412,16 +419,11 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
             # quotient changes sign or degenerates: no valid constants
             return cls.regular, False
         if bounds is None:  # a definite side of a non-frame
-            lo, hi = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
-        elif sign == 1:
-            lo, hi = bounds.a_plus, bounds.b_plus
+            extremes = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
         else:
-            lo, hi = bounds.b_minus, bounds.a_minus
-        if sign == 1:
-            ok = lo > tol.tau_def * max(1.0, abs(hi))
-        else:
-            ok = hi < -tol.tau_def * max(1.0, abs(lo))
-        return cls.regular, ok
+            extremes = bounds.side(sign)
+        inner, outer = extremes[::sign]  # (A, B): A is the bound nearer zero
+        return cls.regular, sign * inner > tol.tau_def * max(1.0, abs(outer))
 
     pos_reg, pos_ok = side_checks(1)
     neg_reg, neg_ok = side_checks(-1)

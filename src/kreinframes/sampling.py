@@ -41,10 +41,7 @@ def random_maximal_definite_subspace(
     basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + t^2).  Its SVD
     waits until its orthonormal basis is read (``Subspace._graph``).
     """
-    if sign == 1:
-        dom, codom = space.plus_basis, space.minus_basis
-    else:
-        dom, codom = space.minus_basis, space.plus_basis
+    dom, codom = space.component(sign), space.component(-sign)
     d, c = dom.shape[1], codom.shape[1]
     if d == 0:
         raise ValueError("the requested canonical component is trivial")

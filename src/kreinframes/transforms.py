@@ -35,7 +35,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
-from .fusion import _masked_span, _side_verdict
+from .fusion import _decide, _masked_span, _side_verdict
 from .sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -346,7 +346,7 @@ def necessary_conditions_check(
     must decompose the space as a direct sum of maximal uniformly definite
     subspaces of opposite signs.
     """
-    if not certify(F).is_frame:
+    if not _decide(F).is_frame:
         raise HypothesisNotMetError("F must be a certified J-fusion frame")
     family, cert = transform_family(T, F)
     if not cert.is_frame:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreinframes
-from kreinframes import cli, transforms
+from kreinframes import cli, duality, fusion, transforms
 from kreinframes.cli import SEED_ENV_VAR, main
 from kreinframes.errors import DefinitenessTransportError
 from kreinframes.fusion import certify
@@ -284,6 +284,14 @@ class TestReportConversion:
             want = entrywise_pairs(a.tolist())
             assert json.dumps(cli._jsonable(a)) == json.dumps(want)
 
+    @pytest.mark.parametrize("value", [
+        1j, np.int64(1), np.float32(1.0), np.complex128(1j), np.bool_(True), object(),
+    ])
+    def test_unknown_types_are_refused(self, value):
+        # a repr could embed an address and break byte-determinism
+        with pytest.raises(TypeError, match="no JSON form"):
+            cli._jsonable({"report": [value]})
+
     def test_certify_leaves_the_cached_certificate(self):
         # three positive lines span all of C^3: the positive span is indefinite
         problem = parse_spec({
@@ -514,6 +522,63 @@ class TestTransformTask:
         families = entry["fundamental_symmetry"]["families"]
         assert families["tilted_lines"]["necessary_conditions"]["holds"] is True
         assert len(images) == 3  # one per member, none again for the conditions
+
+    def test_member_and_surjectivity_failures_are_reported(self, capsys, tmp_path):
+        # the four axes of C^4 under diag(1, -1, 1, -1): the neutral-image
+        # operator sends e1 onto the neutral line (1, 1, 0, 0), and
+        # diag(1, 1, 0, 0) is not surjective
+        space = transforms.alternating_signature_space(4)
+        neutral = transforms.neutral_image_operator(space).matrix.real
+        doc = {
+            "space": {"dim": 4, "J": np.diag([1, -1, 1, -1]).tolist()},
+            "families": {"axes": {
+                "subspaces": [[row] for row in np.eye(4).tolist()],
+                "weights": [1, 1, 1, 1],
+            }},
+            "operators": {
+                "neutral": neutral.tolist(),
+                "projection": np.diag([1.0, 1.0, 0.0, 0.0]).tolist(),
+            },
+        }
+        p = tmp_path / "axes.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "transform", "--spec", str(p))
+        assert code == 1
+        block = json.loads(out)["results"]["transform"]
+        assert block["pass"] is False
+        operators = block["results"]["operators"]
+        half = 1.0 / 2.0**0.5  # the unit image of e1
+        assert operators["neutral"]["families"]["axes"] == {
+            "is_frame": False,
+            "error": "member 0: member classifies as neutral; "
+            "every member must be uniformly definite",
+            "witness": [[half, 0.0], [half, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        }
+        assert operators["projection"]["families"]["axes"] == {
+            "is_frame": False, "error": "transform requires a surjective operator"
+        }
+
+
+class TestVectorFrameDecision:
+    def test_all_decides_a_vector_frame_once(self, capsys, tmp_path, count_calls):
+        # one side pass per sign for the frame's cached decision, the dual's
+        # own decision and the dual over the frame's spans; no estimates
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "vector_frames": {"vf": [[2, 0], [0, 3]]},
+        }
+        p = tmp_path / "axes.json"
+        p.write_text(json.dumps(doc))
+        extremes = [count_calls(m, "_rayleigh_extremes") for m in (fusion, duality)]
+        estimates = count_calls(fusion, "_estimate_extremes")
+        code, out, _ = run(capsys, "all", "--spec", str(p), "--samples", "5")
+        assert code == 0
+        bounds = json.loads(out)["results"]["bounds"]["results"]["vector_frames"]["vf"]
+        assert bounds["optimal"] == {
+            "b_minus": -9.0, "a_minus": -9.0, "a_plus": 4.0, "b_plus": 4.0
+        }
+        assert sum(map(len, extremes)) == 6
+        assert estimates == []
 
 
 class TestIdentityTask:

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 import kreinframes
 from kreinframes import (
+    DefinitenessTransportError,
     DimensionError,
     KreinSpace,
     MemberClassificationError,
     NotAFrameError,
     SingularOperatorError,
     Subspace,
+    Tolerances,
     VectorFrame,
     as_weighted_family,
     canonical_dual,
@@ -521,6 +523,99 @@ class TestFusionDualBounds:
         assert solve[0][1].shape == (fam.space.dim, fam.total_dim)
 
 
+class TestDualFailuresAtTheThreshold:
+    """The failure paths of the duals, reached where rounding splits a margin.
+
+    In exact arithmetic S^-1 maps the positive span onto the J-orthogonal
+    complement of the negative one, whose Gramian margin is the negative
+    span's: the dual of a frame is a frame.  With tau_def set to the dual's
+    computed margin, on a line (t, 1) whose computed margins round the dual's
+    below the original's, the dual fails where the original passes.
+    """
+
+    @staticmethod
+    def first_tilt(split):
+        """The first t = k / 10^4 from 0.1 on at which ``split(t)`` is a tau_def."""
+        for k in range(1000, 9000):
+            tau = split(k / 10000)
+            if tau is not None:
+                return k / 10000, tau
+        raise AssertionError("no tilt rounds the dual's margin below the original's")
+
+    @staticmethod
+    def family(signs, t, tau_def=Tolerances.tau_def):
+        space = KreinSpace.from_signs(signs, tol=Tolerances(tau_def=tau_def))
+        n = len(signs)
+        lines = [np.eye(n)[:, [0]]] if n == 2 else [
+            np.array([[1.0], [1.0], [0.0]]), np.array([[1.0], [-1.0], [0.0]])
+        ]
+        tilted = np.zeros((n, 1))
+        tilted[0, 0], tilted[-1, 0] = t, 1.0
+        members = [Subspace(space, b) for b in lines + [tilted]]
+        return WeightedFamily(space, members, [1.0] * len(members))
+
+    @staticmethod
+    def dual_members(fam):
+        s = frame_operator(fam).matrix
+        duals = np.linalg.solve(s, np.hstack([w.basis for w in fam.subspaces]))
+        return [Subspace(fam.space, duals[:, [i]]) for i in range(len(fam))]
+
+    def test_dual_member_fails_classification(self):
+        def split(t):
+            fam = self.family([1, -1], t)
+            tau = self.dual_members(fam)[0]._gram_margin()
+            return tau if tau < fam.m_minus._gram_margin() else None
+
+        t, tau = self.first_tilt(split)
+        fam = self.family([1, -1], t, tau)
+        assert certify(fam).is_frame
+        report = fusion_dual_bounds_check(fam)
+        assert not report.dual_is_frame and not report.holds
+        assert report.dual is None and report.max_rel_error is None
+        assert report.note.startswith("dual member failed classification: member 0: ")
+
+    def test_dual_family_fails_certification(self):
+        # two positive lines in C^3: each dual member clears the margin of
+        # the dual's positive span, which the threshold then sits on
+        def split(t):
+            fam = self.family([1, 1, -1], t)
+            members = self.dual_members(fam)
+            tau = WeightedFamily(fam.space, members, [1.0] * 3).m_plus._gram_margin()
+            floor = min(w._gram_margin() for w in members + [fam.m_minus, fam.m_plus])
+            return tau if tau < floor else None
+
+        t, tau = self.first_tilt(split)
+        fam = self.family([1, 1, -1], t, tau)
+        assert certify(fam).is_frame
+        report = fusion_dual_bounds_check(fam)
+        assert not report.dual_is_frame and not report.holds
+        assert report.note == "dual family failed frame certification"
+
+    def test_neutral_dual_vector_is_a_transport_error(self):
+        def quotient(space, f):
+            # |[f, f]| and ||f||^2 of f over its largest entry, as VectorFrame tests them
+            f = f / np.abs(np.concatenate([f.real, f.imag])).max()
+            return abs(np.vdot(f, space.J @ f).real), np.vdot(f, f).real
+
+        def split(t):
+            space = KreinSpace.from_signs([1, -1])
+            frame = VectorFrame(space, [[1.0, 0.0], [t, 1.0]])
+            val, nrm2 = quotient(space, _inverse_frame_operator(frame) @ frame.matrix[:, 0])
+            tau = val / nrm2
+            while not val <= tau * nrm2:
+                tau = np.nextafter(tau, 1.0)
+            own_val, own_nrm2 = quotient(space, frame.matrix[:, 1])
+            clears = own_val > tau * own_nrm2 and frame.m_minus._gram_margin() > tau
+            return tau if clears else None
+
+        t, tau = self.first_tilt(split)
+        space = KreinSpace.from_signs([1, -1], tol=Tolerances(tau_def=tau))
+        frame = VectorFrame(space, [[1.0, 0.0], [t, 1.0]])
+        assert is_j_frame(frame)
+        with pytest.raises(DefinitenessTransportError, match="produced a neutral dual vector"):
+            canonical_dual(frame)
+
+
 class TestAsWeightedFamily:
     def test_bounds_agree(self, coupled_frame):
         fam = as_weighted_family(coupled_frame)
@@ -633,10 +728,11 @@ class TestSharedSideKernel:
 
     def test_overflowing_frame_operator_is_singular(self, minkowski):
         # every vector's squared norm is finite, the frame operator's entries
-        # are not, and its condition number is nan
+        # are not, and its condition number is nan; the decision's optimal
+        # bound B+ = 3 * 9e153^2 overflows as well
         frame = VectorFrame(minkowski, [[9e153, 0], [9e153, 0], [9e153, 0], [0, 9e153]])
-        assert is_j_frame(frame)
         with np.errstate(over="ignore", invalid="ignore"):
+            assert is_j_frame(frame)
             with pytest.raises(SingularOperatorError, match="cond = nan"):
                 canonical_dual(frame)
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from kreinframes import fusion
 from kreinframes import (
     FrameBounds,
+    KreinSpace,
     MemberClassificationError,
     NotAFrameError,
     NotSurjectiveError,
     Subspace,
+    Tolerances,
     VectorFrame,
     WeightError,
     WeightedFamily,
@@ -318,6 +320,58 @@ class TestEstimateBounds:
         assert not bounds_sandwich_ok(opt, bad, 1e-9)
 
 
+class TestBoundsSandwich:
+    """Each inequality of bounds_sandwich_ok, one failing at a time."""
+
+    OPT = FrameBounds(-4.0, -3.0, 1.0, 2.0)
+    EST = FrameBounds(-5.0, -2.0, 0.5, 3.0)
+
+    @pytest.mark.parametrize("optimal, estimate", [
+        (OPT, EST),
+        # a side absent from both is skipped
+        (FrameBounds(None, None, 1.0, 2.0), FrameBounds(None, None, 0.5, 3.0)),
+        (FrameBounds(-4.0, -3.0, None, None), FrameBounds(-5.0, -2.0, None, None)),
+    ])
+    def test_enclosing_estimates_pass(self, optimal, estimate):
+        assert bounds_sandwich_ok(optimal, estimate, 1e-9)
+
+    @pytest.mark.parametrize("optimal, estimate", [
+        (OPT, FrameBounds(-5.0, -2.0, 1.5, 3.0)),  # estimate A+ above optimal A+
+        (FrameBounds(-4.0, -3.0, 2.5, 2.0), EST),  # optimal A+ above optimal B+
+        (OPT, FrameBounds(-5.0, -2.0, 0.5, 1.5)),  # optimal B+ above estimate B+
+        (OPT, FrameBounds(-3.5, -2.0, 0.5, 3.0)),  # estimate B- above optimal B-
+        (FrameBounds(-2.5, -3.0, 1.0, 2.0), EST),  # optimal B- above optimal A-
+        (OPT, FrameBounds(-5.0, -3.5, 0.5, 3.0)),  # optimal A- above estimate A-
+    ])
+    def test_each_inequality_fails_alone(self, optimal, estimate):
+        assert not bounds_sandwich_ok(optimal, estimate, 1e-9)
+
+    @pytest.mark.parametrize("estimate", [
+        FrameBounds(-5.0, -2.0, 0.0, 3.0),  # estimate A+ not positive
+        FrameBounds(-5.0, -2.0, -0.0, 3.0),
+        FrameBounds(-5.0, 0.0, 0.5, 3.0),  # estimate A- not negative
+        FrameBounds(-5.0, -0.0, 0.5, 3.0),
+    ])
+    def test_inner_estimates_must_have_the_side_sign(self, estimate):
+        assert not bounds_sandwich_ok(self.OPT, estimate, 1e-9)
+
+    @pytest.mark.parametrize("factor, ok", [(1 + 0.5e-9, True), (1 + 2e-9, False)])
+    def test_slack_is_relative(self, factor, ok):
+        # the slack is rtol * max(1, |x|, |y|) on each comparison
+        optimal = FrameBounds(-40.0, -30.0, 10.0, 20.0)
+        estimate = FrameBounds(-50.0, -30.0 * factor, 10.0 * factor, 20.0 / factor)
+        assert bounds_sandwich_ok(optimal, estimate, 1e-9) is ok
+
+    @pytest.mark.parametrize("optimal, estimate", [
+        (OPT, FrameBounds(-5.0, -2.0, None, None)),  # + present, then absent
+        (FrameBounds(-4.0, -3.0, None, None), EST),
+        (OPT, FrameBounds(None, None, 0.5, 3.0)),  # - present, then absent
+        (FrameBounds(None, None, 1.0, 2.0), EST),
+    ])
+    def test_a_side_present_in_one_bounds_only(self, optimal, estimate):
+        assert bounds_sandwich_ok(optimal, estimate, 1e-9) is False
+
+
 class TestJImageFamily:
     def test_hilbert_case_unchanged(self, hilbert3):
         fam = parseval_family(hilbert3)
@@ -428,6 +482,31 @@ class TestConverseCheck:
         assert not report.positive_constants
         assert not report.verdict
         assert len(extremes) == 1
+
+    @pytest.mark.parametrize("signs, weights, tau_def, constants", [
+        # (B-, A-, A+, B+) = (-16, -1, 1, 16): A > tau_def * max(1, |B|) sits
+        # on its threshold at tau_def = 1/16 on both sides
+        ([1, 1, -1, -1], [1.0, 4.0, 1.0, 4.0], 1.0 / 16.0, (False, False)),
+        ([1, 1, -1, -1], [1.0, 4.0, 1.0, 4.0], np.nextafter(1.0 / 16.0, 0.0), (True, True)),
+        # one side's bounds are 0.25 in modulus: there the threshold is tau_def
+        ([1, -1], [0.5, 2.0], 0.25, (False, True)),
+        ([1, -1], [0.5, 2.0], np.nextafter(0.25, 0.0), (True, True)),
+        ([1, -1], [2.0, 0.5], 0.25, (True, False)),
+        ([1, -1], [2.0, 0.5], np.nextafter(0.25, 0.0), (True, True)),
+    ])
+    def test_constants_at_the_tau_def_boundary(self, signs, weights, tau_def, constants):
+        # weighted axes: each side's bounds are its smallest and largest v_i^2
+        space = KreinSpace.from_signs(signs, tol=Tolerances(tau_def=tau_def))
+        axes = [Subspace(space, np.eye(len(signs))[:, [i]]) for i in range(len(signs))]
+        fam = WeightedFamily(space, axes, weights)
+        plus = [w * w for w, s in zip(weights, signs) if s == 1]
+        minus = [-w * w for w, s in zip(weights, signs) if s == -1]
+        bounds = (min(minus), max(minus), min(plus), max(plus))
+        assert certify(fam).optimal_bounds.as_tuple() == bounds
+        report = converse_check(fam)
+        assert (report.positive_constants, report.negative_constants) == constants
+        assert report.positive_regular and report.negative_regular
+        assert report.verdict == all(constants)
 
     def test_random_frames_consistent(self):
         rng = rng_from_seed(29)
