@@ -70,7 +70,7 @@ def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):  # np.float64 too
-        return obj if np.isfinite(obj) else repr(obj)
+        return obj if np.isfinite(obj) else repr(float(obj))  # "inf", not numpy's repr
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):  # each entry's [re, im], in one numpy step
             return np.stack((obj.real, obj.imag), axis=-1).tolist()

@@ -195,11 +195,11 @@ class Subspace:
 
     def _set(self, space: KreinSpace, basis: np.ndarray, ortho_basis, cond: float):
         self.space = space
-        self.basis = basis
-        self.basis.flags.writeable = False
+        self._basis = basis  # or a function that builds it on first read (_graph)
         self._ortho = ortho_basis  # None until ortho_basis is first read
-        if ortho_basis is not None:
-            ortho_basis.flags.writeable = False
+        for m in (basis, ortho_basis):
+            if isinstance(m, np.ndarray):
+                m.flags.writeable = False
         # kappa(basis), and the smallest |Gramian eigenvalue| once classified;
         # _graph sets bounds on both instead
         self._cond, self._margin = cond, None
@@ -217,23 +217,30 @@ class Subspace:
         return W
 
     @classmethod
-    def _graph(
-        cls, space: KreinSpace, basis: np.ndarray, cond: float, margin: float
-    ) -> "Subspace":
-        """Subspace(space, basis) for the basis of a graph of an angular operator
-        (or of its restriction), given an upper bound ``cond`` on kappa(basis)
-        and a lower bound ``margin`` on the smallest |Gramian eigenvalue|.
+    def _graph(cls, space: KreinSpace, basis, cond: float, margin: float) -> "Subspace":
+        """Subspace(space, basis()) for ``basis``, a function that builds the basis
+        of a graph of an angular operator (or of its restriction), given an
+        upper bound ``cond`` on kappa(basis()) and a lower bound ``margin`` on
+        the smallest |Gramian eigenvalue|.
 
-        While the first bound settles the rank, the SVD and the classification
-        wait until ``ortho_basis`` or ``classify`` is read.
+        While the first bound settles the rank, basis() waits until ``basis``
+        is read, and the SVD and the classification until ``ortho_basis`` or
+        ``classify`` is.
         """
         if _SAFETY * space.tol.tau_rank * cond < 1.0:
             W = cls.__new__(cls)
             W._set(space, basis, None, cond)
         else:
-            W = cls(space, basis)
+            W = cls(space, basis())
         W._margin = margin
         return W
+
+    @property
+    def basis(self) -> np.ndarray:
+        if callable(self._basis):
+            self._basis = self._basis()
+            self._basis.flags.writeable = False
+        return self._basis
 
     @property
     def ortho_basis(self) -> np.ndarray:

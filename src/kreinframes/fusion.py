@@ -245,7 +245,9 @@ def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD of T."""
     s = np.linalg.svd(cols, compute_uv=False)
     gam_g = gramian_min_modulus(M)
-    lo, hi = _smallest_nonzero(s, space.tol) ** 2 * gam_g**2, s[0] ** 2 / gam_g
+    lo = _smallest_nonzero(s, space.tol) ** 2 * gam_g**2
+    with np.errstate(over="ignore"):  # B overflows to inf for a large enough weight
+        hi = s[0] ** 2 / gam_g
     return (sign * lo, sign * hi)[::sign]  # ascending, as FrameBounds.side
 
 

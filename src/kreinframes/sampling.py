@@ -38,22 +38,24 @@ def random_maximal_definite_subspace(
     The graph of an operator with spectral norm below ``max_tilt`` = t < 1
     is uniformly definite by construction: its compressed Gramian has
     eigenvalues of modulus above (1 - t^2) / (1 + t^2), 0.22 at t = 0.8, and
-    basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + t^2).  Its SVD
-    waits until its orthonormal basis is read (``Subspace._graph``).
+    basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + t^2).  These
+    bounds come from t alone: ||K||_2 (an SVD of K), the basis product and
+    its SVD wait until the basis is read (``Subspace._graph``).
     """
     dom, codom = space.component(sign), space.component(-sign)
     d, c = dom.shape[1], codom.shape[1]
     if d == 0:
         raise ValueError("the requested canonical component is trivial")
     k = random_complex(rng, c, d)
-    nrm = np.linalg.norm(k, 2)
-    tilt = 0.0
-    if nrm > 0:
-        tilt = float(rng.uniform(0.0, max_tilt))
-        k *= tilt / nrm
+    # a nonzero k has ||k||_2 > 0: LAPACK scales k before its SVD
+    tilt = float(rng.uniform(0.0, max_tilt)) if k.any() else 0.0
     cond = float(np.sqrt(1.0 + tilt * tilt))
     margin = (1.0 - tilt * tilt) / (1.0 + tilt * tilt)
-    return Subspace._graph(space, dom + codom @ k, cond, margin)
+
+    def basis():  # k scaled to norm tilt, also when tilt is 0.0
+        return dom + codom @ (k * (tilt / np.linalg.norm(k, 2)) if k.any() else k)
+
+    return Subspace._graph(space, basis, cond, margin)
 
 
 def random_definite_subspace(
@@ -62,15 +64,17 @@ def random_definite_subspace(
     """Uniformly definite subspace: a random slice of a random maximal one.
 
     The slice keeps the maximal one's margin bound (Cauchy interlacing), and
-    kappa(basis) is at most kappa(maximal.basis) kappa(coeff).
+    kappa(basis) is at most kappa(maximal.basis) kappa(coeff), so one SVD,
+    of coeff, gives both bounds; the maximal one's basis, the product and
+    its SVD wait until the slice's basis is read.
     """
     maximal = random_maximal_definite_subspace(space, rng, sign)
-    d = maximal.dim
+    d = space.component(sign).shape[1]  # maximal.dim would build its basis
     dim = int(rng.integers(1, d + 1))
     coeff = random_complex(rng, d, dim)
     s = np.linalg.svd(coeff, compute_uv=False)
     cond = maximal._cond * s[0] / s[-1]  # inf, so the exact path, if s[-1] is 0
-    return Subspace._graph(space, maximal.basis @ coeff, cond, maximal._margin)
+    return Subspace._graph(space, lambda: maximal.basis @ coeff, cond, maximal._margin)
 
 
 def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subspace:

@@ -684,6 +684,33 @@ class TestSingularFrameOperator:
         assert block["pass"] is False
 
 
+class TestOverflowingBound:
+    """A bound that overflows is reported as "inf", and no numpy warning is printed."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_bounds_reports_inf_silently(self, tmp_path, fmt):
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "families": {"f": {"subspaces": [[[1, 0.5]], [[0, 1]]], "weights": [1.3e154, 1]}},
+        }
+        p = tmp_path / "huge_weight.json"
+        p.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(kreinframes.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kreinframes.cli", "bounds", "--spec", str(p), "--format", fmt],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        if fmt == "text":  # the summary goes to stdout, and nothing to stderr
+            assert proc.stderr == ""
+            return
+        # B+ = s^2 / gamma(G_M) = (1.3e154)^2 / 0.6, beyond float64
+        report = json.loads(proc.stdout)
+        family = report["results"]["bounds"]["results"]["families"]["f"]
+        assert family["estimate"]["b_plus"] == "inf"
+        assert proc.stderr == "\n".join(cli._summary_lines(report)) + "\n"
+
+
 class TestImportPath:
     """The runtime needs numpy only: scipy is a test-time dependency."""
 

@@ -477,6 +477,101 @@ class TestCertifiedSweep:
         assert len(svds) == 5 * svds_per_draw
 
 
+    def test_settled_draws_build_no_basis(self, alt48_ops, count_calls):
+        # _settles reads a draw's bounds only, so ||k||_2 waits for a check
+        ops = [(T, transforms._isometry_scale(T)) for T in alt48_ops]
+        norms = count_calls(np.linalg, "norm")
+        for name in ("definiteness_with_sign", "maximality"):
+            draw, check = PREDICATES[name]
+            checked = []
+
+            def counted(T, v):
+                checked.append(T)
+                return check(T, v)
+
+            verdicts = transforms._sweep(ops[:2], [], 50, 0, draw, counted)
+            assert [v.holds for v in verdicts] == [True, True]
+            assert len(norms) == len(checked) == 0
+            verdicts = transforms._sweep(ops, [], 50, 0, draw, counted)
+            assert not verdicts[2].holds
+            assert all(T is alt48_ops[2] for T in checked)
+            assert len(norms) == len(checked) == verdicts[2].samples_tested
+            norms.clear()
+
+
+def eager_maximal_basis(space, rng, sign, max_tilt=0.8):
+    """A maximal draw's basis, computed at draw time with ||k||_2 first."""
+    dom, codom = space.component(sign), space.component(-sign)
+    k = random_complex(rng, codom.shape[1], dom.shape[1])
+    nrm = np.linalg.norm(k, 2)
+    tilt = 0.0
+    if nrm > 0:
+        tilt = float(rng.uniform(0.0, max_tilt))
+        k *= tilt / nrm
+    return dom + codom @ k
+
+
+def eager_definite_basis(space, rng, sign):
+    """A definite draw's basis, computed at draw time: a slice of a maximal one."""
+    basis = eager_maximal_basis(space, rng, sign)
+    d = basis.shape[1]
+    coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
+    return basis @ coeff
+
+
+class ZeroTilt:
+    """A generator whose uniform draws are all 0.0."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniform(self, *args):
+        return 0.0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestLazyDraws:
+    """A draw's basis, built when first read, has the bits of one built at draw time."""
+
+    @pytest.mark.parametrize("n", [2, 4, 12, 48])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "sampler, eager",
+        [
+            (random_maximal_definite_subspace, eager_maximal_basis),
+            (random_definite_subspace, eager_definite_basis),
+        ],
+    )
+    def test_bases_are_bit_identical(self, n, sign, sampler, eager):
+        space = alternating_signature_space(n)
+        rng, ref_rng = rng_from_seed(n), rng_from_seed(n)
+        drawn, expected = [], []
+        for _ in range(6):
+            drawn.append(sampler(space, rng, sign))
+            expected.append(eager(space, ref_rng, sign))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for v, basis in reversed(list(zip(drawn, expected))):  # read last draw first
+            assert v.basis.shape == basis.shape
+            assert v.basis.tobytes() == basis.tobytes()
+            assert not v.basis.flags.writeable
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_zero_tilt_zeroes_k(self, sign):
+        space = alternating_signature_space(4)
+        v = random_maximal_definite_subspace(space, ZeroTilt(rng_from_seed(0)), sign)
+        assert (v._cond, v._margin) == (1.0, 1.0)
+        np.testing.assert_array_equal(v.basis, space.component(sign))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e308])
+    def test_nonzero_k_has_a_positive_norm(self, value):
+        for k in (np.full((3, 2), complex(value, value)), np.zeros((3, 2), complex)):
+            k[1, 0] = complex(value, -value)
+            assert k.any() == (np.linalg.norm(k, 2) > 0)
+            assert k.any() == (value != 0.0)
+
+
 def congruent_cert(T):
     """The regularity sweep's certificate: _isometry_scale(T) and T* J T."""
     return (*transforms._isometry_scale(T), T.matrix.conj().T @ T.space.J @ T.matrix)
