@@ -39,8 +39,9 @@ def random_maximal_definite_subspace(
     is uniformly definite by construction: its compressed Gramian has
     eigenvalues of modulus above (1 - t^2) / (1 + t^2), 0.22 at t = 0.8, and
     basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + t^2).  These
-    bounds come from t alone: ||K||_2 (an SVD of K), the basis product and
-    its SVD wait until the basis is read (``Subspace._graph``).
+    bounds come from t alone: ||K||_2 (an SVD of K) and the basis product
+    wait until the basis is read, and its SVD until its orthonormal basis
+    is (``Subspace._graph``).
     """
     dom, codom = space.component(sign), space.component(-sign)
     d, c = dom.shape[1], codom.shape[1]
@@ -64,9 +65,8 @@ def random_definite_subspace(
     """Uniformly definite subspace: a random slice of a random maximal one.
 
     The slice keeps the maximal one's margin bound (Cauchy interlacing), and
-    kappa(basis) is at most kappa(maximal.basis) kappa(coeff), so one SVD,
-    of coeff, gives both bounds; the maximal one's basis, the product and
-    its SVD wait until the slice's basis is read.
+    kappa(basis) is at most kappa(maximal.basis) kappa(coeff), from one SVD
+    of coeff; the bases and their SVDs wait until read, as in a maximal draw.
     """
     maximal = random_maximal_definite_subspace(space, rng, sign)
     d = space.component(sign).shape[1]  # maximal.dim would build its basis
