@@ -72,11 +72,9 @@ from .fusion import (
 )
 from .problem import ProblemSpec, parse_spec, serialize_spec
 from .transforms import (
-    alternating_signature_space,
     image_subspace,
     is_j_isometry_multiple,
     necessary_conditions_check,
-    neutral_image_operator,
     preservation_report,
     preserves_definiteness_with_sign,
     preserves_maximality,

@@ -399,10 +399,7 @@ def main(argv=None) -> int:
         problem = parse_spec(doc)
         seed = _resolve_seed(args, problem)
         report = run_command(args.command, problem, seed, args.samples)
-    except (SchemaError, ValidationError, UsageError, MemberClassificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, ValidationError, UsageError, MemberClassificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = "\n".join(_summary_lines(report))

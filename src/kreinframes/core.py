@@ -317,9 +317,9 @@ def _classify(W: Subspace) -> tuple[Classification, float]:
     return Classification(kind, regular, maximal, (lo, hi)), margin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """A linear operator on a Krein space, stored as its matrix."""
+    """A linear operator on a Krein space, stored as its matrix; equal only to itself."""
 
     space: KreinSpace
     matrix: np.ndarray
@@ -388,7 +388,9 @@ def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """
     if isinstance(T, Operator):
         T = T.matrix
-    return _smallest_nonzero(np.linalg.svd(_as_matrix(T), compute_uv=False), tol)
+    s = np.linalg.svd(_as_matrix(T), compute_uv=False)
+    r = _rank(s, tol)
+    return float(s[r - 1]) if r else 0.0
 
 
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
@@ -396,13 +398,7 @@ def _rank(s: np.ndarray, tol: Tolerances) -> int:
     return int(np.count_nonzero(s > tol.tau_rank * s[0])) if s.size and s[0] > 0.0 else 0
 
 
-def _smallest_nonzero(s: np.ndarray, tol: Tolerances) -> float:
-    """Smallest of the descending singular values s above tau_rank * s[0], or 0.0."""
-    r = _rank(s, tol)
-    return float(s[r - 1]) if r else 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularOperator:
     """Graph representation of a definite subspace over a canonical component.
 

@@ -23,9 +23,7 @@ from .core import (
     Operator,
     Subspace,
     _rank,
-    _smallest_nonzero,
     gramian,
-    gramian_min_modulus,
 )
 from .errors import (
     MemberClassificationError,
@@ -242,11 +240,13 @@ def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
 
 
 def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
-    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD of T."""
+    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD of T:
+    T = ``cols`` spans M, so gamma(T) is its (dim M)-th singular value, and
+    gamma(G_M) is the Gramian margin ``classify`` keeps on the definite M."""
     s = np.linalg.svd(cols, compute_uv=False)
-    gam_g = gramian_min_modulus(M)
-    lo = _smallest_nonzero(s, space.tol) ** 2 * gam_g**2
-    with np.errstate(over="ignore"):  # B overflows to inf for a large enough weight
+    gam_g = M._gram_margin()
+    with np.errstate(over="ignore"):  # a bound overflows to inf for a large enough weight
+        lo = s[M.dim - 1] ** 2 * gam_g**2
         hi = s[0] ** 2 / gam_g
     return (sign * lo, sign * hi)[::sign]  # ascending, as FrameBounds.side
 
@@ -385,6 +385,17 @@ class ConverseReport:
     agrees_with_certify: bool
 
 
+def _sum_dim(space: KreinSpace, m_plus: Subspace | None, m_minus: Subspace | None) -> int:
+    """dim(M+ + M-) for a positive and a negative span, either None: the sum of
+    their dimensions when each is uniformly definite of its sign, as they then
+    meet only in {0}, else the rank of their orthonormal bases side by side."""
+    spans = [(m, sign) for m, sign in ((m_plus, 1), (m_minus, -1)) if m is not None]
+    if all(m.classify().sign == sign for m, sign in spans):
+        return sum(m.dim for m, _ in spans)
+    stacked = np.hstack([m.ortho_basis for m, _ in spans])
+    return _rank(np.linalg.svd(stacked, compute_uv=False), space.tol)
+
+
 def converse_check(F: WeightedFamily) -> ConverseReport:
     """Frame test from the converse direction, on what ``certify`` factored.
 
@@ -392,20 +403,13 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
     surjective, that each signed span is regular, and that the frame
     inequality admits constants of the correct sign on each side (positive
     Rayleigh extremes on the positive span, negative on the negative span).
-    Surjectivity is read from the spans: when both sides are uniformly
-    definite of their own sign they meet only in {0}, so the rank is
-    dim M+ + dim M-; otherwise it is the rank of both spans' orthonormal
-    bases side by side.  A certified frame's constants are its optimal
-    bounds.  Whenever the verdict holds both sides are maximal, so
+    Surjectivity is read from the spans: the synthesis rank is dim(M+ + M-)
+    (``_sum_dim``).  A certified frame's constants are its optimal bounds.
+    Whenever the verdict holds both sides are maximal, so
     ``agrees_with_certify`` holds by construction; it stays for the report.
     """
-    tol = F.space.tol
     cert = _decide(F)
-    if cert.positive_uniform and cert.negative_uniform:
-        rank = cert.positive_range_dim + cert.negative_range_dim
-    else:
-        spans = [m.ortho_basis for m in (F.m_plus, F.m_minus) if m is not None]
-        rank = _rank(np.linalg.svd(np.hstack(spans), compute_uv=False), tol)
+    rank = _sum_dim(F.space, F.m_plus, F.m_minus)
     if rank < F.space.dim:
         raise NotSurjectiveError(
             f"synthesis operator has rank {rank} < {F.space.dim}"
@@ -425,7 +429,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
         else:
             extremes = bounds.side(sign)
         inner, outer = extremes[::sign]  # (A, B): A is the bound nearer zero
-        return cls.regular, sign * inner > tol.tau_def * max(1.0, abs(outer))
+        return cls.regular, sign * inner > F.space.tol.tau_def * max(1.0, abs(outer))
 
     pos_reg, pos_ok = side_checks(1)
     neg_reg, neg_ok = side_checks(-1)

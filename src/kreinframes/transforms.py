@@ -17,11 +17,8 @@ from itertools import chain
 import numpy as np
 
 from .core import (
-    KreinSpace,
     Operator,
     Subspace,
-    Tolerances,
-    DEFAULT_TOLERANCES,
     _SAFETY,
     _rank,
     j_adjoint,
@@ -35,7 +32,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
-from .fusion import _decide, _masked_span, _side_verdict
+from .fusion import _decide, _masked_span, _side_verdict, _sum_dim
 from .sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -56,8 +53,6 @@ __all__ = [
     "is_j_isometry_multiple",
     "necessary_conditions_check",
     "NecessaryConditionsReport",
-    "alternating_signature_space",
-    "neutral_image_operator",
 ]
 
 EPISTEMIC_NOTE = (
@@ -366,35 +361,8 @@ def _necessary_conditions(
     (dim_p, _, max_p), (dim_m, _, max_m) = (
         _side_verdict(F.space, m, sign) for m, sign in zip(spans, (1, -1))
     )
-    stacked = np.hstack([s.ortho_basis for s in spans if s is not None])
-    rank = _rank(np.linalg.svd(stacked, compute_uv=False), F.space.tol)
-    direct = rank == dim_p + dim_m == F.space.dim
+    direct = _sum_dim(F.space, *spans) == dim_p + dim_m == F.space.dim
     return NecessaryConditionsReport(
         dim_p, dim_m, max_p, max_m, direct, max_p and max_m and direct
     )
 
-
-def alternating_signature_space(
-    m: int = 4, tol: Tolerances = DEFAULT_TOLERANCES
-) -> KreinSpace:
-    """C^m with the alternating diagonal symmetry diag(1, -1, 1, -1, ...)."""
-    if m < 2:
-        raise ValueError("need at least two coordinates")
-    signs = [1.0 if i % 2 == 0 else -1.0 for i in range(m)]
-    return KreinSpace(np.diag(signs), tol=tol)
-
-
-def neutral_image_operator(space: KreinSpace) -> Operator:
-    """Invertible operator sending the first axis onto a neutral line.
-
-    Acts as [[1, 1], [1, 2]] on the first two coordinates and as the
-    identity beyond; on an alternating-signature space the image of
-    span{e_1} is the neutral line span{(1, 1, 0, ...)}.
-    """
-    m = space.dim
-    if m < 2:
-        raise ValueError("need at least two coordinates")
-    t = np.eye(m, dtype=complex)
-    t[0, 0], t[0, 1] = 1.0, 1.0
-    t[1, 0], t[1, 1] = 1.0, 2.0
-    return Operator(space, t)

@@ -106,3 +106,29 @@ def random_vector_frame(
         for i in range(cols.shape[1]):
             vectors.append(cols[:, i] * float(rng.uniform(*scale_range)))
     return VectorFrame(space, vectors)
+
+
+def alternating_signature_space(
+    m: int = 4, tol: Tolerances = DEFAULT_TOLERANCES
+) -> KreinSpace:
+    """C^m with the alternating diagonal symmetry diag(1, -1, 1, -1, ...)."""
+    if m < 2:
+        raise ValueError("need at least two coordinates")
+    signs = [1.0 if i % 2 == 0 else -1.0 for i in range(m)]
+    return KreinSpace(np.diag(signs), tol=tol)
+
+
+def neutral_image_operator(space: KreinSpace) -> Operator:
+    """Invertible operator sending the first axis onto a neutral line.
+
+    Acts as [[1, 1], [1, 2]] on the first two coordinates and as the
+    identity beyond; on an alternating-signature space the image of
+    span{e_1} is the neutral line span{(1, 1, 0, ...)}.
+    """
+    m = space.dim
+    if m < 2:
+        raise ValueError("need at least two coordinates")
+    t = np.eye(m, dtype=complex)
+    t[0, 0], t[0, 1] = 1.0, 1.0
+    t[1, 0], t[1, 1] = 1.0, 2.0
+    return Operator(space, t)

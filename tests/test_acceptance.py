@@ -50,16 +50,16 @@ from kreinframes.sampling import (
     rng_from_seed,
 )
 from kreinframes.transforms import (
-    alternating_signature_space,
     image_subspace,
     necessary_conditions_check,
-    neutral_image_operator,
     preserves_definiteness_with_sign,
     projection_commutation_check,
     transform_family,
 )
 
 from generators import (
+    alternating_signature_space,
+    neutral_image_operator,
     random_fusion_frame,
     random_j_unitary,
     random_space,

@@ -23,6 +23,8 @@ from kreinframes.errors import DefinitenessTransportError
 from kreinframes.fusion import certify
 from kreinframes.problem import parse_spec
 
+from generators import alternating_signature_space, neutral_image_operator
+
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HUGE = 10**400  # a JSON integer beyond float64
@@ -221,6 +223,43 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+    def test_directory_spec_exits_two(self, capsys, tmp_path):
+        # reading a directory raises an OSError, which is a document error
+        code, out, err = run(capsys, "all", "--spec", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            ("tolerances", 5, "'tolerances' must be an object"),
+            ("space", {"dim": 2, "J": [[1, 0]]}, "space.J must be 2x2"),
+            ("space", {"dim": 2, "J": []}, "space.J: expected a non-empty array of rows"),
+            (
+                "space",
+                {"dim": 2, "J": [[1, 0, 0], [0, -1, 0]]},
+                "space.J: expected rows of length 2",
+            ),
+            ("families", {"X": 1},
+             "families.X: expected an object with 'subspaces' and 'weights'"),
+            ("families", {"X": {"subspaces": [], "weights": []}},
+             "families.X.subspaces: expected a non-empty array"),
+            ("families", {"X": {"subspaces": [[]], "weights": [1]}},
+             "families.X.subspaces[0]: expected a non-empty list of columns"),
+            ("families", {"X": {"subspaces": [[[]]], "weights": [1]}},
+             "families.X.subspaces[0][0]: expected a non-empty array"),
+            ("vector_frames", {"X": []}, "vector_frames.X: expected a non-empty array"),
+            ("families", [], "'families' must be an object of named entries"),
+            ("families", {"": {"subspaces": [[[1, 0]]], "weights": [1]}},
+             "'families' entries must have non-empty string names"),
+        ],
+    )
+    def test_document_fault_exits_two(self, capsys, section, entry, message):
+        doc = {"space": {"dim": 2, "J": [[1, 0], [0, -1]]}, section: entry}
+        code, out, err = run(capsys, "all", "--spec", json.dumps(doc))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_command_exits_two(self, capsys, demo_path):
         with pytest.raises(SystemExit) as exc:
@@ -527,8 +566,8 @@ class TestTransformTask:
         # the four axes of C^4 under diag(1, -1, 1, -1): the neutral-image
         # operator sends e1 onto the neutral line (1, 1, 0, 0), and
         # diag(1, 1, 0, 0) is not surjective
-        space = transforms.alternating_signature_space(4)
-        neutral = transforms.neutral_image_operator(space).matrix.real
+        space = alternating_signature_space(4)
+        neutral = neutral_image_operator(space).matrix.real
         doc = {
             "space": {"dim": 4, "J": np.diag([1, -1, 1, -1]).tolist()},
             "families": {"axes": {
@@ -557,6 +596,48 @@ class TestTransformTask:
         assert operators["projection"]["families"]["axes"] == {
             "is_frame": False, "error": "transform requires a surjective operator"
         }
+
+
+class TestSpanDecisions:
+    """Estimate bounds and the direct-sum test read the rank each span decided."""
+
+    def test_estimate_takes_the_span_rank_of_a_tiny_weight(self, capsys):
+        # T+ has singular values about 1 and 1e-12, and M+ has dimension 2,
+        # so gamma(T+) is the second one however tau_rank would cut T+
+        doc = {
+            "space": {"dim": 3, "J": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]},
+            "families": {"f": {
+                "subspaces": [[[1, 0, 0.2]], [[0, 1, 0.2]], [[0, 0, 1]]],
+                "weights": [1, 1e-12, 1],
+            }},
+        }
+        code, out, _ = run(capsys, "bounds", "--spec", json.dumps(doc))
+        assert code == 0
+        entry = json.loads(out)["results"]["bounds"]["results"]["families"]["f"]
+        assert entry["sandwich_ok"] is True
+        assert entry["estimate"]["a_plus"] <= entry["optimal"]["a_plus"]
+
+    def test_demo_bounds_under_a_coarse_rank_tolerance(self, capsys, demo_path):
+        code, out, _ = run(capsys, "bounds", "--spec", demo_path, "--tol-rank", "0.5")
+        assert code == 0
+        families = json.loads(out)["results"]["bounds"]["results"]["families"]
+        assert all(entry["sandwich_ok"] for entry in families.values())
+
+    def test_tilted_lines_are_a_direct_sum(self, capsys):
+        # the lines (1, 0.9) and (0.9, 1) are nearly parallel: stacked, their
+        # bases fall below tau_rank = 0.1, but a positive and a negative line
+        # meet only in {0}
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            "families": {"f": {"subspaces": [[[1, 0.9]], [[0.9, 1]]], "weights": [1, 1]}},
+            "operators": {"I": [[1, 0], [0, 1]]},
+        }
+        argv = ("transform", "--spec", json.dumps(doc), "--tol-rank", "0.1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        entry = json.loads(out)["results"]["transform"]["results"]["operators"]["I"]
+        conditions = entry["families"]["f"]["necessary_conditions"]
+        assert conditions["direct_sum"] is True and conditions["holds"] is True
 
 
 class TestVectorFrameDecision:

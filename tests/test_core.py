@@ -151,6 +151,23 @@ class TestJAdjoint:
         )
 
 
+class TestOperatorIdentity:
+    """Operators hold arrays, so they compare and hash by identity, as subspaces do."""
+
+    def test_operator(self, c3):
+        a, b = Operator(c3, np.eye(3)), Operator(c3, np.eye(3))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert {a: 1}[a] == 1
+
+    def test_angular_operator(self, c3):
+        m = Subspace(c3, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+        a, b = angular_operator(m, 1), angular_operator(m, 1)
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+
 class TestClassify:
     def test_positive_line(self, c3):
         cls = Subspace(c3, W_LINE).classify()

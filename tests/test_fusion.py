@@ -26,6 +26,7 @@ from kreinframes import (
     estimate_bounds,
     frame_operator,
     frame_operator_part,
+    gramian,
     gramian_min_modulus,
     indefinite_product,
     j_image_family,
@@ -301,18 +302,26 @@ class TestEstimateBounds:
     @settings(max_examples=16)
     @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
     def test_equal_the_two_svd_definition(self, n, seed):
-        # gamma(T) and ||T|| of each side, each from its own SVD of the side's
-        # columns v_i U_i: the one-SVD estimate must give the same bits
+        # gamma(T) and ||T|| of each side from its own SVD of the side's
+        # columns v_i U_i, gamma(T) as the (dim M)-th singular value, and
+        # gamma(G_M) from the span's Gramian eigenvalues: the one-SVD estimate
+        # must give the same bits, and agree up to rounding with gamma(T) and
+        # gamma(G_M) as reduced_min_modulus and gramian_min_modulus give them
         rng = rng_from_seed(seed)
         fam = random_fusion_frame(random_space(rng, n), rng)
         est = estimate_bounds(fam)
         for sign, got in ((1, (est.a_plus, est.b_plus)), (-1, (est.a_minus, est.b_minus))):
             idx = fam.plus_indices if sign == 1 else fam.minus_indices
             t = np.hstack([fam.weights[i] * fam.subspaces[i].ortho_basis for i in idx])
-            gam_g = gramian_min_modulus(definite_span(fam, sign))
+            m = definite_span(fam, sign)
+            gam_g = np.abs(np.linalg.eigvalsh(gramian(m))).min()
+            gam_t = np.linalg.svd(t, compute_uv=False)[m.dim - 1]
+            norm2 = np.linalg.norm(t, 2) ** 2
+            assert got == (sign * gam_t**2 * gam_g**2, sign * norm2 / gam_g)
+            gam_g = gramian_min_modulus(m)
             gam_t = reduced_min_modulus(t, tol=fam.space.tol)
-            want = (gam_t**2 * gam_g**2, np.linalg.norm(t, 2) ** 2 / gam_g)
-            assert got == (sign * want[0], sign * want[1])
+            want = (sign * gam_t**2 * gam_g**2, sign * norm2 / gam_g)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_sandwich_rejects_inverted_bounds(self):
         opt = FrameBounds(-4.0, -2.0, 1.0, 3.0)

@@ -21,7 +21,7 @@ from kreinframes.errors import (
     NotSurjectiveError,
 )
 from kreinframes import transforms
-from kreinframes.fusion import certify
+from kreinframes.fusion import bounds_sandwich_ok, certify, converse_check
 from kreinframes.core import gramian
 from kreinframes.sampling import (
     random_definite_subspace,
@@ -31,11 +31,9 @@ from kreinframes.sampling import (
     rng_from_seed,
 )
 from kreinframes.transforms import (
-    alternating_signature_space,
     image_subspace,
     is_j_isometry_multiple,
     necessary_conditions_check,
-    neutral_image_operator,
     preservation_report,
     preserves_definiteness_with_sign,
     preserves_maximality,
@@ -44,7 +42,13 @@ from kreinframes.transforms import (
     transform_family,
 )
 
-from generators import random_fusion_frame, random_j_unitary, random_space
+from generators import (
+    alternating_signature_space,
+    neutral_image_operator,
+    random_fusion_frame,
+    random_j_unitary,
+    random_space,
+)
 
 
 @pytest.fixture
@@ -839,6 +843,39 @@ class TestNecessaryConditions:
         assert not report.negative_image_maximal
         assert report.direct_sum
         assert not report.holds
+
+
+class TestSpanDecisions:
+    """The frame's spans decide their rank once: for every certified frame the
+    estimate bounds enclose the optimal ones, the frame meets the necessary
+    conditions over itself, and the converse check's surjectivity agrees with
+    the direct-sum test."""
+
+    @pytest.mark.parametrize("tau_rank", [1e-10, 1e-3, 0.1, 0.3])
+    def test_on_random_frames(self, tau_rank):
+        rng = rng_from_seed(53)
+        certified = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            try:
+                space = random_space(rng, n, tol=Tolerances(tau_rank=tau_rank))
+                fam = random_fusion_frame(space, rng, max_tilt=0.95, weight_range=(1e-4, 1.0))
+            except KreinFramesError:  # a member's basis is rank deficient at tau_rank
+                continue
+            cert = certify(fam)
+            if not cert.is_frame:
+                continue
+            certified += 1
+            tol = space.tol.tau_num
+            assert bounds_sandwich_ok(cert.optimal_bounds, cert.estimate_bounds, tol)
+            report = transforms._necessary_conditions(fam, fam)
+            assert report.holds
+            try:
+                surjective = converse_check(fam).surjective
+            except NotSurjectiveError:
+                surjective = False
+            assert surjective == report.direct_sum
+        assert certified >= 10
 
 
 class TestAlternatingSpace:
