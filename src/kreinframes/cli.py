@@ -19,7 +19,7 @@ import zlib
 import numpy as np
 
 from . import __version__
-from .core import Subspace
+from .core import Subspace, Tolerances
 from .duality import (
     dual_bounds_check,
     fusion_dual_bounds_check,
@@ -45,17 +45,6 @@ from .transforms import (
     _preservation_reports,
     is_j_isometry_multiple,
     transform_family,
-)
-
-COMMANDS = (
-    "classify",
-    "certify",
-    "bounds",
-    "dual",
-    "identity",
-    "transform",
-    "preserve",
-    "all",
 )
 
 SEED_ENV_VAR = "KREIN_FRAMES_SEED"
@@ -102,19 +91,9 @@ def _sorted_items(d):
 def _task_classify(problem: ProblemSpec, seed, samples):
     out = {"families": {}, "vector_frames": {}}
     for name, fam in _sorted_items(problem.families):
-        members = []
-        for w, v in fam.members():
-            cls = w.classify()
-            members.append(
-                {
-                    "dim": w.dim,
-                    "weight": v,
-                    "kind": cls.kind,
-                    "regular": cls.regular,
-                    "maximal_definite": cls.maximal_definite,
-                    "extremal_gram_eigen": cls.extremal_gram_eigen,
-                }
-            )
+        members = [
+            {"dim": w.dim, "weight": v, **vars(w.classify())} for w, v in fam.members()
+        ]
         out["families"][name] = {"members": members, "signs": fam.signs}
     for name, vf in _sorted_items(problem.vector_frames):
         out["vector_frames"][name] = {"signs": vf.signs, "count": len(vf)}
@@ -274,8 +253,7 @@ def _task_preserve(problem: ProblemSpec, seed, samples):
             ok = False
             continue
         entry = {}
-        for field in ("definiteness_with_sign", "maximality", "regularity"):
-            verdict = getattr(report, field)
+        for field, verdict in vars(report).items():
             v_entry = {
                 "status": verdict.status,
                 "samples_tested": verdict.samples_tested,
@@ -303,6 +281,8 @@ _TASKS = {
     "transform": _task_transform,
     "preserve": _task_preserve,
 }
+
+COMMANDS = (*_TASKS, "all")
 
 
 def run_command(command: str, problem: ProblemSpec, seed: int, samples: int) -> dict:
@@ -371,10 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=200, help="samples for sampling-based checks"
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--tol-sym", type=float, default=None)
-    parser.add_argument("--tol-rank", type=float, default=None)
-    parser.add_argument("--tol-def", type=float, default=None)
-    parser.add_argument("--tol-num", type=float, default=None)
+    for f in dataclasses.fields(Tolerances):  # --tol-sym sets tau_sym, and so on
+        parser.add_argument("--tol-" + f.name[4:], type=float, default=None)
     return parser
 
 
@@ -385,12 +363,8 @@ def main(argv=None) -> int:
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
         doc = decode_document(args.spec)
-        overrides = {
-            "tau_sym": args.tol_sym,
-            "tau_rank": args.tol_rank,
-            "tau_def": args.tol_def,
-            "tau_num": args.tol_num,
-        }
+        names = [f.name for f in dataclasses.fields(Tolerances)]
+        overrides = {k: getattr(args, "tol_" + k[4:]) for k in names}
         overrides = {k: v for k, v in overrides.items() if v is not None}
         tolerances = doc.get("tolerances", {}) if isinstance(doc, dict) else None
         if overrides and isinstance(tolerances, dict):

@@ -376,8 +376,12 @@ def gramian(W: Subspace) -> np.ndarray:
 
 
 def gramian_min_modulus(W: Subspace) -> float:
-    """gamma(G_W): smallest nonzero singular value of the compressed Gramian."""
-    return reduced_min_modulus(gramian(W), tol=W.space.tol)
+    """gamma(G_W): the smallest |eigenvalue| of the compressed Gramian above
+    tau_def, or 0.0 when there is none; for a regular W, the margin classify keeps.
+    """
+    m = np.abs(np.linalg.eigvalsh(gramian(W)))
+    m = m[m > W.space.tol.tau_def]
+    return float(m.min()) if m.size else 0.0
 
 
 def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

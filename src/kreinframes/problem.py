@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -30,9 +30,6 @@ from .fusion import WeightedFamily
 
 __all__ = ["ProblemSpec", "decode_document", "parse_spec", "serialize_spec"]
 
-_TOP_KEYS = {"space", "families", "vector_frames", "operators", "tolerances", "seed"}
-_TOL_KEYS = {"tau_sym", "tau_rank", "tau_def", "tau_num"}
-
 
 @dataclass
 class ProblemSpec:
@@ -42,6 +39,10 @@ class ProblemSpec:
     operators: dict[str, Operator] = field(default_factory=dict)
     tolerances: Tolerances = Tolerances()
     seed: int | None = None
+
+
+_TOP_KEYS = {f.name for f in fields(ProblemSpec)}
+_TOL_KEYS = {f.name for f in fields(Tolerances)}
 
 
 def _scalar(value, where: str) -> complex:
@@ -149,7 +150,10 @@ def decode_document(source):
         is_file = Path(str(source)).exists()
     except OSError:
         is_file = False
-    text = Path(source).read_text() if is_file else str(source)
+    try:  # JSON text is UTF-8, whatever the locale's encoding
+        text = Path(source).read_text(encoding="utf-8") if is_file else str(source)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -157,6 +161,10 @@ def decode_document(source):
             # not even the start of a JSON value: most likely a mistyped path
             raise SchemaError(f"no such file: {str(source)!r}") from exc
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:  # the interpreter's limit on integer-string conversion
+        raise SchemaError("number is not finite: an integer of too many digits") from None
 
 
 def parse_spec(source) -> ProblemSpec:
@@ -321,12 +329,7 @@ def serialize_spec(spec: ProblemSpec) -> dict:
         doc["operators"] = {
             name: _matrix_doc(op.matrix) for name, op in spec.operators.items()
         }
-    doc["tolerances"] = {
-        "tau_sym": spec.tolerances.tau_sym,
-        "tau_rank": spec.tolerances.tau_rank,
-        "tau_def": spec.tolerances.tau_def,
-        "tau_num": spec.tolerances.tau_num,
-    }
+    doc["tolerances"] = dict(vars(spec.tolerances))
     if spec.seed is not None:
         doc["seed"] = spec.seed
     return doc

@@ -261,6 +261,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "all", "--spec", json.dumps(doc))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"\xff{}", "invalid UTF-8 at byte 0: invalid start byte"),
+            (b"[" * 100000, "invalid JSON: arrays or objects nested too deeply"),
+            # past the interpreter's limit on integer-string conversion (4300
+            # digits by default); at 400 digits the entry itself is located
+            (b'{"space": {"dim": 1, "J": [[' + b"1" * 5000 + b"]]}}",
+             "number is not finite"),
+        ],
+        ids=["not_utf8", "nested_too_deeply", "integer_of_5000_digits"],
+    )
+    def test_undecodable_document_exits_two(self, capsys, tmp_path, text, message):
+        p = tmp_path / "doc.json"
+        p.write_bytes(text)
+        code, out, err = run(capsys, "all", "--spec", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_command_exits_two(self, capsys, demo_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--spec", demo_path])
@@ -465,6 +485,21 @@ class TestSeedResolution:
 
 
 class TestToleranceOverrides:
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--tol-sym", "tau_sym"), ("--tol-rank", "tau_rank"),
+         ("--tol-def", "tau_def"), ("--tol-num", "tau_num")],
+    )
+    def test_each_flag_sets_its_tolerance(self, capsys, demo_path, flag, key):
+        code, out, err = run(capsys, "certify", "--spec", demo_path, flag, "1e-7")
+        assert code == 0, err
+        # the demo sets no tolerance, so the others keep their defaults
+        expected = {**vars(kreinframes.Tolerances()), key: 1e-7}
+        assert json.loads(out)["tolerances"] == expected
+        code, out, err = run(capsys, "certify", "--spec", demo_path, flag, "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerances.{key}: expected a positive number\n"
+
     def test_flag_overrides_document(self, capsys, demo_path):
         _, out, _ = run(
             capsys, "certify", "--spec", demo_path, "--tol-def", "1e-5"

@@ -17,6 +17,7 @@ from kreinframes import (
     RankError,
     Subspace,
     SubspaceKind,
+    Tolerances,
     ValidationError,
     angular_operator,
     classify,
@@ -410,6 +411,21 @@ class TestGramian:
             m = random_definite_subspace(space, rng, sign)
             gam = gramian_min_modulus(m)
             assert 0 < gam <= 1 + 1e-12
+
+    def test_min_modulus_ignores_the_rank_tolerance(self):
+        # Gramian eigenvalues 1/3 and 1: a coarse tau_rank must not drop 1/3
+        space = KreinSpace.from_signs([1, 1, -1], tol=Tolerances(tau_rank=0.5))
+        m = Subspace(space, np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]))
+        gam = gramian_min_modulus(m)
+        assert gam == pytest.approx(1 / 3, rel=1e-12)
+        assert gam == m._gram_margin()  # the margin classify keeps on a regular W
+        # ||K||^2 = (1 - gamma) / (1 + gamma), as AngularOperator states
+        assert angular_operator(m, 1).norm ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert (1 - gam) / (1 + gam) == pytest.approx(0.5, rel=1e-12)
+
+    def test_min_modulus_of_a_neutral_line_is_zero(self, minkowski):
+        # the Gramian's one eigenvalue is rounding noise, within tau_def of 0
+        assert gramian_min_modulus(Subspace(minkowski, [[1.0], [1.0]])) == 0.0
 
 
 class TestReducedMinModulus:
