@@ -24,20 +24,18 @@ from .duality import (
     dual_bounds_check,
     fusion_dual_bounds_check,
     fundamental_identity_sides_batch,
-    is_j_frame,
 )
 from .errors import (
     DefinitenessTransportError,
     KreinFramesError,
     MemberClassificationError,
-    NotAFrameError,
     NotSurjectiveError,
     SchemaError,
     SingularOperatorError,
     UsageError,
     ValidationError,
 )
-from .fusion import bounds_sandwich_ok, certify, converse_check, optimal_bounds
+from .fusion import _decide, bounds_sandwich_ok, certify, converse_check, optimal_bounds
 from .problem import ProblemSpec, decode_document, parse_spec
 from .sampling import random_complex, rng_from_seed
 from .transforms import (
@@ -84,109 +82,103 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def _sorted_items(d):
-    return sorted(d.items(), key=lambda kv: kv[0])
+def _by_name(section: dict, entry):
+    """{name: report} over a problem section in name order, and whether every
+    entry passed; entry(name, value) gives one entry's (report, passed)."""
+    out, ok = {}, True
+    for name in sorted(section):
+        out[name], passed = entry(name, section[name])
+        ok = ok and passed
+    return out, ok
+
+
+def _families_and_frames(problem: ProblemSpec, family, vframe):
+    families, families_ok = _by_name(problem.families, family)
+    frames, frames_ok = _by_name(problem.vector_frames, vframe)
+    return {"families": families, "vector_frames": frames}, families_ok and frames_ok
 
 
 def _task_classify(problem: ProblemSpec, seed, samples):
-    out = {"families": {}, "vector_frames": {}}
-    for name, fam in _sorted_items(problem.families):
+    def family(name, fam):
         members = [
             {"dim": w.dim, "weight": v, **vars(w.classify())} for w, v in fam.members()
         ]
-        out["families"][name] = {"members": members, "signs": fam.signs}
-    for name, vf in _sorted_items(problem.vector_frames):
-        out["vector_frames"][name] = {"signs": vf.signs, "count": len(vf)}
-    return out, True
+        return {"members": members, "signs": fam.signs}, True
+
+    def vframe(name, vf):
+        return {"signs": vf.signs, "count": len(vf)}, True
+
+    return _families_and_frames(problem, family, vframe)
 
 
 def _task_certify(problem: ProblemSpec, seed, samples):
-    out = {"families": {}, "vector_frames": {}}
-    ok = True
-    for name, fam in _sorted_items(problem.families):
+    def family(name, fam):
         cert = certify(fam)
         # copies, as bounds and transform reuse the cached cert; a witness is
         # normalised as (n, 2) [re, im] pairs to keep the bits it reports
-        entry = {**vars(cert), "witnesses": [
+        report = {**vars(cert), "witnesses": [
             {**w, "vector": _unit(np.stack((w["vector"].real, w["vector"].imag), -1))}
             if "vector" in w else w
             for w in cert.witnesses
         ]}
         try:
-            entry["converse"] = converse_check(fam)
+            report["converse"] = converse_check(fam)
         except NotSurjectiveError as exc:
-            entry["converse"] = {"error": str(exc)}
-        out["families"][name] = entry
-        ok = ok and cert.is_frame
-    for name, vf in _sorted_items(problem.vector_frames):
-        verdict = is_j_frame(vf)
-        out["vector_frames"][name] = {"is_frame": verdict}
-        ok = ok and verdict
-    return out, ok
+            report["converse"] = {"error": str(exc)}
+        return report, cert.is_frame
+
+    def vframe(name, vf):
+        verdict = _decide(vf).is_frame
+        return {"is_frame": verdict}, verdict
+
+    return _families_and_frames(problem, family, vframe)
 
 
 def _task_bounds(problem: ProblemSpec, seed, samples):
-    out = {"families": {}, "vector_frames": {}}
-    ok = True
-    for name, fam in _sorted_items(problem.families):
+    def family(name, fam):
         cert = certify(fam)
         if not cert.is_frame:
-            out["families"][name] = {"error": "not a J-fusion frame"}
-            ok = False
-            continue
-        sandwich = bounds_sandwich_ok(
-            cert.optimal_bounds, cert.estimate_bounds, fam.space.tol.tau_num
-        )
-        out["families"][name] = {
-            "optimal": cert.optimal_bounds,
-            "estimate": cert.estimate_bounds,
-            "sandwich_ok": sandwich,
-        }
-        ok = ok and sandwich
-    for name, vf in _sorted_items(problem.vector_frames):
-        if not is_j_frame(vf):
-            out["vector_frames"][name] = {"error": "not a J-frame"}
-            ok = False
-            continue
-        out["vector_frames"][name] = {"optimal": optimal_bounds(vf)}
-    return out, ok
+            return {"error": "not a J-fusion frame"}, False
+        bounds = {"optimal": cert.optimal_bounds, "estimate": cert.estimate_bounds}
+        sandwich = bounds_sandwich_ok(*bounds.values(), fam.space.tol.tau_num)
+        return {**bounds, "sandwich_ok": sandwich}, sandwich
+
+    def vframe(name, vf):
+        if not _decide(vf).is_frame:
+            return {"error": "not a J-frame"}, False
+        return {"optimal": optimal_bounds(vf)}, True
+
+    return _families_and_frames(problem, family, vframe)
 
 
 def _task_dual(problem: ProblemSpec, seed, samples):
-    out = {"vector_frames": {}, "families": {}}
-    ok = True
-    for name, vf in _sorted_items(problem.vector_frames):
-        try:
-            if not is_j_frame(vf):
-                raise NotAFrameError("not a J-frame")
-            report = dual_bounds_check(vf)
-        except (NotAFrameError, SingularOperatorError, DefinitenessTransportError) as exc:
-            out["vector_frames"][name] = {"error": str(exc)}
-            ok = False
-            continue
-        out["vector_frames"][name] = report
-        ok = ok and report.ok
-    for name, fam in _sorted_items(problem.families):
-        try:
-            report = fusion_dual_bounds_check(fam)
-        except KreinFramesError as exc:
-            out["families"][name] = {"advisory": True, "error": str(exc)}
-            continue
+    def family(name, fam):
         # the fusion-level reciprocal relation is recorded per instance and
         # does not gate the exit status
-        out["families"][name] = {**vars(report), "advisory": True}
-    return out, ok
+        try:
+            return {**vars(fusion_dual_bounds_check(fam)), "advisory": True}, True
+        except KreinFramesError as exc:
+            return {"advisory": True, "error": str(exc)}, True
+
+    def vframe(name, vf):
+        if not _decide(vf).is_frame:
+            return {"error": "not a J-frame"}, False
+        try:
+            report = dual_bounds_check(vf)
+        except (SingularOperatorError, DefinitenessTransportError) as exc:
+            return {"error": str(exc)}, False
+        return report, report.ok
+
+    return _families_and_frames(problem, family, vframe)
 
 
 def _task_identity(problem: ProblemSpec, seed, samples):
-    out = {}
-    ok = True
-    for idx, (name, vf) in enumerate(_sorted_items(problem.vector_frames)):
-        if not is_j_frame(vf):
-            out[name] = {"error": "not a J-frame"}
-            ok = False
-            continue
-        rng = rng_from_seed([seed, zlib.crc32(name.encode()), idx])
+    index = {name: i for i, name in enumerate(sorted(problem.vector_frames))}
+
+    def vframe(name, vf):
+        if not _decide(vf).is_frame:
+            return {"error": "not a J-frame"}, False
+        rng = rng_from_seed([seed, zlib.crc32(name.encode()), index[name]])
         trials = max(1, samples)
         # every trial's subset, then its test vector, in the generator's order
         masks = np.empty((trials, len(vf)), dtype=bool)
@@ -197,78 +189,64 @@ def _task_identity(problem: ProblemSpec, seed, samples):
         try:
             lhs, rhs = fundamental_identity_sides_batch(vf, masks, fs)
         except SingularOperatorError as exc:
-            out[name] = {"error": str(exc)}
-            ok = False
-            continue
+            return {"error": str(exc)}, False
         rel = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
         frame_ok = bool(np.all(rel < vf.space.tol.tau_num))
-        out[name] = {
+        return {
             "trials": trials, "max_relative_residual": float(rel.max()), "ok": frame_ok
-        }
-        ok = ok and frame_ok
+        }, frame_ok
+
+    out, ok = _by_name(problem.vector_frames, vframe)
     return {"vector_frames": out}, ok
 
 
 def _task_transform(problem: ProblemSpec, seed, samples):
-    out = {}
-    ok = True
-    for op_name, op in _sorted_items(problem.operators):
-        scalar, c = is_j_isometry_multiple(op)
-        entry = {"j_isometry_multiple": scalar, "isometry_scale": c, "families": {}}
-        for fam_name, fam in _sorted_items(problem.families):
+    def operator(op_name, op):
+        def family(fam_name, fam):
             try:
                 image, cert = transform_family(op, fam)
             except MemberClassificationError as exc:
-                entry["families"][fam_name] = {
-                    "is_frame": False,
-                    "error": str(exc),
-                    "witness": _unit(op.matrix @ fam.subspaces[exc.index].basis[:, 0]),
-                }
-                ok = False
-                continue
+                witness = _unit(op.matrix @ fam.subspaces[exc.index].basis[:, 0])
+                return {"is_frame": False, "error": str(exc), "witness": witness}, False
             except NotSurjectiveError as exc:
-                entry["families"][fam_name] = {"is_frame": False, "error": str(exc)}
-                ok = False
-                continue
-            fam_entry = {"certificate": cert}
+                return {"is_frame": False, "error": str(exc)}, False
+            report = {"certificate": cert}
             if cert.is_frame and certify(fam).is_frame:
                 # the hypotheses of necessary_conditions_check, checked above
-                fam_entry["necessary_conditions"] = _necessary_conditions(fam, image)
-            entry["families"][fam_name] = fam_entry
-            ok = ok and cert.is_frame
-        out[op_name] = entry
+                report["necessary_conditions"] = _necessary_conditions(fam, image)
+            return report, cert.is_frame
+
+        scalar, c = is_j_isometry_multiple(op)
+        families, ok = _by_name(problem.families, family)
+        return {"j_isometry_multiple": scalar, "isometry_scale": c, "families": families}, ok
+
+    out, ok = _by_name(problem.operators, operator)
     return {"operators": out}, ok
 
 
 def _task_preserve(problem: ProblemSpec, seed, samples):
-    out = {}
-    ok = True
-    supplied = [w for fam in problem.families.values() for w in fam.subspaces]
-    ops = _sorted_items(problem.operators)
-    reports = _preservation_reports([op for _, op in ops], supplied, samples, seed)
-    for (op_name, op), report in zip(ops, reports):
+    families, names = problem.families, sorted(problem.operators)
+    supplied = [w for name in sorted(families) for w in families[name].subspaces]
+    ops = [problem.operators[name] for name in names]
+    reports = dict(zip(names, _preservation_reports(ops, supplied, samples, seed)))
+
+    def operator(name, op):
+        report = reports[name]
         if isinstance(report, KreinFramesError):
             # an override can make a sample rank deficient or not uniformly definite
-            out[op_name] = {"error": str(report)}
-            ok = False
-            continue
-        entry = {}
+            return {"error": str(report)}, False
+        out = {}
         for field, verdict in vars(report).items():
-            v_entry = {
-                "status": verdict.status,
-                "samples_tested": verdict.samples_tested,
-                "note": verdict.note,
-            }
-            if verdict.counterexample is not None:
-                v = verdict.counterexample
-                v_entry["counterexample"] = {
+            out[field] = {k: getattr(verdict, k) for k in ("status", "samples_tested", "note")}
+            if (v := verdict.counterexample) is not None:
+                out[field]["counterexample"] = {
                     "subspace": v,
                     "detail": verdict.detail,
                     "image_witness": _unit(op.matrix @ v.basis[:, 0]),
                 }
-            entry[field] = v_entry
-            ok = ok and verdict.holds
-        out[op_name] = entry
+        return out, all(verdict.holds for verdict in vars(report).values())
+
+    out, ok = _by_name(problem.operators, operator)
     return {"operators": out}, ok
 
 

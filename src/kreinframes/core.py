@@ -54,6 +54,7 @@ class Tolerances:
     tau_sym   structural identities required of inputs (J Hermitian, J^2 = I)
     tau_rank  rank decisions, relative to the largest singular value
     tau_def   definiteness / regularity decisions on Gramian eigenvalues
+              (never below their rounding level, see _def_floor)
     tau_num   relative residual allowed for computed identities
     """
 
@@ -282,13 +283,12 @@ def classify(W: Subspace) -> Classification:
 
 def _classify(W: Subspace) -> tuple[Classification, float]:
     """classify(W) and the smallest |eigenvalue| of its Gramian."""
-    tol = W.space.tol
-    g = gramian(W)
-    eigs = np.linalg.eigvalsh(g)
+    eigs = np.linalg.eigvalsh(gramian(W))
+    floor = _def_floor(W.space, eigs.size)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    has_pos = hi > tol.tau_def
-    has_neg = lo < -tol.tau_def
-    near_zero = np.abs(eigs) <= tol.tau_def
+    has_pos = hi > floor
+    has_neg = lo < -floor
+    near_zero = np.abs(eigs) <= floor
     if has_pos and has_neg:
         kind = SubspaceKind.INDEFINITE
     elif has_pos:
@@ -306,7 +306,7 @@ def _classify(W: Subspace) -> tuple[Classification, float]:
     else:
         kind = SubspaceKind.NEUTRAL
     margin = float(np.abs(eigs).min())
-    regular = margin > tol.tau_def
+    regular = margin > floor
     p, q = W.space.signature
     if kind is SubspaceKind.UNIFORMLY_POSITIVE:
         maximal = W.dim == p
@@ -376,11 +376,12 @@ def gramian(W: Subspace) -> np.ndarray:
 
 
 def gramian_min_modulus(W: Subspace) -> float:
-    """gamma(G_W): the smallest |eigenvalue| of the compressed Gramian above
-    tau_def, or 0.0 when there is none; for a regular W, the margin classify keeps.
+    """gamma(G_W): the smallest |eigenvalue| of the compressed Gramian that
+    classify does not count as zero, or 0.0 when there is none; for a regular
+    W, the margin classify keeps.
     """
     m = np.abs(np.linalg.eigvalsh(gramian(W)))
-    m = m[m > W.space.tol.tau_def]
+    m = m[m > _def_floor(W.space, m.size)]
     return float(m.min()) if m.size else 0.0
 
 
@@ -400,6 +401,15 @@ def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
     """Numerical rank: the count of descending singular values s above tau_rank * s[0]."""
     return int(np.count_nonzero(s > tol.tau_rank * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def _def_floor(space: KreinSpace, k: int) -> float:
+    """The modulus at or below which an eigenvalue of a k-dimensional Gramian
+    U*JU in C^n counts as zero: tau_def, or its rounding level if larger.
+    Forming U*JU errs by about n eps, and a Cholesky factor of a k x k
+    Gramian exists once 20 k^1.5 eps cond <= 1 (Higham, ASNA, Thm 10.7), so
+    a smaller eigenvalue is indistinguishable from zero."""
+    return max(space.tol.tau_def, 20.0 * k**1.5 * space.dim * 2.0**-52)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ given as lists of basis columns.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -58,7 +59,7 @@ def _scalar(value, where: str) -> complex:
         parts = value
     else:
         raise SchemaError(
-            f"{where}: expected a number or a [re, im] pair, got {value!r}"
+            f"{where}: expected a number or a [re, im] pair, got {reprlib.repr(value)}"
         )
     try:
         z = complex(*parts)
@@ -290,6 +291,12 @@ def _named_section(doc, key) -> dict:
     for name in section:
         if not isinstance(name, str) or not name:
             raise SchemaError(f"'{key}' entries must have non-empty string names")
+        try:  # a lone surrogate from a \ud800 escape has no UTF-8 form
+            name.encode()
+        except UnicodeEncodeError:
+            raise SchemaError(
+                f"'{key}' entry name {reprlib.repr(name)} is not valid Unicode"
+            ) from None
     return section
 
 

@@ -20,6 +20,7 @@ from .core import (
     Operator,
     Subspace,
     _SAFETY,
+    _def_floor,
     _rank,
     j_adjoint,
     j_projection,
@@ -139,8 +140,9 @@ def _signed(sampler):
 
 def _settles(v: Subspace, cert) -> bool:
     """Whether ``cert`` = _isometry_scale(T) proves that T(V) has V's
-    dimension and inertia with a Gramian margin above tau_def.  V's margin
-    is then above tau_def too, so a drawn V, or one from the pools of
+    dimension and inertia with a Gramian margin above tau_def (or above the
+    rounding level that _def_floor puts in its place).  V's margin is then
+    above it too, so a drawn V, or one from the pools of
     _preservation_reports, passes its check and so does its image.  With
     H = T* J T appended to ``cert``, it is enough that T(V) is regular.
 
@@ -159,7 +161,8 @@ def _settles(v: Subspace, cert) -> bool:
     slack = 1e-13 * v.space.dim * kappa  # rounding in the image's classification
     if kappa * (_SAFETY * tol.tau_rank + slack) >= 1.0:
         return False
-    floor = (_SAFETY * tol.tau_def + slack) * norm * norm
+    # the floor of a Gramian of dimension n bounds that of V and T(V)
+    floor = (_SAFETY * _def_floor(v.space, v.space.dim) + slack) * norm * norm
     if c > 0 and c * v._gram_margin() - r > floor:
         return True
     if not h:

@@ -254,12 +254,41 @@ class TestExitCodes:
             ("families", [], "'families' must be an object of named entries"),
             ("families", {"": {"subspaces": [[[1, 0]]], "weights": [1]}},
              "'families' entries must have non-empty string names"),
+            # a lone surrogate has no UTF-8 form (identity hashed the name's UTF-8)
+            ("families", {"\ud800": {"subspaces": [[[1, 0]]], "weights": [1]}},
+             "'families' entry name '\\ud800' is not valid Unicode"),
+            ("vector_frames", {"\ud800": [[1, 0], [0, 1]]},
+             "'vector_frames' entry name '\\ud800' is not valid Unicode"),
+            ("operators", {"\ud800": [[1, 0], [0, -1]]},
+             "'operators' entry name '\\ud800' is not valid Unicode"),
         ],
     )
     def test_document_fault_exits_two(self, capsys, section, entry, message):
         doc = {"space": {"dim": 2, "J": [[1, 0], [0, -1]]}, section: entry}
         code, out, err = run(capsys, "all", "--spec", json.dumps(doc))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_gramian_within_rounding_of_zero_exits_two(self, capsys):
+        # at a tau_def of 1e-300 the first line, whose Gramian is about 1e-16,
+        # is neutral within rounding; it exited 1 with a traceback from a
+        # Cholesky factorization of a signed span's Gramian
+        doc = {
+            "space": {"dim": 3, "J": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]},
+            "families": {"f": {"subspaces": [
+                [[1.0, 0.0, 0.9999999999999998]],
+                [[1.0, 0.7798711114410413, 1.000000000737179]],
+                [[0.0, 1.0, 9.4525762764591e-10]],
+                [[0, 0, 1]],
+            ], "weights": [1, 1, 1, 1]}},
+            "tolerances": {"tau_def": 1e-300},
+        }
+        for command in ("certify", "bounds", "all"):
+            code, out, err = run(capsys, command, "--spec", json.dumps(doc))
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: member 0: family 'f': member classifies as neutral; "
+                "every member must be uniformly definite\n"
+            )
 
     @pytest.mark.parametrize(
         "text, message",
@@ -292,6 +321,35 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "all", "--spec", demo_path, "--samples", "20")
         _, out2, _ = run(capsys, "all", "--spec", demo_path, "--samples", "20")
         assert out1 == out2
+
+    def test_reports_do_not_depend_on_the_order_of_names(self, capsys, demo_path):
+        doc = json.loads(Path(demo_path).read_text())
+        # "extra" sorts before "tilted_lines"; the swap of e1 and e3 maps a
+        # positive line of each family to a negative one, so preserve reports
+        # the first such line it meets as its counterexample
+        doc["families"]["extra"] = {
+            "subspaces": [[[1, 0, 0.2]], [[0, 1, 0.3]], [[0.1, 0, 1]]],
+            "weights": [2, 1, 1],
+        }
+        doc["operators"]["swap_13"] = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        doc["vector_frames"]["more"] = [[1, 0, 0], [0, 1, 0.5], [0, 0, 1]]
+        reversed_doc = {
+            key: dict(reversed(value.items())) if isinstance(value, dict) else value
+            for key, value in doc.items()
+        }
+        results = [
+            run(capsys, "all", "--spec", json.dumps(d), "--samples", "20")
+            for d in (doc, reversed_doc)
+        ]
+        assert results[0] == results[1]
+        operators = json.loads(results[0][1])["results"]["preserve"]["results"]["operators"]
+        witness = operators["swap_13"]["definiteness_with_sign"]["counterexample"]
+        assert witness["detail"] == (
+            "image of a uniformly_positive subspace classifies as uniformly_negative"
+        )
+        # the line (1, 0, 0.2) of "extra", the family first in name order
+        line = np.array(witness["subspace"]["ortho_basis"])[:, 0, 0]
+        np.testing.assert_allclose(np.abs(line), np.array([1, 0, 0.2]) / np.hypot(1, 0.2))
 
     def test_different_seed_still_passes(self, capsys, demo_path):
         code, out, _ = run(

@@ -29,7 +29,7 @@ from kreinframes import (
     orthogonal_projection,
     reduced_min_modulus,
 )
-from kreinframes.core import _rank
+from kreinframes.core import _def_floor, _rank
 from kreinframes.sampling import (
     random_complex,
     random_definite_subspace,
@@ -214,6 +214,20 @@ class TestClassify:
         # full rank 2 in C^2, but three columns are no basis
         with pytest.raises(RankError):
             Subspace(KreinSpace(np.eye(2)), [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_rounding_level_eigenvalue_counts_as_zero(self):
+        # the line's Gramian is 2^-52 / (2 - 2^-51), about 1.1e-16: far above a
+        # tau_def of 1e-300, but within the rounding of forming U*JU
+        space = KreinSpace.from_signs([1, 1, -1], tol=Tolerances(tau_def=1e-300))
+        w = Subspace(space, [[1.0], [0.0], [1.0 - 2.0**-52]])
+        assert w.classify().kind is SubspaceKind.NEUTRAL
+        assert not w.classify().regular
+        assert gramian_min_modulus(w) == 0.0
+
+    def test_rounding_level_stays_below_the_default_tau_def(self):
+        # up to n = 160, the benchmark's largest documents, tau_def decides alone
+        space = KreinSpace.from_signs([1] * 80 + [-1] * 80)
+        assert _def_floor(space, 160) == Tolerances().tau_def
 
     def test_gram_extremes_recorded(self, c3):
         cls = Subspace(c3, W_LINE).classify()

@@ -215,6 +215,26 @@ class TestCertify:
         # the witness violates positivity of the positive span
         assert indefinite_product(c3, v, v).real <= 1e-9
 
+    def test_span_within_rounding_of_the_light_cone(self):
+        # the first line, and the span of the next two, have a Gramian
+        # eigenvalue of about 1e-16 (exactly): above a tau_def of 1e-300, but
+        # within rounding, where a Cholesky factor of the span's Gramian failed
+        space = KreinSpace.from_signs([1, 1, -1], tol=Tolerances(tau_def=1e-300))
+        lines = [
+            [1.0, 0.0, 0.9999999999999998],
+            [1.0, 0.7798711114410413, 1.000000000737179],
+            [0.0, 1.0, 9.4525762764591e-10],
+            [0.0, 0.0, 1.0],
+        ]
+        members = [Subspace(space, np.array([v]).T) for v in lines]
+        with pytest.raises(MemberClassificationError, match="member 0"):
+            WeightedFamily(space, members, np.ones(4))
+        cert = certify(WeightedFamily(space, members[1:], np.ones(3)))
+        assert not cert.is_frame
+        assert [w["reason"] for w in cert.witnesses] == [
+            "span classifies as positive_non_uniform"
+        ]
+
     def test_permutation_invariance(self, tilted_family, c3):
         perm = WeightedFamily(
             c3,

@@ -343,6 +343,13 @@ def assert_bitwise_equal(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def nested_list(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestEntries:
     """The bulk conversion accepts exactly what the entry walk accepts."""
 
@@ -363,6 +370,20 @@ class TestEntries:
         with pytest.raises(error) as exc:
             parse_spec(with_entry(path, value))
         assert str(exc.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize(
+        "J",
+        [nested_list(990), [[list(range(100_000))]]],
+        ids=["nested_990_deep", "entry_of_100000_numbers"],
+    )
+    def test_echoed_value_is_truncated(self, J):
+        with pytest.raises(SchemaError) as exc:
+            parse_spec({"space": {"dim": 1, "J": J}})
+        line = f"error: {exc.value}\n"  # as the CLI writes it
+        assert line.startswith(
+            "error: space.J[0][0]: expected a number or a [re, im] pair, got ["
+        )
+        assert line.count("\n") == 1 and len(line.encode()) < 200
 
     @pytest.mark.parametrize("path, where", SITES)
     @pytest.mark.parametrize(
