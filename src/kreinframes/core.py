@@ -181,6 +181,12 @@ class Subspace:
     (left singular vectors of the basis matrix).
     """
 
+    # (Q, slack) for a draw accepted on a Householder QR of its basis: another
+    # orthonormal basis of the span, and a bound on how far the eigenvalues of
+    # Q* X Q and U* X U, U = ortho_basis, can be apart, relative to ||X||
+    # (sampling.random_regular_subspace)
+    _qr: tuple[np.ndarray, float] | None = None
+
     def __init__(self, space: KreinSpace, basis):
         basis = _as_matrix(basis)
         if basis.shape[0] != space.dim or basis.shape[1] < 1:
@@ -226,7 +232,8 @@ class Subspace:
 
         While the first bound settles the rank, basis() waits until ``basis``
         is read, and the SVD and the classification until ``ortho_basis`` or
-        ``classify`` is.
+        ``classify`` is.  A QR draw passes its basis matrix itself, with a
+        rank that its bound settles (sampling._qr_draw).
         """
         if _SAFETY * space.tol.tau_rank * cond < 1.0:
             W = cls.__new__(cls)
@@ -265,6 +272,14 @@ class Subspace:
         if self._margin is None:
             self.classify()
         return self._margin
+
+    def _compress(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The Hermitian part of Q* x Q on an orthonormal basis Q of W, and how
+        far its eigenvalues can be from those on ``ortho_basis``, relative to
+        ||x||: Q is a QR draw's own basis (``_qr``), else ``ortho_basis``."""
+        q, slack = self._qr or (self.ortho_basis, 0.0)
+        g = q.conj().T @ x @ q
+        return 0.5 * (g + g.conj().T), slack
 
     def contains(self, x) -> bool:
         """Whether x lies in W within relative residual tau_num."""
@@ -410,6 +425,29 @@ def _def_floor(space: KreinSpace, k: int) -> float:
     Gramian exists once 20 k^1.5 eps cond <= 1 (Higham, ASNA, Thm 10.7), so
     a smaller eigenvalue is indistinguishable from zero."""
     return max(space.tol.tau_def, 20.0 * k**1.5 * space.dim * 2.0**-52)
+
+
+def _clears(g: np.ndarray, t: float) -> bool:
+    """True only if every eigenvalue of the exactly Hermitian g has modulus
+    above t; False leaves it undecided.
+
+    True means a Cholesky factor of g g - (t^2 + delta) I exists.  With
+    f = ||g||_F, forming g g errs by at most 1.5 (k + 2) eps f^2 in norm, and a
+    computed factor is one of the matrix plus an error of norm at most
+    k (k + 1) eps times its own (Higham, ASNA, §3.6 and §10.1, complex
+    arithmetic included); delta is twice their sum, plus the underflow of
+    k^2 products, so the exact g^2 - t^2 I is positive definite.
+    """
+    k = g.shape[0]
+    # an overflow or a nan leaves a factor that is not finite, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.vdot(g, g).real) + t * t
+        delta = 4.0 * (k + 1) ** 2 * (2.0**-52 * scale + 2.0**-1074)
+        try:
+            r = np.linalg.cholesky(g @ g - (t * t + delta) * np.eye(k))
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.isfinite(r).all())
 
 
 @dataclass(frozen=True, eq=False)

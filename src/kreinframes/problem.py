@@ -44,6 +44,9 @@ class ProblemSpec:
 
 _TOP_KEYS = {f.name for f in fields(ProblemSpec)}
 _TOL_KEYS = {f.name for f in fields(Tolerances)}
+# a mistyped --spec value is echoed whole up to a few hundred characters
+_PATH_ECHO = reprlib.Repr()
+_PATH_ECHO.maxstring = 300
 
 
 def _scalar(value, where: str) -> complex:
@@ -160,7 +163,7 @@ def decode_document(source):
     except json.JSONDecodeError as exc:
         if not is_file and exc.pos == len(text) - len(text.lstrip(" \t\n\r")):
             # not even the start of a JSON value: most likely a mistyped path
-            raise SchemaError(f"no such file: {str(source)!r}") from exc
+            raise SchemaError(f"no such file: {_PATH_ECHO.repr(str(source))}") from exc
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None

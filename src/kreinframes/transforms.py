@@ -20,6 +20,7 @@ from .core import (
     Operator,
     Subspace,
     _SAFETY,
+    _clears,
     _def_floor,
     _rank,
     j_adjoint,
@@ -153,6 +154,9 @@ def _settles(v: Subspace, cert) -> bool:
     has condition number at most kappa(T) kappa(V.basis).  For any T, T U =
     Q R gives the image's Gramian Q* J Q = R^-* (U* H U) R^-1, so its
     eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.
+    Any orthonormal basis of V gives U* H U's spectrum, so a QR draw's own Q
+    serves, its slack times ||H|| <= ||T||^2 added to the floor; _clears tries
+    the bound before an eigvalsh does.
     """
     if cert is None:
         return False
@@ -167,9 +171,9 @@ def _settles(v: Subspace, cert) -> bool:
         return True
     if not h:
         return False
-    u = v.ortho_basis
-    g = u.conj().T @ h[0] @ u
-    return np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))).min() > floor
+    g, spread = v._compress(h[0])
+    floor += spread * norm * norm
+    return _clears(g, floor) or np.abs(np.linalg.eigvalsh(g)).min() > floor
 
 
 def _check_definite(T, v):

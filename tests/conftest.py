@@ -9,6 +9,9 @@ from kreinframes import KreinSpace, Subspace, VectorFrame, WeightedFamily
 # tier-1 stays deterministic: the same examples on every run, and no
 # per-example deadline on a loaded machine
 settings.register_profile("deterministic", derandomize=True, deadline=None)
+# the soundness properties' extra run: fresh examples, ten times as many
+# (pytest --hypothesis-profile=randomized; see generators.examples)
+settings.register_profile("randomized", deadline=None, max_examples=1000)
 settings.load_profile("deterministic")
 
 

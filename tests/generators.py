@@ -6,10 +6,18 @@ stay in ``kreinframes.sampling``.
 
 import numpy as np
 import scipy.linalg
+from hypothesis import settings
 
 from kreinframes import KreinSpace, Operator, Subspace, VectorFrame, WeightedFamily
 from kreinframes.core import DEFAULT_TOLERANCES, Tolerances
 from kreinframes.sampling import random_complex, random_maximal_definite_subspace
+
+
+def examples(n: int) -> int:
+    """n Hypothesis examples, scaled with the loaded profile's max_examples
+    over its default of 100: n under tier-1's deterministic profile, ten times
+    n under the randomized one (conftest.py)."""
+    return max(1, n * settings.default.max_examples // 100)
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:

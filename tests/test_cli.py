@@ -102,6 +102,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "all", "--spec", missing)
         assert (code, out, err) == (2, "", f"error: no such file: {missing!r}\n")
 
+    def test_long_missing_value_is_truncated(self, capsys):
+        value = "x" * 5000
+        code, out, err = run(capsys, "all", "--spec", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no such file: 'xxx") and err.endswith("xxx'\n")
+        assert err.count("\n") == 1
+        assert 300 < len(err.encode()) < 400
+
     def test_schema_error_exits_two(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"space": {"dim": 2}}))
@@ -635,6 +643,41 @@ class TestPreserveUnderOverrides:
             )
         else:
             assert "error" not in both["I"]
+
+    AXES4 = {
+        "space": {"dim": 4, "J": np.diag([1, -1, 1, -1]).tolist()},
+        "families": {"axes": {"subspaces": [[row] for row in np.eye(4).tolist()],
+                              "weights": [1, 1, 1, 1]}},
+    }
+
+    @pytest.mark.parametrize("value", ["0.05", "0.15"])
+    def test_identity_keeps_regularity_under_tau_def(self, capsys, tmp_path, value):
+        # regular draws clear tau_def, so the identity's images are regular
+        # too (drawn at a margin of 1e-3, one was "degenerate" at sample 93
+        # under 0.05 and at sample 13 under 0.15)
+        p = tmp_path / "identity.json"
+        p.write_text(json.dumps({**self.AXES4, "operators": {"I": np.eye(4).tolist()}}))
+        code, out, _ = run(capsys, "preserve", "--spec", str(p), "--tol-def", value)
+        assert code == 0
+        report = json.loads(out)["results"]["preserve"]["results"]["operators"]["I"]
+        assert report["regularity"]["status"] == "holds-on-samples"
+        assert report["regularity"]["samples_tested"] == 204
+
+    def test_regular_draws_out_of_attempts_fail_the_verdict(self, capsys, tmp_path):
+        # S swaps the signs: refuted by the definiteness sweep, it still runs
+        # the regularity sweep, whose first draw, a 3-dimensional subspace of
+        # C^4, misses a margin of 0.9 in 200 bases
+        swap = np.eye(4)[[1, 0, 3, 2]].tolist()
+        p = tmp_path / "swap.json"
+        p.write_text(json.dumps({**self.AXES4, "operators": {"S": swap}}))
+        argv = ["preserve", "--spec", str(p), "--samples", "20", "--tol-def", "0.9"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert json.loads(out)["results"]["preserve"]["results"]["operators"]["S"] == {
+            "error": "no regular subspace of dimension 3 with Gramian margin above 0.9 "
+            "in 200 attempts"
+        }
 
     @pytest.mark.parametrize("value", ["1", "2"])
     def test_rank_tolerance_of_one_exits_two(self, capsys, demo_path, value):

@@ -1,6 +1,7 @@
 """Tests for spaces, products, projections, Gramians and angular operators."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from kreinframes import (
     orthogonal_projection,
     reduced_min_modulus,
 )
-from kreinframes.core import _def_floor, _rank
+from kreinframes.core import _clears, _def_floor, _rank
 from kreinframes.sampling import (
     random_complex,
     random_definite_subspace,
@@ -38,7 +39,7 @@ from kreinframes.sampling import (
     rng_from_seed,
 )
 
-from generators import random_space
+from generators import examples, random_space
 from oracles import projection_oracle
 
 W_LINE = np.array([[0.0], [1.0], [0.5]])
@@ -399,6 +400,83 @@ class TestProjections:
         atol = 1e-12 * np.linalg.norm(q.matrix, 2) ** 2
         np.testing.assert_allclose(q.matrix @ q.matrix, q.matrix, rtol=0, atol=atol)
         np.testing.assert_allclose(j_adjoint(q).matrix, q.matrix, rtol=0, atol=atol)
+
+
+def hermitian_with_eigenvalue(rng, k, scale, lam):
+    """A Hermitian k x k matrix of norm about ``scale`` with an exact eigenvalue
+    of modulus at most |lam|, and that eigenvalue as a Fraction.
+
+    Rows and columns a and b agree off their 2 x 2 block [[o + lam, o], [o,
+    o + lam]], so e_a - e_b is an exact eigenvector; its eigenvalue is the
+    rounded o + lam minus o, or 0 when rounding moved it past |lam|.
+    """
+    if k == 1:
+        return np.array([[complex(lam)]]), Fraction(lam)
+    h = random_complex(rng, k - 1, k - 1)
+    h = (h + h.conj().T) * (scale / np.linalg.norm(h, 2))
+    g = h[np.ix_([*range(k - 1), k - 2], [*range(k - 1), k - 2])]
+    a, b, o = k - 2, k - 1, g[k - 2, k - 2].real
+    d = o + lam
+    if abs(Fraction(d) - Fraction(o)) > abs(Fraction(lam)):
+        d = o
+    g[a, a] = g[b, b] = d
+    order = rng.permutation(k)  # anywhere in the matrix, still exact
+    return g[np.ix_(order, order)], Fraction(d) - Fraction(o)
+
+
+class TestClears:
+    """_clears(g, t) is True only when every |eigenvalue of g| exceeds t."""
+
+    @settings(max_examples=examples(300))
+    @given(
+        k=st.integers(1, 48),
+        log_scale=st.floats(-3.0, 3.0),
+        log_ratio=st.floats(-16.0, 0.0),  # t / ||g||, down to the rounding level
+        frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_true_with_an_eigenvalue_within_t(self, k, log_scale, log_ratio, frac, seed):
+        rng = rng_from_seed(seed)
+        scale = 10.0**log_scale
+        t = scale * 10.0**log_ratio
+        g, lam = hermitian_with_eigenvalue(rng, k, scale, frac * t)
+        assert abs(lam) <= Fraction(t)
+        assert not _clears(g, t)
+
+    @settings(max_examples=examples(100))
+    @given(
+        k=st.integers(1, 48),
+        log_scale=st.floats(-3.0, 3.0),
+        log_ratio=st.floats(-4.0, -0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_true_when_every_eigenvalue_clears_twice_t(self, k, log_scale, log_ratio, seed):
+        rng = rng_from_seed(seed)
+        scale = 10.0**log_scale
+        t = scale * 10.0**log_ratio
+        q, _ = np.linalg.qr(random_complex(rng, k, k))
+        lam = rng.uniform(2.0 * t, scale, k) * rng.choice([-1.0, 1.0], k)
+        g = (q * lam) @ q.conj().T
+        assert _clears(0.5 * (g + g.conj().T), t)
+
+    @pytest.mark.parametrize(
+        "g, t, clears",
+        [
+            (np.zeros((3, 3)), 0.0, False),
+            (np.eye(3), 0.0, True),
+            (np.eye(3), 1.0, False),
+            (np.diag([2.0, -3.0]), 1.5, True),
+            (np.diag([2.0, -3.0]), 2.0, False),
+            (np.full((2, 2), np.nan), 0.0, False),
+            (np.diag([np.inf, 1.0]), 0.5, False),
+            (np.diag([1e300, 1.0]), 0.5, False),  # g g overflows: undecided
+            (np.diag([1e-200, 1e-200]), 0.0, False),  # g g underflows to zero
+        ],
+    )
+    def test_edge_cases(self, g, t, clears):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no warning about an overflow
+            assert _clears(g.astype(complex), t) is clears
 
 
 class TestGramian:
