@@ -679,7 +679,8 @@ class TestCongruence:
             # the spectrum on Q is the one on the SVD's U, within slack ||H||
             u = v.ortho_basis
             spread = slack * np.linalg.norm(h, 2)
-            on_u = np.linalg.eigvalsh(0.5 * (u.conj().T @ h @ u + (u.conj().T @ h @ u).conj().T))
+            gu = u.conj().T @ h @ u
+            on_u = np.linalg.eigvalsh(0.5 * (gu + gu.conj().T))
             assert np.abs(np.linalg.eigvalsh(g) - on_u).max() <= spread
             if not settled:
                 continue
@@ -730,16 +731,13 @@ class FixedDim:
         return getattr(self.rng, name)
 
 
-class StubBases:
+class StubBases(FixedDim):
     """A generator whose integers draw is ``dim`` and whose normal draws are
     the real and imaginary parts of ``bases``, in turn."""
 
     def __init__(self, dim, bases):
-        self.dim = dim
+        super().__init__(None, dim)
         self.parts = [part.copy() for b in bases for part in (b.real, b.imag)]
-
-    def integers(self, low, high):
-        return self.dim
 
     def standard_normal(self, shape):
         part = self.parts.pop(0)
