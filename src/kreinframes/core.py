@@ -181,12 +181,6 @@ class Subspace:
     (left singular vectors of the basis matrix).
     """
 
-    # (Q, slack) for a draw accepted on a Householder QR of its basis: another
-    # orthonormal basis of the span, and a bound on how far the eigenvalues of
-    # Q* X Q and U* X U, U = ortho_basis, can be apart, relative to ||X||
-    # (sampling.random_regular_subspace)
-    _qr: tuple[np.ndarray, float] | None = None
-
     def __init__(self, space: KreinSpace, basis):
         basis = _as_matrix(basis)
         if basis.shape[0] != space.dim or basis.shape[1] < 1:
@@ -226,14 +220,13 @@ class Subspace:
     @classmethod
     def _graph(cls, space: KreinSpace, basis, cond: float, margin: float) -> "Subspace":
         """Subspace(space, basis()) for ``basis``, a function that builds the basis
-        of a graph of an angular operator (or of its restriction), given an
-        upper bound ``cond`` on kappa(basis()) and a lower bound ``margin`` on
-        the smallest |Gramian eigenvalue|.
+        of a graph of an angular operator, of a slice of one or of a J-orthogonal
+        sum of two slices, given an upper bound ``cond`` on kappa(basis()) and
+        a lower bound ``margin`` on the smallest |Gramian eigenvalue|.
 
         While the first bound settles the rank, basis() waits until ``basis``
         is read, and the SVD and the classification until ``ortho_basis`` or
-        ``classify`` is.  A QR draw passes its basis matrix itself, with a
-        rank that its bound settles (sampling._qr_draw).
+        ``classify`` is.
         """
         if _SAFETY * space.tol.tau_rank * cond < 1.0:
             W = cls.__new__(cls)
@@ -272,14 +265,6 @@ class Subspace:
         if self._margin is None:
             self.classify()
         return self._margin
-
-    def _compress(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """The Hermitian part of Q* x Q on an orthonormal basis Q of W, and how
-        far its eigenvalues can be from those on ``ortho_basis``, relative to
-        ||x||: Q is a QR draw's own basis (``_qr``), else ``ortho_basis``."""
-        q, slack = self._qr or (self.ortho_basis, 0.0)
-        g = q.conj().T @ x @ q
-        return 0.5 * (g + g.conj().T), slack
 
     def contains(self, x) -> bool:
         """Whether x lies in W within relative residual tau_num."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Subspace
+from .core import KreinSpace, Operator, Subspace, _def_floor
 from .errors import (
     DefinitenessTransportError,
     DimensionError,
@@ -67,7 +67,8 @@ class VectorFrame:
         f = matrix / np.where(scale == 0.0, 1.0, scale)
         nrm2 = np.einsum("ij,ij->j", f.conj(), f).real
         vals = np.einsum("ij,ij->j", f.conj(), space.J @ f).real
-        neutral = np.flatnonzero(np.abs(vals) <= space.tol.tau_def * nrm2)
+        # the floor classify puts on a family member's one-dimensional Gramian
+        neutral = np.flatnonzero(np.abs(vals) <= _def_floor(space, 1) * nrm2)
         if neutral.size:  # the first offender; a zero vector is neutral too
             i = int(neutral[0])
             if scale[i] == 0.0:

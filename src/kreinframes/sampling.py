@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _SAFETY, KreinSpace, Subspace, _clears, _def_floor
-from .errors import KreinFramesError
+from .core import KreinSpace, Subspace, _def_floor
 
 __all__ = [
     "rng_from_seed",
@@ -78,58 +77,36 @@ def random_definite_subspace(
     return Subspace._graph(space, lambda: maximal.basis @ coeff, cond, maximal._margin)
 
 
-# the n from which a QR draw is as fast as an SVD one or faster (one BLAS thread)
-_QR_MIN_DIM = 14
-
-
 def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subspace:
-    """Random subspace with Gramian eigenvalues above t in modulus, where t is
-    1e-3 or the definiteness floor if larger, so that it classifies as regular.
+    """Regular subspace: a slice of a random maximal positive graph plus a
+    slice of its J-orthogonal complement, so that it classifies as regular.
 
-    May be indefinite; rejection-samples up to 200 bases of one random
-    dimension until the margin holds.  In C^n with n >= _QR_MIN_DIM a basis
-    whose QR decides the margin is accepted without an SVD (_qr_draw); every
-    other one is decided as Subspace(space, basis)._gram_margin() > t, so
-    each draw keeps the bits and the random numbers of that test.
+    With D, C the canonical positive and negative bases and a c x d K with
+    ||K||_2 <= t < 1, the graphs {x + Kx} and {y + K* y} are J-orthogonal, and
+    for orthonormal X (d x a) and Y (c x b) the basis B = [(D + CK) X,
+    (C + DK*) Y] = [D C] (I + [[0, K*], [K, 0]]) diag(X, Y) has singular
+    values in [1 - t, 1 + t] and B*JB = diag(X*(I - K*K)X, -Y*(I - KK*)Y).
+    Its compressed Gramian's eigenvalues have modulus at least
+    (1 - t^2) / (1 + t)^2 = (1 - t) / (1 + t) (Ostrowski), and kappa(B) is at
+    most the inverse.  t is drawn below the maximal draws' 0.8 and below
+    (1 - f) / (1 + f), f the definiteness floor, so the margin clears f.  K
+    is scaled by ||K||_F >= ||K||_2, without an SVD.  The random numbers are
+    taken at draw time; B and the QRs that give X and Y wait until the basis
+    is read (``Subspace._graph``).
     """
-    n = space.dim
-    dim = int(rng.integers(1, n + 1))
-    t = max(1e-3, _def_floor(space, dim))
-    for _ in range(200):
-        b = random_complex(rng, n, dim)
-        w = _qr_draw(space, b, t) if n >= _QR_MIN_DIM else None
-        if w is None:
-            w = Subspace(space, b)
-            if not w._gram_margin() > t:
-                continue
-        return w
-    raise KreinFramesError(
-        f"no regular subspace of dimension {dim} with Gramian margin above "
-        f"{t:g} in 200 attempts"
-    )
+    plus, minus = space.component(1), space.component(-1)
+    d, c = plus.shape[1], minus.shape[1]
+    dim = int(rng.integers(1, space.dim + 1))
+    a = int(rng.integers(max(0, dim - c), min(dim, d) + 1))  # dim - a <= c
+    f = _def_floor(space, dim)
+    tilt = float(rng.uniform(0.0, min(0.8, (1.0 - f) / (1.0 + f))))
+    k, x, y = (random_complex(rng, *shape) for shape in ((c, d), (d, a), (c, dim - a)))
+    margin = (1.0 - tilt) / (1.0 + tilt)
 
+    def basis():  # a zero k (a definite space) is left as it is
+        s = np.linalg.norm(k)
+        kt = k * (tilt / s) if s > 0.0 else k
+        x_q, y_q = np.linalg.qr(x)[0], np.linalg.qr(y)[0]
+        return np.hstack([(plus + minus @ kt) @ x_q, (minus + plus @ kt.conj().T) @ y_q])
 
-def _qr_draw(space: KreinSpace, b: np.ndarray, t: float) -> Subspace | None:
-    """Subspace(space, b), with bounds in place of its SVD, when b = QR shows
-    that its Gramian margin clears t by 16 slacks; None otherwise.
-
-    Householder QR and the SVD give orthonormal bases of spans at most
-    c n dim eps kappa(b) apart (Higham, ASNA, ch. 19), so the eigenvalues of
-    Gramians on them are a few times that close; slack = 16 n dim eps kappa
-    covers the small constants, with kappa(b) = kappa(R) <= ||R||_F ||R^-1||_F.
-    Within 16 slacks of t, and wherever 4 tau_rank kappa >= 1, the SVD
-    decides.  An accepted b has t + 16 slack below ||Q* J Q|| <= 1, which
-    bounds kappa too, so the SVD would find its full rank as well.
-    """
-    n, dim = b.shape
-    q, r = np.linalg.qr(b)
-    try:
-        cond = float(np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)))
-    except np.linalg.LinAlgError:  # an exactly singular R
-        return None
-    if not _SAFETY * space.tol.tau_rank * cond < 1.0:
-        return None
-    w = Subspace._graph(space, b, cond, t)  # its rank settled: no SVD
-    w._qr = (q, 16.0 * n * dim * 2.0**-52 * cond)
-    g, slack = w._compress(space.J)
-    return w if _clears(g, t + 16.0 * slack) else None
+    return Subspace._graph(space, basis, 1.0 / margin, margin)

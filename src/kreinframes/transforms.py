@@ -153,10 +153,11 @@ def _settles(v: Subspace, cert) -> bool:
     orthonormalising divides it by at most ||T||^2 (Ostrowski).  T V.basis
     has condition number at most kappa(T) kappa(V.basis).  For any T, T U =
     Q R gives the image's Gramian Q* J Q = R^-* (U* H U) R^-1, so its
-    eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.
-    Any orthonormal basis of V gives U* H U's spectrum, so a QR draw's own Q
-    serves, its slack times ||H|| <= ||T||^2 added to the floor; _clears tries
-    the bound before an eigvalsh does.
+    eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.  With
+    V's own basis B = U C in place of U, each |eigenvalue of B* H B| is at most
+    ||C||_2^2 = ||B||_2^2 <= ||B||_F^2 times one of U* H U, so the floor is
+    scaled by ||B||_F^2 and no SVD of B is needed; _clears tries the bound
+    before an eigvalsh does.
     """
     if cert is None:
         return False
@@ -171,8 +172,10 @@ def _settles(v: Subspace, cert) -> bool:
         return True
     if not h:
         return False
-    g, spread = v._compress(h[0])
-    floor += spread * norm * norm
+    b = v.basis
+    g = b.conj().T @ h[0] @ b
+    g = 0.5 * (g + g.conj().T)
+    floor *= float(np.vdot(b, b).real)
     return _clears(g, floor) or np.abs(np.linalg.eigvalsh(g)).min() > floor
 
 

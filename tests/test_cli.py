@@ -28,6 +28,8 @@ from generators import alternating_signature_space, neutral_image_operator
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HUGE = 10**400  # a JSON integer beyond float64
+# neutral under diag(1, -1) within rounding: [f,f]/||f||^2 is about 1e-16
+VECTOR_NEAR_NEUTRAL = [1.0, 0.9999999999999999]
 
 
 @pytest.fixture
@@ -299,6 +301,26 @@ class TestExitCodes:
             )
 
     @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            ("families", {"subspaces": [[VECTOR_NEAR_NEUTRAL], [[1.0, 0.0]]], "weights": [1, 1]},
+             "family 'f': member classifies as neutral; every member must be uniformly definite"),
+            ("vector_frames", [VECTOR_NEAR_NEUTRAL, [1.0, 0.0]],
+             "vector frame 'f': vector is neutral within tau_def ([f,f]/||f||^2 = 1.11022e-16)"),
+        ],
+        ids=["family", "vector_frame"],
+    )
+    def test_member_kinds_decide_neutrality_alike(self, capsys, section, entry, message):
+        # a tau_def of 1e-20 is below the rounding level of [f,f]/||f||^2
+        doc = {
+            "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+            section: {"f": entry},
+            "tolerances": {"tau_def": 1e-20},
+        }
+        code, out, err = run(capsys, "certify", "--spec", json.dumps(doc))
+        assert (code, out, err) == (2, "", f"error: member 0: {message}\n")
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (b"\xff{}", "invalid UTF-8 at byte 0: invalid start byte"),
@@ -474,6 +496,8 @@ POOL_DOCS = [
     ("preserve_docs", "alt-0"),
     # the pool's deepest definiteness refutation: draw 26, a lazy slice
     ("preserve_docs", "alt-8"),
+    # regular draws of dimension 23 under a tau_def of 0.15
+    ("preserve_docs", "alt-2"),
 ]
 
 # perfbench/docs.py run as the references were recorded: with one BLAS thread,
@@ -517,6 +541,23 @@ class TestPoolReports:
         argv = ("all", "--spec", str(path), "--samples", samples)
         result = gate.outcome(*run(capsys, *argv))
         assert gate.check(ref, result) == []
+
+    def test_regular_draws_clear_a_tau_def_of_0_15(self, capsys, monkeypatch, pool_dir):
+        # draws of dimension 23 clear a margin of 0.15 by construction, and
+        # J-unitary operators keep every image regular
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        path = pool_dir / "preserve_docs-alt-2.json"
+        argv = ("preserve", "--spec", str(path), "--samples", "100", "--tol-def", "0.15")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        reports = json.loads(out)["results"]["preserve"]["results"]["operators"]
+        assert [r["regularity"]["status"] for r in reports.values()] == [
+            "holds-on-samples", "counterexample", "holds-on-samples"
+        ]
+        assert reports["neutral_image"]["regularity"]["counterexample"]["detail"] == (
+            "image is degenerate"
+        )
 
 
 class TestSeedResolution:
@@ -663,10 +704,10 @@ class TestPreserveUnderOverrides:
         assert report["regularity"]["status"] == "holds-on-samples"
         assert report["regularity"]["samples_tested"] == 204
 
-    def test_regular_draws_out_of_attempts_fail_the_verdict(self, capsys, tmp_path):
+    def test_regular_draws_clear_a_large_tau_def(self, capsys, tmp_path):
         # S swaps the signs: refuted by the definiteness sweep, it still runs
-        # the regularity sweep, whose first draw, a 3-dimensional subspace of
-        # C^4, misses a margin of 0.9 in 200 bases
+        # the regularity sweep, whose draws clear a margin of 0.9 by
+        # construction; S* J S = -J keeps their images regular
         swap = np.eye(4)[[1, 0, 3, 2]].tolist()
         p = tmp_path / "swap.json"
         p.write_text(json.dumps({**self.AXES4, "operators": {"S": swap}}))
@@ -674,10 +715,10 @@ class TestPreserveUnderOverrides:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert "Traceback" not in err
-        assert json.loads(out)["results"]["preserve"]["results"]["operators"]["S"] == {
-            "error": "no regular subspace of dimension 3 with Gramian margin above 0.9 "
-            "in 200 attempts"
-        }
+        report = json.loads(out)["results"]["preserve"]["results"]["operators"]["S"]
+        assert report["definiteness_with_sign"]["status"] == "counterexample"
+        assert report["regularity"]["status"] == "holds-on-samples"
+        assert report["regularity"]["samples_tested"] == 24
 
     @pytest.mark.parametrize("value", ["1", "2"])
     def test_rank_tolerance_of_one_exits_two(self, capsys, demo_path, value):
