@@ -22,7 +22,7 @@ from kreinframes.errors import (
 )
 from kreinframes import transforms
 from kreinframes.fusion import bounds_sandwich_ok, certify, converse_check
-from kreinframes.core import _def_floor, gramian
+from kreinframes.core import _def_floor, gramian, gramian_min_modulus
 from kreinframes.sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -692,10 +692,64 @@ class TestRegularDraws:
         possible = {(a, b) for a in range(p + 1) for b in range(5 - p) if a + b}
         assert splits == possible
 
-    def test_an_unread_draw_factors_nothing(self, alt48_ops, count_calls):
+    @pytest.mark.parametrize("n", [1, 4, 16, 48])
+    @pytest.mark.parametrize("tau_def", [0.05, 0.15, 0.5, 0.9, 0.999])
+    def test_draws_are_regular_under_the_space_tau_def(self, tau_def, n):
+        # no rejection: every draw clears even a tau_def near 1
+        space = random_space(rng_from_seed(n), n, n // 2, tol=Tolerances(tau_def=tau_def))
+        rng = rng_from_seed(7)
+        for _ in range(20):
+            v = random_regular_subspace(space, rng)
+            assert v._gram_margin() > _def_floor(space, v.dim)
+            assert gramian_min_modulus(Subspace(space, v.basis)) > tau_def
+            assert v.classify().regular
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 48])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_basis_is_a_j_orthogonal_sum_of_definite_slices(self, diagonal, n):
+        # B*JB = diag(X*(I - K*K)X, -Y*(I - KK*)Y), sigma(B) in [1 - t, 1 + t]
+        space = random_space(rng_from_seed(n), n, diagonal=diagonal)
+        rng = rng_from_seed(11)
+        for _ in range(10):
+            v = random_regular_subspace(space, rng)
+            b = v.basis
+            g = b.conj().T @ space.J @ b
+            a = int((np.linalg.eigvalsh(0.5 * (g + g.conj().T)) > 0).sum())
+            np.testing.assert_allclose(g[:a, a:], 0.0, atol=1e-13)
+            assert np.all(np.linalg.eigvalsh(g[:a, :a]) > 0)
+            assert np.all(np.linalg.eigvalsh(g[a:, a:]) < 0)
+            t = (1.0 - v._margin) / (1.0 + v._margin)
+            s = np.linalg.svd(b, compute_uv=False)
+            assert s[0] <= (1.0 + t) * (1 + 1e-12)
+            assert s[-1] >= (1.0 - t) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 48])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_reading_a_basis_leaves_later_draws_alike(self, diagonal, n):
+        # every random number is taken at draw time, none when basis is read
+        space = random_space(rng_from_seed(n), n, n // 2, diagonal=diagonal)
+        rng_read, rng_unread = rng_from_seed(13), rng_from_seed(13)
+        read = [random_regular_subspace(space, rng_read).basis for _ in range(10)]
+        unread = [random_regular_subspace(space, rng_unread) for _ in range(10)]
+        for b, v in zip(read, unread):
+            np.testing.assert_array_equal(b, v.basis)
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_draws_in_a_definite_space_are_definite(self, sign, n):
+        space = KreinSpace.from_signs([sign] * n)
+        rng = rng_from_seed(n)
+        for _ in range(10):
+            v = random_regular_subspace(space, rng)
+            assert v.classify().sign == sign
+            np.testing.assert_allclose(gramian(v), sign * np.eye(v.dim), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 13, 48])
+    def test_an_unread_draw_factors_nothing(self, n, count_calls):
+        space = alternating_signature_space(n) if n > 1 else KreinSpace.from_signs([1])
         svds, qrs = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
         rng = rng_from_seed(0)
-        draws = [random_regular_subspace(alt48_ops[0].space, rng) for _ in range(20)]
+        draws = [random_regular_subspace(space, rng) for _ in range(20)]
         assert (len(svds), len(qrs)) == (0, 0)
         assert all(callable(v._basis) and v._ortho is None for v in draws)
 
