@@ -14,7 +14,9 @@ definite subspaces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,29 @@ class Tolerances:
     tau_rank: float = 1e-10
     tau_def: float = 1e-8
     tau_num: float = 1e-9
+
+    def __post_init__(self):
+        for f in fields(self):
+            fault = _tolerance_fault(f.name, getattr(self, f.name))
+            if fault:
+                raise ValidationError(f"{f.name}: {fault}")
+
+
+def _tolerance_fault(name: str, value) -> str | None:
+    """Why ``value`` cannot be the tolerance ``name``, or None if it can: every
+    tolerance is a positive finite number, and tau_rank and tau_def are below 1."""
+    # "<= max" so that a nan, an infinity and an integer beyond float64 fail too
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0 < value <= sys.float_info.max
+    ):
+        return "expected a positive number"
+    # at 1 or more every basis is rank deficient (tau_rank), or every
+    # subspace neutral, as orthonormal Gramians lie in [-1, 1] (tau_def)
+    if name in ("tau_rank", "tau_def") and value >= 1:
+        return "expected a positive number below 1"
+    return None
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -205,6 +230,7 @@ class Subspace:
         # _graph sets bounds on both instead
         self._cond, self._margin = cond, None
         self._classification: Classification | None = None
+        self._spanning = None  # or a function of columns in W, see _graph
 
     @classmethod
     def from_spanning(cls, space: KreinSpace, vectors) -> "Subspace | None":
@@ -218,11 +244,15 @@ class Subspace:
         return W
 
     @classmethod
-    def _graph(cls, space: KreinSpace, basis, cond: float, margin: float) -> "Subspace":
+    def _graph(
+        cls, space: KreinSpace, basis, cond: float, margin: float, spanning=None
+    ) -> "Subspace":
         """Subspace(space, basis()) for ``basis``, a function that builds the basis
         of a graph of an angular operator, of a slice of one or of a J-orthogonal
         sum of two slices, given an upper bound ``cond`` on kappa(basis()) and
         a lower bound ``margin`` on the smallest |Gramian eigenvalue|.
+        ``spanning``, if given, builds cheaper columns in the subspace that span
+        it whenever they are independent.
 
         While the first bound settles the rank, basis() waits until ``basis``
         is read, and the SVD and the classification until ``ortho_basis`` or
@@ -233,7 +263,7 @@ class Subspace:
             W._set(space, basis, None, cond)
         else:
             W = cls(space, basis())
-        W._margin = margin
+        W._margin, W._spanning = margin, spanning
         return W
 
     @property
@@ -319,17 +349,29 @@ def _classify(W: Subspace) -> tuple[Classification, float]:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A linear operator on a Krein space, stored as its matrix; equal only to itself."""
+    """A linear operator on a Krein space, stored as its matrix; equal only to itself.
+
+    The matrix is a read-only copy, so what is derived from it, such as its
+    singular values, is computed once, kept on the operator and never stale.
+    """
 
     space: KreinSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
+        m = _as_matrix(self.matrix).copy()  # the caller's array stays writeable
         n = self.space.dim
         if m.shape != (n, n):
             raise DimensionError(f"operator of shape {m.shape} does not act on C^{n}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def _svals(self) -> np.ndarray:
+        """The singular values of the matrix, descending, from its one SVD."""
+        s = np.linalg.svd(self.matrix, compute_uv=False)
+        s.flags.writeable = False
+        return s
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ self.space.check_vector(x)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import reprlib
-import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Subspace, Tolerances
+from .core import KreinSpace, Operator, Subspace, Tolerances, _tolerance_fault
 from .duality import VectorFrame
 from .errors import (
     MemberClassificationError,
@@ -191,17 +190,9 @@ def parse_spec(source) -> ProblemSpec:
         if unknown:
             raise SchemaError(f"unknown tolerance keys: {sorted(unknown)}")
         for k, v in tdoc.items():
-            # "<= max" so that an integer beyond float64 fails too
-            if (
-                not isinstance(v, (int, float))
-                or isinstance(v, bool)
-                or not 0 < v <= sys.float_info.max
-            ):
-                raise SchemaError(f"tolerances.{k}: expected a positive number")
-            # at 1 or more every basis is rank deficient (tau_rank), or every
-            # subspace neutral, as orthonormal Gramians lie in [-1, 1] (tau_def)
-            if k in ("tau_rank", "tau_def") and v >= 1:
-                raise SchemaError(f"tolerances.{k}: expected a positive number below 1")
+            fault = _tolerance_fault(k, v)
+            if fault:
+                raise SchemaError(f"tolerances.{k}: {fault}")
         tolerances = Tolerances(**{k: float(v) for k, v in tdoc.items()})
 
     sdoc = doc["space"]

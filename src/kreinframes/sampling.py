@@ -24,14 +24,49 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # one call: the generator fills the real halves first, as two calls would
+    real, imag = rng.standard_normal((2, *shape))
+    return real + 1j * imag
+
+
+_MAX_TILT = 0.8  # the largest ||K||_2 of a maximal or regular draw
+
+
+def _maximal_bounds(tilt: float) -> tuple[float, float]:
+    """(kappa(basis), Gramian margin) bounds of a maximal draw of a given tilt."""
+    return float(np.sqrt(1.0 + tilt * tilt)), (1.0 - tilt * tilt) / (1.0 + tilt * tilt)
+
+
+def _regular_tilt(space: KreinSpace, dim: int) -> float:
+    """The supremum of a regular draw's tilt, at which its margin is the
+    definiteness floor; the largest at dim 1, as the floor grows with dim."""
+    f = _def_floor(space, dim)
+    return min(_MAX_TILT, (1.0 - f) / (1.0 + f))
+
+
+def _regular_bounds(tilt: float) -> tuple[float, float]:
+    """(kappa(basis), Gramian margin) bounds of a regular draw of a given tilt."""
+    margin = (1.0 - tilt) / (1.0 + tilt)
+    return 1.0 / margin, margin
+
+
+def _maximal_law(space: KreinSpace) -> tuple[float, float]:
+    """Bounds (cond, margin) on every random_maximal_definite_subspace draw at
+    the default tilt: the bounds at the tilt's supremum, as they are monotone
+    in the tilt, in floating point too."""
+    return _maximal_bounds(_MAX_TILT)
+
+
+def _regular_law(space: KreinSpace) -> tuple[float, float]:
+    """Bounds (cond, margin) on every random_regular_subspace draw in space."""
+    return _regular_bounds(_regular_tilt(space, 1))
 
 
 def random_maximal_definite_subspace(
     space: KreinSpace,
     rng: np.random.Generator,
     sign: int,
-    max_tilt: float = 0.8,
+    max_tilt: float = _MAX_TILT,
 ) -> Subspace:
     """Maximal uniformly definite subspace from a random angular operator.
 
@@ -50,8 +85,7 @@ def random_maximal_definite_subspace(
     k = random_complex(rng, c, d)
     # a nonzero k has ||k||_2 > 0: LAPACK scales k before its SVD
     tilt = float(rng.uniform(0.0, max_tilt)) if k.any() else 0.0
-    cond = float(np.sqrt(1.0 + tilt * tilt))
-    margin = (1.0 - tilt * tilt) / (1.0 + tilt * tilt)
+    cond, margin = _maximal_bounds(tilt)
 
     def basis():  # k scaled to norm tilt, also when tilt is 0.0
         return dom + codom @ (k * (tilt / np.linalg.norm(k, 2)) if k.any() else k)
@@ -92,21 +126,22 @@ def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subs
     (1 - f) / (1 + f), f the definiteness floor, so the margin clears f.  K
     is scaled by ||K||_F >= ||K||_2, without an SVD.  The random numbers are
     taken at draw time; B and the QRs that give X and Y wait until the basis
-    is read (``Subspace._graph``).
+    is read (``Subspace._graph``).  The Gaussian x and y in place of X and Y
+    give the draw's spanning columns, which span it when independent.
     """
     plus, minus = space.component(1), space.component(-1)
     d, c = plus.shape[1], minus.shape[1]
     dim = int(rng.integers(1, space.dim + 1))
     a = int(rng.integers(max(0, dim - c), min(dim, d) + 1))  # dim - a <= c
-    f = _def_floor(space, dim)
-    tilt = float(rng.uniform(0.0, min(0.8, (1.0 - f) / (1.0 + f))))
+    tilt = float(rng.uniform(0.0, _regular_tilt(space, dim)))
     k, x, y = (random_complex(rng, *shape) for shape in ((c, d), (d, a), (c, dim - a)))
-    margin = (1.0 - tilt) / (1.0 + tilt)
 
-    def basis():  # a zero k (a definite space) is left as it is
+    def columns(x, y):  # a zero k (a definite space) is left as it is
         s = np.linalg.norm(k)
         kt = k * (tilt / s) if s > 0.0 else k
-        x_q, y_q = np.linalg.qr(x)[0], np.linalg.qr(y)[0]
-        return np.hstack([(plus + minus @ kt) @ x_q, (minus + plus @ kt.conj().T) @ y_q])
+        return np.hstack([(plus + minus @ kt) @ x, (minus + plus @ kt.conj().T) @ y])
 
-    return Subspace._graph(space, basis, 1.0 / margin, margin)
+    def basis():
+        return columns(np.linalg.qr(x)[0], np.linalg.qr(y)[0])
+
+    return Subspace._graph(space, basis, *_regular_bounds(tilt), lambda: columns(x, y))

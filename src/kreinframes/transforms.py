@@ -36,6 +36,8 @@ from .errors import (
 from .fusion import WeightedFamily, FrameCertificate, certify
 from .fusion import _decide, _masked_span, _side_verdict, _sum_dim
 from .sampling import (
+    _maximal_law,
+    _regular_law,
     random_definite_subspace,
     random_maximal_definite_subspace,
     random_regular_subspace,
@@ -88,27 +90,40 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     return Subspace.from_spanning(T.space, T.matrix @ V.basis)
 
 
-def _sweep(ops, subspaces, n_random, seed, draw, check) -> list:
+def _sweep(ops, subspaces, n_random, seed, draw, check, law=None) -> list:
     """Per pair (T, cert) in ``ops``, the first counterexample ``check(T, v)``
     finds in the supplied subspaces, then in ``n_random`` samples
     ``draw(space, rng)`` takes one at a time from rng_from_seed(seed).  A
     check that _settles(v, cert) decides is not made.
 
     Each subspace is tested on every operator that has not stopped, and none
-    is drawn once all have.  A library error from a draw or from ``check``'s
-    test of the subspace itself is the result of every operator still
-    sweeping.
+    is drawn once all have.  ``law(space)``, if given, bounds (cond, margin)
+    every draw: once those bounds settle each operator still sweeping, and
+    no draw can fail its rank, the rest are not drawn (None) but count as
+    tested, as they would pass.  A library error from a draw or from
+    ``check``'s test of the subspace itself is the result of every operator
+    still sweeping.
     """
     if not ops:
         return []
     out = [None] * len(ops)
+    space = ops[0][0].space
+    lawful = [False] * len(ops)
+    if law is not None:
+        cond, margin = law(space)
+        if _SAFETY * space.tol.tau_rank * cond < 1.0:  # every draw is lazy (_graph)
+            lawful = [c is not None and _bounds_settle(space, cond, margin, c) for _, c in ops]
     rng = rng_from_seed(seed)
-    drawn = (draw(ops[0][0].space, rng) for _ in range(n_random))
+
+    def settled():
+        return all(r is not None or s for r, s in zip(out, lawful))
+
+    drawn = (None if settled() else draw(space, rng) for _ in range(n_random))
     tested = 0
     try:
         for tested, v in enumerate(chain(subspaces, drawn), 1):
             for i, (T, cert) in enumerate(ops):
-                skip = out[i] is not None or _settles(v, cert)
+                skip = v is None or out[i] is not None or _settles(v, cert)
                 bad = None if skip else check(T, v)
                 if bad is not None:
                     out[i] = PredicateVerdict("counterexample", v, bad, tested)
@@ -139,6 +154,26 @@ def _signed(sampler):
     return draw
 
 
+def _image_floor(space, cond: float, cert) -> float | None:
+    """The floor that the image's Gramian margin must clear for ``cert`` to
+    settle a V with kappa(V.basis) <= cond, or None when kappa(T) cond does not
+    settle the image's rank (see _settles)."""
+    c, r, norm, kappa, *_ = cert
+    kappa *= cond
+    slack = 1e-13 * space.dim * kappa  # rounding in the image's classification
+    if kappa * (_SAFETY * space.tol.tau_rank + slack) >= 1.0:
+        return None
+    # the floor of a Gramian of dimension n bounds that of V and T(V)
+    return (_SAFETY * _def_floor(space, space.dim) + slack) * norm * norm
+
+
+def _bounds_settle(space, cond: float, margin: float, cert) -> bool:
+    """Whether ``cert`` settles, by its scalars alone, every V in ``space`` with
+    kappa(V.basis) <= cond and Gramian margin >= margin (see _settles)."""
+    floor = _image_floor(space, cond, cert)
+    return floor is not None and cert[0] > 0 and cert[0] * margin - cert[1] > floor
+
+
 def _settles(v: Subspace, cert) -> bool:
     """Whether ``cert`` = _isometry_scale(T) proves that T(V) has V's
     dimension and inertia with a Gramian margin above tau_def (or above the
@@ -154,26 +189,22 @@ def _settles(v: Subspace, cert) -> bool:
     has condition number at most kappa(T) kappa(V.basis).  For any T, T U =
     Q R gives the image's Gramian Q* J Q = R^-* (U* H U) R^-1, so its
     eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.  With
-    V's own basis B = U C in place of U, each |eigenvalue of B* H B| is at most
+    columns B = U C in V in place of U, each |eigenvalue of B* H B| is at most
     ||C||_2^2 = ||B||_2^2 <= ||B||_F^2 times one of U* H U, so the floor is
     scaled by ||B||_F^2 and no SVD of B is needed; _clears tries the bound
-    before an eigvalsh does.
+    before an eigvalsh does.  B is V's spanning columns where it has them: a
+    B* H B that clears a positive floor is nonsingular, so B has full rank and
+    spans V.
     """
     if cert is None:
         return False
-    c, r, norm, kappa, *h = cert
-    tol, kappa = v.space.tol, kappa * v._cond
-    slack = 1e-13 * v.space.dim * kappa  # rounding in the image's classification
-    if kappa * (_SAFETY * tol.tau_rank + slack) >= 1.0:
-        return False
-    # the floor of a Gramian of dimension n bounds that of V and T(V)
-    floor = (_SAFETY * _def_floor(v.space, v.space.dim) + slack) * norm * norm
-    if c > 0 and c * v._gram_margin() - r > floor:
+    if _bounds_settle(v.space, v._cond, v._gram_margin(), cert):
         return True
-    if not h:
+    floor = _image_floor(v.space, v._cond, cert) if len(cert) == 5 else None
+    if floor is None:
         return False
-    b = v.basis
-    g = b.conj().T @ h[0] @ b
+    b = v.basis if v._spanning is None else v._spanning()
+    g = b.conj().T @ cert[4] @ b
     g = 0.5 * (g + g.conj().T)
     floor *= float(np.vdot(b, b).real)
     return _clears(g, floor) or np.abs(np.linalg.eigvalsh(g)).min() > floor
@@ -251,7 +282,9 @@ def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     """preservation_report of each operator, or the library error that stopped
     it, from one sweep per predicate over the same subspaces.  An operator
     with an error runs no later predicate.  Images that _settles decides
-    are not computed; for regularity it may also use T* J T."""
+    are not computed; for regularity it may also use T* J T.  The maximal
+    and regular sweeps get their draws' laws, so each stops drawing once the
+    law's bounds settle every operator still sweeping."""
     definite = [s for s in subspaces if s.classify().uniformly_definite]
     maximal = [s for s in definite if s.classify().maximal_definite]
     regular = [s for s in subspaces if s.classify().regular]
@@ -260,14 +293,15 @@ def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
     congruent = [(*c, T.matrix.conj().T @ T.space.J @ T.matrix) for T, c in zip(ops, certs)]
     verdicts = [[] for _ in ops]
-    for pool, draw, check, cs in (
-        (definite, _signed(random_definite_subspace), _check_definite, certs),
-        (maximal, _signed(random_maximal_definite_subspace), _check_maximal, certs),
-        (regular, random_regular_subspace, _check_regular, congruent),
+    # a definite draw's kappa(basis) has no bound, so it has no law
+    for pool, draw, check, cs, law in (
+        (definite, _signed(random_definite_subspace), _check_definite, certs, None),
+        (maximal, _signed(random_maximal_definite_subspace), _check_maximal, certs, _maximal_law),
+        (regular, random_regular_subspace, _check_regular, congruent, _regular_law),
     ):
         live = [i for i, v in enumerate(verdicts) if isinstance(v, list)]
         sweeping = [(ops[i], cs[i]) for i in live]
-        results = _sweep(sweeping, pool, n_random, seed, draw, check)
+        results = _sweep(sweeping, pool, n_random, seed, draw, check, law)
         for i, r in zip(live, results):
             verdicts[i] = r if isinstance(r, KreinFramesError) else verdicts[i] + [r]
     return [PreservationReport(*v) if isinstance(v, list) else v for v in verdicts]
@@ -281,7 +315,7 @@ def transform_family(
     Raises MemberClassificationError when some image is not uniformly
     definite; that is exactly a definiteness-preservation failure.
     """
-    if _rank(np.linalg.svd(T.matrix, compute_uv=False), T.space.tol) < T.space.dim:
+    if _rank(T._svals, T.space.tol) < T.space.dim:
         raise NotSurjectiveError("transform requires a surjective operator")
     images = []
     for w in F.subspaces:
@@ -309,14 +343,19 @@ def projection_commutation_check(T: Operator, V: Subspace) -> float:
 
 def _isometry_scale(T: Operator) -> tuple[float, float, float, float]:
     """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
-    trace(T# T) / n; kappa is inf for a singular T."""
-    g = j_adjoint(T).matrix @ T.matrix
-    n = T.space.dim
-    c = (complex(np.trace(g)) / n).real
-    residual = float(np.linalg.norm(g - c * np.eye(n), 2))
-    s = np.linalg.svd(T.matrix, compute_uv=False)
-    kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
-    return c, residual, float(s[0]), kappa
+    trace(T# T) / n; kappa is inf for a singular T.  Computed once and kept
+    on T, as T._svals is (a frozen dataclass's __dict__, written the way
+    functools.cached_property writes it)."""
+    kept = vars(T)
+    if "_isometry_scale" not in kept:
+        g = j_adjoint(T).matrix @ T.matrix
+        n = T.space.dim
+        c = (complex(np.trace(g)) / n).real
+        residual = float(np.linalg.norm(g - c * np.eye(n), 2))
+        s = T._svals
+        kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
+        kept["_isometry_scale"] = c, residual, float(s[0]), kappa
+    return kept["_isometry_scale"]
 
 
 def is_j_isometry_multiple(T: Operator) -> tuple[bool, float]:
@@ -365,9 +404,12 @@ def _necessary_conditions(
     """necessary_conditions_check on F's image family, both already frames."""
     # the image members spanned over F's index sets, not over the image
     # family's own signs: an operator that swaps the signs fails here
-    bases = np.hstack([w.ortho_basis for w in family.subspaces])
-    signs = np.repeat(F.signs, family.block_dims)
-    spans = [_masked_span(F.space, bases, signs == sign) for sign in (1, -1)]
+    if family.signs == F.signs:  # the image family's own spans, from the same SVDs
+        spans = [family.m_plus, family.m_minus]
+    else:
+        bases = np.hstack([w.ortho_basis for w in family.subspaces])
+        signs = np.repeat(F.signs, family.block_dims)
+        spans = [_masked_span(F.space, bases, signs == sign) for sign in (1, -1)]
     (dim_p, _, max_p), (dim_m, _, max_m) = (
         _side_verdict(F.space, m, sign) for m, sign in zip(spans, (1, -1))
     )

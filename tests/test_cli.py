@@ -21,9 +21,15 @@ from kreinframes import cli, duality, fusion, transforms
 from kreinframes.cli import SEED_ENV_VAR, main
 from kreinframes.errors import DefinitenessTransportError
 from kreinframes.fusion import certify
-from kreinframes.problem import parse_spec
+from kreinframes.core import Operator
+from kreinframes.problem import ProblemSpec, parse_spec
 
-from generators import alternating_signature_space, neutral_image_operator
+from generators import (
+    alternating_signature_space,
+    neutral_image_operator,
+    random_fusion_frame,
+    random_j_unitary,
+)
 
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -738,6 +744,26 @@ class TestTransformTask:
         families = entry["fundamental_symmetry"]["families"]
         assert families["tilted_lines"]["necessary_conditions"]["holds"] is True
         assert len(images) == 3  # one per member, none again for the conditions
+
+    def test_transform_and_preserve_factor_each_operator_once(self, count_calls):
+        # is_j_isometry_multiple, the surjectivity rank and the preservation
+        # certificates share one SVD of each operator
+        space = alternating_signature_space(8)
+        rng = np.random.default_rng(2)
+        u = random_j_unitary(space, rng)
+        operators = {
+            "j_unitary": u,
+            "scaled": Operator(space, 2.0 * u.matrix),
+            "neutral": neutral_image_operator(space),
+            "projection": Operator(space, np.diag([1.0] * 4 + [0.0] * 4)),
+        }
+        family = random_fusion_frame(space, rng)
+        problem = ProblemSpec(space, families={"frame": family}, operators=operators)
+        svds = count_calls(np.linalg, "svd")
+        for command in ("transform", "preserve"):
+            cli.run_command(command, problem, 0, 30)
+        for op in operators.values():
+            assert sum(args[0] is op.matrix for args in svds) == 1
 
     def test_member_and_surjectivity_failures_are_reported(self, capsys, tmp_path):
         # the four axes of C^4 under diag(1, -1, 1, -1): the neutral-image

@@ -153,6 +153,48 @@ class TestJAdjoint:
         )
 
 
+class TestTolerances:
+    """Tolerances decide their own ranges, in the words parse_spec reports."""
+
+    @pytest.mark.parametrize("key", ["tau_sym", "tau_rank", "tau_def", "tau_num"])
+    @pytest.mark.parametrize(
+        "value", [0, -1e-9, float("nan"), float("inf"), 10**400, True, "1e-9", None, 1j]
+    )
+    def test_not_a_positive_finite_number(self, key, value):
+        with pytest.raises(ValidationError, match=rf"^{key}: expected a positive number$"):
+            Tolerances(**{key: value})
+
+    @pytest.mark.parametrize("key", ["tau_rank", "tau_def"])
+    @pytest.mark.parametrize("value", [1, 1.0, 1.5])
+    def test_rank_and_definiteness_below_one(self, key, value):
+        message = rf"^{key}: expected a positive number below 1$"
+        with pytest.raises(ValidationError, match=message):
+            Tolerances(**{key: value})
+
+    def test_other_values_are_kept(self):
+        tol = Tolerances(tau_sym=2.0, tau_rank=np.float64(0.5), tau_def=1e-300, tau_num=7)
+        assert (tol.tau_sym, tol.tau_rank, tol.tau_def, tol.tau_num) == (2.0, 0.5, 1e-300, 7)
+
+
+class TestOperatorMatrix:
+    """An operator keeps a read-only copy of its matrix, so what is derived
+    from it can be kept."""
+
+    def test_matrix_is_a_read_only_copy(self, c3):
+        m = np.eye(3, dtype=complex)
+        t = Operator(c3, m)
+        assert t.matrix is not m and m.flags.writeable
+        with pytest.raises(ValueError):
+            t.matrix[0, 0] = 2.0
+
+    def test_singular_values_come_from_one_svd(self, c3, count_calls):
+        t = Operator(c3, np.diag([1.0, 3.0, 2.0]))
+        svds = count_calls(np.linalg, "svd")
+        np.testing.assert_array_equal(t._svals, [3.0, 2.0, 1.0])
+        assert t._svals is t._svals and not t._svals.flags.writeable
+        assert len(svds) == 1
+
+
 class TestOperatorIdentity:
     """Operators hold arrays, so they compare and hash by identity, as subspaces do."""
 

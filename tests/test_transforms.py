@@ -20,7 +20,7 @@ from kreinframes.errors import (
     MemberClassificationError,
     NotSurjectiveError,
 )
-from kreinframes import transforms
+from kreinframes import sampling, transforms
 from kreinframes.fusion import bounds_sandwich_ok, certify, converse_check
 from kreinframes.core import _def_floor, gramian, gramian_min_modulus
 from kreinframes.sampling import (
@@ -300,7 +300,10 @@ class TestJointSweep:
         reports = transforms._preservation_reports(ops, [], 25, 4)
         assert all(r.definiteness_with_sign.holds for r in reports)
         assert all(r.maximality.holds and r.regularity.holds for r in reports)
-        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(samplers, 25)
+        assert all(getattr(r, f).samples_tested == 25 for r in reports for f in PREDICATES)
+        # the maximal and regular laws settle both operators: nothing is drawn
+        counts = {name: len(c) for name, c in calls.items()}
+        assert counts == dict(zip(samplers, (25, 0, 0)))
 
     @pytest.mark.parametrize(
         "field, sampler",
@@ -755,15 +758,208 @@ class TestRegularDraws:
 
     def test_congruence_settles_make_no_svd(self, alt48_ops, count_calls):
         # the J-unitary multiples settle without the basis; T* J T settles
-        # every check of the neutral-image operator on the basis itself
+        # every check of the neutral-image operator on the draw's spanning
+        # columns, before any QR
         ops = [(T, congruent_cert(T)) for T in alt48_ops]
         images = count_calls(transforms, "image_subspace")
         svds, qrs = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
         draw, check = random_regular_subspace, transforms._check_regular
         verdicts = transforms._sweep(ops, [], 100, 0, draw, check)
         assert [v.holds for v in verdicts] == [True, True, True]
-        assert (len(images), len(svds)) == (0, 0)
-        assert len(qrs) == 2 * 100  # the two slices' QRs of each basis
+        assert (len(images), len(svds), len(qrs)) == (0, 0, 0)
+
+
+class TestDrawLaws:
+    """Every maximal and regular draw meets its law: kappa(basis) at most the
+    law's cond and a Gramian margin at least its margin."""
+
+    @settings(max_examples=examples(40))
+    @given(
+        n=st.integers(2, 48),
+        data=st.data(),
+        log_tau_def=st.floats(-8.0, np.log10(0.5)),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_lie_within_their_law(self, n, data, log_tau_def, diagonal, seed):
+        # p or q = 1 as often as anything else
+        p = data.draw(st.one_of(st.sampled_from([1, n - 1]), st.integers(1, n - 1)), label="p")
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, p, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
+        for draw, law in (
+            (transforms._signed(random_maximal_definite_subspace), sampling._maximal_law),
+            (random_regular_subspace, sampling._regular_law),
+        ):
+            cond, margin = law(space)
+            for _ in range(4):
+                v = draw(space, rng)
+                assert v._cond <= cond and v._gram_margin() >= margin
+                eager = Subspace(space, v.basis)
+                assert eager._cond <= cond * (1 + 1e-9)
+                assert eager._gram_margin() >= margin * (1 - 1e-9)
+
+    @pytest.mark.parametrize("tau_def", [1e-8, 0.3, 0.5])
+    def test_the_regular_law_is_the_draws_supremum(self, tau_def):
+        # the tilt's upper limit is largest at dimension 1
+        space = alternating_signature_space(16, tol=Tolerances(tau_def=tau_def))
+        tilts = [sampling._regular_tilt(space, dim) for dim in range(1, 17)]
+        assert tilts == sorted(tilts, reverse=True)
+        assert sampling._regular_law(space) == sampling._regular_bounds(tilts[0])
+
+
+def near_isometries(space, rng, cond, margin):
+    """J-unitary operators U (I + eps E) on either side of the eps at which
+    the bounds (cond, margin) stop settling them, by bisection."""
+    u = random_j_unitary(space, rng)
+    e = random_complex(rng, space.dim, space.dim)
+    e /= np.linalg.norm(e, 2)
+
+    def op(eps):
+        return Operator(space, u.matrix @ (np.eye(space.dim) + eps * e))
+
+    def settles(eps):
+        return transforms._bounds_settle(space, cond, margin, transforms._isometry_scale(op(eps)))
+
+    lo, hi = 0.0, 1.0
+    if not settles(lo) or settles(hi):
+        return [op(1e-3), op(0.5)]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if settles(mid) else (lo, mid)
+    return [op(lo), op(hi)]
+
+
+def same_verdicts(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, KreinFramesError):
+            assert type(x) is type(y) and str(x) == str(y)
+            continue
+        assert (x.status, x.detail, x.samples_tested) == (y.status, y.detail, y.samples_tested)
+        if x.counterexample is not None:
+            assert x.counterexample.basis.tobytes() == y.counterexample.basis.tobytes()
+
+
+class TestLawfulSweep:
+    """A sweep that stops drawing where its law settles every operator left
+    gives the verdicts of the same sweep without the law."""
+
+    @settings(max_examples=examples(4))
+    @given(
+        n=st.sampled_from([4, 8, 16]),
+        chosen=st.sets(st.integers(0, 6), min_size=1),
+        supplied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the laws settle J-unitary multiples only at the smallest tolerances
+    @pytest.mark.parametrize("tau_def", [1e-8, 1e-4, 0.05, 0.15, 0.3])
+    @pytest.mark.parametrize("tau_rank", [1e-10, 0.2, 0.5])
+    def test_same_verdicts_as_without_the_law(self, tau_def, tau_rank, n, chosen, supplied, seed):
+        space = alternating_signature_space(n, tol=Tolerances(tau_def=tau_def, tau_rank=tau_rank))
+        rng = rng_from_seed(seed)
+        u = random_j_unitary(space, rng)
+        ops = [u, Operator(space, 3.0 * u.matrix), neutral_image_operator(space)]
+        for law in (sampling._maximal_law, sampling._regular_law):
+            ops += near_isometries(space, rng, *law(space))
+        ops = [ops[i] for i in sorted(chosen)]
+        e1 = Subspace(space, np.eye(n)[:, [0]])
+        for name, law in (("maximality", sampling._maximal_law), ("regularity", sampling._regular_law)):
+            draw, check = PREDICATES[name]
+            pool = [e1] if supplied and (name == "regularity" or e1.classify().maximal_definite) else []
+            certs = [congruent_cert(T) if name == "regularity" else transforms._isometry_scale(T) for T in ops]
+            drawn = []
+
+            def counted(space, rng):
+                drawn.append(None)
+                return draw(space, rng)
+
+            lawful = transforms._sweep(list(zip(ops, certs)), pool, 30, seed, counted, check, law)
+            with_law, drawn[:] = len(drawn), []
+            plain = transforms._sweep(list(zip(ops, certs)), pool, 30, seed, counted, check)
+            same_verdicts(lawful, plain)
+            assert with_law <= len(drawn)
+
+    def test_no_draw_once_a_refuted_operator_leaves_settled_ones(self, alt48_ops):
+        # the neutral-image operator is refuted, then the J-unitary multiples settle
+        ops = [(T, transforms._isometry_scale(T)) for T in alt48_ops]
+        draw, check = PREDICATES["maximality"]
+        drawn = []
+
+        def counted(space, rng):
+            drawn.append(None)
+            return draw(space, rng)
+
+        lawful = transforms._sweep(ops, [], 100, 0, counted, check, sampling._maximal_law)
+        assert [v.holds for v in lawful] == [True, True, False]
+        assert len(drawn) == lawful[2].samples_tested < 100
+        assert lawful[0].samples_tested == lawful[1].samples_tested == 100
+
+
+class RepeatedColumn:
+    """A generator whose second standard_normal call (a regular draw's x)
+    repeats its first column."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        self.calls += 1
+        if self.calls == 2 and z.shape[-1] > 1:
+            z[..., 1] = z[..., 0]
+        return z
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestSpanningColumns:
+    """A regularity check settles by congruence on a regular draw's Gaussian
+    columns, before the QRs of its basis."""
+
+    @settings(max_examples=examples(40))
+    @given(
+        n=st.integers(2, 48),
+        log_scale=st.floats(-3.0, 3.0),
+        log_kappa=st.floats(0.0, 3.0),
+        log_tau_def=st.floats(-8.0, np.log10(0.3)),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_settle_implies_the_check_holds(
+        self, n, log_scale, log_kappa, log_tau_def, diagonal, seed
+    ):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
+        q1, _ = np.linalg.qr(random_complex(rng, n, n))
+        q2, _ = np.linalg.qr(random_complex(rng, n, n))
+        t = Operator(space, 10.0**log_scale * (q1 * np.logspace(0.0, -log_kappa, n)) @ q2)
+        cert = congruent_cert(t)
+        for _ in range(6):
+            v = random_regular_subspace(space, rng)
+            if not transforms._settles(v, cert):
+                continue
+            assert callable(v._basis)  # settled before the QRs
+            assert transforms._check_regular(t, v) is None
+            # the columns span V
+            cols = v._spanning()
+            s = np.linalg.svd(np.hstack([cols, v.basis]), compute_uv=False)
+            assert np.linalg.matrix_rank(cols) == v.dim == int((s > 1e-8 * s[0]).sum())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_repeated_x_column_never_settles(self, seed):
+        space = alternating_signature_space(8)
+        t = neutral_image_operator(space)
+        cert = congruent_cert(t)
+        rng, plain_rng = RepeatedColumn(rng_from_seed(seed)), rng_from_seed(seed)
+        for _ in range(30):
+            rng.calls = 0
+            v, plain = random_regular_subspace(space, rng), random_regular_subspace(space, plain_rng)
+            if int((np.linalg.eigvalsh(gramian(v)) > 0).sum()) < 2:
+                continue  # fewer than two x columns: nothing repeated
+            assert transforms._settles(plain, cert)
+            assert not transforms._settles(v, cert)
+            assert v.classify().regular and transforms._check_regular(t, v) is None
 
 
 class TestDefiniteSlices:
