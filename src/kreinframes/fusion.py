@@ -228,12 +228,17 @@ def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
     singular values s of L^-1 G, zero-padded to dim M when T has fewer
     columns.  Taking them from the factor, not from L^-1 a L^-*, keeps the
     smallest bound accurate relative to itself.  Raises
-    numpy.linalg.LinAlgError when sign * p is not positive definite.
+    numpy.linalg.LinAlgError when sign * p is not positive definite.  U* J
+    and L are made once per sign and kept on M: the dual checks read F's
+    spans again, with the dual's columns.
     """
-    u = M.ortho_basis
-    uj = (space.J @ u).conj().T  # U* J, as J is Hermitian
-    p = uj @ u
-    chol = np.linalg.cholesky(sign * 0.5 * (p + p.conj().T))
+    kept = vars(M).setdefault("_rayleigh_factors", {})
+    if sign not in kept:
+        u = M.ortho_basis
+        uj = (space.J @ u).conj().T  # U* J, as J is Hermitian
+        p = uj @ u
+        kept[sign] = uj, np.linalg.cholesky(sign * 0.5 * (p + p.conj().T))
+    uj, chol = kept[sign]
     s2 = np.linalg.svd(np.linalg.solve(chol, uj @ cols), compute_uv=False) ** 2
     lo = float(s2[-1]) if s2.size == M.dim else 0.0
     return (sign * lo, sign * float(s2[0]))[::sign]  # ascending, as FrameBounds.side

@@ -9,6 +9,7 @@ given as lists of basis columns.
 
 from __future__ import annotations
 
+import gc
 import json
 import reprlib
 from dataclasses import dataclass, field, fields
@@ -46,6 +47,9 @@ _TOL_KEYS = {f.name for f in fields(Tolerances)}
 # a mistyped --spec value is echoed whole up to a few hundred characters
 _PATH_ECHO = reprlib.Repr()
 _PATH_ECHO.maxstring = 300
+# no path of PATH_MAX (4096 on Linux) characters or more can exist: such a
+# string is document text, and probing it would encode and stat all of it
+_PATH_MAX = 4096
 
 
 def _scalar(value, where: str) -> complex:
@@ -79,26 +83,31 @@ def _bulk(value, shape: tuple) -> np.ndarray | None:
     array bit for bit: every container a list, every entry a JSON number (an
     int or a float, never a bool) or an [re, im] pair of them, all rows of one
     form and length, and every number finite in float64.  On None the caller
-    walks the entries, which locates the first fault.
+    walks the entries, which locates the first fault.  Each level of lists is
+    checked and flattened by C-level passes over the whole level.
     """
-    a = np.array(value, dtype=object)
-    if a.shape not in (shape, shape + (2,)):
-        return None
-    items = [value]
-    for _ in a.shape:  # a tuple or an array is no row the walk accepts
-        if not set(map(type, items)) <= {list}:
+    items, kinds = [value], {type(value)}
+    for n in shape:  # a tuple is no row the walk accepts
+        if kinds != {list} or set(map(len, items)) != {n}:
             return None
         items = list(chain.from_iterable(items))
-    if not set(map(type, items)) <= {int, float}:
+        kinds = set(map(type, items))
+    pairs = kinds == {list}
+    if pairs:
+        if set(map(len, items)) != {2}:
+            return None
+        items = list(chain.from_iterable(items))
+        kinds = set(map(type, items))
+    if not kinds <= {int, float}:
         return None
     try:
-        f = a.astype(float)
+        f = np.fromiter(items, float, len(items))
     except OverflowError:  # an integer beyond float64
         return None
     if not np.isfinite(f).all():
         return None
     # a view keeps the sign of a zero real part, which re + 1j * im would not
-    return f.astype(complex) if a.shape == shape else f.view(complex)[..., 0]
+    return (f.view(complex) if pairs else f.astype(complex)).reshape(shape)
 
 
 def _matrix(rows, where: str, n_cols: int) -> np.ndarray:
@@ -149,14 +158,20 @@ def decode_document(source):
         return source
     if not isinstance(source, (str, Path)):
         raise SchemaError(f"unsupported problem source of type {type(source)!r}")
-    try:
-        is_file = Path(str(source)).exists()
-    except OSError:
-        is_file = False
+    text, is_file = str(source), False
+    if 0 < len(text) < _PATH_MAX:  # Path("") is "."
+        try:
+            is_file = Path(text).exists()
+        except OSError:
+            pass
     try:  # JSON text is UTF-8, whatever the locale's encoding
-        text = Path(source).read_text(encoding="utf-8") if is_file else str(source)
+        text = Path(source).read_text(encoding="utf-8") if is_file else text
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    # decoded JSON holds no reference cycles, so a cyclic collection while
+    # decoding frees nothing: pause the collector, and restore the caller's state
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -168,6 +183,9 @@ def decode_document(source):
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     except ValueError:  # the interpreter's limit on integer-string conversion
         raise SchemaError("number is not finite: an integer of too many digits") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_spec(source) -> ProblemSpec:

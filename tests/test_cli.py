@@ -110,6 +110,10 @@ class TestExitCodes:
         code, out, err = run(capsys, "all", "--spec", missing)
         assert (code, out, err) == (2, "", f"error: no such file: {missing!r}\n")
 
+    def test_empty_spec_is_no_file(self, capsys):
+        # Path("") is ".", the working directory, which is not read
+        assert run(capsys, "all", "--spec", "") == (2, "", "error: no such file: ''\n")
+
     def test_long_missing_value_is_truncated(self, capsys):
         value = "x" * 5000
         code, out, err = run(capsys, "all", "--spec", value)

@@ -277,6 +277,14 @@ class TestDualBoundsCheck:
             report = dual_bounds_check(frame)
             assert report.ok, report.max_rel_error
 
+    def test_one_cholesky_per_span(self, coupled_frame, count_calls):
+        # certify factors the frame's two spans and the check the dual's two;
+        # the dual's bounds over the frame's spans reuse the frame's factors
+        cholesky = count_calls(np.linalg, "cholesky")
+        certify(coupled_frame)
+        assert len(cholesky) == 2
+        assert dual_bounds_check(coupled_frame).ok and len(cholesky) == 4
+
 
 class TestPartialFrameOperator:
     def test_empty_subset(self, coupled_frame):
@@ -521,6 +529,25 @@ class TestFusionDualBounds:
         assert fusion_dual_bounds_check(fam).dual_is_frame
         assert len(solve) == 1 + 4
         assert solve[0][1].shape == (fam.space.dim, fam.total_dim)
+
+    @pytest.mark.parametrize("members_per_side", [None, 6])
+    def test_one_cholesky_per_span(self, tilted_family, count_calls, members_per_side):
+        # certify factors F's two spans and the check the dual family's two;
+        # the dual's bounds over F's spans reuse F's factors, bit for bit
+        fam = tilted_family
+        if members_per_side is not None:
+            space = KreinSpace.from_signs([1, 1, 1, -1, -1])
+            fam = random_fusion_frame(space, rng_from_seed(8), members_per_side)
+        cholesky = count_calls(np.linalg, "cholesky")
+        certify(fam)
+        assert len(cholesky) == 2
+        report = fusion_dual_bounds_check(fam)
+        assert report.dual_is_frame and len(cholesky) == 4
+        for m in (fam.m_plus, fam.m_minus):
+            del m._rayleigh_factors
+        again = fusion_dual_bounds_check(fam)
+        assert again.dual_over_original_spans == report.dual_over_original_spans
+        assert len(cholesky) == 4 + 4
 
 
 class TestDualFailuresAtTheThreshold:

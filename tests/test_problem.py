@@ -1,7 +1,10 @@
 """Tests for parsing, validation and serialization of problem documents."""
 
 import copy
+import gc
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from kreinframes.errors import (
 from kreinframes.problem import ProblemSpec, parse_spec, serialize_spec
 from kreinframes.sampling import rng_from_seed
 
-from generators import random_fusion_frame, random_space
+from generators import examples, random_fusion_frame, random_space
 
 MINIMAL = {"space": {"dim": 2, "J": [[1, 0], [0, -1]]}}
 
@@ -63,6 +66,78 @@ class TestParseSources:
     def test_unsupported_source(self):
         with pytest.raises(SchemaError):
             parse_spec(42)
+
+
+@pytest.fixture
+def collector_state():
+    """Set the cyclic collector on or off for one test; restore it after."""
+    was_enabled = gc.isenabled()
+
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_state
+    set_state(was_enabled)
+
+
+class TestDecoding:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps(MINIMAL), None),
+            ("{not json", "invalid JSON at line 1"),
+            ("no_such_file.json", "no such file: 'no_such_file.json'"),
+            ("[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
+            ("1" * 5000, "number is not finite: an integer of too many digits"),
+        ],
+        ids=["decoded", "invalid", "missing_file", "too_deep", "too_many_digits"],
+    )
+    def test_collector_state_is_restored(self, collector_state, enabled, text, message):
+        collector_state(enabled)
+        if message is None:
+            assert problem.decode_document(text) == MINIMAL
+        else:
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                problem.decode_document(text)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_while_decoding(self, collector_state):
+        # tens of thousands of lists: the collector would run many times
+        text = json.dumps({"space": {"dim": 1, "J": [[[float(i), 0.0]] for i in range(40_000)]}})
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        collector_state(True)
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            document = problem.decode_document(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert started == [] and len(document["space"]["J"]) == 40_000
+
+    @pytest.mark.parametrize("length", [4096, 200_000])
+    def test_long_text_is_not_probed(self, monkeypatch, length):
+        def no_probe(self):
+            raise AssertionError("the filesystem was probed")
+
+        text = json.dumps(MINIMAL).ljust(length)
+        with monkeypatch.context() as patch:  # pytest's own reports read Path.exists
+            patch.setattr(Path, "exists", no_probe)
+            document = problem.decode_document(text)
+        assert len(text) == length and document == MINIMAL
+
+    def test_shorter_text_is_probed_and_short_paths_load(self, tmp_path, count_calls):
+        probes = count_calls(Path, "exists")
+        text = json.dumps(MINIMAL).ljust(4095)
+        assert problem.decode_document(text) == MINIMAL and len(probes) == 1
+        p = tmp_path / "problem.json"
+        p.write_text(json.dumps(MINIMAL))
+        assert problem.decode_document(str(p)) == MINIMAL and len(probes) == 2
 
 
 class TestSchemaErrors:
@@ -535,3 +610,91 @@ class TestRoundTripProperty:
                 row[exact[0]] = row[exact[0]][0]
         assert_bitwise_equal(arrays(parse_spec(pairs)), arrays(spec))
         assert_bitwise_equal(arrays(parse_spec(ragged)), arrays(spec))
+
+
+# JSON numbers, with ints that round at float64's precision and at its limit
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60),
+    st.sampled_from([0, -0.0, 2**53 + 1, -(2**1024 - 2**970 - 1)]),
+)
+# what the walk may reject in place of a number or a pair; 2**1024 - 2**970
+# rounds up to 2**1024, past the largest float64
+_FAULTS = st.sampled_from(
+    [True, False, None, "1", float("nan"), float("inf"), -float("inf"), 10**400,
+     2**1024 - 2**970, (1.0, 2.0), [1.0], [1.0, 2.0, 3.0], [1, True],
+     [[1.0, 0.0], 0.0], {}]
+)
+
+
+@st.composite
+def _nested(draw):
+    """(value, shape): lists of JSON numbers or [re, im] pairs, 1 to 3 lists
+    deep, with up to two faults, tuples, ragged rows or entries of the other
+    form, placed at an entry or a pair's part more often than at a row."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    pairs = draw(st.booleans())
+
+    def build(level):
+        if level == len(shape):
+            return [draw(_NUMBERS), draw(_NUMBERS)] if pairs else draw(_NUMBERS)
+        return [build(level + 1) for _ in range(shape[level])]
+
+    holder = [build(0)]
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = holder, 0
+        for _ in range(len(shape) + 1 - draw(st.integers(0, len(shape) + 1))):
+            if not isinstance(parent[key], list) or not parent[key]:
+                break
+            parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+        node = parent[key]
+        change = draw(st.sampled_from(["fault", "fault", "tuple", "ragged", "form"]))
+        if change == "fault":
+            parent[key] = draw(_FAULTS)
+        elif isinstance(node, list) and change == "tuple":
+            parent[key] = tuple(node)
+        elif isinstance(node, list) and change == "ragged":
+            parent[key] = node[:-1] if draw(st.booleans()) else node + node[-1:]
+        elif change == "form":
+            parent[key] = node[0] if isinstance(node, list) and node else [node, 0.0]
+    return holder[0], shape
+
+
+def _entry_walk(value, shape):
+    """Every entry as _scalar reads it, in order, or None where the walk rejects
+    value: a container that is not a list of the shape's length, or an entry."""
+    if not shape:
+        try:
+            return [problem._scalar(value, "entry")]
+        except (SchemaError, ValidationError):
+            return None
+    if type(value) is not list or len(value) != shape[0]:
+        return None
+    entries = []
+    for v in value:
+        e = _entry_walk(v, shape[1:])
+        if e is None:
+            return None
+        entries += e
+    return entries
+
+
+def _leaves(value, depth):
+    return [value] if depth == 0 else [x for v in value for x in _leaves(v, depth - 1)]
+
+
+class TestBulkProperty:
+    @settings(max_examples=examples(300))
+    @given(case=_nested())
+    def test_bulk_is_the_walk_or_none(self, case):
+        """_bulk builds the walk's array bit for bit, and declines exactly what
+        the walk rejects and the rows that mix reals with pairs."""
+        value, shape = case
+        got = problem._bulk(value, shape)
+        entries = _entry_walk(value, shape)
+        if entries is None or len({type(x) is list for x in _leaves(value, len(shape))}) > 1:
+            assert got is None
+        else:
+            want = np.array(entries, dtype=complex).reshape(shape)
+            assert got is not None and got.dtype == want.dtype and got.shape == shape
+            assert got.tobytes() == want.tobytes()
