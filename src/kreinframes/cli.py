@@ -9,7 +9,6 @@ verdict passes, 1 on a failed verdict, 2 on usage or document errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import enum
 import json
 import os
@@ -19,7 +18,7 @@ import zlib
 import numpy as np
 
 from . import __version__
-from .core import Subspace, Tolerances
+from .core import Record, Subspace, Tolerances
 from .duality import (
     dual_bounds_check,
     fusion_dual_bounds_check,
@@ -66,10 +65,8 @@ def _jsonable(obj):
         return obj.value
     if isinstance(obj, Subspace):
         return {"dim": obj.dim, "ortho_basis": _jsonable(obj.ortho_basis)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
+    if isinstance(obj, Record):
+        return {f: _jsonable(getattr(obj, f)) for f in obj._fields}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -329,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=200, help="samples for sampling-based checks"
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    for f in dataclasses.fields(Tolerances):  # --tol-sym sets tau_sym, and so on
-        parser.add_argument("--tol-" + f.name[4:], type=float, default=None)
+    for name in Tolerances._fields:  # --tol-sym sets tau_sym, and so on
+        parser.add_argument("--tol-" + name[4:], type=float, default=None)
     return parser
 
 
@@ -341,10 +338,9 @@ def main(argv=None) -> int:
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
         doc = decode_document(args.spec)
-        names = [f.name for f in dataclasses.fields(Tolerances)]
-        overrides = {k: getattr(args, "tol_" + k[4:]) for k in names}
+        overrides = {k: getattr(args, "tol_" + k[4:]) for k in Tolerances._fields}
         overrides = {k: v for k, v in overrides.items() if v is not None}
-        tolerances = doc.get("tolerances", {}) if isinstance(doc, dict) else None
+        tolerances = doc.get("tolerances", {})
         if overrides and isinstance(tolerances, dict):
             # a malformed document keeps its own tolerances for parse_spec to reject
             doc["tolerances"] = {**tolerances, **overrides}

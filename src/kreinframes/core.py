@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -49,8 +48,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Record:
+    """A read-only value record: its fields are its class's annotations, in
+    order (``_fields``), and a class value is a field's default, copied per
+    instance when it is a list or a dict.  It is built by position or keyword,
+    equals a record of its own type with equal fields, hashes by its fields,
+    and ``vars()`` gives exactly its fields, in order."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        state, name = self.__dict__, type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} fields")
+        state.update(zip(self._fields, args))
+        for f in self._fields[len(args):]:
+            if f in kwargs:
+                state[f] = kwargs.pop(f)
+            elif f in self._defaults:
+                d = self._defaults[f]
+                state[f] = d.copy() if isinstance(d, (list, dict)) else d
+            else:
+                raise TypeError(f"{name}() missing field {f!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected or repeated field {[*kwargs][0]!r}")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={v!r}" for f, v in vars(self).items())
+        return f"{type(self).__qualname__}({inner})"
+
+
+class Tolerances(Record):
     """Numerical decision thresholds.
 
     tau_sym   structural identities required of inputs (J Hermitian, J^2 = I)
@@ -65,11 +108,12 @@ class Tolerances:
     tau_def: float = 1e-8
     tau_num: float = 1e-9
 
-    def __post_init__(self):
-        for f in fields(self):
-            fault = _tolerance_fault(f.name, getattr(self, f.name))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, value in vars(self).items():
+            fault = _tolerance_fault(name, value)
             if fault:
-                raise ValidationError(f"{f.name}: {fault}")
+                raise ValidationError(f"{name}: {fault}")
 
 
 def _tolerance_fault(name: str, value) -> str | None:
@@ -175,8 +219,7 @@ class SubspaceKind(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     kind: SubspaceKind
     regular: bool
     maximal_definite: bool
@@ -347,24 +390,22 @@ def _classify(W: Subspace) -> tuple[Classification, float]:
     return Classification(kind, regular, maximal, (lo, hi)), margin
 
 
-@dataclass(frozen=True, eq=False)
 class Operator:
     """A linear operator on a Krein space, stored as its matrix; equal only to itself.
 
-    The matrix is a read-only copy, so what is derived from it, such as its
-    singular values, is computed once, kept on the operator and never stale.
+    The operator and its matrix are read-only, so what is derived from them, such
+    as the singular values, is computed once, kept on the operator and never stale.
     """
 
-    space: KreinSpace
-    matrix: np.ndarray
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
-    def __post_init__(self):
-        m = _as_matrix(self.matrix).copy()  # the caller's array stays writeable
-        n = self.space.dim
+    def __init__(self, space: KreinSpace, matrix):
+        m = _as_matrix(matrix).copy()  # the caller's array stays writeable
+        n = space.dim
         if m.shape != (n, n):
             raise DimensionError(f"operator of shape {m.shape} does not act on C^{n}")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        vars(self).update(space=space, matrix=m)
 
     @cached_property
     def _svals(self) -> np.ndarray:
@@ -477,7 +518,6 @@ def _clears(g: np.ndarray, t: float) -> bool:
         return bool(np.isfinite(r).all())
 
 
-@dataclass(frozen=True, eq=False)
 class AngularOperator:
     """Graph representation of a definite subspace over a canonical component.
 
@@ -492,9 +532,10 @@ class AngularOperator:
     gamma = ``gramian_min_modulus(M)``.
     """
 
-    matrix: np.ndarray
-    norm: float
-    full_domain: bool
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
+
+    def __init__(self, matrix: np.ndarray, norm: float, full_domain: bool):
+        vars(self).update(matrix=matrix, norm=norm, full_domain=full_domain)
 
 
 def angular_operator(M: Subspace, sign: int) -> AngularOperator:

@@ -10,11 +10,9 @@ optimal bounds.  The functions of ``fusion`` take a vector frame unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import KreinSpace, Operator, Subspace, _def_floor
+from .core import KreinSpace, Operator, Record, Subspace, _def_floor
 from .errors import (
     DefinitenessTransportError,
     DimensionError,
@@ -161,8 +159,7 @@ def canonical_dual(F: VectorFrame) -> VectorFrame:
     return dual
 
 
-@dataclass(frozen=True)
-class DualBoundsReport:
+class DualBoundsReport(Record):
     original: FrameBounds
     dual: FrameBounds
     dual_own_spans: FrameBounds
@@ -245,8 +242,7 @@ def fundamental_identity_sides(F: VectorFrame, subset, f) -> tuple[float, float]
     return float(lhs[0]), float(rhs[0])
 
 
-@dataclass(frozen=True)
-class FusionDualReport:
+class FusionDualReport(Record):
     dual_is_frame: bool
     original: FrameBounds
     dual: FrameBounds | None

@@ -14,13 +14,12 @@ shares the family's representation and goes through every function here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (
     KreinSpace,
     Operator,
+    Record,
     Subspace,
     _rank,
     gramian,
@@ -167,8 +166,7 @@ def definite_span(F: WeightedFamily, sign: int) -> Subspace | None:
     return F.m_plus if sign == 1 else F.m_minus
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(Record):
     """(B-, A-, A+, B+); a side is None when its index set is empty."""
 
     b_minus: float | None
@@ -184,8 +182,7 @@ class FrameBounds:
         return (self.a_plus, self.b_plus) if sign == 1 else (self.b_minus, self.a_minus)
 
 
-@dataclass
-class FrameCertificate:
+class FrameCertificate(Record):
     is_frame: bool
     positive_range_dim: int
     negative_range_dim: int
@@ -195,7 +192,7 @@ class FrameCertificate:
     negative_maximal: bool
     optimal_bounds: FrameBounds | None = None
     estimate_bounds: FrameBounds | None = None
-    witnesses: list = field(default_factory=list)
+    witnesses: list = []
 
 
 def _side_columns(F: WeightedFamily, sign: int) -> np.ndarray:
@@ -311,28 +308,20 @@ def _decide(F: WeightedFamily) -> FrameCertificate:
     pos_dim, pos_uniform, pos_maximal = side(1)
     neg_dim, neg_uniform, neg_maximal = side(-1)
     is_frame = pos_maximal and neg_maximal
-    cert = FrameCertificate(
-        is_frame=is_frame,
-        positive_range_dim=pos_dim,
-        negative_range_dim=neg_dim,
-        positive_uniform=pos_uniform,
-        negative_uniform=neg_uniform,
-        positive_maximal=pos_maximal,
-        negative_maximal=neg_maximal,
+    F._certificate = FrameCertificate(
+        is_frame, pos_dim, neg_dim, pos_uniform, neg_uniform, pos_maximal, neg_maximal,
+        optimal_bounds=_span_bounds(F, F, _rayleigh_extremes) if is_frame else None,
         witnesses=witnesses,
     )
-    if is_frame:
-        cert.optimal_bounds = _span_bounds(F, F, _rayleigh_extremes)
-    F._certificate = cert
-    return cert
+    return F._certificate
 
 
 def certify(F: WeightedFamily) -> FrameCertificate:
-    """Decide the J-fusion frame property and fill bounds and witnesses: the
-    kept decision of ``_decide``, plus a frame's estimate bounds."""
+    """The kept decision of ``_decide`` (verdict, witnesses, optimal bounds), with
+    a frame's estimate bounds written into it once, past its read-only guard."""
     cert = _decide(F)
     if cert.is_frame and cert.estimate_bounds is None:
-        cert.estimate_bounds = _span_bounds(F, F, _estimate_extremes)
+        vars(cert)["estimate_bounds"] = _span_bounds(F, F, _estimate_extremes)
     return cert
 
 
@@ -379,8 +368,7 @@ def bounds_sandwich_ok(
     return bool(ok)
 
 
-@dataclass(frozen=True)
-class ConverseReport:
+class ConverseReport(Record):
     surjective: bool
     positive_regular: bool
     negative_regular: bool

@@ -12,13 +12,12 @@ from __future__ import annotations
 import gc
 import json
 import reprlib
-from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Subspace, Tolerances, _tolerance_fault
+from .core import KreinSpace, Operator, Record, Subspace, Tolerances, _tolerance_fault
 from .duality import VectorFrame
 from .errors import (
     MemberClassificationError,
@@ -32,18 +31,17 @@ from .fusion import WeightedFamily
 __all__ = ["ProblemSpec", "decode_document", "parse_spec", "serialize_spec"]
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     space: KreinSpace
-    families: dict[str, WeightedFamily] = field(default_factory=dict)
-    vector_frames: dict[str, VectorFrame] = field(default_factory=dict)
-    operators: dict[str, Operator] = field(default_factory=dict)
+    families: dict[str, WeightedFamily] = {}
+    vector_frames: dict[str, VectorFrame] = {}
+    operators: dict[str, Operator] = {}
     tolerances: Tolerances = Tolerances()
     seed: int | None = None
 
 
-_TOP_KEYS = {f.name for f in fields(ProblemSpec)}
-_TOL_KEYS = {f.name for f in fields(Tolerances)}
+_TOP_KEYS = set(ProblemSpec._fields)
+_TOL_KEYS = set(Tolerances._fields)
 # a mistyped --spec value is echoed whole up to a few hundred characters
 _PATH_ECHO = reprlib.Repr()
 _PATH_ECHO.maxstring = 300
@@ -152,8 +150,9 @@ def _finite_energy(m: np.ndarray, where: str) -> np.ndarray:
     return m
 
 
-def decode_document(source):
-    """The decoded JSON of a problem document given as a path, JSON text or dict."""
+def decode_document(source) -> dict:
+    """The decoded JSON object of a problem document given as a path, JSON text
+    or dict; any other top level is a SchemaError, JSON strings included."""
     if isinstance(source, dict):
         return source
     if not isinstance(source, (str, Path)):
@@ -173,7 +172,7 @@ def decode_document(source):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         if not is_file and exc.pos == len(text) - len(text.lstrip(" \t\n\r")):
             # not even the start of a JSON value: most likely a mistyped path
@@ -186,13 +185,14 @@ def decode_document(source):
     finally:
         if collecting:
             gc.enable()
+    if not isinstance(doc, dict):
+        raise SchemaError("the top level of a problem document must be an object")
+    return doc
 
 
 def parse_spec(source) -> ProblemSpec:
     """Parse and validate a problem document (path, JSON text, or dict)."""
     doc = decode_document(source)
-    if not isinstance(doc, dict):
-        raise SchemaError("the top level of a problem document must be an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")

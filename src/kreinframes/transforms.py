@@ -11,13 +11,13 @@ preserves all three properties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .core import (
     Operator,
+    Record,
     Subspace,
     _SAFETY,
     _clears,
@@ -65,8 +65,7 @@ EPISTEMIC_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class PredicateVerdict:
+class PredicateVerdict(Record):
     status: str  # "holds-on-samples" | "counterexample"
     counterexample: Subspace | None
     detail: str
@@ -78,8 +77,7 @@ class PredicateVerdict:
         return self.status == "holds-on-samples"
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(Record):
     definiteness_with_sign: PredicateVerdict
     maximality: PredicateVerdict
     regularity: PredicateVerdict
@@ -344,7 +342,7 @@ def projection_commutation_check(T: Operator, V: Subspace) -> float:
 def _isometry_scale(T: Operator) -> tuple[float, float, float, float]:
     """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
     trace(T# T) / n; kappa is inf for a singular T.  Computed once and kept
-    on T, as T._svals is (a frozen dataclass's __dict__, written the way
+    on T, as T._svals is (in the read-only operator's __dict__, written the way
     functools.cached_property writes it)."""
     kept = vars(T)
     if "_isometry_scale" not in kept:
@@ -371,8 +369,7 @@ def is_j_isometry_multiple(T: Operator) -> tuple[bool, float]:
     return scalar and c > 0, c
 
 
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
+class NecessaryConditionsReport(Record):
     positive_image_dim: int
     negative_image_dim: int
     positive_image_maximal: bool

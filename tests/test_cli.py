@@ -114,6 +114,28 @@ class TestExitCodes:
         # Path("") is ".", the working directory, which is not read
         assert run(capsys, "all", "--spec", "") == (2, "", "error: no such file: ''\n")
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["[]", "[1, 2]", "3", "-0.5", "null", "true", '"x"', '"problem.json"', json.dumps(DEMO),
+         json.dumps(json.dumps({}))],
+        ids=["array", "array_of_numbers", "number", "float", "null", "bool", "string",
+             "string_naming_a_file", "string_naming_a_path", "string_of_an_object"],
+    )
+    def test_top_level_must_be_an_object(self, capsys, monkeypatch, tmp_path, spec):
+        # a JSON string is read neither as a path nor as a second document
+        (tmp_path / "problem.json").write_text(Path(DEMO).read_text())
+        monkeypatch.chdir(tmp_path)
+        message = "error: the top level of a problem document must be an object\n"
+        assert run(capsys, "all", "--spec", spec) == (2, "", message)
+
+    def test_help_lists_the_tolerance_flags_in_field_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        flags = [f"--tol-{name[4:]}" for name in kreinframes.Tolerances._fields]
+        assert exc.value.code == 0 and flags == ["--tol-sym", "--tol-rank", "--tol-def", "--tol-num"]
+        assert [out.index(f) for f in flags] == sorted(out.index(f) for f in flags)
+
     def test_long_missing_value_is_truncated(self, capsys):
         value = "x" * 5000
         code, out, err = run(capsys, "all", "--spec", value)

@@ -1,5 +1,8 @@
 """Tests for spaces, products, projections, Gramians and angular operators."""
 
+import dataclasses
+import importlib
+import pkgutil
 import warnings
 from fractions import Fraction
 
@@ -30,7 +33,11 @@ from kreinframes import (
     orthogonal_projection,
     reduced_min_modulus,
 )
-from kreinframes.core import _clears, _def_floor, _rank
+import kreinframes
+from kreinframes.core import Record, _clears, _def_floor, _rank
+from kreinframes.fusion import FrameBounds, FrameCertificate
+from kreinframes.problem import ProblemSpec
+from kreinframes.transforms import EPISTEMIC_NOTE, PredicateVerdict
 from kreinframes.sampling import (
     random_complex,
     random_definite_subspace,
@@ -210,6 +217,126 @@ class TestOperatorIdentity:
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a == a and a != b
         assert len({a, b}) == 2
+
+
+RECORDS = """
+Tolerances Classification FrameBounds FrameCertificate ConverseReport DualBoundsReport
+FusionDualReport ProblemSpec PredicateVerdict PreservationReport NecessaryConditionsReport
+""".split()
+
+
+def package_modules():
+    return [
+        importlib.import_module(f"kreinframes.{info.name}")
+        for info in pkgutil.iter_modules(kreinframes.__path__)
+    ]
+
+
+def record_types():
+    return [cls for cls in Record.__subclasses__() if cls.__module__.startswith("kreinframes.")]
+
+
+class TestRecords:
+    """The package's value records: fields in annotation order, built by
+    position or keyword, equal by value within one type, read-only."""
+
+    def test_the_records(self):
+        assert sorted(cls.__name__ for cls in record_types()) == sorted(RECORDS)
+        assert all(getattr(kreinframes, name).__bases__ == (Record,) for name in RECORDS)
+
+    def test_no_class_of_the_package_is_a_dataclass(self):
+        names = [(m, v) for m in package_modules() for v in vars(m).values()]
+        classes = [v for m, v in names if isinstance(v, type) and v.__module__ == m.__name__]
+        assert {"Record", "Operator", "AngularOperator", *RECORDS} <= {c.__name__ for c in classes}
+        assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == []
+        # and no module holds the dataclasses module or a name from it
+        assert [v for _, v in names if v is dataclasses
+                or getattr(v, "__module__", None) == "dataclasses"] == []
+
+    @pytest.mark.parametrize("cls", record_types(), ids=lambda c: c.__name__)
+    def test_fields_in_order(self, cls):
+        # 0.5, 0.6, ...: in range for Tolerances, and any value for the others
+        values = [0.5 + i / 10 for i in range(len(cls._fields))]
+        by_position, by_keyword = cls(*values), cls(**dict(zip(cls._fields, values)))
+        assert cls._fields == tuple(cls.__annotations__)
+        assert list(vars(by_position).items()) == list(zip(cls._fields, values))
+        assert list(vars(by_keyword)) == list(cls._fields)
+        assert by_position == by_keyword and hash(by_position) == hash(tuple(values))
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+        assert repr(by_position) == f"{cls.__qualname__}({inner})"
+
+    @pytest.mark.parametrize("cls", record_types(), ids=lambda c: c.__name__)
+    def test_read_only(self, cls):
+        record = cls(*[0.5] * len(cls._fields))
+        for name in (*cls._fields, "other"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(record, name, 0.25)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(record, name)
+        assert vars(record) == dict.fromkeys(cls._fields, 0.5)
+
+    def test_defaults(self):
+        assert vars(Tolerances(1e-9, tau_num=1e-6)) == {
+            "tau_sym": 1e-9, "tau_rank": 1e-10, "tau_def": 1e-8, "tau_num": 1e-6
+        }
+        verdict = PredicateVerdict("counterexample", None, "why", 3)
+        assert verdict.note == EPISTEMIC_NOTE and not verdict.holds
+        assert PredicateVerdict(*vars(verdict).values()) == verdict
+
+    def test_mutable_defaults_are_fresh(self, c3):
+        a, b = (FrameCertificate(*[True] * 7) for _ in range(2))
+        assert a.witnesses == [] and a.witnesses is not b.witnesses
+        a.witnesses.append({"side": "+"})
+        assert b.witnesses == [] and FrameCertificate._defaults["witnesses"] == []
+        assert (a.optimal_bounds, a.estimate_bounds) == (None, None)
+        p, q = ProblemSpec(c3), ProblemSpec(space=c3)
+        for name in ("families", "vector_frames", "operators"):
+            assert getattr(p, name) == {} and getattr(p, name) is not getattr(q, name)
+        assert p.tolerances == Tolerances() and p.seed is None
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1.0, 2.0, 3.0), {}, "missing field 'b_plus'"),
+            ((), {"b_minus": 1.0, "a_minus": 2.0, "a_plus": 3.0}, "missing field 'b_plus'"),
+            ((1.0, 2.0, 3.0, 4.0, 5.0), {}, "takes 4 fields"),
+            ((1.0, 2.0, 3.0, 4.0), {"b_upper": 5.0}, "got an unexpected or repeated field 'b_upper'"),
+            ((1.0, 2.0, 3.0, 4.0), {"b_minus": 5.0}, "got an unexpected or repeated field 'b_minus'"),
+        ],
+        ids=["missing", "missing_keyword", "too_many", "unknown", "repeated"],
+    )
+    def test_bad_fields(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=rf"^FrameBounds\(\) {message}"):
+            FrameBounds(*args, **kwargs)
+
+    def test_equality_needs_the_same_type(self):
+        class Bounds(Record):
+            b_minus: float
+            a_minus: float
+            a_plus: float
+            b_plus: float
+
+        a = FrameBounds(-2.0, -1.0, 1.0, 2.0)
+        assert a == FrameBounds(-2.0, -1.0, 1.0, 2.0) and a != FrameBounds(-2.0, -1.0, 1.0, 3.0)
+        assert a != Bounds(-2.0, -1.0, 1.0, 2.0) and a != (-2.0, -1.0, 1.0, 2.0)
+        assert vars(a) == vars(Bounds(-2.0, -1.0, 1.0, 2.0))
+        assert len({a, FrameBounds(-2.0, -1.0, 1.0, 2.0)}) == 1
+
+    def test_hashing_as_the_fields(self):
+        assert hash(Tolerances()) == hash((1e-10, 1e-10, 1e-8, 1e-9))
+        assert {Tolerances(): 1}[Tolerances()] == 1
+        with pytest.raises(TypeError, match="unhashable"):  # a list field
+            hash(FrameCertificate(*[True] * 7))
+
+    def test_operators_are_read_only_and_equal_only_to_themselves(self, c3):
+        t = Operator(space=c3, matrix=np.eye(3))
+        m = Subspace(c3, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+        k = angular_operator(m, 1)
+        for obj, name in ((t, "matrix"), (t, "space"), (k, "norm"), (k, "matrix")):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(obj, name, None)
+        assert t != Operator(c3, np.eye(3)) and hash(t) == object.__hash__(t)
+        assert list(vars(k)) == ["matrix", "norm", "full_domain"]
 
 
 class TestClassify:
