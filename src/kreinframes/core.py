@@ -109,28 +109,21 @@ class Tolerances(Record):
     tau_num: float = 1e-9
 
     def __init__(self, *args, **kwargs):
+        """Each given value, in the order given, must be a positive finite
+        number, below 1 for tau_rank and tau_def; it is kept as a float."""
         super().__init__(*args, **kwargs)
-        for name, value in vars(self).items():
-            fault = _tolerance_fault(name, value)
-            if fault:
-                raise ValidationError(f"{name}: {fault}")
-
-
-def _tolerance_fault(name: str, value) -> str | None:
-    """Why ``value`` cannot be the tolerance ``name``, or None if it can: every
-    tolerance is a positive finite number, and tau_rank and tau_def are below 1."""
-    # "<= max" so that a nan, an infinity and an integer beyond float64 fail too
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not 0 < value <= sys.float_info.max
-    ):
-        return "expected a positive number"
-    # at 1 or more every basis is rank deficient (tau_rank), or every
-    # subspace neutral, as orthonormal Gramians lie in [-1, 1] (tau_def)
-    if name in ("tau_rank", "tau_def") and value >= 1:
-        return "expected a positive number below 1"
-    return None
+        state = self.__dict__
+        for name in (*self._fields[: len(args)], *kwargs):
+            value = state[name]
+            # "<= max" so that a nan, an infinity and an integer beyond float64 fail too
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value <= sys.float_info.max):
+                raise ValidationError(f"{name}: expected a positive number")
+            # at 1 or more every basis is rank deficient (tau_rank), or every
+            # subspace neutral, as orthonormal Gramians lie in [-1, 1] (tau_def)
+            if name in ("tau_rank", "tau_def") and value >= 1:
+                raise ValidationError(f"{name}: expected a positive number below 1")
+            state[name] = float(value)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -142,7 +142,7 @@ def _inverse_frame_operator(F: VectorFrame) -> np.ndarray:
 
 def canonical_dual(F: VectorFrame) -> VectorFrame:
     """The dual frame {S^-1 f_i}; member signs must transport unchanged."""
-    if not is_j_frame(F):
+    if not _decide(F).is_frame:
         raise NotAFrameError("canonical dual is defined for J-frames only")
     duals = _inverse_frame_operator(F) @ F.matrix
     try:
@@ -215,7 +215,7 @@ def fundamental_identity_sides_batch(F: VectorFrame, masks, fs):
     is evaluated from its own definition, over I_t and over its complement:
     sum_{i in I} sigma_i |[f, f_i]|^2 - sum_i sigma_i |[S_I f, S^-1 f_i]|^2.
     """
-    if not is_j_frame(F):
+    if not _decide(F).is_frame:
         raise NotAFrameError("the identity requires a J-frame")
     masks, fs = np.asarray(masks, dtype=bool), np.asarray(fs, dtype=complex)
     trials = masks.shape[0] if masks.ndim == 2 else -1

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Record, Subspace, Tolerances, _tolerance_fault
+from .core import KreinSpace, Operator, Record, Subspace, Tolerances
 from .duality import VectorFrame
 from .errors import (
     MemberClassificationError,
@@ -207,11 +207,10 @@ def parse_spec(source) -> ProblemSpec:
         unknown = set(tdoc) - _TOL_KEYS
         if unknown:
             raise SchemaError(f"unknown tolerance keys: {sorted(unknown)}")
-        for k, v in tdoc.items():
-            fault = _tolerance_fault(k, v)
-            if fault:
-                raise SchemaError(f"tolerances.{k}: {fault}")
-        tolerances = Tolerances(**{k: float(v) for k, v in tdoc.items()})
+        try:
+            tolerances = Tolerances(**tdoc)
+        except ValidationError as exc:
+            raise SchemaError(f"tolerances.{exc}") from exc
 
     sdoc = doc["space"]
     if not isinstance(sdoc, dict) or "dim" not in sdoc or "J" not in sdoc:
@@ -329,20 +328,14 @@ def serialize_spec(spec: ProblemSpec) -> dict:
     if spec.families:
         doc["families"] = {
             name: {
-                "subspaces": [
-                    [[_num(complex(v)) for v in w.basis[:, k]] for k in range(w.dim)]
-                    for w in fam.subspaces
-                ],
+                "subspaces": [_matrix_doc(w.basis.T) for w in fam.subspaces],
                 "weights": list(fam.weights),
             }
             for name, fam in spec.families.items()
         }
     if spec.vector_frames:
         doc["vector_frames"] = {
-            name: [
-                [_num(complex(v)) for v in vf.matrix[:, i]] for i in range(len(vf))
-            ]
-            for name, vf in spec.vector_frames.items()
+            name: _matrix_doc(vf.matrix.T) for name, vf in spec.vector_frames.items()
         }
     if spec.operators:
         doc["operators"] = {

@@ -177,7 +177,7 @@ def _settles(v: Subspace, cert) -> bool:
     dimension and inertia with a Gramian margin above tau_def (or above the
     rounding level that _def_floor puts in its place).  V's margin is then
     above it too, so a drawn V, or one from the pools of
-    _preservation_reports, passes its check and so does its image.  With
+    _predicate_sweep, passes its check and so does its image.  With
     H = T* J T appended to ``cert``, it is enough that T(V) is regular.
 
     With T# T = c I + E and ||E|| = r, T* J T = c J + J E.  On an
@@ -246,28 +246,40 @@ def _check_regular(T, v):
     return None if img is None or img.classify().regular else "image is degenerate"
 
 
+def _predicate_sweep(k, pairs, subspaces, n_random, seed) -> list:
+    """_sweep of predicate k (definiteness with sign, maximality, regularity)
+    for the (T, cert) ``pairs`` over the supplied subspaces in its hypothesis
+    (uniformly definite, maximal uniformly definite, regular) only.  A
+    definite draw's kappa(basis) has no bound, so it has no law."""
+    hypothesis, draw, check, law = (
+        ("uniformly_definite", _signed(random_definite_subspace), _check_definite, None),
+        ("maximal_definite", _signed(random_maximal_definite_subspace), _check_maximal,
+         _maximal_law),
+        ("regular", random_regular_subspace, _check_regular, _regular_law),
+    )[k]
+    pool = [s for s in subspaces if getattr(s.classify(), hypothesis)]
+    return _sweep(pairs, pool, n_random, seed, draw, check, law)
+
+
 def preserves_definiteness_with_sign(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of uniformly definite subspaces stay definite with their sign."""
-    draw = _signed(random_definite_subspace)
-    return _one(_sweep([(T, None)], subspaces, n_random, seed, draw, _check_definite))
+    return _one(_predicate_sweep(0, [(T, None)], subspaces, n_random, seed))
 
 
 def preserves_maximality(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of maximal uniformly definite subspaces stay maximal definite."""
-    draw = _signed(random_maximal_definite_subspace)
-    return _one(_sweep([(T, None)], subspaces, n_random, seed, draw, _check_maximal))
+    return _one(_predicate_sweep(1, [(T, None)], subspaces, n_random, seed))
 
 
 def preserves_regularity(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of regular subspaces stay regular."""
-    draw = random_regular_subspace
-    return _one(_sweep([(T, None)], subspaces, n_random, seed, draw, _check_regular))
+    return _one(_predicate_sweep(2, [(T, None)], subspaces, n_random, seed))
 
 
 def preservation_report(
@@ -278,28 +290,19 @@ def preservation_report(
 
 def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     """preservation_report of each operator, or the library error that stopped
-    it, from one sweep per predicate over the same subspaces.  An operator
-    with an error runs no later predicate.  Images that _settles decides
-    are not computed; for regularity it may also use T* J T.  The maximal
-    and regular sweeps get their draws' laws, so each stops drawing once the
-    law's bounds settle every operator still sweeping."""
-    definite = [s for s in subspaces if s.classify().uniformly_definite]
-    maximal = [s for s in definite if s.classify().maximal_definite]
-    regular = [s for s in subspaces if s.classify().regular]
+    it, from one _predicate_sweep per predicate.  An operator with an error
+    runs no later predicate.  Images that _settles decides are not computed;
+    for regularity it may also use T* J T.  The maximal and regular sweeps
+    stop drawing once their law's bounds settle every operator still
+    sweeping."""
     certs = [_isometry_scale(T) for T in ops]
     # and T* J T for regularity only: an invertible T that keeps both signs'
     # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
     congruent = [(*c, T.matrix.conj().T @ T.space.J @ T.matrix) for T, c in zip(ops, certs)]
     verdicts = [[] for _ in ops]
-    # a definite draw's kappa(basis) has no bound, so it has no law
-    for pool, draw, check, cs, law in (
-        (definite, _signed(random_definite_subspace), _check_definite, certs, None),
-        (maximal, _signed(random_maximal_definite_subspace), _check_maximal, certs, _maximal_law),
-        (regular, random_regular_subspace, _check_regular, congruent, _regular_law),
-    ):
+    for k, cs in enumerate((certs, certs, congruent)):
         live = [i for i, v in enumerate(verdicts) if isinstance(v, list)]
-        sweeping = [(ops[i], cs[i]) for i in live]
-        results = _sweep(sweeping, pool, n_random, seed, draw, check, law)
+        results = _predicate_sweep(k, [(ops[i], cs[i]) for i in live], subspaces, n_random, seed)
         for i, r in zip(live, results):
             verdicts[i] = r if isinstance(r, KreinFramesError) else verdicts[i] + [r]
     return [PreservationReport(*v) if isinstance(v, list) else v for v in verdicts]

@@ -182,6 +182,25 @@ class TestTolerances:
         tol = Tolerances(tau_sym=2.0, tau_rank=np.float64(0.5), tau_def=1e-300, tau_num=7)
         assert (tol.tau_sym, tol.tau_rank, tol.tau_def, tol.tau_num) == (2.0, 0.5, 1e-300, 7)
 
+    def test_values_are_kept_as_floats(self):
+        assert type(Tolerances(tau_sym=1).tau_sym) is float
+        assert Tolerances(tau_sym=1).tau_sym == 1.0
+        tol = Tolerances(3, np.float64(0.5), tau_num=7)
+        assert all(type(v) is float for v in vars(tol).values())
+
+    @pytest.mark.parametrize(
+        "args, kwargs, first",
+        [
+            ((), {"tau_num": -1, "tau_sym": "x"}, "tau_num"),
+            ((), {"tau_sym": "x", "tau_num": -1}, "tau_sym"),
+            ((1e-10, 2.0), {"tau_num": None}, "tau_rank"),  # positional values first
+            ((1e-10, 1e-10), {"tau_num": 0, "tau_def": 1}, "tau_num"),
+        ],
+    )
+    def test_the_first_fault_in_the_order_given(self, args, kwargs, first):
+        with pytest.raises(ValidationError, match=rf"^{first}: "):
+            Tolerances(*args, **kwargs)
+
 
 class TestOperatorMatrix:
     """An operator keeps a read-only copy of its matrix, so what is derived

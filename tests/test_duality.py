@@ -138,6 +138,14 @@ class TestIsJFrame:
     def test_coupled_frame(self, coupled_frame):
         assert is_j_frame(coupled_frame)
 
+    def test_the_package_reads_the_kept_decision(self, coupled_frame, count_calls):
+        # is_j_frame is kept for outside callers only
+        calls = count_calls(kreinframes.duality, "is_j_frame")
+        canonical_dual(coupled_frame)
+        masks, fs = np.ones((1, len(coupled_frame)), bool), np.ones((3, 1))
+        fundamental_identity_sides_batch(coupled_frame, masks, fs)
+        assert calls == []
+
 
 class TestVframeOptimalBounds:
     def test_parseval(self):

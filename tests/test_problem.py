@@ -340,6 +340,15 @@ class TestTolerances:
         assert spec.tolerances.tau_sym == 1e-10
         assert spec.tolerances.tau_num == 1e-9
 
+    def test_the_first_fault_in_document_order(self):
+        d = doc(tolerances={"tau_num": -1, "tau_sym": "x"})
+        with pytest.raises(SchemaError, match=r"^tolerances\.tau_num: expected a positive number$"):
+            parse_spec(d)
+
+    def test_integer_tolerances_are_floats(self):
+        spec = parse_spec(doc(tolerances={"tau_sym": 1, "tau_def": 1e-4}))
+        assert type(spec.tolerances.tau_sym) is float and spec.tolerances.tau_sym == 1.0
+
 
 class TestRoundTrip:
     def test_serialize_then_parse(self):
@@ -362,6 +371,15 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             again.operators["flip"].matrix, spec.operators["flip"].matrix
         )
+
+    def test_columns_are_written_as_lists(self):
+        d = doc(
+            families={"axes": {"subspaces": [[[1, 0]], [[0, [0, -1]]]], "weights": [1, 1]}},
+            vector_frames={"axes": [[2, 0], [[0, 1], 3]]},
+        )
+        out = serialize_spec(parse_spec(d))
+        assert out["families"]["axes"]["subspaces"] == [[[1.0, 0.0]], [[0.0, [0.0, -1.0]]]]
+        assert out["vector_frames"]["axes"] == [[2.0, 0.0], [[0.0, 1.0], 3.0]]
 
     def test_serialization_is_json_safe(self):
         spec = parse_spec(doc(vector_frames={"axes": [[2, 0], [0, 3]]}))

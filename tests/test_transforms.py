@@ -107,13 +107,19 @@ class TestDefinitenessPredicate:
             atol=1e-12,
         )
 
-    def test_rejects_non_definite_input(self, c3):
+    def test_skips_non_definite_input(self, c3):
+        # a supplied subspace outside the hypothesis is not tested or counted
         t = Operator(c3, np.eye(3))
         mixed = Subspace(c3, np.eye(3))
-        from kreinframes.errors import ClassificationError
+        verdict = preserves_definiteness_with_sign(t, [mixed], n_random=0)
+        assert verdict.holds
+        assert verdict.samples_tested == 0
 
-        with pytest.raises(ClassificationError):
-            preserves_definiteness_with_sign(t, [mixed], n_random=0)
+    def test_rejects_a_non_definite_draw(self):
+        # under tau_def = 0.3 some definite draw on C^4 is not uniformly definite
+        space = alternating_signature_space(4, tol=Tolerances(tau_def=0.3))
+        with pytest.raises(ClassificationError, match="only tests uniformly definite"):
+            preserves_definiteness_with_sign(Operator(space, np.eye(4)), n_random=60, seed=1)
 
 
 class TestMaximalityPredicate:
@@ -226,13 +232,14 @@ def assert_same_report(joint, alone):
 
 def mixed_operators(space, seed=3):
     """J-unitary, scaled, neutral-image, rank-deficient and zero operators."""
+    n = space.dim
     u = random_j_unitary(space, rng_from_seed(seed))
     return [
         u,
         Operator(space, 2.5 * u.matrix),
         neutral_image_operator(space),
-        Operator(space, np.diag([1.0, 1.0, 0.0, 0.0])),
-        Operator(space, np.zeros((4, 4))),
+        Operator(space, np.diag([1.0] * (n // 2) + [0.0] * (n - n // 2))),
+        Operator(space, np.zeros((n, n))),
     ]
 
 
@@ -325,6 +332,93 @@ class TestJointSweep:
 
     def test_no_operators(self, alt4):
         assert transforms._preservation_reports([], alt4_subspaces(alt4), 10, 0) == []
+
+
+def predicate_report(T, subspaces, n_random, seed):
+    """The three preserves_* verdicts as one report, or the library error of
+    the first that raises: what preservation_report gives if every entry
+    point tests the same pools."""
+    verdicts = []
+    for predicate in (preserves_definiteness_with_sign, preserves_maximality, preserves_regularity):
+        try:
+            verdicts.append(predicate(T, subspaces, n_random, seed))
+        except KreinFramesError as exc:
+            return exc
+    return transforms.PreservationReport(*verdicts)
+
+
+def mixed_pool(space, rng):
+    """Definite, maximal definite, indefinite regular and neutral subspaces,
+    in a random order."""
+    plus, minus = space.component(1)[:, :1], space.component(-1)[:, :1]
+    pool = [
+        random_definite_subspace(space, rng, 1),
+        random_definite_subspace(space, rng, -1),
+        random_maximal_definite_subspace(space, rng, 1),
+        random_maximal_definite_subspace(space, rng, -1),
+        random_regular_subspace(space, rng),
+        Subspace(space, np.hstack([plus, minus])),  # indefinite, J-orthogonal sides
+        Subspace(space, plus + minus),  # neutral
+    ]
+    return [pool[i] for i in rng.permutation(len(pool))]
+
+
+class TestOnePoolRule:
+    """Every entry point tests a supplied subspace only under the predicate
+    whose hypothesis it meets: the preserves_* verdicts are the fields of
+    preservation_report."""
+
+    def test_the_identity_holds_on_every_predicate(self, alt4):
+        # e1, span{e1, e3}, span{e1, e2} and a neutral line: 2 uniformly
+        # definite, 1 maximal and 3 regular subspaces are tested
+        identity = Operator(alt4, np.eye(4))
+        pool = alt4_subspaces(alt4)
+        for predicate, tested in zip(
+            (preserves_definiteness_with_sign, preserves_maximality, preserves_regularity),
+            (2, 1, 3),
+        ):
+            verdict = predicate(identity, pool, n_random=0)
+            assert verdict.status == "holds-on-samples"
+            assert verdict.samples_tested == tested
+            assert predicate(identity, pool, n_random=10).samples_tested == tested + 10
+
+    @pytest.mark.parametrize(
+        "predicate, cols",
+        [
+            (preserves_maximality, [[1.0], [0.0], [0.0], [0.0]]),  # e1, not maximal
+            (preserves_regularity, [[1.0], [1.0], [0.0], [0.0]]),  # a neutral line
+            (preserves_definiteness_with_sign, [[1.0], [1.0], [0.0], [0.0]]),
+        ],
+    )
+    def test_a_subspace_outside_the_hypothesis_is_skipped(self, alt4, predicate, cols):
+        verdict = predicate(Operator(alt4, np.eye(4)), [Subspace(alt4, cols)], n_random=0)
+        assert verdict.holds and verdict.samples_tested == 0
+
+    @pytest.mark.parametrize("n_random", [0, 30])
+    def test_each_verdict_is_the_report_field(self, alt4, n_random):
+        pool = alt4_subspaces(alt4)
+        for T in mixed_operators(alt4) + [Operator(alt4, np.eye(4))]:
+            report = preservation_report(T, pool, n_random, 2)
+            assert_same_report(predicate_report(T, pool, n_random, 2), report)
+
+    @settings(max_examples=examples(25))
+    @given(
+        n=st.integers(2, 16),
+        diagonal=st.booleans(),
+        # up to where some definite draws fail, so that some reports are errors
+        log_tau_def=st.floats(-8.0, np.log10(0.5)),
+        n_random=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_verdict_is_the_report_field_on_random_spaces(
+        self, n, diagonal, log_tau_def, n_random, seed
+    ):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
+        pool = mixed_pool(space, rng)
+        for T in mixed_operators(space, seed % 1000) + [Operator(space, np.eye(n))]:
+            report = one_operator_report(T, pool, n_random, seed)
+            assert_same_report(predicate_report(T, pool, n_random, seed), report)
 
 
 PREDICATES = {
