@@ -45,6 +45,7 @@ from .transforms import (
 )
 
 SEED_ENV_VAR = "KREIN_FRAMES_SEED"
+_MAX_SAMPLES = 100000  # the identity task allocates a row per sample up front
 
 
 def _jsonable(obj):
@@ -337,6 +338,8 @@ def main(argv=None) -> int:
     try:
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
+        if args.samples > _MAX_SAMPLES:
+            raise UsageError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
         doc = decode_document(args.spec)
         overrides = {k: getattr(args, "tol_" + k[4:]) for k in Tolerances._fields}
         overrides = {k: v for k, v in overrides.items() if v is not None}

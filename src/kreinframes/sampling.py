@@ -51,9 +51,9 @@ def _regular_bounds(tilt: float) -> tuple[float, float]:
 
 
 def _maximal_law(space: KreinSpace) -> tuple[float, float]:
-    """Bounds (cond, margin) on every random_maximal_definite_subspace draw at
-    the default tilt: the bounds at the tilt's supremum, as they are monotone
-    in the tilt, in floating point too."""
+    """Bounds (cond, margin) on every maximal or definite draw at the default
+    tilt: the bounds at the tilt's supremum, as they are monotone in the
+    tilt, in floating point too."""
     return _maximal_bounds(_MAX_TILT)
 
 
@@ -76,8 +76,10 @@ def random_maximal_definite_subspace(
     basis* basis = I + K* K bounds kappa(basis) by sqrt(1 + t^2).  These
     bounds come from t alone: ||K||_2 (an SVD of K) and the basis product
     wait until the basis is read, and its SVD until its orthonormal basis
-    is (``Subspace._graph``).
+    is (``Subspace._graph``).  A t outside [0, 1) raises ValueError.
     """
+    if not 0.0 <= max_tilt < 1.0:  # also a NaN
+        raise ValueError(f"max_tilt must lie in [0, 1), got {max_tilt}")
     dom, codom = space.component(sign), space.component(-sign)
     d, c = dom.shape[1], codom.shape[1]
     if d == 0:
@@ -98,17 +100,18 @@ def random_definite_subspace(
 ) -> Subspace:
     """Uniformly definite subspace: a random slice of a random maximal one.
 
-    The slice keeps the maximal one's margin bound (Cauchy interlacing), and
-    kappa(basis) is at most kappa(maximal.basis) kappa(coeff), from one SVD
-    of coeff; the bases and their SVDs wait until read, as in a maximal draw.
+    The slice spans maximal.basis coeff for a Gaussian coeff, on the basis
+    maximal.basis Q with coeff = QR.  Q has orthonormal columns, so the
+    slice keeps both of the maximal draw's bounds: kappa(basis) is at most
+    kappa(maximal.basis), and the margin bound holds by Cauchy interlacing.
+    The bases, the QR and the SVDs wait until read, as in a maximal draw.
     """
     maximal = random_maximal_definite_subspace(space, rng, sign)
     d = space.component(sign).shape[1]  # maximal.dim would build its basis
-    dim = int(rng.integers(1, d + 1))
-    coeff = random_complex(rng, d, dim)
-    s = np.linalg.svd(coeff, compute_uv=False)
-    cond = maximal._cond * s[0] / s[-1]  # inf, so the exact path, if s[-1] is 0
-    return Subspace._graph(space, lambda: maximal.basis @ coeff, cond, maximal._margin)
+    coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
+    return Subspace._graph(
+        space, lambda: maximal.basis @ np.linalg.qr(coeff)[0], maximal._cond, maximal._margin
+    )
 
 
 def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subspace:

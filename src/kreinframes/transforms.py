@@ -250,9 +250,9 @@ def _predicate_sweep(k, pairs, subspaces, n_random, seed) -> list:
     """_sweep of predicate k (definiteness with sign, maximality, regularity)
     for the (T, cert) ``pairs`` over the supplied subspaces in its hypothesis
     (uniformly definite, maximal uniformly definite, regular) only.  A
-    definite draw's kappa(basis) has no bound, so it has no law."""
+    definite draw keeps its maximal draw's bounds, so both share one law."""
     hypothesis, draw, check, law = (
-        ("uniformly_definite", _signed(random_definite_subspace), _check_definite, None),
+        ("uniformly_definite", _signed(random_definite_subspace), _check_definite, _maximal_law),
         ("maximal_definite", _signed(random_maximal_definite_subspace), _check_maximal,
          _maximal_law),
         ("regular", random_regular_subspace, _check_regular, _regular_law),
@@ -292,9 +292,8 @@ def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     """preservation_report of each operator, or the library error that stopped
     it, from one _predicate_sweep per predicate.  An operator with an error
     runs no later predicate.  Images that _settles decides are not computed;
-    for regularity it may also use T* J T.  The maximal and regular sweeps
-    stop drawing once their law's bounds settle every operator still
-    sweeping."""
+    for regularity it may also use T* J T.  Each sweep stops drawing once its
+    law's bounds settle every operator still sweeping."""
     certs = [_isometry_scale(T) for T in ops]
     # and T* J T for regularity only: an invertible T that keeps both signs'
     # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -265,6 +266,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+    @pytest.mark.parametrize("samples", [100001, 10**12, 10**19])
+    def test_samples_above_the_bound_exit_two_before_any_work(
+        self, capsys, count_calls, demo_path, samples
+    ):
+        # the identity task would allocate a row per sample
+        decoded = count_calls(cli, "decode_document")
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "identity", "--samples", str(samples), "--spec", demo_path
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples must be at most 100000, got {samples}\n"
+        assert decoded == [] and peak < 2**20
 
     def test_directory_spec_exits_two(self, capsys, tmp_path):
         # reading a directory raises an OSError, which is a document error
@@ -530,6 +549,13 @@ POOL_DOCS = [
     ("preserve_docs", "alt-8"),
     # regular draws of dimension 23 under a tau_def of 0.15
     ("preserve_docs", "alt-2"),
+    # definiteness refutations by drawn slices of dimension 20 to 24, whose
+    # orthonormal bases and image witnesses the gate compares in canonical form
+    ("preserve_docs", "alt-3"),
+    ("preserve_docs", "alt-6"),
+    ("preserve_docs", "alt-9"),
+    ("preserve_docs", "alt-12"),
+    ("preserve_docs", "alt-13"),
 ]
 
 # perfbench/docs.py run as the references were recorded: with one BLAS thread,
@@ -758,6 +784,25 @@ class TestPreserveUnderOverrides:
         assert code == 2
         assert out == ""
         assert err == "error: tolerances.tau_rank: expected a positive number below 1\n"
+
+
+class TestPreserveDraws:
+    def test_a_j_unitary_document_draws_no_sample(self, capsys, demo_path, count_calls):
+        # the demo's one operator is J itself: the three draw laws settle it,
+        # so each sweep counts its 200 samples as tested without drawing them,
+        # after the 3 definite members, of which the negative line is maximal
+        samplers = (
+            "random_definite_subspace",
+            "random_maximal_definite_subspace",
+            "random_regular_subspace",
+        )
+        calls = [count_calls(transforms, name) for name in samplers]
+        code, out, _ = run(capsys, "preserve", "--spec", demo_path)
+        assert code == 0
+        assert [len(c) for c in calls] == [0, 0, 0]
+        report = json.loads(out)["results"]["preserve"]["results"]["operators"]
+        verdicts = report["fundamental_symmetry"].values()
+        assert [v["samples_tested"] for v in verdicts] == [203, 201, 203]
 
 
 class TestTransformTask:

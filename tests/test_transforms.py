@@ -296,8 +296,12 @@ class TestJointSweep:
         assert refuted.definiteness_with_sign.counterexample is e1
         assert refuted.maximality.samples_tested > 0
 
-    def test_operators_that_hold_draw_each_sample_once(self, alt4, count_calls):
-        ops = mixed_operators(alt4)[:2]
+    # at the default tau_def the three laws settle both operators, so nothing
+    # is drawn; at 0.05 they settle neither, and each sample is drawn once
+    @pytest.mark.parametrize("tau_def, draws", [(None, 0), (0.05, 25)])
+    def test_operators_that_hold_draw_each_sample_once(self, count_calls, tau_def, draws):
+        tol = Tolerances() if tau_def is None else Tolerances(tau_def=tau_def)
+        ops = mixed_operators(alternating_signature_space(4, tol=tol))[:2]
         samplers = (
             "random_definite_subspace",
             "random_maximal_definite_subspace",
@@ -308,9 +312,8 @@ class TestJointSweep:
         assert all(r.definiteness_with_sign.holds for r in reports)
         assert all(r.maximality.holds and r.regularity.holds for r in reports)
         assert all(getattr(r, f).samples_tested == 25 for r in reports for f in PREDICATES)
-        # the maximal and regular laws settle both operators: nothing is drawn
         counts = {name: len(c) for name, c in calls.items()}
-        assert counts == dict(zip(samplers, (25, 0, 0)))
+        assert counts == dict.fromkeys(samplers, draws)
 
     @pytest.mark.parametrize(
         "field, sampler",
@@ -559,11 +562,19 @@ class TestCertifiedSweep:
         assert v.classify() == eager.classify()
 
     def test_definite_draws_make_one_svd_each(self, count_calls):
+        # none at draw time: the slice's QR waits until its basis is read, and
+        # its one SVD until its orthonormal basis is
         space = alternating_signature_space(48)
-        svds = count_calls(np.linalg, "svd")
+        svds, qrs = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
         rng = rng_from_seed(0)
         drawn = [random_definite_subspace(space, rng, sign) for sign in (1, -1, 1)]
-        assert len(svds) == len(drawn)
+        assert len(svds) == len(qrs) == 0
+        for v in drawn:
+            v.basis
+        assert (len(svds), len(qrs)) == (0, len(drawn))
+        for v in drawn:
+            v.ortho_basis
+        assert (len(svds), len(qrs)) == (len(drawn), len(drawn))
 
     @pytest.mark.parametrize("tau_rank, svds_per_draw", [(1e-10, 0), (0.3, 1)])
     def test_draw_defers_its_svd_while_its_rank_is_settled(
@@ -614,11 +625,12 @@ def eager_maximal_basis(space, rng, sign, max_tilt=0.8):
 
 
 def eager_definite_basis(space, rng, sign):
-    """A definite draw's basis, computed at draw time: a slice of a maximal one."""
+    """A definite draw's basis, computed at draw time: an orthonormal slice of
+    a maximal one."""
     basis = eager_maximal_basis(space, rng, sign)
     d = basis.shape[1]
     coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
-    return basis @ coeff
+    return basis @ np.linalg.qr(coeff)[0]
 
 
 class ZeroTilt:
@@ -864,8 +876,8 @@ class TestRegularDraws:
 
 
 class TestDrawLaws:
-    """Every maximal and regular draw meets its law: kappa(basis) at most the
-    law's cond and a Gramian margin at least its margin."""
+    """Every definite, maximal and regular draw meets its law: kappa(basis) at
+    most the law's cond and a Gramian margin at least its margin."""
 
     @settings(max_examples=examples(40))
     @given(
@@ -881,6 +893,7 @@ class TestDrawLaws:
         rng = rng_from_seed(seed)
         space = random_space(rng, n, p, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
         for draw, law in (
+            (transforms._signed(random_definite_subspace), sampling._maximal_law),
             (transforms._signed(random_maximal_definite_subspace), sampling._maximal_law),
             (random_regular_subspace, sampling._regular_law),
         ):
@@ -957,9 +970,13 @@ class TestLawfulSweep:
             ops += near_isometries(space, rng, *law(space))
         ops = [ops[i] for i in sorted(chosen)]
         e1 = Subspace(space, np.eye(n)[:, [0]])
-        for name, law in (("maximality", sampling._maximal_law), ("regularity", sampling._regular_law)):
+        for name, law, hypothesis in (
+            ("definiteness_with_sign", sampling._maximal_law, "uniformly_definite"),
+            ("maximality", sampling._maximal_law, "maximal_definite"),
+            ("regularity", sampling._regular_law, "regular"),
+        ):
             draw, check = PREDICATES[name]
-            pool = [e1] if supplied and (name == "regularity" or e1.classify().maximal_definite) else []
+            pool = [e1] if supplied and getattr(e1.classify(), hypothesis) else []
             certs = [congruent_cert(T) if name == "regularity" else transforms._isometry_scale(T) for T in ops]
             drawn = []
 
@@ -1056,8 +1073,38 @@ class TestSpanningColumns:
             assert v.classify().regular and transforms._check_regular(t, v) is None
 
 
+def gaussian_slice(space, rng, sign):
+    """The slice maximal.basis coeff that a definite draw spans, drawn with the
+    generator calls of the sampler: the maximal draw, the dimension, coeff."""
+    maximal = random_maximal_definite_subspace(space, rng, sign)
+    d = space.component(sign).shape[1]
+    coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
+    return maximal.basis @ coeff, coeff
+
+
 class TestDefiniteSlices:
-    """A definite draw is a lazy slice of its maximal graph."""
+    """A definite draw is a lazy orthonormal slice of its maximal graph."""
+
+    @settings(max_examples=examples(40))
+    @given(
+        n=st.integers(2, 48),
+        data=st.data(),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slices_span_maximal_basis_times_coeff(self, n, data, diagonal, seed):
+        p = data.draw(st.one_of(st.sampled_from([1, n - 1]), st.integers(1, n - 1)), label="p")
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, p, diagonal=diagonal)
+        rng, ref_rng = rng_from_seed(seed + 1), rng_from_seed(seed + 1)
+        for sign in rng_from_seed(seed + 2).choice([1, -1], size=4):
+            v = random_definite_subspace(space, rng, sign)
+            spanned, coeff = gaussian_slice(space, ref_rng, sign)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            u, w = v.ortho_basis, np.linalg.svd(spanned, full_matrices=False)[0]
+            # both spans round to within eps kappa(coeff) of the exact one
+            tol = 1e-14 * max(100.0, np.linalg.cond(coeff))
+            np.testing.assert_allclose(u @ u.conj().T, w @ w.conj().T, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n", [4, 12, 48])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -1075,13 +1122,23 @@ class TestDefiniteSlices:
             assert v.classify() == eager.classify()
             assert v.classify().sign == sign
 
+    @pytest.mark.parametrize("max_tilt", [1.0, 1.5, -0.1, float("nan")])
+    def test_a_tilt_outside_0_1_is_rejected(self, max_tilt):
+        # at a tilt of 1 or more the margin bound (1 - t^2) / (1 + t^2) is not positive
+        space = alternating_signature_space(4)
+        rng = rng_from_seed(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"max_tilt must lie in \[0, 1\)"):
+            random_maximal_definite_subspace(space, rng, 1, max_tilt=max_tilt)
+        assert rng.bit_generator.state == state
+
     def test_large_tau_rank_takes_the_exact_path(self, count_calls):
         # 4 tau_rank cond >= 1: the maximal draw and its slice each make their
-        # SVD, besides the slice's coefficient SVD
+        # SVD, and the slice its QR
         space = alternating_signature_space(12, tol=Tolerances(tau_rank=0.3))
-        svds = count_calls(np.linalg, "svd")
+        svds, qrs = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
         v = random_definite_subspace(space, rng_from_seed(0), 1)
-        assert len(svds) == 3
+        assert (len(svds), len(qrs)) == (2, 1)
         assert v._ortho is not None
         eager = Subspace(space, v.basis)
         np.testing.assert_array_equal(v.ortho_basis, eager.ortho_basis)
