@@ -131,6 +131,11 @@ DEFAULT_TOLERANCES = Tolerances()
 _SAFETY = 4.0  # how far a bound must clear a threshold to settle a decision
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -141,10 +146,13 @@ def _as_matrix(a) -> np.ndarray:
 class KreinSpace:
     """Complex coordinate space with a fundamental symmetry.
 
-    The symmetry may be any Hermitian involution, not necessarily diagonal;
-    the canonical positive/negative components are obtained from its
-    eigendecomposition and exposed as ``plus_basis`` / ``minus_basis``, or
-    by sign as ``component(sign)``.
+    The symmetry may be any Hermitian involution, not necessarily diagonal.
+    eigh reads the Hermitian H of J's lower triangle, ||H - J||_F <= a =
+    ||J - J*||_F, so ||H^2 - I||_2 <= e = ||J^2 - I||_F + (2 ||J||_F + a) a
+    and each eigenvalue of H is within e of +-1: when n e < 1, the
+    signature's p is round((n + Re tr J) / 2) exactly, else (a loose tau_sym)
+    eigvalsh counts it.  The canonical components, from H's eigh, wait until
+    ``plus_basis``, ``minus_basis`` or ``component(sign)`` is read.
     """
 
     def __init__(self, J, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -155,25 +163,29 @@ class KreinSpace:
         # "not <=" so that an overflow to inf or nan fails the checks too,
         # without numpy's warning about it
         with np.errstate(over="ignore", invalid="ignore"):
-            asym = np.linalg.norm(J - J.conj().T)
-            if not asym <= tol.tau_sym * max(1.0, np.linalg.norm(J)):
+            asym, norm = np.linalg.norm(J - J.conj().T), np.linalg.norm(J)
+            if not asym <= tol.tau_sym * max(1.0, norm):
                 raise ValidationError("J is not Hermitian: ||J - J*|| = %g" % asym)
             res = np.linalg.norm(J @ J - np.eye(n))
             if not res <= tol.tau_sym * n:
                 raise ValidationError("J is not involutive: ||J^2 - I|| = %g" % res)
-        eigval, eigvec = np.linalg.eigh(J)
-        p = int(np.count_nonzero(eigval > 0))
-        q = n - p
-        self.J = J
-        self.J.flags.writeable = False
+        if n * (res + (2.0 * norm + asym) * asym) < 1.0:
+            p = round((n + float(np.trace(J).real)) / 2)
+        else:
+            p = int(np.count_nonzero(np.linalg.eigvalsh(J) > 0))
+        self.J = _frozen(J)
         self.dim = n
-        self.signature = (p, q)
+        self.signature = (p, n - p)
         self.tol = tol
-        # eigh returns ascending eigenvalues: negatives first
-        self.minus_basis = eigvec[:, :q].copy()
-        self.plus_basis = eigvec[:, q:].copy()
-        self.minus_basis.flags.writeable = False
-        self.plus_basis.flags.writeable = False
+
+    @cached_property
+    def _components(self) -> tuple:
+        # eigh's eigenvalues ascend: (minus_basis, plus_basis)
+        eigvec, q = np.linalg.eigh(self.J)[1], self.signature[1]
+        return _frozen(eigvec[:, :q].copy()), _frozen(eigvec[:, q:].copy())
+
+    minus_basis = property(lambda self: self._components[0])
+    plus_basis = property(lambda self: self._components[1])
 
     @classmethod
     def from_signs(cls, signs, tol: Tolerances = DEFAULT_TOLERANCES) -> "KreinSpace":
@@ -212,6 +224,9 @@ class SubspaceKind(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+_SIGNS = {SubspaceKind.UNIFORMLY_POSITIVE: 1, SubspaceKind.UNIFORMLY_NEGATIVE: -1}
+
+
 class Classification(Record):
     kind: SubspaceKind
     regular: bool
@@ -220,19 +235,12 @@ class Classification(Record):
 
     @property
     def uniformly_definite(self) -> bool:
-        return self.kind in (
-            SubspaceKind.UNIFORMLY_POSITIVE,
-            SubspaceKind.UNIFORMLY_NEGATIVE,
-        )
+        return self.kind in _SIGNS
 
     @property
     def sign(self) -> int:
         """+1 / -1 for uniformly definite subspaces, 0 otherwise."""
-        if self.kind is SubspaceKind.UNIFORMLY_POSITIVE:
-            return 1
-        if self.kind is SubspaceKind.UNIFORMLY_NEGATIVE:
-            return -1
-        return 0
+        return _SIGNS.get(self.kind, 0)
 
 
 class Subspace:
@@ -273,9 +281,12 @@ class Subspace:
         """Subspace spanned by possibly dependent columns; None for the zero span."""
         u, s, _ = np.linalg.svd(_as_matrix(vectors), full_matrices=False)
         r = _rank(s, space.tol)
-        if r == 0:
-            return None
-        W, u = cls.__new__(cls), u[:, :r].copy()
+        return cls._orthonormal(space, u[:, :r].copy()) if r else None
+
+    @classmethod
+    def _orthonormal(cls, space: KreinSpace, u: np.ndarray) -> "Subspace":
+        """The subspace whose basis and ortho_basis are the orthonormal u."""
+        W = cls.__new__(cls)
         W._set(space, u, u, 1.0)
         return W
 
@@ -305,17 +316,19 @@ class Subspace:
     @property
     def basis(self) -> np.ndarray:
         if callable(self._basis):
-            self._basis = self._basis()
-            self._basis.flags.writeable = False
+            self._basis = _frozen(self._basis())
         return self._basis
 
     @property
     def ortho_basis(self) -> np.ndarray:
         if self._ortho is None:
-            u = np.linalg.svd(self.basis, full_matrices=False)[0].copy()
-            u.flags.writeable = False
-            self._ortho = u
+            self._ortho = _frozen(np.linalg.svd(self.basis, full_matrices=False)[0].copy())
         return self._ortho
+
+    @property
+    def _uj(self) -> np.ndarray:
+        """U* J for U = ``ortho_basis``, made on each read (``fusion._Span`` keeps it)."""
+        return self.ortho_basis.conj().T @ self.space.J
 
     @property
     def dim(self) -> int:
@@ -373,13 +386,8 @@ def _classify(W: Subspace) -> tuple[Classification, float]:
         kind = SubspaceKind.NEUTRAL
     margin = float(np.abs(eigs).min())
     regular = margin > floor
-    p, q = W.space.signature
-    if kind is SubspaceKind.UNIFORMLY_POSITIVE:
-        maximal = W.dim == p
-    elif kind is SubspaceKind.UNIFORMLY_NEGATIVE:
-        maximal = W.dim == q
-    else:
-        maximal = False
+    sign = _SIGNS.get(kind, 0)  # a maximal one has the dimension of its sign's component
+    maximal = sign != 0 and W.dim == W.space.signature[0 if sign == 1 else 1]
     return Classification(kind, regular, maximal, (lo, hi)), margin
 
 
@@ -397,15 +405,12 @@ class Operator:
         n = space.dim
         if m.shape != (n, n):
             raise DimensionError(f"operator of shape {m.shape} does not act on C^{n}")
-        m.flags.writeable = False
-        vars(self).update(space=space, matrix=m)
+        vars(self).update(space=space, matrix=_frozen(m))
 
     @cached_property
     def _svals(self) -> np.ndarray:
         """The singular values of the matrix, descending, from its one SVD."""
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        s.flags.writeable = False
-        return s
+        return _frozen(np.linalg.svd(self.matrix, compute_uv=False))
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ self.space.check_vector(x)
@@ -437,17 +442,13 @@ def j_projection(W: Subspace) -> Operator:
             "subspace is degenerate (Gramian eigenvalue within tau_def of 0); "
             "no J-orthogonal projection exists"
         )
-    u = W.ortho_basis
-    J = W.space.J
-    g = u.conj().T @ J @ u
-    q = u @ np.linalg.solve(g, u.conj().T @ J)
-    return Operator(W.space, q)
+    u, uj = W.ortho_basis, W._uj
+    return Operator(W.space, u @ np.linalg.solve(uj @ u, uj))
 
 
 def gramian(W: Subspace) -> np.ndarray:
     """Compressed Gramian U*JU of W in its orthonormal-basis coordinates."""
-    u = W.ortho_basis
-    g = u.conj().T @ W.space.J @ u
+    g = W._uj @ W.ortho_basis
     return 0.5 * (g + g.conj().T)
 
 

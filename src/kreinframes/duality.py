@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Record, Subspace, _def_floor
+from .core import KreinSpace, Operator, Record, Subspace, _def_floor, _frozen
 from .errors import (
     DefinitenessTransportError,
     DimensionError,
@@ -23,6 +23,8 @@ from .errors import (
 from .fusion import (
     FrameBounds,
     WeightedFamily,
+    _Sides,
+    _Span,
     _decide,
     _rayleigh_extremes,
     _set_sides,
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 
-class VectorFrame:
+class VectorFrame(_Sides):
     """A finite family of non-neutral vectors with signs from [f_i, f_i]."""
 
     def __init__(self, space: KreinSpace, vectors):
@@ -76,7 +78,7 @@ class VectorFrame:
             )
         signs = [1 if v > 0 else -1 for v in vals]
         # the vectors are the synthesis columns and span the signed sides
-        _set_sides(self, space, signs, 1, matrix, matrix)
+        _set_sides(self, space, signs, 1, matrix, lambda: matrix)
         self.matrix = matrix
         self._s_inv = None  # S^-1, see _inverse_frame_operator
 
@@ -135,18 +137,31 @@ def _inverse_frame_operator(F: VectorFrame) -> np.ndarray:
     # factored once per frame and kept on it: the frame's matrix is read-only
     if F._s_inv is None:
         s = frame_operator(F).matrix
-        F._s_inv = _nonsingular(np.linalg.inv, s, F.space, "frame operator")
-        F._s_inv.flags.writeable = False
+        F._s_inv = _frozen(_nonsingular(np.linalg.inv, s, F.space, "frame operator"))
     return F._s_inv
+
+
+def _dual_spans(F, dual, images: np.ndarray) -> None:
+    """Give the canonical dual of F the spans S^-1 M(+-) when its members
+    S^-1 W_i keep F's signs, as those of each sign then span S^-1 M of it:
+    one Householder QR per side of ``images`` = S^-1 ``F._span_bases``, in
+    place of an SVD of the dual's columns.  S passed ``_nonsingular``, so
+    S^-1 M has the dimension of M exactly and no rank is decided again."""
+    if dual.signs == F.signs:
+        cut = [0 if F.m_plus is None else F.m_plus.dim]
+        vars(dual)["_spans"] = tuple(
+            _Span._orthonormal(F.space, np.linalg.qr(x)[0]) if x.shape[1] else None
+            for x in np.split(images, cut, axis=1)
+        )
 
 
 def canonical_dual(F: VectorFrame) -> VectorFrame:
     """The dual frame {S^-1 f_i}; member signs must transport unchanged."""
     if not _decide(F).is_frame:
         raise NotAFrameError("canonical dual is defined for J-frames only")
-    duals = _inverse_frame_operator(F) @ F.matrix
+    s_inv = _inverse_frame_operator(F)
     try:
-        dual = VectorFrame(F.space, duals.T)
+        dual = VectorFrame(F.space, (s_inv @ F.matrix).T)
     except MemberClassificationError as exc:
         raise DefinitenessTransportError(
             f"inverse frame operator produced a neutral dual vector: {exc}"
@@ -156,6 +171,7 @@ def canonical_dual(F: VectorFrame) -> VectorFrame:
             "inverse frame operator changed the sign pattern: "
             f"{F.signs} -> {dual.signs}"
         )
+    _dual_spans(F, dual, s_inv @ np.hstack(F._span_bases))
     return dual
 
 
@@ -257,8 +273,8 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     """Reciprocal-bounds check for the dual family {(S^-1 W_i, v_i)}.
 
     The result is an empirical per-instance finding: the dual family is
-    certified from scratch, and a certification failure is reported as a
-    counterexample rather than raised.
+    certified from scratch on its spans S^-1 M(+-) (``_dual_spans``), and a
+    certification failure is reported as a counterexample rather than raised.
     """
     cert = _decide(F)
     if not cert.is_frame:
@@ -266,10 +282,10 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     s = frame_operator(F).matrix
     original = cert.optimal_bounds
     expected = _reciprocal_expected(original)
-    # one factorization of S for every member's basis
-    bases = np.hstack([w.basis for w in F.subspaces])
+    # one factorization of S for every member's basis and both spans' bases
+    bases = np.hstack([w.basis for w in F.subspaces] + F._span_bases)
     dual_bases = _nonsingular(np.linalg.solve, s, F.space, "fusion frame operator", bases)
-    blocks = np.split(dual_bases, np.cumsum(F.block_dims)[:-1], axis=1)
+    *blocks, images = np.split(dual_bases, np.cumsum(F.block_dims), axis=1)
     try:
         dual_subspaces = [Subspace(F.space, b) for b in blocks]
         dual_family = WeightedFamily(F.space, dual_subspaces, F.weights)
@@ -278,6 +294,7 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
             False, original, None, None, expected, None, False,
             f"dual member failed classification: {exc}",
         )
+    _dual_spans(F, dual_family, images)
     dual_cert = _decide(dual_family)
     if not dual_cert.is_frame:
         return FusionDualReport(

@@ -14,6 +14,8 @@ shares the family's representation and goes through every function here.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .core import (
@@ -21,6 +23,7 @@ from .core import (
     Operator,
     Record,
     Subspace,
+    _frozen,
     _rank,
     gramian,
 )
@@ -52,7 +55,26 @@ __all__ = [
 ]
 
 
-class WeightedFamily:
+class _Sides:
+    """Both family kinds, set up by ``_set_sides``: their signed spans M(+-)
+    wait until read, so a dual can be given S^-1 M(+-) (``duality._dual_spans``)."""
+
+    _spans = cached_property(lambda F: _signed_spans(F.space, F._bases(), F._column_signs))
+    m_plus = property(lambda self: self._spans[0])
+    m_minus = property(lambda self: self._spans[1])
+    # the spans' orthonormal bases U(+-), as the duals take them
+    _span_bases = property(lambda self: [m.ortho_basis for m in self._spans if m is not None])
+
+
+class _Span(Subspace):
+    """A signed span: it keeps U* J, which its Gramian reads, and L, the
+    Cholesky factor of its Gramian times its sign; Rayleigh quotients read both."""
+
+    _uj = cached_property(Subspace._uj.fget)
+    _chol = cached_property(lambda M: np.linalg.cholesky(M.classify().sign * gramian(M)))
+
+
+class WeightedFamily(_Sides):
     """A finite family {(W_i, v_i)} of uniformly definite weighted subspaces."""
 
     def __init__(self, space: KreinSpace, subspaces, weights):
@@ -81,8 +103,8 @@ class WeightedFamily:
         self.weights = weights
         self.block_dims = [w.dim for w in subspaces]
         self.total_dim = sum(self.block_dims)
-        bases = np.hstack([w.ortho_basis for w in subspaces])
         columns = np.hstack([v * w.ortho_basis for w, v in zip(subspaces, weights)])
+        bases = lambda: np.hstack([w.ortho_basis for w in subspaces])
         _set_sides(self, space, signs, self.block_dims, columns, bases)
 
     def __len__(self):
@@ -100,23 +122,22 @@ class WeightedFamily:
 
 def _set_sides(F, space: KreinSpace, signs, block_dims, columns, bases) -> None:
     """Give F the read-only synthesis columns T, their signs, each sign's
-    member indices and the spans M(+-) of the unweighted columns ``bases``;
-    member i has sign signs[i] and block_dims[i] columns."""
+    member indices and, through ``bases()``, the unweighted columns whose
+    spans are M(+-); member i has sign signs[i] and block_dims[i] columns."""
     F.space = space
     F.signs = signs
     F.plus_indices = [i for i, s in enumerate(signs) if s == 1]
     F.minus_indices = [i for i, s in enumerate(signs) if s == -1]
     F._column_signs = np.repeat(np.asarray(signs, dtype=float), block_dims)
-    F._columns = columns
-    F._columns.flags.writeable = False
-    F.m_plus = _masked_span(space, bases, F._column_signs == 1)
-    F.m_minus = _masked_span(space, bases, F._column_signs == -1)
+    F._columns = _frozen(columns)
+    F._bases = bases
     F._certificate = None
 
 
-def _masked_span(space: KreinSpace, cols: np.ndarray, mask) -> Subspace | None:
-    """Span of the columns ``mask`` selects; None when it selects none."""
-    return Subspace.from_spanning(space, cols[:, mask]) if mask.any() else None
+def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tuple:
+    """(M+, M-), the spans of the columns of each sign; None for a sign no column has."""
+    masks = (signs == 1, signs == -1)
+    return tuple(_Span.from_spanning(space, cols[:, m]) if m.any() else None for m in masks)
 
 
 def coefficient_symmetry(F: WeightedFamily) -> np.ndarray:
@@ -209,43 +230,37 @@ def _side_verdict(space: KreinSpace, M: Subspace | None, sign: int):
     a family is a J-frame exactly when both of its sides are maximal.
     """
     if M is None:
-        return 0, None, space.component(sign).shape[1] == 0
+        return 0, None, space.signature[0 if sign == 1 else 1] == 0
     cls = M.classify()
     return M.dim, cls, cls.maximal_definite and cls.sign == sign
 
 
-def _rayleigh_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
+def _rayleigh_extremes(M: Subspace, cols: np.ndarray, sign: int):
     """Extreme values of [S f, f] / [f, f] over a uniformly definite M.
 
     S = T T* J is the unsigned operator of one side's synthesis columns
     T = ``cols``.  With U = M.ortho_basis and f = U x, [S f, f] = x* a x and
     [f, f] = x* p x, where a = G G* with G = U* J T, and p = U* J U.  As M is
-    uniformly definite of the given sign, L L* = sign * p is a Cholesky
-    factorization, and the quotient's values are sign * s^2 over the
+    uniformly definite of the given sign, its classified sign, L L* = sign * p
+    is a Cholesky factorization, and the quotient's values are sign * s^2 over the
     singular values s of L^-1 G, zero-padded to dim M when T has fewer
     columns.  Taking them from the factor, not from L^-1 a L^-*, keeps the
     smallest bound accurate relative to itself.  Raises
     numpy.linalg.LinAlgError when sign * p is not positive definite.  U* J
-    and L are made once per sign and kept on M: the dual checks read F's
+    and L are the ones the span M keeps (``_Span``): the dual checks read F's
     spans again, with the dual's columns.
     """
-    kept = vars(M).setdefault("_rayleigh_factors", {})
-    if sign not in kept:
-        u = M.ortho_basis
-        uj = (space.J @ u).conj().T  # U* J, as J is Hermitian
-        p = uj @ u
-        kept[sign] = uj, np.linalg.cholesky(sign * 0.5 * (p + p.conj().T))
-    uj, chol = kept[sign]
-    s2 = np.linalg.svd(np.linalg.solve(chol, uj @ cols), compute_uv=False) ** 2
+    s2 = np.linalg.svd(np.linalg.solve(M._chol, M._uj @ cols), compute_uv=False) ** 2
     lo = float(s2[-1]) if s2.size == M.dim else 0.0
     return (sign * lo, sign * float(s2[0]))[::sign]  # ascending, as FrameBounds.side
 
 
-def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
-    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD of T:
-    T = ``cols`` spans M, so gamma(T) is its (dim M)-th singular value, and
-    gamma(G_M) is the Gramian margin ``classify`` keeps on the definite M."""
-    s = np.linalg.svd(cols, compute_uv=False)
+def _estimate_extremes(M: Subspace, cols: np.ndarray, sign: int):
+    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD
+    of U* T, U = M.ortho_basis: T = ``cols`` lies in M, so T = U (U* T), and
+    as T spans M, gamma(T) is the (dim M)-th singular value of U* T; gamma(G_M)
+    is the Gramian margin ``classify`` keeps on the definite M."""
+    s = np.linalg.svd(M.ortho_basis.conj().T @ cols, compute_uv=False)
     gam_g = M._gram_margin()
     with np.errstate(over="ignore"):  # a bound overflows to inf for a large enough weight
         lo = s[M.dim - 1] ** 2 * gam_g**2
@@ -256,10 +271,10 @@ def _estimate_extremes(space, M: Subspace, cols: np.ndarray, sign: int):
 def _span_bounds(F, G, extremes) -> FrameBounds:
     """Bounds of G's synthesis columns over F's signed spans, a side at a time.
 
-    ``extremes(space, M, cols, sign)`` gives a side's extremes in ascending
+    ``extremes(M, cols, sign)`` gives a side's extremes in ascending
     order, as ``FrameBounds.side``; a side whose span M is None has none."""
     plus, minus = (
-        (None, None) if m is None else extremes(F.space, m, _side_columns(G, sign), sign)
+        (None, None) if m is None else extremes(m, _side_columns(G, sign), sign)
         for m, sign in ((F.m_plus, 1), (F.m_minus, -1))
     )
     return FrameBounds(*minus, *plus)
@@ -300,7 +315,7 @@ def _decide(F: WeightedFamily) -> FrameCertificate:
                     "side": label,
                     "reason": "dimension deficit",
                     "dim": dim,
-                    "required": F.space.component(sign).shape[1],
+                    "required": F.space.signature[0 if sign == 1 else 1],
                 }
             )
         return dim, uniform, maximal
@@ -418,7 +433,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
             # quotient changes sign or degenerates: no valid constants
             return cls.regular, False
         if bounds is None:  # a definite side of a non-frame
-            extremes = _rayleigh_extremes(F.space, m, _side_columns(F, sign), sign)
+            extremes = _rayleigh_extremes(m, _side_columns(F, sign), sign)
         else:
             extremes = bounds.side(sign)
         inner, outer = extremes[::sign]  # (A, B): A is the bound nearer zero

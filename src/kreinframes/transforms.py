@@ -34,7 +34,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
-from .fusion import _decide, _masked_span, _side_verdict, _sum_dim
+from .fusion import _decide, _side_verdict, _signed_spans, _sum_dim
 from .sampling import (
     _maximal_law,
     _regular_law,
@@ -406,9 +406,7 @@ def _necessary_conditions(
     if family.signs == F.signs:  # the image family's own spans, from the same SVDs
         spans = [family.m_plus, family.m_minus]
     else:
-        bases = np.hstack([w.ortho_basis for w in family.subspaces])
-        signs = np.repeat(F.signs, family.block_dims)
-        spans = [_masked_span(F.space, bases, signs == sign) for sign in (1, -1)]
+        spans = _signed_spans(F.space, family._bases(), np.repeat(F.signs, family.block_dims))
     (dim_p, _, max_p), (dim_m, _, max_m) = (
         _side_verdict(F.space, m, sign) for m, sign in zip(spans, (1, -1))
     )

@@ -2,9 +2,11 @@
 
 None of these call the implementation path they validate: the Rayleigh
 oracle samples quotients directly instead of solving the pencil, the
-projection oracle is a least-squares solve, and the gamma oracle combines
+projection oracle is a least-squares solve, the gamma oracle combines
 random search over the row space with solve-based inverse iteration
-(no SVD).  They are slow by design.
+(no SVD), and the dual oracle builds the canonical dual through the public
+constructors, which span its sides from its own columns.  They are slow by
+design.
 """
 
 from __future__ import annotations
@@ -14,17 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from kreinframes.core import Operator
+from kreinframes.core import Operator, Subspace
+from kreinframes.duality import VectorFrame
 from kreinframes.errors import NotAFrameError
 from kreinframes.fusion import (
     WeightedFamily,
     certify,
     definite_span,
+    frame_operator,
     frame_operator_part,
 )
 from kreinframes.sampling import random_complex, rng_from_seed
 
-__all__ = ["OracleConfig", "rayleigh_extremes", "projection_oracle", "gamma_oracle"]
+__all__ = [
+    "OracleConfig", "rayleigh_extremes", "projection_oracle", "gamma_oracle", "dual_oracle"
+]
 
 
 @dataclass(frozen=True)
@@ -158,3 +164,15 @@ def gamma_oracle(T, config: OracleConfig = OracleConfig()) -> float:
             x /= np.linalg.norm(x)
         best = min(best, float(np.linalg.norm(b @ x)))
     return best
+
+
+def dual_oracle(F):
+    """The canonical dual of a frame F, built through the public constructors:
+    the WeightedFamily of the members S^-1 W_i with F's weights, one solve per
+    member, or the VectorFrame of the vectors S^-1 f_i.  Its signed spans are
+    the constructor's SVDs of the dual's own columns, not S^-1 M(+-)."""
+    s = frame_operator(F).matrix
+    if isinstance(F, VectorFrame):
+        return VectorFrame(F.space, np.linalg.solve(s, F.matrix).T)
+    members = [Subspace(F.space, np.linalg.solve(s, w.basis)) for w in F.subspaces]
+    return WeightedFamily(F.space, members, F.weights)

@@ -34,9 +34,10 @@ from kreinframes import (
     reduced_min_modulus,
 )
 import kreinframes
+from kreinframes.cli import run_command
 from kreinframes.core import Record, _clears, _def_floor, _rank
 from kreinframes.fusion import FrameBounds, FrameCertificate
-from kreinframes.problem import ProblemSpec
+from kreinframes.problem import ProblemSpec, parse_spec
 from kreinframes.transforms import EPISTEMIC_NOTE, PredicateVerdict
 from kreinframes.sampling import (
     random_complex,
@@ -91,6 +92,77 @@ class TestKreinSpace:
         assert minus.shape == (5, 2)
         np.testing.assert_allclose(space.J @ plus, plus, atol=1e-10)
         np.testing.assert_allclose(space.J @ minus, -minus, atol=1e-10)
+
+
+class TestSignature:
+    """The signature from round((n + tr J) / 2), or from eigvalsh when
+    n ||J^2 - I||_F is not below 1 (a loose tau_sym), and the canonical bases
+    from eigh, made when first read."""
+
+    @staticmethod
+    def conjugate(rng, eigenvalues, tol=DEFAULT_TOLERANCES):
+        """A random unitary conjugate of diag(eigenvalues), made Hermitian."""
+        q, _ = np.linalg.qr(random_complex(rng, len(eigenvalues), len(eigenvalues)))
+        j = q @ np.diag(eigenvalues) @ q.conj().T
+        return KreinSpace(0.5 * (j + j.conj().T), tol=tol)
+
+    @staticmethod
+    def draw(data, loose):
+        """A space of signature (p, n - p) and that p: exact signs, or under
+        tau_sym 1 moduli in [0.2, 0.6], where n ||J^2 - I||_F >= 1 for n >= 2."""
+        n = data.draw(st.integers(2 if loose else 1, 64))
+        p = data.draw(st.integers(0, n))
+        rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1)))
+        signs = np.concatenate([np.ones(p), -np.ones(n - p)])
+        if not loose:
+            return TestSignature.conjugate(rng, signs), p
+        moduli = rng.uniform(0.2, 0.6, n)
+        return TestSignature.conjugate(rng, signs * moduli, Tolerances(tau_sym=1.0)), p
+
+    @settings(max_examples=examples(40))
+    @given(data=st.data(), loose=st.booleans())
+    def test_counts_the_positive_eigenvalues(self, data, loose):
+        space, p = self.draw(data, loose)
+        count = int(np.count_nonzero(np.linalg.eigvalsh(space.J) > 0))
+        assert space.signature == (count, space.dim - count) == (p, space.dim - p)
+
+    @settings(max_examples=examples(40))
+    @given(data=st.data(), loose=st.booleans())
+    def test_bases_are_the_eigh_eigenvectors(self, data, loose):
+        # bit for bit the eigh eigenvectors, negatives first, sliced by the
+        # count of positive eigh eigenvalues
+        space, _ = self.draw(data, loose)
+        eigval, eigvec = np.linalg.eigh(space.J)
+        q = space.dim - int(np.count_nonzero(eigval > 0))
+        np.testing.assert_array_equal(space.minus_basis, eigvec[:, :q])
+        np.testing.assert_array_equal(space.plus_basis, eigvec[:, q:])
+        assert not (space.minus_basis.flags.writeable or space.plus_basis.flags.writeable)
+
+    def test_trace_would_round_wrong_under_a_loose_tau_sym(self, count_calls):
+        j = np.diag([0.2, 0.2, 0.2, -1.0])
+        assert round((4 + np.trace(j)) / 2) == 2
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        space = KreinSpace(j, tol=Tolerances(tau_sym=0.5))
+        assert space.signature == (3, 1) and len(eigvalsh) == 1
+        assert KreinSpace.from_signs([1, 1, 1, -1]).signature == (3, 1)
+        assert len(eigvalsh) == 1  # an exact involution reads its trace
+
+    def test_a_family_document_makes_no_eigh(self, count_calls):
+        # J = [[0, 1], [1, 0]] with the positive line (1, 1) and the negative
+        # (1, -1): every task of "all" runs without the canonical bases
+        eigh = count_calls(np.linalg, "eigh")
+        doc = {
+            "space": {"dim": 2, "J": [[0, 1], [1, 0]]},
+            "families": {"f": {"subspaces": [[[1, 1]], [[1, -1]]], "weights": [1, 2]}},
+        }
+        problem = parse_spec(doc)
+        report = run_command("all", problem, 0, 10)
+        assert report["pass"] and report["space"]["signature"] == [1, 1]
+        assert eigh == []
+        plus = problem.space.plus_basis
+        assert len(eigh) == 1 and problem.space.minus_basis is not None
+        np.testing.assert_allclose(abs(plus[:, 0]), [2**-0.5] * 2)
+        assert len(eigh) == 1
 
 
 class TestIndefiniteProduct:

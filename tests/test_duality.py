@@ -1,6 +1,7 @@
 """Tests for vector J-frames, canonical duals and the dual-bound relations."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,16 +29,18 @@ from kreinframes import (
     is_j_frame,
     is_j_isometry_multiple,
     j_adjoint,
+    optimal_bounds,
     partial_frame_operator,
     vframe_optimal_bounds,
 )
+from kreinframes import duality
 from kreinframes.cli import run_command
 from kreinframes.duality import (
     _inverse_frame_operator,
     fundamental_identity_sides,
     fundamental_identity_sides_batch,
 )
-from kreinframes.fusion import WeightedFamily, _side_verdict
+from kreinframes.fusion import WeightedFamily, _side_verdict, _Span
 from kreinframes.problem import parse_spec
 from kreinframes.sampling import (
     random_complex,
@@ -46,13 +49,14 @@ from kreinframes.sampling import (
 )
 
 from generators import (
+    examples,
     random_fusion_frame,
     random_j_unitary,
     random_space,
     random_unit_vector,
     random_vector_frame,
 )
-from oracles import OracleConfig, rayleigh_extremes
+from oracles import OracleConfig, dual_oracle, rayleigh_extremes
 
 
 DEMO_PATH = Path(kreinframes.__file__).parent / "data" / "c3_demo.json"
@@ -526,7 +530,8 @@ class TestFusionDualBounds:
         self, tilted_family, count_calls, members_per_side
     ):
         # the demo family, or twelve members in C^5: S is factored once for
-        # all members, next to one Cholesky solve per side for the dual's
+        # all members and both spans' orthonormal bases (the dual's spans are
+        # S^-1 M(+-)), next to one Cholesky solve per side for the dual's
         # bounds and one per side for its bounds over the original spans
         fam = tilted_family
         if members_per_side is not None:
@@ -536,7 +541,8 @@ class TestFusionDualBounds:
         solve = count_calls(np.linalg, "solve")
         assert fusion_dual_bounds_check(fam).dual_is_frame
         assert len(solve) == 1 + 4
-        assert solve[0][1].shape == (fam.space.dim, fam.total_dim)
+        columns = fam.total_dim + fam.m_plus.dim + fam.m_minus.dim
+        assert solve[0][1].shape == (fam.space.dim, columns)
 
     @pytest.mark.parametrize("members_per_side", [None, 6])
     def test_one_cholesky_per_span(self, tilted_family, count_calls, members_per_side):
@@ -552,7 +558,7 @@ class TestFusionDualBounds:
         report = fusion_dual_bounds_check(fam)
         assert report.dual_is_frame and len(cholesky) == 4
         for m in (fam.m_plus, fam.m_minus):
-            del m._rayleigh_factors
+            del m._chol
         again = fusion_dual_bounds_check(fam)
         assert again.dual_over_original_spans == report.dual_over_original_spans
         assert len(cholesky) == 4 + 4
@@ -564,8 +570,10 @@ class TestDualFailuresAtTheThreshold:
     In exact arithmetic S^-1 maps the positive span onto the J-orthogonal
     complement of the negative one, whose Gramian margin is the negative
     span's: the dual of a frame is a frame.  With tau_def set to the dual's
-    computed margin, on a line (t, 1) whose computed margins round the dual's
-    below the original's, the dual fails where the original passes.
+    computed margin (of a dual member, or of the dual's span S^-1 M(+) on
+    the Householder Q of S^-1 U(+) that the check builds), on a line (t, 1)
+    whose computed margins round the dual's below the original's, the dual
+    fails where the original passes.
     """
 
     @staticmethod
@@ -591,14 +599,16 @@ class TestDualFailuresAtTheThreshold:
 
     @staticmethod
     def dual_members(fam):
+        """The dual members and S^-1 [U+, U-], from the check's one solve."""
         s = frame_operator(fam).matrix
-        duals = np.linalg.solve(s, np.hstack([w.basis for w in fam.subspaces]))
-        return [Subspace(fam.space, duals[:, [i]]) for i in range(len(fam))]
+        spans = [fam.m_plus.ortho_basis, fam.m_minus.ortho_basis]
+        duals = np.linalg.solve(s, np.hstack([w.basis for w in fam.subspaces] + spans))
+        return [Subspace(fam.space, duals[:, [i]]) for i in range(len(fam))], duals[:, len(fam):]
 
     def test_dual_member_fails_classification(self):
         def split(t):
             fam = self.family([1, -1], t)
-            tau = self.dual_members(fam)[0]._gram_margin()
+            tau = self.dual_members(fam)[0][0]._gram_margin()
             return tau if tau < fam.m_minus._gram_margin() else None
 
         t, tau = self.first_tilt(split)
@@ -611,11 +621,12 @@ class TestDualFailuresAtTheThreshold:
 
     def test_dual_family_fails_certification(self):
         # two positive lines in C^3: each dual member clears the margin of
-        # the dual's positive span, which the threshold then sits on
+        # the dual's positive span S^-1 M(+), which the threshold then sits on
         def split(t):
             fam = self.family([1, 1, -1], t)
-            members = self.dual_members(fam)
-            tau = WeightedFamily(fam.space, members, [1.0] * 3).m_plus._gram_margin()
+            members, images = self.dual_members(fam)
+            q = np.linalg.qr(images[:, : fam.m_plus.dim])[0]
+            tau = _Span._orthonormal(fam.space, q)._gram_margin()
             floor = min(w._gram_margin() for w in members + [fam.m_minus, fam.m_plus])
             return tau if tau < floor else None
 
@@ -649,6 +660,74 @@ class TestDualFailuresAtTheThreshold:
         assert is_j_frame(frame)
         with pytest.raises(DefinitenessTransportError, match="produced a neutral dual vector"):
             canonical_dual(frame)
+
+
+class TestDualSpans:
+    """The duals' signed spans S^-1 M(+-), one Householder QR per side of the
+    images of F's spans, against ``dual_oracle``: the dual the public
+    constructors build and span from its own columns.  Both duals' bounds
+    over their own spans must agree with the oracle's to rtol 1e-9."""
+
+    SIDES = {"both": None, "positive only": 1, "negative only": 0}
+
+    @staticmethod
+    def space(n, sides, rng):
+        p = TestDualSpans.SIDES[sides]
+        return random_space(rng, n, p=None if p is None else p * n)
+
+    @staticmethod
+    def assert_same_spans(got, want):
+        for a, b in ((got.m_plus, want.m_plus), (got.m_minus, want.m_minus)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                pa, pb = (m.ortho_basis @ m.ortho_basis.conj().T for m in (a, b))
+                assert np.linalg.norm(pa - pb, 2) <= 1e-9
+
+    @staticmethod
+    def assert_bounds_close(got, want):
+        for a, b in zip(got.as_tuple(), want.as_tuple()):
+            assert (a is None) == (b is None)
+            assert a is None or a == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("sides", SIDES)
+    @settings(max_examples=examples(6))
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_fusion_dual(self, sides, n, seed):
+        rng = rng_from_seed(seed)
+        fam = random_fusion_frame(self.space(n, sides, rng), rng)
+        # the dual family is the check's second decision
+        with mock.patch.object(duality, "_decide", wraps=duality._decide) as decide:
+            report = fusion_dual_bounds_check(fam)
+        dual, want = decide.call_args.args[0], dual_oracle(fam)
+        assert dual is not fam and report.dual_is_frame and certify(want).is_frame
+        self.assert_same_spans(dual, want)
+        self.assert_bounds_close(report.dual, optimal_bounds(want))
+
+    @pytest.mark.parametrize("sides", SIDES)
+    @settings(max_examples=examples(6))
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_canonical_dual(self, sides, n, seed):
+        rng = rng_from_seed(seed)
+        frame = random_vector_frame(self.space(n, sides, rng), rng)
+        want = dual_oracle(frame)
+        self.assert_same_spans(canonical_dual(frame), want)
+        self.assert_bounds_close(dual_bounds_check(frame).dual_own_spans, optimal_bounds(want))
+
+    def test_the_dual_spans_make_no_svd(self, count_calls):
+        # twelve members in C^5: an SVD per dual member, as its Subspace, and
+        # one per side for the dual's bounds and for its bounds over F's
+        # spans; the dual's spans take one QR per side and no SVD.  A vector
+        # frame's dual makes only the SVD per side of its decided bounds
+        fam = random_fusion_frame(KreinSpace.from_signs([1, 1, 1, -1, -1]), rng_from_seed(8), 6)
+        certify(fam)
+        svd, qr = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
+        assert fusion_dual_bounds_check(fam).dual_is_frame
+        assert (len(svd), len(qr)) == (len(fam) + 4, 2)
+        frame = random_vector_frame(fam.space, rng_from_seed(9))
+        is_j_frame(frame)
+        svd.clear(), qr.clear()
+        assert is_j_frame(canonical_dual(frame))
+        assert (len(svd), len(qr)) == (2, 2)
 
 
 class TestAsWeightedFamily:
@@ -807,10 +886,11 @@ class TestFamilyFunctionsTakeVectorFrames:
         ([[1.0, 0.0], [2.0, 0.5]], 1),  # no negative vector
     ])
     def test_one_svd_per_nonempty_side(self, minkowski, count_calls, vectors, sides):
+        # the spans wait until the decision reads them
         svd = count_calls(np.linalg, "svd")
         cholesky = count_calls(np.linalg, "cholesky")
         frame = VectorFrame(minkowski, vectors)
-        assert len(svd) == sides
+        assert svd == []
         is_j_frame(frame)
         assert (len(svd), len(cholesky)) == (sides, 0)
 

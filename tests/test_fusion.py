@@ -322,11 +322,13 @@ class TestEstimateBounds:
     @settings(max_examples=16)
     @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
     def test_equal_the_two_svd_definition(self, n, seed):
-        # gamma(T) and ||T|| of each side from its own SVD of the side's
-        # columns v_i U_i, gamma(T) as the (dim M)-th singular value, and
+        # gamma(T) and ||T|| of each side from the singular values of U* T,
+        # T the side's columns v_i U_i and U the span's orthonormal basis (T
+        # lies in M, so T = U (U* T)), gamma(T) as the (dim M)-th, and
         # gamma(G_M) from the span's Gramian eigenvalues: the one-SVD estimate
-        # must give the same bits, and agree up to rounding with gamma(T) and
-        # gamma(G_M) as reduced_min_modulus and gramian_min_modulus give them
+        # must give the same bits, and agree up to rounding with gamma(T),
+        # ||T|| and gamma(G_M) as reduced_min_modulus, the 2-norm of T itself
+        # and gramian_min_modulus give them
         rng = rng_from_seed(seed)
         fam = random_fusion_frame(random_space(rng, n), rng)
         est = estimate_bounds(fam)
@@ -335,11 +337,11 @@ class TestEstimateBounds:
             t = np.hstack([fam.weights[i] * fam.subspaces[i].ortho_basis for i in idx])
             m = definite_span(fam, sign)
             gam_g = np.abs(np.linalg.eigvalsh(gramian(m))).min()
-            gam_t = np.linalg.svd(t, compute_uv=False)[m.dim - 1]
-            norm2 = np.linalg.norm(t, 2) ** 2
-            assert got == (sign * gam_t**2 * gam_g**2, sign * norm2 / gam_g)
+            s = np.linalg.svd(m.ortho_basis.conj().T @ t, compute_uv=False)
+            assert got == (sign * s[m.dim - 1] ** 2 * gam_g**2, sign * s[0] ** 2 / gam_g)
             gam_g = gramian_min_modulus(m)
             gam_t = reduced_min_modulus(t, tol=fam.space.tol)
+            norm2 = np.linalg.norm(t, 2) ** 2
             want = (sign * gam_t**2 * gam_g**2, sign * norm2 / gam_g)
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
