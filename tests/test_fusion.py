@@ -328,13 +328,17 @@ class TestEstimateBounds:
         # gamma(G_M) from the span's Gramian eigenvalues: the one-SVD estimate
         # must give the same bits, and agree up to rounding with gamma(T),
         # ||T|| and gamma(G_M) as reduced_min_modulus, the 2-norm of T itself
-        # and gramian_min_modulus give them
+        # and gramian_min_modulus give them.  The product U* T is formed on
+        # the family's own copy of T (a column selection, laid out in column
+        # order), whose bits equal the stacked v_i U_i
         rng = rng_from_seed(seed)
         fam = random_fusion_frame(random_space(rng, n), rng)
         est = estimate_bounds(fam)
         for sign, got in ((1, (est.a_plus, est.b_plus)), (-1, (est.a_minus, est.b_minus))):
             idx = fam.plus_indices if sign == 1 else fam.minus_indices
             t = np.hstack([fam.weights[i] * fam.subspaces[i].ortho_basis for i in idx])
+            np.testing.assert_array_equal(t, fusion._side_columns(fam, sign))
+            t = fusion._side_columns(fam, sign)
             m = definite_span(fam, sign)
             gam_g = np.abs(np.linalg.eigvalsh(gramian(m))).min()
             s = np.linalg.svd(m.ortho_basis.conj().T @ t, compute_uv=False)
