@@ -246,9 +246,13 @@ class Classification(Record):
 class Subspace:
     """A subspace given by a full-column-rank basis matrix.
 
-    ``ortho_basis`` caches an orthonormal basis of the same column space
-    (left singular vectors of the basis matrix).
+    ``ortho_basis``, an orthonormal basis of the same column space (left singular
+    vectors of the basis matrix), and the classification are cached properties.
     """
+
+    # _cond is kappa(basis) and _margin the smallest |Gramian eigenvalue| once
+    # classified, or bounds on both from _graph; _spanning: see _graph
+    _margin = _spanning = None
 
     def __init__(self, space: KreinSpace, basis):
         basis = _as_matrix(basis)
@@ -261,20 +265,8 @@ class Subspace:
             raise RankError(
                 "basis matrix is rank deficient (singular values %s)" % s
             )
-        self._set(space, basis, u.copy(), float(s[0]) / float(s[-1]))
-
-    def _set(self, space: KreinSpace, basis: np.ndarray, ortho_basis, cond: float):
-        self.space = space
-        self._basis = basis  # or a function that builds it on first read (_graph)
-        self._ortho = ortho_basis  # None until ortho_basis is first read
-        for m in (basis, ortho_basis):
-            if isinstance(m, np.ndarray):
-                m.flags.writeable = False
-        # kappa(basis), and the smallest |Gramian eigenvalue| once classified;
-        # _graph sets bounds on both instead
-        self._cond, self._margin = cond, None
-        self._classification: Classification | None = None
-        self._spanning = None  # or a function of columns in W, see _graph
+        u, cond = _frozen(u.copy()), float(s[0]) / float(s[-1])
+        vars(self).update(space=space, _cond=cond, basis=_frozen(basis), ortho_basis=u)
 
     @classmethod
     def from_spanning(cls, space: KreinSpace, vectors) -> "Subspace | None":
@@ -287,7 +279,7 @@ class Subspace:
     def _orthonormal(cls, space: KreinSpace, u: np.ndarray) -> "Subspace":
         """The subspace whose basis and ortho_basis are the orthonormal u."""
         W = cls.__new__(cls)
-        W._set(space, u, u, 1.0)
+        vars(W).update(space=space, _cond=1.0, basis=_frozen(u), ortho_basis=u)
         return W
 
     @classmethod
@@ -301,29 +293,29 @@ class Subspace:
         ``spanning``, if given, builds cheaper columns in the subspace that span
         it whenever they are independent.
 
-        While the first bound settles the rank, basis() waits until ``basis``
-        is read, and the SVD and the classification until ``ortho_basis`` or
-        ``classify`` is.
+        While the first bound settles the rank, the subspace keeps ``basis``
+        as its builder: the cached property ``basis`` calls it on first read
+        and drops it, and the SVD and the classification wait until
+        ``ortho_basis`` or ``classify`` is read.
         """
         if _SAFETY * space.tol.tau_rank * cond < 1.0:
             W = cls.__new__(cls)
-            W._set(space, basis, None, cond)
+            vars(W).update(space=space, _cond=cond, _build=basis)
         else:
             W = cls(space, basis())
         W._margin, W._spanning = margin, spanning
         return W
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
-        if callable(self._basis):
-            self._basis = _frozen(self._basis())
-        return self._basis
+        # runs only for a lazy _graph draw, whose builder is dropped once used
+        basis = _frozen(self._build())
+        del self._build
+        return basis
 
-    @property
+    @cached_property
     def ortho_basis(self) -> np.ndarray:
-        if self._ortho is None:
-            self._ortho = _frozen(np.linalg.svd(self.basis, full_matrices=False)[0].copy())
-        return self._ortho
+        return _frozen(np.linalg.svd(self.basis, full_matrices=False)[0].copy())
 
     @property
     def _uj(self) -> np.ndarray:
@@ -334,9 +326,29 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def _classification(self) -> Classification:
+        """classify(), from the compressed Gramian; its smallest |eigenvalue| is _margin."""
+        eigs = np.linalg.eigvalsh(gramian(self))
+        floor = _def_floor(self.space, eigs.size)
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        has_pos = hi > floor
+        has_neg = lo < -floor
+        self._margin = float(np.abs(eigs).min())  # in place of a bound from _graph
+        regular = self._margin > floor  # no eigenvalue is near zero
+        if has_pos and has_neg:
+            kind = SubspaceKind.INDEFINITE
+        elif has_pos:
+            kind = SubspaceKind["UNIFORMLY_POSITIVE" if regular else "POSITIVE_NON_UNIFORM"]
+        elif has_neg:
+            kind = SubspaceKind["UNIFORMLY_NEGATIVE" if regular else "NEGATIVE_NON_UNIFORM"]
+        else:
+            kind = SubspaceKind.NEUTRAL
+        sign = _SIGNS.get(kind, 0)  # a maximal one has the dimension of its sign's component
+        maximal = sign != 0 and self.dim == self.space.signature[0 if sign == 1 else 1]
+        return Classification(kind, regular, maximal, (lo, hi))
+
     def classify(self) -> Classification:
-        if self._classification is None:
-            self._classification, self._margin = _classify(self)
         return self._classification
 
     def _gram_margin(self) -> float:
@@ -360,42 +372,12 @@ def classify(W: Subspace) -> Classification:
     return W.classify()
 
 
-def _classify(W: Subspace) -> tuple[Classification, float]:
-    """classify(W) and the smallest |eigenvalue| of its Gramian."""
-    eigs = np.linalg.eigvalsh(gramian(W))
-    floor = _def_floor(W.space, eigs.size)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    has_pos = hi > floor
-    has_neg = lo < -floor
-    near_zero = np.abs(eigs) <= floor
-    if has_pos and has_neg:
-        kind = SubspaceKind.INDEFINITE
-    elif has_pos:
-        kind = (
-            SubspaceKind.POSITIVE_NON_UNIFORM
-            if near_zero.any()
-            else SubspaceKind.UNIFORMLY_POSITIVE
-        )
-    elif has_neg:
-        kind = (
-            SubspaceKind.NEGATIVE_NON_UNIFORM
-            if near_zero.any()
-            else SubspaceKind.UNIFORMLY_NEGATIVE
-        )
-    else:
-        kind = SubspaceKind.NEUTRAL
-    margin = float(np.abs(eigs).min())
-    regular = margin > floor
-    sign = _SIGNS.get(kind, 0)  # a maximal one has the dimension of its sign's component
-    maximal = sign != 0 and W.dim == W.space.signature[0 if sign == 1 else 1]
-    return Classification(kind, regular, maximal, (lo, hi)), margin
-
-
 class Operator:
     """A linear operator on a Krein space, stored as its matrix; equal only to itself.
 
-    The operator and its matrix are read-only, so what is derived from them, such
-    as the singular values, is computed once, kept on the operator and never stale.
+    The operator and its matrix are read-only, so what is derived from them, the
+    singular values and the J-isometry scale, is a cached property: computed
+    once, kept on the operator and never stale.
     """
 
     __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
@@ -411,6 +393,18 @@ class Operator:
     def _svals(self) -> np.ndarray:
         """The singular values of the matrix, descending, from its one SVD."""
         return _frozen(np.linalg.svd(self.matrix, compute_uv=False))
+
+    @cached_property
+    def _isometry(self) -> tuple[float, float, float, float]:
+        """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
+        trace(T# T) / n; kappa is inf for a singular T."""
+        g = j_adjoint(self).matrix @ self.matrix
+        n = self.space.dim
+        c = (complex(np.trace(g)) / n).real
+        residual = float(np.linalg.norm(g - c * np.eye(n), 2))
+        s = self._svals
+        kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
+        return c, residual, float(s[0]), kappa
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ self.space.check_vector(x)

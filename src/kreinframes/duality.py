@@ -10,6 +10,8 @@ optimal bounds.  The functions of ``fusion`` take a vector frame unchanged.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .core import KreinSpace, Operator, Record, Subspace, _def_floor, _frozen
@@ -80,7 +82,12 @@ class VectorFrame(_Sides):
         # the vectors are the synthesis columns and span the signed sides
         _set_sides(self, space, signs, 1, matrix, lambda: matrix)
         self.matrix = matrix
-        self._s_inv = None  # S^-1, see _inverse_frame_operator
+
+    @cached_property
+    def _s_inv(self) -> np.ndarray:
+        """S^-1, factored once: the frame's matrix is read-only."""
+        s = frame_operator(self).matrix
+        return _frozen(_nonsingular(np.linalg.inv, s, self.space, "frame operator"))
 
     def __len__(self):
         return self.matrix.shape[1]
@@ -133,14 +140,6 @@ def _nonsingular(factor, s: np.ndarray, space: KreinSpace, what: str, *rhs):
         raise SingularOperatorError(f"{what} is exactly singular") from exc
 
 
-def _inverse_frame_operator(F: VectorFrame) -> np.ndarray:
-    # factored once per frame and kept on it: the frame's matrix is read-only
-    if F._s_inv is None:
-        s = frame_operator(F).matrix
-        F._s_inv = _frozen(_nonsingular(np.linalg.inv, s, F.space, "frame operator"))
-    return F._s_inv
-
-
 def _dual_spans(F, dual, images: np.ndarray) -> None:
     """Give the canonical dual of F the spans S^-1 M(+-) when its members
     S^-1 W_i keep F's signs, as those of each sign then span S^-1 M of it:
@@ -159,7 +158,7 @@ def canonical_dual(F: VectorFrame) -> VectorFrame:
     """The dual frame {S^-1 f_i}; member signs must transport unchanged."""
     if not _decide(F).is_frame:
         raise NotAFrameError("canonical dual is defined for J-frames only")
-    s_inv = _inverse_frame_operator(F)
+    s_inv = F._s_inv
     try:
         dual = VectorFrame(F.space, (s_inv @ F.matrix).T)
     except MemberClassificationError as exc:
@@ -241,7 +240,7 @@ def fundamental_identity_sides_batch(F: VectorFrame, masks, fs):
         )
     J, sigma = F.space.J, F._column_signs[:, None]
     c = F.matrix.conj().T @ (J @ fs)  # c[i, t] = [f_t, f_i]
-    dual_coeffs = (_inverse_frame_operator(F) @ F.matrix).conj().T @ J
+    dual_coeffs = (F._s_inv @ F.matrix).conj().T @ J
     sides = []
     for members in (masks.T, ~masks.T):
         s_f = F.matrix @ np.where(members, sigma * c, 0.0)  # S_I f

@@ -56,10 +56,11 @@ __all__ = [
 
 
 class _Sides:
-    """Both family kinds, set up by ``_set_sides``: their signed spans M(+-)
-    wait until read, so a dual can be given S^-1 M(+-) (``duality._dual_spans``)."""
+    """Both family kinds, set up by ``_set_sides``: their signed spans M(+-) and
+    frame decision are cached properties, so a dual can be given S^-1 M(+-)."""
 
     _spans = cached_property(lambda F: _signed_spans(F.space, F._bases(), F._column_signs))
+    _certificate = cached_property(lambda F: _decision(F))
     m_plus = property(lambda self: self._spans[0])
     m_minus = property(lambda self: self._spans[1])
     # the spans' orthonormal bases U(+-), as the duals take them
@@ -131,7 +132,6 @@ def _set_sides(F, space: KreinSpace, signs, block_dims, columns, bases) -> None:
     F._column_signs = np.repeat(np.asarray(signs, dtype=float), block_dims)
     F._columns = _frozen(columns)
     F._bases = bases
-    F._certificate = None
 
 
 def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tuple:
@@ -291,10 +291,13 @@ def _degenerate_witness(M: Subspace, want_sign: int):
 
 
 def _decide(F: WeightedFamily) -> FrameCertificate:
-    """The frame decision of F, made once and kept on it: the verdict, the
-    witnesses and, for a frame, the optimal bounds (no estimate bounds)."""
-    if F._certificate is not None:
-        return F._certificate
+    """The frame decision of F, the cached property ``_certificate``: the verdict,
+    the witnesses and, for a frame, the optimal bounds (no estimate bounds)."""
+    return F._certificate
+
+
+def _decision(F: WeightedFamily) -> FrameCertificate:
+    """The frame decision of F, made afresh; read it through ``_decide``."""
     witnesses = []
 
     def side(sign):
@@ -323,12 +326,11 @@ def _decide(F: WeightedFamily) -> FrameCertificate:
     pos_dim, pos_uniform, pos_maximal = side(1)
     neg_dim, neg_uniform, neg_maximal = side(-1)
     is_frame = pos_maximal and neg_maximal
-    F._certificate = FrameCertificate(
+    return FrameCertificate(
         is_frame, pos_dim, neg_dim, pos_uniform, neg_uniform, pos_maximal, neg_maximal,
         optimal_bounds=_span_bounds(F, F, _rayleigh_extremes) if is_frame else None,
         witnesses=witnesses,
     )
-    return F._certificate
 
 
 def certify(F: WeightedFamily) -> FrameCertificate:

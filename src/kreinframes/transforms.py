@@ -173,7 +173,7 @@ def _bounds_settle(space, cond: float, margin: float, cert) -> bool:
 
 
 def _settles(v: Subspace, cert) -> bool:
-    """Whether ``cert`` = _isometry_scale(T) proves that T(V) has V's
+    """Whether ``cert`` = T._isometry proves that T(V) has V's
     dimension and inertia with a Gramian margin above tau_def (or above the
     rounding level that _def_floor puts in its place).  V's margin is then
     above it too, so a drawn V, or one from the pools of
@@ -294,7 +294,7 @@ def _preservation_reports(ops, subspaces, n_random, seed) -> list:
     runs no later predicate.  Images that _settles decides are not computed;
     for regularity it may also use T* J T.  Each sweep stops drawing once its
     law's bounds settle every operator still sweeping."""
-    certs = [_isometry_scale(T) for T in ops]
+    certs = [T._isometry for T in ops]
     # and T* J T for regularity only: an invertible T that keeps both signs'
     # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
     congruent = [(*c, T.matrix.conj().T @ T.space.J @ T.matrix) for T, c in zip(ops, certs)]
@@ -341,23 +341,6 @@ def projection_commutation_check(T: Operator, V: Subspace) -> float:
     return float(np.linalg.norm(lhs - lhs @ q_img, 2))
 
 
-def _isometry_scale(T: Operator) -> tuple[float, float, float, float]:
-    """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
-    trace(T# T) / n; kappa is inf for a singular T.  Computed once and kept
-    on T, as T._svals is (in the read-only operator's __dict__, written the way
-    functools.cached_property writes it)."""
-    kept = vars(T)
-    if "_isometry_scale" not in kept:
-        g = j_adjoint(T).matrix @ T.matrix
-        n = T.space.dim
-        c = (complex(np.trace(g)) / n).real
-        residual = float(np.linalg.norm(g - c * np.eye(n), 2))
-        s = T._svals
-        kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
-        kept["_isometry_scale"] = c, residual, float(s[0]), kappa
-    return kept["_isometry_scale"]
-
-
 def is_j_isometry_multiple(T: Operator) -> tuple[bool, float]:
     """Whether T# T = c I for a real c > 0; returns (verdict, c).
 
@@ -366,7 +349,7 @@ def is_j_isometry_multiple(T: Operator) -> tuple[bool, float]:
     ||T# T - c I||_2 must be below tau_num * n * ||T||_2^2, so the verdict
     does not change when T is scaled.
     """
-    c, residual, norm, _ = _isometry_scale(T)
+    c, residual, norm, _ = T._isometry
     scalar = residual < T.space.tol.tau_num * T.space.dim * norm * norm
     return scalar and c > 0, c
 

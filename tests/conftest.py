@@ -10,8 +10,9 @@ from kreinframes import KreinSpace, Subspace, VectorFrame, WeightedFamily
 # per-example deadline on a loaded machine
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 # the soundness properties' extra run: fresh examples, ten times as many
-# (pytest --hypothesis-profile=randomized; see generators.examples)
-settings.register_profile("randomized", deadline=None, max_examples=1000)
+# (pytest --hypothesis-profile=randomized; see generators.examples); a failure
+# prints the @reproduce_failure blob that replays it
+settings.register_profile("randomized", deadline=None, max_examples=1000, print_blob=True)
 settings.load_profile("deterministic")
 
 

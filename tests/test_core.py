@@ -34,6 +34,7 @@ from kreinframes import (
     reduced_min_modulus,
 )
 import kreinframes
+from kreinframes import certify, fusion
 from kreinframes.cli import run_command
 from kreinframes.core import Record, _clears, _def_floor, _rank
 from kreinframes.fusion import FrameBounds, FrameCertificate
@@ -47,7 +48,7 @@ from kreinframes.sampling import (
     rng_from_seed,
 )
 
-from generators import examples, random_space
+from generators import alternating_signature_space, examples, random_space
 from oracles import projection_oracle
 
 W_LINE = np.array([[0.0], [1.0], [0.5]])
@@ -308,6 +309,89 @@ class TestOperatorIdentity:
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a == a and a != b
         assert len({a, b}) == 2
+
+
+def lazy_draw():
+    """A maximal draw whose rank its bounds settle: its basis waits until read."""
+    return random_maximal_definite_subspace(alternating_signature_space(12), rng_from_seed(0), 1)
+
+
+# what each kept value is read from, and the factorization behind it with its
+# runs: the draw's builder takes ||k||_2 once, a decision one Rayleigh
+# quotient SVD per side
+KEPT = {
+    "a lazy draw's basis": (lambda r: lazy_draw(), "basis", (np.linalg, "norm"), 1),
+    "a lazy draw's ortho_basis": (lambda r: lazy_draw(), "ortho_basis", (np.linalg, "svd"), 1),
+    "a lazy draw's classification": (
+        lambda r: lazy_draw(), "_classification", (np.linalg, "eigvalsh"), 1
+    ),
+    "an operator's J-isometry scale": (
+        lambda r: Operator(r.getfixturevalue("c3"), np.diag([2.0, 1.0, 0.5])),
+        "_isometry", (np.linalg, "svd"), 1,
+    ),
+    "a family's decision": (
+        lambda r: r.getfixturevalue("tilted_family"), "_certificate",
+        (fusion, "_rayleigh_extremes"), 2,
+    ),
+    "a vector frame's decision": (
+        lambda r: r.getfixturevalue("coupled_frame"), "_certificate",
+        (fusion, "_rayleigh_extremes"), 2,
+    ),
+    "a vector frame's S^-1": (
+        lambda r: r.getfixturevalue("coupled_frame"), "_s_inv", (np.linalg, "inv"), 1
+    ),
+}
+
+
+class TestKeptValues:
+    """Every derived value the package keeps is a cached property: absent from
+    vars() until first read, then the same object on each read, made by one
+    run of the factorization behind it."""
+
+    @pytest.mark.parametrize("case", KEPT)
+    def test_made_once_on_first_read(self, case, request, count_calls):
+        make, name, (owner, function), runs = KEPT[case]
+        obj = make(request)
+        assert name not in vars(obj)
+        calls = count_calls(owner, function)
+        value = getattr(obj, name)
+        assert vars(obj)[name] is value and getattr(obj, name) is value
+        assert len(calls) == runs
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+
+    def test_the_decision_is_read_through_decide(self, tilted_family, coupled_frame):
+        for F in (tilted_family, coupled_frame):
+            assert fusion._decide(F) is fusion._decide(F) is F._certificate
+
+    def test_a_draw_drops_its_builder_once_built(self):
+        v = lazy_draw()
+        assert "_build" in vars(v)
+        basis = v.basis
+        assert "_build" not in vars(v) and v.basis is basis
+
+    def test_values_known_up_front_are_seeded(self, c3, count_calls):
+        svds = count_calls(np.linalg, "svd")
+        member = Subspace(c3, W_LINE)
+        assert {"basis", "ortho_basis"} <= vars(member).keys() and len(svds) == 1
+        assert member.ortho_basis is vars(member)["ortho_basis"] and len(svds) == 1
+        line = Subspace.from_spanning(c3, np.hstack([W_LINE, 2.0 * W_LINE]))
+        assert line.basis is line.ortho_basis and len(svds) == 2
+
+    def test_operator_and_records_stay_read_only(self, c3, tilted_family, coupled_frame):
+        op = Operator(c3, np.diag([2.0, 1.0, 0.5]))
+        op._isometry, op._svals
+        for name in ("_isometry", "_svals", "matrix"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(op, name, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(op, name)
+        for F in (tilted_family, coupled_frame):
+            cert = fusion._decide(F)
+            with pytest.raises(AttributeError, match="read-only"):
+                cert.is_frame = False
+            # certify writes the estimate bounds into the kept record itself
+            assert certify(F) is cert and cert.estimate_bounds is not None
 
 
 RECORDS = """

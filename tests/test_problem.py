@@ -667,8 +667,8 @@ def _nested(draw):
             parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
         node = parent[key]
         change = draw(st.sampled_from(["fault", "fault", "tuple", "ragged", "form"]))
-        if change == "fault":
-            parent[key] = draw(_FAULTS)
+        if change == "fault":  # a copy: a later change may assign into a drawn list
+            parent[key] = copy.deepcopy(draw(_FAULTS))
         elif isinstance(node, list) and change == "tuple":
             parent[key] = tuple(node)
         elif isinstance(node, list) and change == "ragged":

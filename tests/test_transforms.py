@@ -472,7 +472,7 @@ class TestCertificate:
         tol = Tolerances(tau_def=10.0**log_tau_def, tau_rank=10.0**log_tau_rank)
         space = random_space(rng, n, diagonal=diagonal, tol=tol)
         t = Operator(space, 10.0 ** (log_c / 2) * random_j_unitary(space, rng, boost).matrix)
-        cert = transforms._isometry_scale(t)
+        cert = t._isometry
         c, r, norm, kappa = cert
         for draw, check in PREDICATES.values():
             for _ in range(4):
@@ -520,7 +520,7 @@ class TestCertificate:
         ],
     )
     def test_only_isometry_multiples_settle(self, alt4, matrix, settles):
-        cert = transforms._isometry_scale(Operator(alt4, matrix))
+        cert = Operator(alt4, matrix)._isometry
         for v in alt4_subspaces(alt4)[:2] + [Subspace(alt4, np.eye(4)[:, 1:3])]:
             assert transforms._settles(v, cert) is settles
 
@@ -546,7 +546,7 @@ class TestCertifiedSweep:
             assert_same_report(report, sampled_report(T, 50, 0))
 
     def test_maximal_draws_make_no_svd(self, alt48_ops, count_calls):
-        ops = [(T, transforms._isometry_scale(T)) for T in alt48_ops]
+        ops = [(T, T._isometry) for T in alt48_ops]
         images = count_calls(transforms, "image_subspace")
         svds = count_calls(np.linalg, "svd")
         draw, check = PREDICATES["maximality"]
@@ -592,7 +592,7 @@ class TestCertifiedSweep:
 
     def test_settled_draws_build_no_basis(self, alt48_ops, count_calls):
         # _settles reads a draw's bounds only, so ||k||_2 waits for a check
-        ops = [(T, transforms._isometry_scale(T)) for T in alt48_ops]
+        ops = [(T, T._isometry) for T in alt48_ops]
         norms = count_calls(np.linalg, "norm")
         for name in ("definiteness_with_sign", "maximality"):
             draw, check = PREDICATES[name]
@@ -687,8 +687,8 @@ class TestLazyDraws:
 
 
 def congruent_cert(T):
-    """The regularity sweep's certificate: _isometry_scale(T) and T* J T."""
-    return (*transforms._isometry_scale(T), T.matrix.conj().T @ T.space.J @ T.matrix)
+    """The regularity sweep's certificate: T._isometry and T* J T."""
+    return (*T._isometry, T.matrix.conj().T @ T.space.J @ T.matrix)
 
 
 class TestCongruence:
@@ -780,7 +780,7 @@ class TestRegularDraws:
         space = random_space(rng, n, p, diagonal=diagonal, tol=tol)
         for _ in range(4):
             v = random_regular_subspace(space, rng)
-            assert v._ortho is None and v._classification is None
+            assert "ortho_basis" not in vars(v) and "_classification" not in vars(v)
             margin, cond = v._gram_margin(), v._cond
             assert margin > _def_floor(space, v.dim)
             eager = Subspace(space, v.basis)
@@ -860,7 +860,7 @@ class TestRegularDraws:
         rng = rng_from_seed(0)
         draws = [random_regular_subspace(space, rng) for _ in range(20)]
         assert (len(svds), len(qrs)) == (0, 0)
-        assert all(callable(v._basis) and v._ortho is None for v in draws)
+        assert not any({"basis", "ortho_basis"} & vars(v).keys() for v in draws)
 
     def test_congruence_settles_make_no_svd(self, alt48_ops, count_calls):
         # the J-unitary multiples settle without the basis; T* J T settles
@@ -925,7 +925,7 @@ def near_isometries(space, rng, cond, margin):
         return Operator(space, u.matrix @ (np.eye(space.dim) + eps * e))
 
     def settles(eps):
-        return transforms._bounds_settle(space, cond, margin, transforms._isometry_scale(op(eps)))
+        return transforms._bounds_settle(space, cond, margin, op(eps)._isometry)
 
     lo, hi = 0.0, 1.0
     if not settles(lo) or settles(hi):
@@ -977,7 +977,7 @@ class TestLawfulSweep:
         ):
             draw, check = PREDICATES[name]
             pool = [e1] if supplied and getattr(e1.classify(), hypothesis) else []
-            certs = [congruent_cert(T) if name == "regularity" else transforms._isometry_scale(T) for T in ops]
+            certs = [congruent_cert(T) if name == "regularity" else T._isometry for T in ops]
             drawn = []
 
             def counted(space, rng):
@@ -992,7 +992,7 @@ class TestLawfulSweep:
 
     def test_no_draw_once_a_refuted_operator_leaves_settled_ones(self, alt48_ops):
         # the neutral-image operator is refuted, then the J-unitary multiples settle
-        ops = [(T, transforms._isometry_scale(T)) for T in alt48_ops]
+        ops = [(T, T._isometry) for T in alt48_ops]
         draw, check = PREDICATES["maximality"]
         drawn = []
 
@@ -1050,7 +1050,7 @@ class TestSpanningColumns:
             v = random_regular_subspace(space, rng)
             if not transforms._settles(v, cert):
                 continue
-            assert callable(v._basis)  # settled before the QRs
+            assert "basis" not in vars(v)  # settled before the QRs
             assert transforms._check_regular(t, v) is None
             # the columns span V
             cols = v._spanning()
@@ -1113,7 +1113,7 @@ class TestDefiniteSlices:
         rng = rng_from_seed(n)
         for _ in range(10):
             v = random_definite_subspace(space, rng, sign)
-            assert v._ortho is None and v._classification is None
+            assert "ortho_basis" not in vars(v) and "_classification" not in vars(v)
             margin, cond = v._gram_margin(), v._cond
             eager = Subspace(space, v.basis)
             assert margin <= eager._gram_margin() * (1 + 1e-12)
@@ -1139,7 +1139,7 @@ class TestDefiniteSlices:
         svds, qrs = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
         v = random_definite_subspace(space, rng_from_seed(0), 1)
         assert (len(svds), len(qrs)) == (2, 1)
-        assert v._ortho is not None
+        assert "ortho_basis" in vars(v)
         eager = Subspace(space, v.basis)
         np.testing.assert_array_equal(v.ortho_basis, eager.ortho_basis)
         assert v._cond == eager._cond
