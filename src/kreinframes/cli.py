@@ -39,8 +39,8 @@ from .problem import ProblemSpec, decode_document, parse_spec
 from .sampling import random_complex, rng_from_seed
 from .transforms import (
     _necessary_conditions,
-    _preservation_reports,
     is_j_isometry_multiple,
+    preservation_report,
     transform_family,
 )
 
@@ -223,16 +223,15 @@ def _task_transform(problem: ProblemSpec, seed, samples):
 
 
 def _task_preserve(problem: ProblemSpec, seed, samples):
-    families, names = problem.families, sorted(problem.operators)
+    families = problem.families
     supplied = [w for name in sorted(families) for w in families[name].subspaces]
-    ops = [problem.operators[name] for name in names]
-    reports = dict(zip(names, _preservation_reports(ops, supplied, samples, seed)))
 
     def operator(name, op):
-        report = reports[name]
-        if isinstance(report, KreinFramesError):
-            # an override can make a sample rank deficient or not uniformly definite
-            return {"error": str(report)}, False
+        try:
+            report = preservation_report(op, supplied, samples, seed)
+        except KreinFramesError as exc:
+            # an override can make a sample rank deficient or outside its hypothesis
+            return {"error": str(exc)}, False
         out = {}
         for field, verdict in vars(report).items():
             out[field] = {k: getattr(verdict, k) for k in ("status", "samples_tested", "note")}

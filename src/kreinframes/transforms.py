@@ -11,7 +11,7 @@ preserves all three properties).
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     ClassificationError,
     DegenerateSubspaceError,
     HypothesisNotMetError,
-    KreinFramesError,
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
@@ -88,57 +87,31 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     return Subspace.from_spanning(T.space, T.matrix @ V.basis)
 
 
-def _sweep(ops, subspaces, n_random, seed, draw, check, law=None) -> list:
-    """Per pair (T, cert) in ``ops``, the first counterexample ``check(T, v)``
-    finds in the supplied subspaces, then in ``n_random`` samples
-    ``draw(space, rng)`` takes one at a time from rng_from_seed(seed).  A
-    check that _settles(v, cert) decides is not made.
+def _sweep(T, cert, subspaces, n_random, seed, draw, check, law=None) -> PredicateVerdict:
+    """The first counterexample ``check(T, v)`` finds in the supplied
+    subspaces, then in ``n_random`` samples ``draw(space, rng)`` takes one at
+    a time from rng_from_seed(seed).  A check that _settles(v, cert) decides
+    is not made.
 
-    Each subspace is tested on every operator that has not stopped, and none
-    is drawn once all have.  ``law(space)``, if given, bounds (cond, margin)
-    every draw: once those bounds settle each operator still sweeping, and
-    no draw can fail its rank, the rest are not drawn (None) but count as
-    tested, as they would pass.  A library error from a draw or from
-    ``check``'s test of the subspace itself is the result of every operator
-    still sweeping.
+    ``law(space)``, if given, bounds (cond, margin) every draw: when those
+    bounds settle T and no draw can fail its rank, no sample is drawn, but
+    each counts as tested, as it would pass.  A library error from a draw or
+    from ``check`` is raised.
     """
-    if not ops:
-        return []
-    out = [None] * len(ops)
-    space = ops[0][0].space
-    lawful = [False] * len(ops)
-    if law is not None:
-        cond, margin = law(space)
-        if _SAFETY * space.tol.tau_rank * cond < 1.0:  # every draw is lazy (_graph)
-            lawful = [c is not None and _bounds_settle(space, cond, margin, c) for _, c in ops]
+    space = T.space
     rng = rng_from_seed(seed)
-
-    def settled():
-        return all(r is not None or s for r, s in zip(out, lawful))
-
-    drawn = (None if settled() else draw(space, rng) for _ in range(n_random))
+    drawn = (draw(space, rng) for _ in range(n_random))
+    if law is not None and cert is not None:
+        cond, margin = law(space)
+        # every draw is lazy (_graph), so none can raise
+        if _SAFETY * space.tol.tau_rank * cond < 1.0 and _bounds_settle(space, cond, margin, cert):
+            drawn = repeat(None, n_random)
     tested = 0
-    try:
-        for tested, v in enumerate(chain(subspaces, drawn), 1):
-            for i, (T, cert) in enumerate(ops):
-                skip = v is None or out[i] is not None or _settles(v, cert)
-                bad = None if skip else check(T, v)
-                if bad is not None:
-                    out[i] = PredicateVerdict("counterexample", v, bad, tested)
-            if None not in out:
-                return out
-    except KreinFramesError as exc:
-        return [exc if r is None else r for r in out]
-    held = PredicateVerdict("holds-on-samples", None, "", tested)
-    return [held if r is None else r for r in out]
-
-
-def _one(results):
-    """The verdict of a one-operator sweep; its library error is raised."""
-    (r,) = results
-    if isinstance(r, KreinFramesError):
-        raise r
-    return r
+    for tested, v in enumerate(chain(subspaces, drawn), 1):
+        bad = None if v is None or _settles(v, cert) else check(T, v)
+        if bad is not None:
+            return PredicateVerdict("counterexample", v, bad, tested)
+    return PredicateVerdict("holds-on-samples", None, "", tested)
 
 
 def _signed(sampler):
@@ -210,10 +183,6 @@ def _settles(v: Subspace, cert) -> bool:
 
 def _check_definite(T, v):
     cls = v.classify()
-    if not cls.uniformly_definite:
-        raise ClassificationError(
-            "definiteness predicate only tests uniformly definite subspaces"
-        )
     img = image_subspace(T, v)
     if img is None:
         return "image is the zero subspace"
@@ -246,65 +215,68 @@ def _check_regular(T, v):
     return None if img is None or img.classify().regular else "image is degenerate"
 
 
-def _predicate_sweep(k, pairs, subspaces, n_random, seed) -> list:
+def _predicate_sweep(k, T, cert, subspaces, n_random, seed) -> PredicateVerdict:
     """_sweep of predicate k (definiteness with sign, maximality, regularity)
-    for the (T, cert) ``pairs`` over the supplied subspaces in its hypothesis
-    (uniformly definite, maximal uniformly definite, regular) only.  A
-    definite draw keeps its maximal draw's bounds, so both share one law."""
-    hypothesis, draw, check, law = (
-        ("uniformly_definite", _signed(random_definite_subspace), _check_definite, _maximal_law),
-        ("maximal_definite", _signed(random_maximal_definite_subspace), _check_maximal,
-         _maximal_law),
-        ("regular", random_regular_subspace, _check_regular, _regular_law),
+    over the supplied subspaces in its hypothesis (uniformly definite,
+    maximal uniformly definite, regular) only.  A draw outside the
+    hypothesis that cert does not settle raises ClassificationError: it is
+    no counterexample.  A definite draw keeps its maximal draw's bounds, so
+    both share one law."""
+    hypothesis, text, draw, check, law = (
+        ("uniformly_definite", "definiteness predicate only tests uniformly definite",
+         _signed(random_definite_subspace), _check_definite, _maximal_law),
+        ("maximal_definite", "maximality predicate only tests maximal uniformly definite",
+         _signed(random_maximal_definite_subspace), _check_maximal, _maximal_law),
+        ("regular", "regularity predicate only tests regular", random_regular_subspace,
+         _check_regular, _regular_law),
     )[k]
+
+    def checked(T, v):
+        if not getattr(v.classify(), hypothesis):
+            raise ClassificationError(f"{text} subspaces")
+        return check(T, v)
+
     pool = [s for s in subspaces if getattr(s.classify(), hypothesis)]
-    return _sweep(pairs, pool, n_random, seed, draw, check, law)
+    return _sweep(T, cert, pool, n_random, seed, draw, checked, law)
 
 
 def preserves_definiteness_with_sign(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of uniformly definite subspaces stay definite with their sign."""
-    return _one(_predicate_sweep(0, [(T, None)], subspaces, n_random, seed))
+    return _predicate_sweep(0, T, None, subspaces, n_random, seed)
 
 
 def preserves_maximality(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of maximal uniformly definite subspaces stay maximal definite."""
-    return _one(_predicate_sweep(1, [(T, None)], subspaces, n_random, seed))
+    return _predicate_sweep(1, T, None, subspaces, n_random, seed)
 
 
 def preserves_regularity(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PredicateVerdict:
     """Images of regular subspaces stay regular."""
-    return _one(_predicate_sweep(2, [(T, None)], subspaces, n_random, seed))
+    return _predicate_sweep(2, T, None, subspaces, n_random, seed)
 
 
 def preservation_report(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PreservationReport:
-    return _one(_preservation_reports([T], subspaces, n_random, seed))
-
-
-def _preservation_reports(ops, subspaces, n_random, seed) -> list:
-    """preservation_report of each operator, or the library error that stopped
-    it, from one _predicate_sweep per predicate.  An operator with an error
-    runs no later predicate.  Images that _settles decides are not computed;
-    for regularity it may also use T* J T.  Each sweep stops drawing once its
-    law's bounds settle every operator still sweeping."""
-    certs = [T._isometry for T in ops]
+    """The three predicates' verdicts on T, each from one _predicate_sweep;
+    the first library error is raised.  Images that _settles decides are not
+    computed; for regularity it may also use T* J T.  A sweep draws nothing
+    once its law's bounds settle T."""
+    subspaces = list(subspaces)  # read by all three sweeps
+    cert = T._isometry
     # and T* J T for regularity only: an invertible T that keeps both signs'
     # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
-    congruent = [(*c, T.matrix.conj().T @ T.space.J @ T.matrix) for T, c in zip(ops, certs)]
-    verdicts = [[] for _ in ops]
-    for k, cs in enumerate((certs, certs, congruent)):
-        live = [i for i, v in enumerate(verdicts) if isinstance(v, list)]
-        results = _predicate_sweep(k, [(ops[i], cs[i]) for i in live], subspaces, n_random, seed)
-        for i, r in zip(live, results):
-            verdicts[i] = r if isinstance(r, KreinFramesError) else verdicts[i] + [r]
-    return [PreservationReport(*v) if isinstance(v, list) else v for v in verdicts]
+    congruent = (*cert, T.matrix.conj().T @ T.space.J @ T.matrix)
+    return PreservationReport(*(
+        _predicate_sweep(k, T, c, subspaces, n_random, seed)
+        for k, c in enumerate((cert, cert, congruent))
+    ))
 
 
 def transform_family(

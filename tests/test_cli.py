@@ -716,32 +716,31 @@ class TestPreserveUnderOverrides:
         assert block["pass"] is False
         assert block["results"]["operators"]["I"]["error"].startswith(error)
 
-    @pytest.mark.parametrize("value", ["0.15", "0.3"])
-    def test_refuted_operator_keeps_its_counterexample(self, capsys, tmp_path, value):
-        # N sends e1 onto the neutral line (1, 1): refuted on the first
-        # supplied subspace, before the draw that fails tau_def = 0.3
-        doc = {**self.DOC, "operators": {"I": [[1, 0], [0, 1]], "N": [[1, 1], [1, 2]]}}
-        alone = {**self.DOC, "operators": {"N": [[1, 1], [1, 2]]}}
-        blocks = []
-        for name, d in (("both", doc), ("alone", alone)):
+    @pytest.mark.parametrize("flags", [(), ("--tol-def", "0.15"), ("--tol-def", "0.3")])
+    def test_each_operator_block_is_its_block_alone(self, capsys, tmp_path, flags):
+        # N sends e1 onto the neutral line (1, 1): each predicate refutes it on
+        # e1, before any draw; under 0.3 the draws of I and J fall outside the
+        # definiteness predicate's hypothesis, an error of each operator alone
+        operators = {"I": [[1, 0], [0, 1]], "J": [[1, 0], [0, -1]], "N": [[1, 1], [1, 2]]}
+        blocks = {}
+        for name, ops in [("all", operators)] + [(k, {k: v}) for k, v in operators.items()]:
             p = tmp_path / f"{name}.json"
-            p.write_text(json.dumps(d))
-            argv = ["preserve", "--spec", str(p), "--samples", "20", "--tol-def", value]
-            code, out, err = run(capsys, *argv)
-            assert code == 1
+            p.write_text(json.dumps({**self.DOC, "operators": ops}))
+            code, out, err = run(capsys, "preserve", "--spec", str(p), "--samples", "20", *flags)
+            assert code == (0 if name in "IJ" and flags[-1:] != ("0.3",) else 1)
             assert "Traceback" not in err
-            blocks.append(json.loads(out)["results"]["preserve"]["results"]["operators"])
-        both, alone = blocks
-        refuted = both["N"]["definiteness_with_sign"]
-        assert refuted["status"] == "counterexample"
-        assert refuted["samples_tested"] == 1
-        assert both["N"] == alone["N"]
-        if value == "0.3":
-            assert both["I"]["error"].startswith(
-                "definiteness predicate only tests uniformly definite"
-            )
-        else:
-            assert "error" not in both["I"]
+            blocks[name] = json.loads(out)["results"]["preserve"]["results"]["operators"]
+        for name in operators:
+            assert json.dumps(blocks["all"][name]) == json.dumps(blocks[name][name])
+        for verdict in blocks["all"]["N"].values():
+            assert verdict["status"] == "counterexample" and verdict["samples_tested"] == 1
+        for name in "IJ":
+            if flags[-1:] == ("0.3",):
+                assert blocks["all"][name]["error"].startswith(
+                    "definiteness predicate only tests uniformly definite"
+                )
+            else:
+                assert "error" not in blocks["all"][name]
 
     AXES4 = {
         "space": {"dim": 4, "J": np.diag([1, -1, 1, -1]).tolist()},
@@ -763,20 +762,25 @@ class TestPreserveUnderOverrides:
         assert report["regularity"]["samples_tested"] == 204
 
     def test_regular_draws_clear_a_large_tau_def(self, capsys, tmp_path):
-        # S swaps the signs: refuted by the definiteness sweep, it still runs
-        # the regularity sweep, whose draws clear a margin of 0.9 by
-        # construction; S* J S = -J keeps their images regular
+        # S swaps the signs: refuted on a supplied line by the definiteness
+        # sweep, its report is the maximality sweep's error, as the maximal
+        # draws' margins fall below 0.9; the regular draws clear 0.9 by
+        # construction, and S* J S = -J keeps their images regular
         swap = np.eye(4)[[1, 0, 3, 2]].tolist()
+        doc = {**self.AXES4, "operators": {"S": swap}}
         p = tmp_path / "swap.json"
-        p.write_text(json.dumps({**self.AXES4, "operators": {"S": swap}}))
+        p.write_text(json.dumps(doc))
         argv = ["preserve", "--spec", str(p), "--samples", "20", "--tol-def", "0.9"]
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert "Traceback" not in err
         report = json.loads(out)["results"]["preserve"]["results"]["operators"]["S"]
-        assert report["definiteness_with_sign"]["status"] == "counterexample"
-        assert report["regularity"]["status"] == "holds-on-samples"
-        assert report["regularity"]["samples_tested"] == 24
+        assert report["error"].startswith("maximality predicate only tests maximal")
+        problem = parse_spec({**doc, "tolerances": {"tau_def": 0.9}})
+        verdict = transforms.preserves_regularity(
+            problem.operators["S"], problem.families["axes"].subspaces, 20
+        )
+        assert verdict.holds and verdict.samples_tested == 24
 
     @pytest.mark.parametrize("value", ["1", "2"])
     def test_rank_tolerance_of_one_exits_two(self, capsys, demo_path, value):

@@ -95,6 +95,7 @@ class TestKreinSpace:
         np.testing.assert_allclose(space.J @ minus, -minus, atol=1e-10)
 
 
+@pytest.mark.soundness
 class TestSignature:
     """The signature from round((n + tr J) / 2), or from eigvalsh when
     n ||J^2 - I||_F is not below 1 (a loose tau_sym), and the canonical bases
@@ -768,6 +769,7 @@ def hermitian_with_eigenvalue(rng, k, scale, lam):
     return g[np.ix_(order, order)], Fraction(d) - Fraction(o)
 
 
+@pytest.mark.soundness
 class TestClears:
     """_clears(g, t) is True only when every |eigenvalue of g| exceeds t."""
 

@@ -661,6 +661,7 @@ class TestDualFailuresAtTheThreshold:
             canonical_dual(frame)
 
 
+@pytest.mark.soundness
 class TestDualSpans:
     """The duals' signed spans S^-1 M(+-), one Householder QR per side of the
     images of F's spans, against ``dual_oracle``: the dual the public

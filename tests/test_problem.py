@@ -701,6 +701,7 @@ def _leaves(value, depth):
     return [value] if depth == 0 else [x for v in value for x in _leaves(v, depth - 1)]
 
 
+@pytest.mark.soundness
 class TestBulkProperty:
     @settings(max_examples=examples(300))
     @given(case=_nested())

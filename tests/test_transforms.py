@@ -136,6 +136,14 @@ class TestMaximalityPredicate:
         assert not verdict.holds
         assert "not maximal" in verdict.detail
 
+    def test_rejects_a_non_maximal_draw(self):
+        # under tau_def = 0.3 the first maximal draw on C^4 is not uniformly
+        # definite; its image used to be reported as a counterexample
+        space = alternating_signature_space(4, tol=Tolerances(tau_def=0.3))
+        match = "maximality predicate only tests maximal uniformly definite subspaces"
+        with pytest.raises(ClassificationError, match=match):
+            preserves_maximality(Operator(space, np.eye(4)), n_random=20)
+
 
 class TestRegularityPredicate:
     def test_j_unitary_holds_on_samples(self, c3):
@@ -150,6 +158,13 @@ class TestRegularityPredicate:
         verdict = preserves_regularity(t, [e1], n_random=0)
         assert not verdict.holds
         assert "degenerate" in verdict.detail
+
+    def test_rejects_a_degenerate_draw(self, alt4, monkeypatch):
+        # the regular draws are regular by construction, so a stub draws a neutral line
+        neutral = Subspace(alt4, [[1.0], [1.0], [0.0], [0.0]])
+        monkeypatch.setattr(transforms, "random_regular_subspace", lambda space, rng: neutral)
+        with pytest.raises(ClassificationError, match="regularity predicate only tests regular"):
+            preserves_regularity(Operator(alt4, np.eye(4)), n_random=5)
 
 
 class TestSweep:
@@ -203,21 +218,29 @@ class TestPreservationReport:
         assert not report.definiteness_with_sign.holds
         assert not report.regularity.holds
 
+    def test_an_iterator_is_read_once_for_all_three_predicates(self, alt4):
+        t = neutral_image_operator(alt4)
+        ws = alt4_subspaces(alt4)
+        report = preservation_report(t, iter(ws), 0, 0)
+        assert_same_report(report, preservation_report(t, ws, 0, 0))
+        assert report.maximality.counterexample is ws[1]
+        assert report.regularity.samples_tested == 1
 
-def one_operator_report(T, subspaces, n_random, seed):
-    """preservation_report of T alone, or the library error it raises."""
+
+def outcome(f, *args):
+    """f(*args), or the library error it raises."""
     try:
-        return preservation_report(T, subspaces, n_random, seed)
+        return f(*args)
     except KreinFramesError as exc:
         return exc
 
 
-def assert_same_report(joint, alone):
-    if isinstance(alone, KreinFramesError):
-        assert type(joint) is type(alone) and str(joint) == str(alone)
+def assert_same_report(report, expected):
+    if isinstance(expected, KreinFramesError):
+        assert type(report) is type(expected) and str(report) == str(expected)
         return
     for field in ("definiteness_with_sign", "maximality", "regularity"):
-        a, b = getattr(joint, field), getattr(alone, field)
+        a, b = getattr(report, field), getattr(expected, field)
         assert (a.status, a.detail, a.samples_tested) == (
             b.status, b.detail, b.samples_tested
         ), field
@@ -251,69 +274,66 @@ def alt4_subspaces(space):
     ] + [Subspace(space, [[1.0], [1.0], [0.0], [0.0]])]
 
 
-class TestJointSweep:
-    """One sweep per predicate for several operators gives each operator's
-    one-operator result."""
+class TestOneOperatorSweeps:
+    """preservation_report sweeps one operator at a time: each draws from
+    its own generator, and a library error is that operator's alone."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5])
     @pytest.mark.parametrize("supplied", [False, True])
-    def test_matches_one_operator_calls(self, alt4, seed, supplied):
-        ops = mixed_operators(alt4)
-        subspaces = alt4_subspaces(alt4) if supplied else []
-        joint = transforms._preservation_reports(ops, subspaces, 40, seed)
-        assert len(joint) == len(ops)
-        for T, report in zip(ops, joint):
-            assert_same_report(report, one_operator_report(T, subspaces, 40, seed))
+    def test_shared_subspaces_give_each_operator_its_own_report(self, alt4, seed, supplied):
+        # the supplied subspaces keep what the operators before read of them
+        shared = alt4_subspaces(alt4) if supplied else []
+        for T in mixed_operators(alt4):
+            fresh = alt4_subspaces(alt4) if supplied else []
+            assert_same_report(
+                preservation_report(T, shared, 40, seed), preservation_report(T, fresh, 40, seed)
+            )
 
     @pytest.mark.parametrize(
         "tol, errors",
         [
-            (Tolerances(tau_def=0.15), 0),
-            (Tolerances(tau_def=0.3), 1),
-            (Tolerances(tau_rank=0.5), 5),
+            (Tolerances(tau_def=0.15), []),
+            # some maximal or definite draw is not uniformly definite
+            (Tolerances(tau_def=0.3), [0, 1, 2, 5]),
+            (Tolerances(tau_rank=0.5), [0, 1, 3, 4, 5]),  # a drawn basis is rank deficient
         ],
     )
-    def test_errors_match_one_operator_calls(self, tol, errors):
-        # tolerances past the samplers' margins: the identity's draws, or
-        # every draw, raise; the other operators are refuted first
+    def test_errors_of_each_operator(self, tol, errors):
+        # tolerances past the samplers' margins: the draws of some operators
+        # raise; the others are refuted first
         space = alternating_signature_space(4, tol=tol)
         ops = mixed_operators(space) + [Operator(space, np.eye(4))]
         subspaces = [Subspace(space, np.eye(4)[:, [0]])]
-        joint = transforms._preservation_reports(ops, subspaces, 60, 1)
-        alone = [one_operator_report(T, subspaces, 60, 1) for T in ops]
-        assert sum(isinstance(r, KreinFramesError) for r in alone) == errors
-        for report, expected in zip(joint, alone):
-            assert_same_report(report, expected)
+        alone = [outcome(preservation_report, T, subspaces, 60, 1) for T in ops]
+        assert [i for i, r in enumerate(alone) if isinstance(r, KreinFramesError)] == errors
 
-    def test_refuted_operator_keeps_its_counterexample_past_an_error(self):
-        # the neutral-image operator is refuted on e1 before the draw that
-        # fails tau_def = 0.3, so only the identity gets the error
-        space = alternating_signature_space(4, tol=Tolerances(tau_def=0.3))
-        e1 = Subspace(space, np.eye(4)[:, [0]])
-        ops = [neutral_image_operator(space), Operator(space, np.eye(4))]
-        refuted, failed = transforms._preservation_reports(ops, [e1], 60, 1)
-        assert isinstance(failed, ClassificationError)
-        assert refuted.definiteness_with_sign.counterexample is e1
-        assert refuted.maximality.samples_tested > 0
+    def test_an_operator_refuted_on_supplied_subspaces_draws_nothing(self, count_calls):
+        # on C^2, e1 is maximal positive and N e1 = (1, 1) neutral: N is refuted
+        # on e1 by all three predicates, so no draw can fail tau_def = 0.3
+        space = KreinSpace.from_signs([1, -1], tol=Tolerances(tau_def=0.3))
+        e1 = Subspace(space, np.eye(2)[:, [0]])
+        calls = [count_calls(transforms, name) for name in SAMPLERS]
+        report = preservation_report(neutral_image_operator(space), [e1], 60, 1)
+        for field in PREDICATES:
+            verdict = getattr(report, field)
+            assert verdict.counterexample is e1 and verdict.samples_tested == 1
+        assert [len(c) for c in calls] == [0, 0, 0]
+        with pytest.raises(ClassificationError, match="only tests uniformly definite"):
+            preservation_report(Operator(space, np.eye(2)), [e1], 60, 1)
 
     # at the default tau_def the three laws settle both operators, so nothing
-    # is drawn; at 0.05 they settle neither, and each sample is drawn once
+    # is drawn; at 0.05 they settle neither, and each draws all 25 samples
     @pytest.mark.parametrize("tau_def, draws", [(None, 0), (0.05, 25)])
-    def test_operators_that_hold_draw_each_sample_once(self, count_calls, tau_def, draws):
+    def test_operators_that_hold_draw_each_sample(self, count_calls, tau_def, draws):
         tol = Tolerances() if tau_def is None else Tolerances(tau_def=tau_def)
-        ops = mixed_operators(alternating_signature_space(4, tol=tol))[:2]
-        samplers = (
-            "random_definite_subspace",
-            "random_maximal_definite_subspace",
-            "random_regular_subspace",
-        )
-        calls = {name: count_calls(transforms, name) for name in samplers}
-        reports = transforms._preservation_reports(ops, [], 25, 4)
-        assert all(r.definiteness_with_sign.holds for r in reports)
-        assert all(r.maximality.holds and r.regularity.holds for r in reports)
-        assert all(getattr(r, f).samples_tested == 25 for r in reports for f in PREDICATES)
-        counts = {name: len(c) for name, c in calls.items()}
-        assert counts == dict.fromkeys(samplers, draws)
+        calls = {name: count_calls(transforms, name) for name in SAMPLERS}
+        for T in mixed_operators(alternating_signature_space(4, tol=tol))[:2]:
+            report = preservation_report(T, [], 25, 4)
+            assert all(getattr(report, f).holds for f in PREDICATES)
+            assert all(getattr(report, f).samples_tested == 25 for f in PREDICATES)
+            assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(SAMPLERS, draws)
+            for c in calls.values():
+                c.clear()
 
     @pytest.mark.parametrize(
         "field, sampler",
@@ -323,18 +343,20 @@ class TestJointSweep:
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_no_draw_after_the_last_operator_stops(
-        self, alt4, count_calls, field, sampler, seed
-    ):
-        ops = mixed_operators(alt4)[2:]
+    def test_no_draw_after_the_counterexample(self, alt4, count_calls, field, sampler, seed):
         calls = count_calls(transforms, sampler)
-        reports = transforms._preservation_reports(ops, [], 100, seed)
-        verdicts = [getattr(r, field) for r in reports]
-        assert not any(v.holds for v in verdicts)
-        assert len(calls) == max(v.samples_tested for v in verdicts) < 100
+        for T in mixed_operators(alt4)[2:]:
+            verdict = getattr(preservation_report(T, [], 100, seed), field)
+            assert not verdict.holds
+            assert len(calls) == verdict.samples_tested < 100
+            calls.clear()
 
-    def test_no_operators(self, alt4):
-        assert transforms._preservation_reports([], alt4_subspaces(alt4), 10, 0) == []
+
+SAMPLERS = (
+    "random_definite_subspace",
+    "random_maximal_definite_subspace",
+    "random_regular_subspace",
+)
 
 
 def predicate_report(T, subspaces, n_random, seed):
@@ -366,6 +388,7 @@ def mixed_pool(space, rng):
     return [pool[i] for i in rng.permutation(len(pool))]
 
 
+@pytest.mark.soundness
 class TestOnePoolRule:
     """Every entry point tests a supplied subspace only under the predicate
     whose hypothesis it meets: the preserves_* verdicts are the fields of
@@ -420,7 +443,7 @@ class TestOnePoolRule:
         space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
         pool = mixed_pool(space, rng)
         for T in mixed_operators(space, seed % 1000) + [Operator(space, np.eye(n))]:
-            report = one_operator_report(T, pool, n_random, seed)
+            report = outcome(preservation_report, T, pool, n_random, seed)
             assert_same_report(predicate_report(T, pool, n_random, seed), report)
 
 
@@ -504,7 +527,7 @@ class TestCertificate:
         space = alternating_signature_space(48, tol=tol)
         t = Operator(space, 3.0 * random_j_unitary(space, rng_from_seed(5), boost).matrix)
         calls = count_calls(transforms, "image_subspace")
-        (report,) = transforms._preservation_reports([t], [], 40, 1)
+        report = preservation_report(t, [], 40, 1)
         assert 0 < len(calls) < 3 * 40
         calls.clear()
         assert_same_report(report, sampled_report(t, 40, 1))
@@ -528,14 +551,14 @@ class TestCertificate:
 class TestCertifiedSweep:
     def test_certified_operators_compute_no_image(self, alt48_ops, count_calls):
         calls = count_calls(transforms, "image_subspace")
-        reports = transforms._preservation_reports(alt48_ops[:2], [], 50, 0)
+        reports = [preservation_report(T, [], 50, 0) for T in alt48_ops[:2]]
         assert len(calls) == 0
         for T, report in zip(alt48_ops, reports):
             assert_same_report(report, sampled_report(T, 50, 0))
 
     def test_only_the_other_operator_computes_images(self, alt48_ops, count_calls):
         calls = count_calls(transforms, "image_subspace")
-        reports = transforms._preservation_reports(alt48_ops, [], 50, 0)
+        reports = [preservation_report(T, [], 50, 0) for T in alt48_ops]
         neutral = reports[2]
         tested = [getattr(neutral, f).samples_tested for f in PREDICATES]
         # congruence by T* J T settles each of its 50 regularity checks
@@ -546,11 +569,13 @@ class TestCertifiedSweep:
             assert_same_report(report, sampled_report(T, 50, 0))
 
     def test_maximal_draws_make_no_svd(self, alt48_ops, count_calls):
-        ops = [(T, T._isometry) for T in alt48_ops]
+        certs = [T._isometry for T in alt48_ops]  # each T's SVD
         images = count_calls(transforms, "image_subspace")
         svds = count_calls(np.linalg, "svd")
         draw, check = PREDICATES["maximality"]
-        verdicts = transforms._sweep(ops, [], 100, 0, draw, check)
+        verdicts = [
+            transforms._sweep(T, c, [], 100, 0, draw, check) for T, c in zip(alt48_ops, certs)
+        ]
         assert [v.holds for v in verdicts] == [True, True, False]
         # one SVD per image of the neutral-image operator, none per draw
         assert len(svds) == len(images) == verdicts[2].samples_tested
@@ -592,7 +617,7 @@ class TestCertifiedSweep:
 
     def test_settled_draws_build_no_basis(self, alt48_ops, count_calls):
         # _settles reads a draw's bounds only, so ||k||_2 waits for a check
-        ops = [(T, T._isometry) for T in alt48_ops]
+        certs = [T._isometry for T in alt48_ops]
         norms = count_calls(np.linalg, "norm")
         for name in ("definiteness_with_sign", "maximality"):
             draw, check = PREDICATES[name]
@@ -602,14 +627,14 @@ class TestCertifiedSweep:
                 checked.append(T)
                 return check(T, v)
 
-            verdicts = transforms._sweep(ops[:2], [], 50, 0, draw, counted)
-            assert [v.holds for v in verdicts] == [True, True]
-            assert len(norms) == len(checked) == 0
-            verdicts = transforms._sweep(ops, [], 50, 0, draw, counted)
-            assert not verdicts[2].holds
+            verdicts = [
+                transforms._sweep(T, c, [], 50, 0, draw, counted) for T, c in zip(alt48_ops, certs)
+            ]
+            assert [v.holds for v in verdicts] == [True, True, False]
             assert all(T is alt48_ops[2] for T in checked)
             assert len(norms) == len(checked) == verdicts[2].samples_tested
             norms.clear()
+            checked.clear()
 
 
 def eager_maximal_basis(space, rng, sign, max_tilt=0.8):
@@ -691,6 +716,7 @@ def congruent_cert(T):
     return (*T._isometry, T.matrix.conj().T @ T.space.J @ T.matrix)
 
 
+@pytest.mark.soundness
 class TestCongruence:
     """T* J T settles a regularity check only where the check passes."""
 
@@ -747,7 +773,7 @@ class TestCongruence:
         t = Operator(minkowski, scale * neutral_image_operator(minkowski).matrix)
         v = Subspace(minkowski, [[length], [length * eps]])
         assert not transforms._settles(v, congruent_cert(t))
-        (report,) = transforms._preservation_reports([t], [v], 0, 0)
+        report = preservation_report(t, [v], 0, 0)
         assert report.regularity.holds is not degenerate
         if degenerate:
             assert report.regularity.counterexample is v
@@ -760,7 +786,22 @@ class TestCongruence:
         assert transforms._settles(v, congruent_cert(t))
         assert transforms._check_regular(t, v) is None
 
+    def test_settled_draws_are_not_classified(self, alt48_ops, monkeypatch):
+        # a draw is held to the predicate's hypothesis only once no settle
+        # decides its check
+        drawn = []
 
+        def kept(space, rng):
+            drawn.append(random_regular_subspace(space, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(transforms, "random_regular_subspace", kept)
+        assert preservation_report(alt48_ops[2], [], 50, 0).regularity.holds
+        assert len(drawn) == 50
+        assert not any("_classification" in vars(v) for v in drawn)
+
+
+@pytest.mark.soundness
 class TestRegularDraws:
     """A regular draw is a lazy J-orthogonal sum of two graph slices whose
     margin and condition bounds hold by construction."""
@@ -866,15 +907,18 @@ class TestRegularDraws:
         # the J-unitary multiples settle without the basis; T* J T settles
         # every check of the neutral-image operator on the draw's spanning
         # columns, before any QR
-        ops = [(T, congruent_cert(T)) for T in alt48_ops]
+        certs = [congruent_cert(T) for T in alt48_ops]
         images = count_calls(transforms, "image_subspace")
         svds, qrs = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
         draw, check = random_regular_subspace, transforms._check_regular
-        verdicts = transforms._sweep(ops, [], 100, 0, draw, check)
+        verdicts = [
+            transforms._sweep(T, c, [], 100, 0, draw, check) for T, c in zip(alt48_ops, certs)
+        ]
         assert [v.holds for v in verdicts] == [True, True, True]
         assert (len(images), len(svds), len(qrs)) == (0, 0, 0)
 
 
+@pytest.mark.soundness
 class TestDrawLaws:
     """Every definite, maximal and regular draw meets its law: kappa(basis) at
     most the law's cond and a Gramian margin at least its margin."""
@@ -936,20 +980,19 @@ def near_isometries(space, rng, cond, margin):
     return [op(lo), op(hi)]
 
 
-def same_verdicts(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        if isinstance(x, KreinFramesError):
-            assert type(x) is type(y) and str(x) == str(y)
-            continue
-        assert (x.status, x.detail, x.samples_tested) == (y.status, y.detail, y.samples_tested)
-        if x.counterexample is not None:
-            assert x.counterexample.basis.tobytes() == y.counterexample.basis.tobytes()
+def same_verdicts(x, y):
+    if isinstance(x, KreinFramesError):
+        assert type(x) is type(y) and str(x) == str(y)
+        return
+    assert (x.status, x.detail, x.samples_tested) == (y.status, y.detail, y.samples_tested)
+    if x.counterexample is not None:
+        assert x.counterexample.basis.tobytes() == y.counterexample.basis.tobytes()
 
 
+@pytest.mark.soundness
 class TestLawfulSweep:
-    """A sweep that stops drawing where its law settles every operator left
-    gives the verdicts of the same sweep without the law."""
+    """A sweep that draws nothing where its law settles the operator gives
+    the verdicts of the same sweep without the law."""
 
     @settings(max_examples=examples(4))
     @given(
@@ -984,15 +1027,17 @@ class TestLawfulSweep:
                 drawn.append(None)
                 return draw(space, rng)
 
-            lawful = transforms._sweep(list(zip(ops, certs)), pool, 30, seed, counted, check, law)
-            with_law, drawn[:] = len(drawn), []
-            plain = transforms._sweep(list(zip(ops, certs)), pool, 30, seed, counted, check)
-            same_verdicts(lawful, plain)
-            assert with_law <= len(drawn)
+            for T, cert in zip(ops, certs):
+                lawful = outcome(transforms._sweep, T, cert, pool, 30, seed, counted, check, law)
+                with_law, drawn[:] = len(drawn), []
+                plain = outcome(transforms._sweep, T, cert, pool, 30, seed, counted, check)
+                same_verdicts(lawful, plain)
+                assert with_law <= len(drawn)
+                drawn[:] = []
 
-    def test_no_draw_once_a_refuted_operator_leaves_settled_ones(self, alt48_ops):
-        # the neutral-image operator is refuted, then the J-unitary multiples settle
-        ops = [(T, T._isometry) for T in alt48_ops]
+    def test_settled_operators_draw_nothing(self, alt48_ops):
+        # the J-unitary multiples settle; the neutral-image operator draws to
+        # its counterexample
         draw, check = PREDICATES["maximality"]
         drawn = []
 
@@ -1000,10 +1045,13 @@ class TestLawfulSweep:
             drawn.append(None)
             return draw(space, rng)
 
-        lawful = transforms._sweep(ops, [], 100, 0, counted, check, sampling._maximal_law)
-        assert [v.holds for v in lawful] == [True, True, False]
-        assert len(drawn) == lawful[2].samples_tested < 100
-        assert lawful[0].samples_tested == lawful[1].samples_tested == 100
+        law = sampling._maximal_law
+        for T, draws in zip(alt48_ops, (0, 0, None)):
+            verdict = transforms._sweep(T, T._isometry, [], 100, 0, counted, check, law)
+            if draws == 0:
+                assert verdict.holds and verdict.samples_tested == 100 and drawn == []
+            else:
+                assert not verdict.holds and len(drawn) == verdict.samples_tested < 100
 
 
 class RepeatedColumn:
@@ -1024,6 +1072,7 @@ class RepeatedColumn:
         return getattr(self.rng, name)
 
 
+@pytest.mark.soundness
 class TestSpanningColumns:
     """A regularity check settles by congruence on a regular draw's Gaussian
     columns, before the QRs of its basis."""
@@ -1082,6 +1131,7 @@ def gaussian_slice(space, rng, sign):
     return maximal.basis @ coeff, coeff
 
 
+@pytest.mark.soundness
 class TestDefiniteSlices:
     """A definite draw is a lazy orthonormal slice of its maximal graph."""
 
