@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .fusion import _decide, bounds_sandwich_ok, certify, converse_check, optimal_bounds
-from .problem import ProblemSpec, decode_document, parse_spec
+from .problem import ProblemSpec, _collector_paused, decode_document, parse_spec
 from .sampling import random_complex, rng_from_seed
 from .transforms import (
     _necessary_conditions,
@@ -331,6 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused
+def _load(args) -> ProblemSpec:
+    """The --spec document, --tol-* overrides merged, parsed with the collector paused."""
+    doc = decode_document(args.spec)
+    overrides = {k: getattr(args, "tol_" + k[4:]) for k in Tolerances._fields}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    tolerances = doc.get("tolerances", {})
+    if overrides and isinstance(tolerances, dict):
+        # a malformed document keeps its own tolerances for parse_spec to reject
+        doc["tolerances"] = {**tolerances, **overrides}
+    return parse_spec(doc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -339,14 +352,7 @@ def main(argv=None) -> int:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
         if args.samples > _MAX_SAMPLES:
             raise UsageError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
-        doc = decode_document(args.spec)
-        overrides = {k: getattr(args, "tol_" + k[4:]) for k in Tolerances._fields}
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        tolerances = doc.get("tolerances", {})
-        if overrides and isinstance(tolerances, dict):
-            # a malformed document keeps its own tolerances for parse_spec to reject
-            doc["tolerances"] = {**tolerances, **overrides}
-        problem = parse_spec(doc)
+        problem = _load(args)
         seed = _resolve_seed(args, problem)
         report = run_command(args.command, problem, seed, args.samples)
     except (SchemaError, ValidationError, UsageError, MemberClassificationError, OSError) as exc:

@@ -85,9 +85,9 @@ class VectorFrame(_Sides):
 
     @cached_property
     def _s_inv(self) -> np.ndarray:
-        """S^-1, factored once: the frame's matrix is read-only."""
+        """S^-1 from ``_nonsingular``, made once: the frame's matrix is read-only."""
         s = frame_operator(self).matrix
-        return _frozen(_nonsingular(np.linalg.inv, s, self.space, "frame operator"))
+        return _frozen(_nonsingular(s, self.space, "frame operator"))
 
     def __len__(self):
         return self.matrix.shape[1]
@@ -127,25 +127,52 @@ def is_j_frame(F: VectorFrame) -> bool:
 vframe_optimal_bounds = optimal_bounds
 
 
-def _nonsingular(factor, s: np.ndarray, space: KreinSpace, what: str, *rhs):
-    """factor(s, *rhs) for an S with cond(S) <= 1/tau_def; else SingularOperatorError."""
-    cond = np.linalg.cond(s)
-    if not cond <= 1.0 / space.tol.tau_def:  # "not <=" so that nan fails too
-        raise SingularOperatorError(
-            f"{what} is numerically singular (cond = {cond:g})"
-        )
+def _cond_bound(s: np.ndarray, x: np.ndarray) -> float:
+    """beta >= cond_2(S) from a computed inverse X of S, or inf.
+
+    With R = SX - I, S^-1 = X (I + R)^-1, so whenever rho >= ||R||_F is
+    below 1, cond_2(S) <= ||S||_F ||X||_F / (1 - rho) (Higham, ASNA, ch. 14).
+    rho adds to the computed ||SX - I||_F a bound on the rounding of the
+    product (ch. 3), and beta a margin for the rounding of the norms.  An
+    inf or nan entry, or rho >= 1, gives inf.
+    """
+    slack = 4 * (len(s) + 2) * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        scale = np.linalg.norm(s) * np.linalg.norm(x)
+        rho = np.linalg.norm(s @ x - np.eye(len(s))) + slack * scale
+        return scale * (1.0 + slack) / (1.0 - rho) if rho < 1.0 else np.inf
+
+
+def _nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> np.ndarray:
+    """S^-1 for an S with cond(S) <= 1/tau_def; else SingularOperatorError.
+
+    The one LU inverse X passes S without an SVD when ``_cond_bound(S, X)``
+    is at most 1/tau_def.  Otherwise, or on a zero pivot, the exact cond(S)
+    decides, and a zero pivot that passes it is "exactly singular"."""
+    limit = 1.0 / space.tol.tau_def
     try:
-        return factor(s, *rhs)
-    except np.linalg.LinAlgError as exc:  # a zero pivot, past a tiny tau_def
-        raise SingularOperatorError(f"{what} is exactly singular") from exc
+        x = np.linalg.inv(s)
+    except np.linalg.LinAlgError:  # a zero pivot
+        x = None
+    if x is not None and _cond_bound(s, x) <= limit:
+        return x
+    try:
+        cond = np.linalg.cond(s)
+    except np.linalg.LinAlgError:  # the SVD of a nan entry may not converge
+        cond = np.nan
+    if not cond <= limit:  # "not <=" so that nan fails too
+        raise SingularOperatorError(f"{what} is numerically singular (cond = {cond:g})")
+    if x is None:  # past a tiny tau_def
+        raise SingularOperatorError(f"{what} is exactly singular")
+    return x
 
 
 def _dual_spans(F, dual, images: np.ndarray) -> None:
     """Give the canonical dual of F the spans S^-1 M(+-) when its members
     S^-1 W_i keep F's signs, as those of each sign then span S^-1 M of it:
-    one Householder QR per side of ``images`` = S^-1 ``F._span_bases``, in
-    place of an SVD of the dual's columns.  S passed ``_nonsingular``, so
-    S^-1 M has the dimension of M exactly and no rank is decided again."""
+    one Householder QR per side of ``images`` = X ``F._span_bases``, in
+    place of an SVD of the dual's columns.  X is the S^-1 ``_nonsingular``
+    passed, so X M has the dimension of M and no rank is decided again."""
     if dual.signs == F.signs:
         cut = [0 if F.m_plus is None else F.m_plus.dim]
         vars(dual)["_spans"] = tuple(
@@ -274,16 +301,16 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     The result is an empirical per-instance finding: the dual family is
     certified from scratch on its spans S^-1 M(+-) (``_dual_spans``), and a
     certification failure is reported as a counterexample rather than raised.
+    S is inverted once (``_nonsingular``), for every member and both spans.
     """
     cert = _decide(F)
     if not cert.is_frame:
         raise NotAFrameError("fusion dual check requires a certified frame")
-    s = frame_operator(F).matrix
+    s_inv = _nonsingular(frame_operator(F).matrix, F.space, "fusion frame operator")
     original = cert.optimal_bounds
     expected = _reciprocal_expected(original)
-    # one factorization of S for every member's basis and both spans' bases
-    bases = np.hstack([w.basis for w in F.subspaces] + F._span_bases)
-    dual_bases = _nonsingular(np.linalg.solve, s, F.space, "fusion frame operator", bases)
+    # one inverse of S for every member's basis and both spans' bases
+    dual_bases = s_inv @ np.hstack([w.basis for w in F.subspaces] + F._span_bases)
     *blocks, images = np.split(dual_bases, np.cumsum(F.block_dims), axis=1)
     try:
         dual_subspaces = [Subspace(F.space, b) for b in blocks]

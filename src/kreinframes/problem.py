@@ -9,6 +9,7 @@ given as lists of basis columns.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import reprlib
@@ -150,9 +151,29 @@ def _finite_energy(m: np.ndarray, where: str) -> np.ndarray:
     return m
 
 
+def _collector_paused(f):
+    """f with the cyclic collector paused and the caller's state restored on
+    every exit: a decoded document's tens of thousands of lists hold no
+    reference cycles, and a collection while they live walks them all."""
+
+    @functools.wraps(f)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def decode_document(source) -> dict:
     """The decoded JSON object of a problem document given as a path, JSON text
-    or dict; any other top level is a SchemaError, JSON strings included."""
+    or dict, with the collector paused; any other top level is a
+    SchemaError, JSON strings included."""
     if isinstance(source, dict):
         return source
     if not isinstance(source, (str, Path)):
@@ -167,10 +188,6 @@ def decode_document(source) -> dict:
         text = Path(source).read_text(encoding="utf-8") if is_file else text
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
-    # decoded JSON holds no reference cycles, so a cyclic collection while
-    # decoding frees nothing: pause the collector, and restore the caller's state
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -182,16 +199,16 @@ def decode_document(source) -> dict:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     except ValueError:  # the interpreter's limit on integer-string conversion
         raise SchemaError("number is not finite: an integer of too many digits") from None
-    finally:
-        if collecting:
-            gc.enable()
     if not isinstance(doc, dict):
         raise SchemaError("the top level of a problem document must be an object")
     return doc
 
 
+@_collector_paused
 def parse_spec(source) -> ProblemSpec:
-    """Parse and validate a problem document (path, JSON text, or dict)."""
+    """Parse and validate a problem document (path, JSON text, or dict), with
+    the collector paused from decoding on; a document decoded here is freed
+    before the caller's collector state comes back (``_collector_paused``)."""
     doc = decode_document(source)
     unknown = set(doc) - _TOP_KEYS
     if unknown:

@@ -543,6 +543,9 @@ POOL_DOCS = [
     ("cli_small", "rankdef-0"),
     ("fusion_docs", "frame_diag-0"),
     ("fusion_docs", "nonframe_full-0"),
+    # the pool's worst-conditioned S (cond 6.0e6, the largest bound beta on
+    # it 2.24e7), where the fusion dual's bounds move most
+    ("fusion_docs", "frame_full-8"),
     ("vframe_docs", "diag-0"),
     ("preserve_docs", "alt-0"),
     # the pool's deepest definiteness refutation: draw 26, a lazy slice

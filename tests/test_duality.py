@@ -1,5 +1,6 @@
 """Tests for vector J-frames, canonical duals and the dual-bound relations."""
 
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -525,23 +526,29 @@ class TestFusionDualBounds:
             fusion_dual_bounds_check(fam)
 
     @pytest.mark.parametrize("members_per_side", [None, 6])
-    def test_one_solve_for_every_member(
+    def test_one_inverse_for_every_member(
         self, tilted_family, count_calls, members_per_side
     ):
-        # the demo family, or twelve members in C^5: S is factored once for
-        # all members and both spans' orthonormal bases (the dual's spans are
-        # S^-1 M(+-)), next to one Cholesky solve per side for the dual's
+        # the demo family, or twelve members in C^5: one inverse of S decides
+        # it nonsingular without an SVD and maps all members and both spans'
+        # orthonormal bases (the dual's spans are S^-1 M(+-)); S is solved
+        # with nowhere, next to one Cholesky solve per side for the dual's
         # bounds and one per side for its bounds over the original spans
         fam = tilted_family
         if members_per_side is not None:
             space = KreinSpace.from_signs([1, 1, 1, -1, -1])
             fam = random_fusion_frame(space, rng_from_seed(8), members_per_side)
         certify(fam)
+        s = frame_operator(fam).matrix
+        inv = count_calls(np.linalg, "inv")
         solve = count_calls(np.linalg, "solve")
+        cond = count_calls(np.linalg, "cond")
         assert fusion_dual_bounds_check(fam).dual_is_frame
-        assert len(solve) == 1 + 4
-        columns = fam.total_dim + fam.m_plus.dim + fam.m_minus.dim
-        assert solve[0][1].shape == (fam.space.dim, columns)
+        assert len(inv) == 1 and np.array_equal(inv[0][0], s)
+        assert len(cond) == 0 and len(solve) == 4
+        for a, _ in solve:  # a span's lower triangular Cholesky factor
+            assert a.shape in {(m.dim, m.dim) for m in (fam.m_plus, fam.m_minus)}
+            assert np.array_equal(a, np.tril(a))
 
     @pytest.mark.parametrize("members_per_side", [None, 6])
     def test_one_cholesky_per_span(self, tilted_family, count_calls, members_per_side):
@@ -561,6 +568,67 @@ class TestFusionDualBounds:
         again = fusion_dual_bounds_check(fam)
         assert again.dual_over_original_spans == report.dual_over_original_spans
         assert len(cholesky) == 4 + 4
+
+
+@pytest.mark.soundness
+class TestNonsingularDecision:
+    """``_nonsingular`` against the exact decision it settles without an SVD
+    where it can: S is refused exactly when not cond(S) <= 1/tau_def, with
+    cond's message, "exactly singular" is a zero pivot past that test, S^-1
+    is LU's inverse bit for bit, no numpy warning is emitted, and a bound
+    that settles S without the SVD is at least cond(S)."""
+
+    TAUS = [1e-70, 1e-8, 1e-4, 0.15, 0.9]
+    # cond_2(S) of 10, or set just below or above 1/tau_def; a zero column;
+    # an inf or nan entry
+    KINDS = ["well", "below", "above", "singular", "nonfinite"]
+
+    @staticmethod
+    def matrix(kind, n, tau, rng):
+        u, v = (np.linalg.qr(random_complex(rng, n, n))[0] for _ in range(2))
+        cond = {"below": (1 - 1e-3) / tau, "above": (1 + 1e-3) / tau}.get(kind, 10.0)
+        s = (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.conj().T
+        s *= 10.0 ** rng.integers(-30, 31)
+        if kind == "singular":
+            s[:, rng.integers(n)] = 0.0
+        elif kind == "nonfinite":
+            s[rng.integers(n), rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+        return s
+
+    @settings(max_examples=examples(60))
+    @given(
+        kind=st.sampled_from(KINDS),
+        tau=st.sampled_from(TAUS),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_exact_decision(self, kind, tau, n, seed):
+        s = self.matrix(kind, n, tau, rng_from_seed(seed))
+        space = KreinSpace.from_signs([1], tol=Tolerances(tau_def=tau))
+        try:
+            cond = np.linalg.cond(s)
+        except np.linalg.LinAlgError:  # an SVD that does not converge on nan
+            cond = np.nan
+        try:
+            inverse = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            inverse = None
+        with warnings.catch_warnings(), mock.patch.object(
+            np.linalg, "cond", wraps=np.linalg.cond
+        ) as svd:
+            warnings.simplefilter("error")
+            try:
+                got = duality._nonsingular(s, space, "S")
+            except SingularOperatorError as exc:
+                got = str(exc)
+        if not cond <= 1.0 / tau:
+            assert got == f"S is numerically singular (cond = {cond:g})"
+        elif inverse is None:
+            assert got == "S is exactly singular"
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, inverse)
+            if not svd.called:
+                assert duality._cond_bound(s, inverse) >= cond
 
 
 class TestDualFailuresAtTheThreshold:
@@ -598,10 +666,10 @@ class TestDualFailuresAtTheThreshold:
 
     @staticmethod
     def dual_members(fam):
-        """The dual members and S^-1 [U+, U-], from the check's one solve."""
+        """The dual members and S^-1 [U+, U-], from the check's one inverse."""
         s = frame_operator(fam).matrix
         spans = [fam.m_plus.ortho_basis, fam.m_minus.ortho_basis]
-        duals = np.linalg.solve(s, np.hstack([w.basis for w in fam.subspaces] + spans))
+        duals = np.linalg.inv(s) @ np.hstack([w.basis for w in fam.subspaces] + spans)
         return [Subspace(fam.space, duals[:, [i]]) for i in range(len(fam))], duals[:, len(fam):]
 
     def test_dual_member_fails_classification(self):

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinframes import KreinSpace, Operator, Subspace, VectorFrame, WeightedFamily
-from kreinframes import problem
+from kreinframes import cli, problem
 from kreinframes.errors import (
     MemberClassificationError,
     SchemaError,
+    UsageError,
     ValidationError,
 )
 from kreinframes.problem import ProblemSpec, parse_spec, serialize_spec
@@ -81,44 +82,91 @@ def collector_state():
 
 
 class TestDecoding:
+    # (text, the error, its message, whether decode_document accepts the text)
+    CASES = {
+        "decoded": (json.dumps(MINIMAL), None, None, True),
+        "invalid": ("{not json", SchemaError, "invalid JSON at line 1", False),
+        "missing_file": (
+            "no_such_file.json", SchemaError, "no such file: 'no_such_file.json'", False
+        ),
+        "too_deep": (
+            "[" * 100_000, SchemaError, "invalid JSON: arrays or objects nested too deeply", False
+        ),
+        "too_many_digits": (
+            "1" * 5000, SchemaError, "number is not finite: an integer of too many digits", False
+        ),
+        "schema": (
+            json.dumps({"space": {"dim": 0, "J": [[1]]}}),
+            SchemaError, "space.dim must be a positive integer", True,
+        ),
+        "validation": (
+            '{"space": {"dim": 1, "J": [[1e400]]}}',
+            ValidationError, "space.J[0][0]: number is not finite", True,
+        ),
+        "member": (
+            json.dumps(doc(vector_frames={"v": [[0, 0]]})),
+            MemberClassificationError, "member 0: vector frame 'v': zero vector", True,
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", ["decode_document", "parse_spec", "cli.main"])
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (json.dumps(MINIMAL), None),
-            ("{not json", "invalid JSON at line 1"),
-            ("no_such_file.json", "no such file: 'no_such_file.json'"),
-            ("[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
-            ("1" * 5000, "number is not finite: an integer of too many digits"),
-        ],
-        ids=["decoded", "invalid", "missing_file", "too_deep", "too_many_digits"],
-    )
-    def test_collector_state_is_restored(self, collector_state, enabled, text, message):
+    @pytest.mark.parametrize("case", CASES)
+    def test_collector_state_is_restored(self, capsys, collector_state, entry, enabled, case):
+        text, error, message, decodes = self.CASES[case]
         collector_state(enabled)
-        if message is None:
-            assert problem.decode_document(text) == MINIMAL
+        if entry == "cli.main":
+            code = cli.main(["classify", "--spec", text])
+            if error is None:
+                assert code == 0
+            else:
+                assert code == 2
+                assert capsys.readouterr().err.startswith(f"error: {message}")
+        elif error is None or (decodes and entry == "decode_document"):
+            kind = dict if entry == "decode_document" else ProblemSpec
+            assert isinstance(getattr(problem, entry)(text), kind)
         else:
-            with pytest.raises(SchemaError, match=re.escape(message)):
-                problem.decode_document(text)
+            with pytest.raises(error, match=re.escape(message)):
+                getattr(problem, entry)(text)
         assert gc.isenabled() is enabled
 
-    def test_no_collection_while_decoding(self, collector_state):
-        # tens of thousands of lists: the collector would run many times
-        text = json.dumps({"space": {"dim": 1, "J": [[[float(i), 0.0]] for i in range(40_000)]}})
+    # tens of thousands of lists: the collector would run many times
+    MANY_LISTS = {
+        "decode_document": {"space": {"dim": 1, "J": [[[float(i), 0.0]] for i in range(40_000)]}},
+        "parse_spec": doc(vector_frames={"v": [[[1.0, 0.0], [0.0, 0.0]]] * 20_000}),
+    }
+
+    @pytest.mark.parametrize("entry", ["decode_document", "parse_spec", "cli.main"])
+    def test_no_collection_while_decoding(self, capsys, monkeypatch, collector_state, entry):
+        text = json.dumps(self.MANY_LISTS.get(entry, self.MANY_LISTS["parse_spec"]))
         started = []
 
         def count(phase, info):
             if phase == "start":
                 started.append(info["generation"])
 
+        def parsed(command, spec, seed, samples):  # cli.main's step after parsing
+            gc.callbacks.remove(count)
+            raise UsageError(f"{len(spec.vector_frames['v'])} vectors")
+
+        monkeypatch.setattr(cli, "run_command", parsed)
         collector_state(True)
         gc.collect()
         gc.callbacks.append(count)
         try:
-            document = problem.decode_document(text)
+            if entry == "cli.main":
+                assert cli.main(["classify", "--spec", text]) == 2
+                assert capsys.readouterr().err == "error: 20000 vectors\n"
+            else:
+                result = getattr(problem, entry)(text)
         finally:
-            gc.callbacks.remove(count)
-        assert started == [] and len(document["space"]["J"]) == 40_000
+            if count in gc.callbacks:
+                gc.callbacks.remove(count)
+        assert started == []
+        if entry == "parse_spec":
+            assert len(result.vector_frames["v"]) == 20_000
+        elif entry == "decode_document":
+            assert len(result["space"]["J"]) == 40_000
 
     @pytest.mark.parametrize("length", [4096, 200_000])
     def test_long_text_is_not_probed(self, monkeypatch, length):
