@@ -109,29 +109,6 @@ def _bulk(value, shape: tuple) -> np.ndarray | None:
     return (f.view(complex) if pairs else f.astype(complex)).reshape(shape)
 
 
-def _matrix(rows, where: str, n_cols: int) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{where}: expected a non-empty array of rows")
-    m = _bulk(rows, (len(rows), n_cols))
-    if m is not None:
-        return m
-    parsed = []
-    width = None
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or not row:
-            raise SchemaError(f"{where}[{i}]: expected a non-empty row")
-        entries = [_scalar(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise SchemaError(f"{where}: rows have inconsistent lengths")
-        parsed.append(entries)
-    m = np.asarray(parsed, dtype=complex)
-    if m.shape[1] != n_cols:
-        raise SchemaError(f"{where}: expected rows of length {n_cols}")
-    return m
-
-
 def _vector(entries, where: str, n: int) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise SchemaError(f"{where}: expected a non-empty array")
@@ -142,6 +119,17 @@ def _vector(entries, where: str, n: int) -> np.ndarray:
     if v.shape != (n,):
         raise SchemaError(f"{where}: expected a vector of length {n}")
     return v
+
+
+def _rows(value, where: str, n: int, noun: str) -> np.ndarray:
+    """value, a non-empty list of length-n rows, as a complex array; a row
+    the bulk pass refuses is walked by ``_vector``, which locates its fault."""
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{where}: expected a non-empty {noun}")
+    m = _bulk(value, (len(value), n))
+    if m is None:
+        m = np.array([_vector(row, f"{where}[{i}]", n) for i, row in enumerate(value)])
+    return m
 
 
 def _finite_energy(m: np.ndarray, where: str) -> np.ndarray:
@@ -235,7 +223,7 @@ def parse_spec(source) -> ProblemSpec:
     dim = sdoc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("space.dim must be a positive integer")
-    j = _finite_energy(_matrix(sdoc["J"], "space.J", n_cols=dim), "space.J")
+    j = _finite_energy(_rows(sdoc["J"], "space.J", dim, "array of rows"), "space.J")
     if j.shape != (dim, dim):
         raise SchemaError(f"space.J must be {dim}x{dim}")
     space = KreinSpace(j, tol=tolerances)  # ValidationError on a bad symmetry
@@ -251,14 +239,9 @@ def parse_spec(source) -> ProblemSpec:
         subspaces = []
         for i, cols in enumerate(fdoc["subspaces"]):
             where = f"families.{name}.subspaces[{i}]"
-            if not isinstance(cols, list) or not cols:
-                raise SchemaError(f"{where}: expected a non-empty list of columns")
-            columns = _bulk(cols, (len(cols), dim))
-            if columns is None:
-                columns = [_vector(c, f"{where}[{k}]", dim) for k, c in enumerate(cols)]
-            basis = np.column_stack(columns)
+            columns = _finite_energy(_rows(cols, where, dim, "list of columns"), where)
             try:
-                subspaces.append(Subspace(space, basis))
+                subspaces.append(Subspace(space, columns.T))
             except RankError as exc:
                 raise ValidationError(f"{where}: {exc}") from exc
         weights = fdoc["weights"]
@@ -281,16 +264,11 @@ def parse_spec(source) -> ProblemSpec:
 
     vector_frames: dict[str, VectorFrame] = {}
     for name, vdoc in _named_section(doc, "vector_frames").items():
-        if not isinstance(vdoc, list) or not vdoc:
-            raise SchemaError(f"vector_frames.{name}: expected a non-empty array")
-        rows = _bulk(vdoc, (len(vdoc), dim))
-        vectors = []
-        for i, v in enumerate(vdoc):
-            where = f"vector_frames.{name}[{i}]"
-            v = _vector(v, where, dim) if rows is None else rows[i]
-            vectors.append(_finite_energy(v, where))
-        # the frame operator sums every vector's energy
-        _finite_energy(np.column_stack(vectors), f"vector_frames.{name}")
+        where = f"vector_frames.{name}"
+        vectors = _rows(vdoc, where, dim, "array")
+        for i, v in enumerate(vectors):
+            _finite_energy(v, f"{where}[{i}]")
+        _finite_energy(vectors, where)  # the frame operator sums every vector's energy
         try:
             vector_frames[name] = VectorFrame(space, vectors)
         except MemberClassificationError as exc:
@@ -300,7 +278,7 @@ def parse_spec(source) -> ProblemSpec:
 
     operators: dict[str, Operator] = {}
     for name, mdoc in _named_section(doc, "operators").items():
-        m = _matrix(mdoc, f"operators.{name}", n_cols=dim)
+        m = _rows(mdoc, f"operators.{name}", dim, "array of rows")
         if m.shape != (dim, dim):
             raise SchemaError(f"operators.{name}: expected a {dim}x{dim} matrix")
         operators[name] = Operator(space, _finite_energy(m, f"operators.{name}"))

@@ -190,6 +190,11 @@ class TestExitCodes:
             ),
             ("space", {"dim": 2, "J": [[1e200, 0], [0, -1]]}, "space.J"),
             (
+                "families",
+                {"fam": {"subspaces": [[[1e300, 0]], [[0, 1e300]]], "weights": [1, 1]}},
+                "families.fam.subspaces[0]",
+            ),
+            (
                 "vector_frames",
                 {"vf": [[9e153, 0], [9e153, 0], [9e153, 0], [0, 9e153]]},
                 "vector_frames.vf",
@@ -301,7 +306,7 @@ class TestExitCodes:
             (
                 "space",
                 {"dim": 2, "J": [[1, 0, 0], [0, -1, 0]]},
-                "space.J: expected rows of length 2",
+                "space.J[0]: expected a vector of length 2",
             ),
             ("families", {"X": 1},
              "families.X: expected an object with 'subspaces' and 'weights'"),

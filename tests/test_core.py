@@ -34,12 +34,17 @@ from kreinframes import (
     reduced_min_modulus,
 )
 import kreinframes
-from kreinframes import certify, fusion
+from kreinframes import VectorFrame, WeightedFamily, certify, fusion
 from kreinframes.cli import run_command
-from kreinframes.core import Record, _clears, _def_floor, _rank
+from kreinframes.core import Record, _as_matrix, _clears, _def_floor, _rank
+from kreinframes.errors import MemberClassificationError, UsageError
 from kreinframes.fusion import FrameBounds, FrameCertificate
 from kreinframes.problem import ProblemSpec, parse_spec
-from kreinframes.transforms import EPISTEMIC_NOTE, PredicateVerdict
+from kreinframes.transforms import (
+    EPISTEMIC_NOTE,
+    PredicateVerdict,
+    projection_commutation_check,
+)
 from kreinframes.sampling import (
     random_complex,
     random_definite_subspace,
@@ -926,3 +931,61 @@ class TestAngularOperator:
             assert angular_operator(m, sign).norm == pytest.approx(
                 expected, abs=1e-8
             )
+
+
+class TestInputChecks:
+    """Each library entry point refuses the inputs it documents as invalid."""
+
+    def test_unknown_command(self, c3):
+        problem = ProblemSpec(c3)
+        with pytest.raises(UsageError, match=r"^unknown command 'classfy'; choose from \("):
+            run_command("classfy", problem, 0, 1)
+
+    def test_as_matrix_needs_two_dimensions(self):
+        with pytest.raises(DimensionError, match=r"^expected a matrix, got array of ndim 1$"):
+            _as_matrix([1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "basis, shape", [(np.ones((2, 1)), (2, 1)), (np.ones((3, 0)), (3, 0))],
+        ids=["wrong_height", "no_columns"],
+    )
+    def test_subspace_basis_must_fit(self, c3, basis, shape):
+        with pytest.raises(DimensionError) as exc:
+            Subspace(c3, basis)
+        assert str(exc.value) == f"basis of shape {shape} does not fit C^3"
+
+    def test_operator_must_be_square_on_the_space(self, c3):
+        with pytest.raises(DimensionError) as exc:
+            Operator(c3, np.eye(2))
+        assert str(exc.value) == "operator of shape (2, 2) does not act on C^3"
+
+    def test_reduced_min_modulus_reads_an_operator(self, c3):
+        m = np.diag([3.0, 0.0, 2.0])
+        assert reduced_min_modulus(Operator(c3, m)) == reduced_min_modulus(m) == 2.0
+
+    def test_angular_operator_sign_zero(self, c3):
+        with pytest.raises(ClassificationError, match=r"^sign must be \+1 or -1$"):
+            angular_operator(Subspace(c3, W_LINE), 0)
+
+    def test_family_member_from_another_space(self, c3):
+        other = KreinSpace.from_signs([1, 1, -1])
+        with pytest.raises(MemberClassificationError) as exc:
+            WeightedFamily(c3, [Subspace(c3, W_LINE), Subspace(other, W_LINE)], [1.0, 1.0])
+        assert exc.value.index == 1
+        assert str(exc.value) == "member 1: member lives in a different space"
+
+    def test_empty_vector_frame(self, c3):
+        with pytest.raises(MemberClassificationError) as exc:
+            VectorFrame(c3, [])
+        assert str(exc.value) == "member 0: a vector frame needs members"
+
+    def test_maximal_draw_from_a_trivial_component(self, hilbert3):
+        with pytest.raises(ValueError, match=r"^the requested canonical component is trivial$"):
+            random_maximal_definite_subspace(hilbert3, rng_from_seed(0), -1)
+
+    def test_commutation_with_a_zero_image(self, c3):
+        with pytest.raises(DegenerateSubspaceError) as exc:
+            projection_commutation_check(Operator(c3, np.zeros((3, 3))), Subspace(c3, W_LINE))
+        assert str(exc.value) == (
+            "image of V is the zero subspace; the commutation identity requires a regular image"
+        )

@@ -210,7 +210,8 @@ class TestSchemaErrors:
             parse_spec({"space": {"dim": 1, "J": [[True]]}})
 
     def test_ragged_matrix(self):
-        with pytest.raises(SchemaError, match="inconsistent"):
+        message = r"^space\.J\[1\]: expected a vector of length 2$"
+        with pytest.raises(SchemaError, match=message):
             parse_spec({"space": {"dim": 2, "J": [[1, 0], [0]]}})
 
     def test_non_symmetry_matrix_rejected(self):
@@ -293,6 +294,15 @@ class TestFamilies:
         with pytest.raises(SchemaError, match="real"):
             parse_spec(d)
 
+    def test_overflowing_basis(self):
+        # each entry is finite, its square is not: every product with the basis overflows
+        d = doc(families={"fam": {"subspaces": [[[1e300, 0]], [[0, 1e300]]], "weights": [1, 1]}})
+        with pytest.raises(ValidationError) as exc:
+            parse_spec(d)
+        assert str(exc.value) == (
+            "families.fam.subspaces[0]: squared norm is not finite in float64"
+        )
+
     def test_neutral_member_names_family(self):
         d = doc(
             families={"lightcone": {"subspaces": [[[1, 1]]], "weights": [1]}}
@@ -364,6 +374,12 @@ class TestVectorFramesAndOperators:
         with pytest.raises(ValidationError) as exc:
             parse_spec(doc(vector_frames={"vf": vectors}))
         assert str(exc.value) == "vector_frames.vf: squared norm is not finite in float64"
+
+    def test_malformed_row_before_overflowing_vector(self):
+        # every row is read before any vector's energy is checked
+        with pytest.raises(SchemaError) as exc:
+            parse_spec(doc(vector_frames={"vf": [[1e200, 0], [1, 0, 0]]}))
+        assert str(exc.value) == "vector_frames.vf[1]: expected a vector of length 2"
 
     def test_parse_operator(self):
         d = doc(operators={"flip": [[0, 1], [1, 0]]})
@@ -456,6 +472,15 @@ SITES = [
 ]
 
 
+# one row of each two-dimensional array: its path and its location
+ROWS = [
+    (("space", "J", 1), "space.J[1]"),
+    (("operators", "T", 1), "operators.T[1]"),
+    (("families", "fam", "subspaces", 1, 0), "families.fam.subspaces[1][0]"),
+    (("vector_frames", "vf", 1), "vector_frames.vf[1]"),
+]
+
+
 def with_entry(path, value):
     d = copy.deepcopy(BULK)
     target = d
@@ -543,8 +568,23 @@ class TestEntries:
         assert scalars  # the ragged row was walked
         assert_bitwise_equal(got, want)
 
+    @pytest.mark.parametrize("path, where", ROWS)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (lambda row: row + [0], "expected a vector of length 2"),
+            ([], "expected a non-empty array"),
+            (tuple, "expected a non-empty array"),
+        ],
+        ids=["wrong_length", "empty", "tuple"],
+    )
+    def test_row_level_message(self, path, where, row, message):
+        with pytest.raises(SchemaError) as exc:
+            parse_spec(with_entry(path, row))
+        assert str(exc.value) == f"{where}: {message}"
+
     def test_tuple_rows_are_left_to_the_walk(self):
-        message = r"^operators\.T\[1\]: expected a non-empty row$"
+        message = r"^operators\.T\[1\]: expected a non-empty array$"
         with pytest.raises(SchemaError, match=message):
             parse_spec(doc(operators={"T": [[1, 0], (0, 1)]}))
 
