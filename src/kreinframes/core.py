@@ -42,7 +42,6 @@ __all__ = [
     "orthogonal_projection",
     "j_projection",
     "gramian",
-    "gramian_min_modulus",
     "reduced_min_modulus",
     "angular_operator",
 ]
@@ -271,7 +270,10 @@ class Subspace:
     @classmethod
     def from_spanning(cls, space: KreinSpace, vectors) -> "Subspace | None":
         """Subspace spanned by possibly dependent columns; None for the zero span."""
-        u, s, _ = np.linalg.svd(_as_matrix(vectors), full_matrices=False)
+        vectors = _as_matrix(vectors)
+        if vectors.shape[0] != space.dim:
+            raise DimensionError(f"columns of shape {vectors.shape} do not fit C^{space.dim}")
+        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
         r = _rank(s, space.tol)
         return cls._orthonormal(space, u[:, :r].copy()) if r else None
 
@@ -357,12 +359,6 @@ class Subspace:
             self.classify()
         return self._margin
 
-    def contains(self, x) -> bool:
-        """Whether x lies in W within relative residual tau_num."""
-        v = self.space.check_vector(x)
-        res = v - self.ortho_basis @ (self.ortho_basis.conj().T @ v)
-        return np.linalg.norm(res) <= self.space.tol.tau_num * max(1.0, np.linalg.norm(v))
-
     def __repr__(self):
         return f"Subspace(dim={self.dim} in C^{self.space.dim})"
 
@@ -409,9 +405,6 @@ class Operator:
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ self.space.check_vector(x)
 
-    def j_adjoint(self) -> "Operator":
-        return j_adjoint(self)
-
 
 def j_adjoint(T: Operator) -> Operator:
     """T# = J T* J, the adjoint with respect to [.,.]."""
@@ -444,16 +437,6 @@ def gramian(W: Subspace) -> np.ndarray:
     """Compressed Gramian U*JU of W in its orthonormal-basis coordinates."""
     g = W._uj @ W.ortho_basis
     return 0.5 * (g + g.conj().T)
-
-
-def gramian_min_modulus(W: Subspace) -> float:
-    """gamma(G_W): the smallest |eigenvalue| of the compressed Gramian that
-    classify does not count as zero, or 0.0 when there is none; for a regular
-    W, the margin classify keeps.
-    """
-    m = np.abs(np.linalg.eigvalsh(gramian(W)))
-    m = m[m > _def_floor(W.space, m.size)]
-    return float(m.min()) if m.size else 0.0
 
 
 def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -516,8 +499,8 @@ class AngularOperator:
 
     For a maximal M of sign sigma, with s the singular values of K
     zero-padded to dim M, sigma * G_M has spectrum (1 - s^2) / (1 + s^2);
-    hence ``norm`` obeys ||K||^2 = (1 - gamma) / (1 + gamma) with
-    gamma = ``gramian_min_modulus(M)``.
+    hence ``norm`` obeys ||K||^2 = (1 - gamma) / (1 + gamma) with gamma
+    the Gramian margin ``classify`` keeps, the smallest |eigenvalue| of G_M.
     """
 
     __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
@@ -533,9 +516,9 @@ def angular_operator(M: Subspace, sign: int) -> AngularOperator:
     over the canonical positive component, -1 over the negative one.  The
     subspace must be uniformly definite with that sign.
 
-    When M is maximal, ||K||^2 = (1 - gamma) / (1 + gamma) with
-    gamma = gramian_min_modulus(M); ``AngularOperator`` gives the spectrum
-    identity behind it.
+    When M is maximal, ||K||^2 = (1 - gamma) / (1 + gamma) with gamma the
+    Gramian margin ``classify`` keeps; ``AngularOperator`` gives the
+    spectrum identity behind it.
     """
     cls = M.classify()
     if sign not in (1, -1):

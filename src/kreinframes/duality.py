@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import KreinSpace, Operator, Record, Subspace, _def_floor, _frozen
+from .core import KreinSpace, Record, Subspace, _def_floor, _frozen
 from .errors import (
     DefinitenessTransportError,
     DimensionError,
@@ -30,7 +30,6 @@ from .fusion import (
     _decide,
     _rayleigh_extremes,
     _set_sides,
-    _signed_operator,
     _span_bounds,
     frame_operator,
     optimal_bounds,
@@ -40,7 +39,6 @@ __all__ = [
     "VectorFrame",
     "DualBoundsReport",
     "FusionDualReport",
-    "partial_frame_operator",
     "is_j_frame",
     "vframe_optimal_bounds",
     "canonical_dual",
@@ -48,7 +46,6 @@ __all__ = [
     "fundamental_identity_sides",
     "fundamental_identity_sides_batch",
     "fusion_dual_bounds_check",
-    "as_weighted_family",
 ]
 
 
@@ -109,12 +106,6 @@ def _member_mask(F: VectorFrame, subset) -> np.ndarray:
             raise IndexError(f"member index {i} out of range 0..{len(F) - 1}")
         mask[i] = True
     return mask
-
-
-def partial_frame_operator(F: VectorFrame, subset) -> Operator:
-    """S restricted to a member subset; S_I1 + S_I1c = S by construction."""
-    mask = _member_mask(F, subset)
-    return _signed_operator(F.space, F.matrix[:, mask], F._column_signs[mask])
 
 
 def is_j_frame(F: VectorFrame) -> bool:
@@ -340,16 +331,3 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     return FusionDualReport(
         True, original, dual_bounds, over_original, expected, err, holds, note
     )
-
-
-def as_weighted_family(F: VectorFrame) -> WeightedFamily:
-    """One-dimensional family equivalent of a vector frame.
-
-    Weights ||f_i|| make the weighted projection sums coincide with the
-    vector-frame coefficient sums, so bounds and certification agree.
-    """
-    subspaces = [
-        Subspace(F.space, F.matrix[:, i : i + 1]) for i in range(len(F))
-    ]
-    weights = [float(np.linalg.norm(F.matrix[:, i])) for i in range(len(F))]
-    return WeightedFamily(F.space, subspaces, weights)

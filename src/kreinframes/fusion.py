@@ -39,13 +39,7 @@ __all__ = [
     "FrameBounds",
     "FrameCertificate",
     "ConverseReport",
-    "coefficient_symmetry",
-    "synthesis_operator",
-    "synthesis_part",
-    "analysis_operator",
     "frame_operator",
-    "frame_operator_part",
-    "definite_span",
     "certify",
     "optimal_bounds",
     "estimate_bounds",
@@ -103,7 +97,6 @@ class WeightedFamily(_Sides):
         self.subspaces = subspaces
         self.weights = weights
         self.block_dims = [w.dim for w in subspaces]
-        self.total_dim = sum(self.block_dims)
         columns = np.hstack([v * w.ortho_basis for w, v in zip(subspaces, weights)])
         bases = lambda: np.hstack([w.ortho_basis for w in subspaces])
         _set_sides(self, space, signs, self.block_dims, columns, bases)
@@ -140,51 +133,10 @@ def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tup
     return tuple(_Span.from_spanning(space, cols[:, m]) if m.any() else None for m in masks)
 
 
-def coefficient_symmetry(F: WeightedFamily) -> np.ndarray:
-    """Block-diagonal sign symmetry of the stacked coefficient space."""
-    return np.diag(F._column_signs)
-
-
-def synthesis_operator(F: WeightedFamily) -> np.ndarray:
-    """n x K matrix whose i-th block is v_i times an orthonormal basis of W_i."""
-    return F._columns.copy()
-
-
-def synthesis_part(F: WeightedFamily, sign: int) -> np.ndarray:
-    """Synthesis restricted to the blocks of one sign (other blocks zeroed)."""
-    t = synthesis_operator(F)
-    t[:, F._column_signs != sign] = 0.0
-    return t
-
-
-def analysis_operator(F: WeightedFamily) -> np.ndarray:
-    """J2 T* J: the adjoint of the synthesis between [.,.]_J2 and [.,.]."""
-    t = synthesis_operator(F)
-    return coefficient_symmetry(F) @ t.conj().T @ F.space.J
-
-
-def _signed_operator(space: KreinSpace, cols: np.ndarray, d) -> Operator:
-    """T D T* J from synthesis columns T = ``cols`` and the diagonal d of D."""
-    return Operator(space, (cols * d) @ (cols.conj().T @ space.J))
-
-
 def frame_operator(F: WeightedFamily) -> Operator:
     """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
-    return _signed_operator(F.space, F._columns, F._column_signs)
-
-
-def frame_operator_part(F: WeightedFamily, sign: int) -> Operator:
-    """Unsigned partial sum over one side: sum_{I_sign} v_i^2 pi_{W_i} J.
-
-    Both parts are J-positive operators; the frame operator is their
-    difference S = S(+) - S(-).
-    """
-    return _signed_operator(F.space, _side_columns(F, sign), 1.0)
-
-
-def definite_span(F: WeightedFamily, sign: int) -> Subspace | None:
-    """M(sign): span of all members of one sign; None when that side is empty."""
-    return F.m_plus if sign == 1 else F.m_minus
+    cols = F._columns
+    return Operator(F.space, (cols * F._column_signs) @ (cols.conj().T @ F.space.J))
 
 
 class FrameBounds(Record):
@@ -301,7 +253,7 @@ def _decision(F: WeightedFamily) -> FrameCertificate:
     witnesses = []
 
     def side(sign):
-        m, label = definite_span(F, sign), "+" if sign == 1 else "-"
+        m, label = F._spans[sign < 0], "+" if sign == 1 else "-"
         dim, cls, maximal = _side_verdict(F.space, m, sign)
         uniform = cls is None or cls.sign == sign
         if not uniform:
@@ -427,7 +379,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
     bounds = cert.optimal_bounds
 
     def side_checks(sign):
-        m = definite_span(F, sign)
+        m = F._spans[sign < 0]
         _, cls, maximal = _side_verdict(F.space, m, sign)
         if cls is None:
             return maximal, maximal

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fusion import WeightedFamily
 
-__all__ = ["ProblemSpec", "decode_document", "parse_spec", "serialize_spec"]
+__all__ = ["ProblemSpec", "decode_document", "parse_spec"]
 
 
 class ProblemSpec(Record):
@@ -304,39 +304,3 @@ def _named_section(doc, key) -> dict:
                 f"'{key}' entry name {reprlib.repr(name)} is not valid Unicode"
             ) from None
     return section
-
-
-def _num(z: complex):
-    # a bare real parses with imaginary part +0.0, so -0.0 stays a pair
-    return z.real if z.imag == 0.0 and not np.signbit(z.imag) else [z.real, z.imag]
-
-
-def _matrix_doc(m: np.ndarray):
-    return [[_num(complex(v)) for v in row] for row in np.asarray(m)]
-
-
-def serialize_spec(spec: ProblemSpec) -> dict:
-    """Normalized document for a parsed problem; parse(serialize(x)) == x."""
-    doc = {
-        "space": {"dim": spec.space.dim, "J": _matrix_doc(spec.space.J)},
-    }
-    if spec.families:
-        doc["families"] = {
-            name: {
-                "subspaces": [_matrix_doc(w.basis.T) for w in fam.subspaces],
-                "weights": list(fam.weights),
-            }
-            for name, fam in spec.families.items()
-        }
-    if spec.vector_frames:
-        doc["vector_frames"] = {
-            name: _matrix_doc(vf.matrix.T) for name, vf in spec.vector_frames.items()
-        }
-    if spec.operators:
-        doc["operators"] = {
-            name: _matrix_doc(op.matrix) for name, op in spec.operators.items()
-        }
-    doc["tolerances"] = dict(vars(spec.tolerances))
-    if spec.seed is not None:
-        doc["seed"] = spec.seed
-    return doc

@@ -29,6 +29,7 @@ from .core import (
 from .errors import (
     ClassificationError,
     DegenerateSubspaceError,
+    DimensionError,
     HypothesisNotMetError,
     NotSurjectiveError,
 )
@@ -82,9 +83,17 @@ class PreservationReport(Record):
     regularity: PredicateVerdict
 
 
+def _in_space_of(T: Operator, x):
+    """x, a subspace or a family, when it lives in T's space (the object
+    itself, as ``WeightedFamily`` requires of its members); else DimensionError."""
+    if x.space is not T.space:
+        raise DimensionError(f"{x!r} does not live in the operator's space")
+    return x
+
+
 def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     """Column space of T applied to V; None when the image is {0}."""
-    return Subspace.from_spanning(T.space, T.matrix @ V.basis)
+    return Subspace.from_spanning(T.space, T.matrix @ _in_space_of(T, V).basis)
 
 
 def _sweep(T, cert, subspaces, n_random, seed, draw, check, law=None) -> PredicateVerdict:
@@ -236,7 +245,7 @@ def _predicate_sweep(k, T, cert, subspaces, n_random, seed) -> PredicateVerdict:
             raise ClassificationError(f"{text} subspaces")
         return check(T, v)
 
-    pool = [s for s in subspaces if getattr(s.classify(), hypothesis)]
+    pool = [s for s in subspaces if getattr(_in_space_of(T, s).classify(), hypothesis)]
     return _sweep(T, cert, pool, n_random, seed, draw, checked, law)
 
 
@@ -287,6 +296,7 @@ def transform_family(
     Raises MemberClassificationError when some image is not uniformly
     definite; that is exactly a definiteness-preservation failure.
     """
+    _in_space_of(T, F)
     if _rank(T._svals, T.space.tol) < T.space.dim:
         raise NotSurjectiveError("transform requires a surjective operator")
     images = []

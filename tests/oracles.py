@@ -1,12 +1,14 @@
 """Independent brute-force checkers used by the test suite.
 
 None of these call the implementation path they validate: the Rayleigh
-oracle samples quotients directly instead of solving the pencil, the
-projection oracle is a least-squares solve, the gamma oracle combines
-random search over the row space with solve-based inverse iteration
-(no SVD), and the dual oracle builds the canonical dual through the public
-constructors, which span its sides from its own columns.  They are slow by
-design.
+oracle samples quotients directly instead of solving the pencil, over the
+spans and the partial frame operators it builds from each member's own
+basis, the projection oracle is a least-squares solve, the gamma oracle
+combines random search over the row space with solve-based inverse
+iteration (no SVD), and the dual oracle builds the canonical dual through
+the public constructors, which span its sides from its own columns.  They
+are slow by design.  The references at the end are the tests' own
+definitions of quantities the package does not export.
 """
 
 from __future__ import annotations
@@ -16,20 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from kreinframes.core import Operator, Subspace
+from kreinframes.core import Operator, Subspace, _def_floor, gramian
 from kreinframes.duality import VectorFrame
 from kreinframes.errors import NotAFrameError
-from kreinframes.fusion import (
-    WeightedFamily,
-    certify,
-    definite_span,
-    frame_operator,
-    frame_operator_part,
-)
+from kreinframes.fusion import WeightedFamily, certify, frame_operator
 from kreinframes.sampling import random_complex, rng_from_seed
 
 __all__ = [
-    "OracleConfig", "rayleigh_extremes", "projection_oracle", "gamma_oracle", "dual_oracle"
+    "OracleConfig", "rayleigh_extremes", "frame_operator_part", "projection_oracle",
+    "in_span", "gamma_oracle", "dual_oracle", "gramian_min_modulus",
+    "partial_frame_operator", "as_weighted_family",
 ]
 
 
@@ -87,25 +85,47 @@ def _ascend(a, p, c0, minimize, steps=2000):
     return _quotients(a, p, c[:, None])[0]
 
 
+def _side(F, sign: int) -> list:
+    """(B_i, v_i) of each member of one sign: a family's member bases and
+    weights, or a vector frame's vectors f_i, each the line it spans with
+    weight ||f_i||.  A uniformly definite B_i has the sign of tr(B_i* J B_i)."""
+    if isinstance(F, VectorFrame):
+        members = [(F.matrix[:, [i]], np.linalg.norm(F.matrix[:, i])) for i in range(len(F))]
+    else:
+        members = list(zip((w.basis for w in F.subspaces), F.weights))
+    J = F.space.J
+    return [(b, v) for b, v in members if np.trace(b.conj().T @ J @ b).real * sign > 0]
+
+
+def frame_operator_part(F, sign: int) -> np.ndarray:
+    """S(sign) = sum over the members of one sign of v_i^2 B_i (B_i* B_i)^-1 B_i* J,
+    from each member's own basis B_i."""
+    s = np.zeros((F.space.dim, F.space.dim), dtype=complex)
+    for b, v in _side(F, sign):
+        s += v**2 * b @ np.linalg.solve(b.conj().T @ b, b.conj().T)
+    return s @ F.space.J
+
+
 def rayleigh_extremes(
     F: WeightedFamily, sign: int, config: OracleConfig = OracleConfig()
 ) -> tuple[float, float]:
     """Sampled extremes of the frame quotient over the signed span.
 
-    Draws unit coefficient vectors in the span, evaluates
-    sum v_i^2 [pi_{W_i} J f, f] / [f, f] directly, and (optionally)
-    sharpens both extremes by gradient ascent from the best samples.  Never
-    solves an eigenproblem.
+    Draws unit coefficient vectors in the span, the column space of the
+    side's stacked member bases, evaluates sum v_i^2 [pi_{W_i} J f, f] / [f, f]
+    directly, and (optionally) sharpens both extremes by gradient ascent
+    from the best samples.  Solves no eigenproblem of the quotient: the only
+    factorization is the SVD behind ``scipy.linalg.orth``.
     """
     if not certify(F).is_frame:
         raise NotAFrameError("the Rayleigh oracle requires a certified frame")
-    m = definite_span(F, sign)
-    if m is None:
+    side = _side(F, sign)
+    if not side:
         raise NotAFrameError(f"the side {sign:+d} is empty")
-    u = m.ortho_basis
+    u = scipy.linalg.orth(np.hstack([b for b, _ in side]))
     k = u.shape[1]
     space = F.space
-    s_part = frame_operator_part(F, sign).matrix
+    s_part = frame_operator_part(F, sign)
     a = u.conj().T @ (space.J @ s_part) @ u
     a = 0.5 * (a + a.conj().T)
     p = u.conj().T @ space.J @ u
@@ -127,6 +147,13 @@ def projection_oracle(W, x) -> np.ndarray:
     x = W.space.check_vector(x)
     coeff, *_ = np.linalg.lstsq(W.basis, x, rcond=None)
     return W.basis @ coeff
+
+
+def in_span(W, x, tol: float = 1e-9) -> bool:
+    """Whether x lies in W within relative residual tol (the default tau_num),
+    measured against ``projection_oracle``."""
+    x = W.space.check_vector(x)
+    return np.linalg.norm(x - projection_oracle(W, x)) <= tol * max(1.0, np.linalg.norm(x))
 
 
 def gamma_oracle(T, config: OracleConfig = OracleConfig()) -> float:
@@ -176,3 +203,32 @@ def dual_oracle(F):
         return VectorFrame(F.space, np.linalg.solve(s, F.matrix).T)
     members = [Subspace(F.space, np.linalg.solve(s, w.basis)) for w in F.subspaces]
     return WeightedFamily(F.space, members, F.weights)
+
+
+def gramian_min_modulus(W: Subspace) -> float:
+    """gamma(G_W): the smallest |eigenvalue| of the compressed Gramian that
+    classify does not count as zero, or 0.0 when there is none; for a regular
+    W, the margin classify keeps.
+    """
+    m = np.abs(np.linalg.eigvalsh(gramian(W)))
+    m = m[m > _def_floor(W.space, m.size)]
+    return float(m.min()) if m.size else 0.0
+
+
+def partial_frame_operator(F: VectorFrame, subset) -> np.ndarray:
+    """S_I = sum_{i in I} sigma_i f_i f_i* J over a member subset, one member at a time."""
+    s = np.zeros((F.space.dim, F.space.dim), dtype=complex)
+    for i in subset:
+        s += F.signs[i] * np.outer(F.vector(i), F.vector(i).conj())
+    return s @ F.space.J
+
+
+def as_weighted_family(F: VectorFrame) -> WeightedFamily:
+    """One-dimensional family equivalent of a vector frame.
+
+    Weights ||f_i|| make the weighted projection sums coincide with the
+    vector-frame coefficient sums, so bounds and certification agree.
+    """
+    subspaces = [Subspace(F.space, F.matrix[:, i : i + 1]) for i in range(len(F))]
+    weights = [float(np.linalg.norm(F.matrix[:, i])) for i in range(len(F))]
+    return WeightedFamily(F.space, subspaces, weights)

@@ -540,31 +540,21 @@ def perfbench_module(name):
     return module
 
 
-POOL_DOCS = [
-    ("cli_small", "demo-0"),
-    ("cli_small", "n4-0"),
-    ("cli_small", "n6-0"),
-    ("cli_small", "schema-0"),
-    ("cli_small", "rankdef-0"),
-    ("fusion_docs", "frame_diag-0"),
-    ("fusion_docs", "nonframe_full-0"),
-    # the pool's worst-conditioned S (cond 6.0e6, the largest bound beta on
-    # it 2.24e7), where the fusion dual's bounds move most
-    ("fusion_docs", "frame_full-8"),
-    ("vframe_docs", "diag-0"),
-    ("preserve_docs", "alt-0"),
-    # the pool's deepest definiteness refutation: draw 26, a lazy slice
-    ("preserve_docs", "alt-8"),
-    # regular draws of dimension 23 under a tau_def of 0.15
-    ("preserve_docs", "alt-2"),
-    # definiteness refutations by drawn slices of dimension 20 to 24, whose
-    # orthonormal bases and image witnesses the gate compares in canonical form
-    ("preserve_docs", "alt-3"),
-    ("preserve_docs", "alt-6"),
-    ("preserve_docs", "alt-9"),
-    ("preserve_docs", "alt-12"),
-    ("preserve_docs", "alt-13"),
-]
+# the recorded outcome of every pool document, by workload and document id
+POOL_REFS = {
+    w: perfbench_module("refs").load(w)["docs"]
+    for w in ("cli_small", "fusion_docs", "vframe_docs", "preserve_docs")
+}
+# every document of the four reference files; among them:
+# - fusion_docs frame_full-8, the pool's worst-conditioned S (cond 6.0e6, the
+#   largest bound beta on it 2.24e7), where the fusion dual's bounds move most
+# - preserve_docs alt-8, the pool's deepest definiteness refutation: draw 26,
+#   a lazy slice
+# - preserve_docs alt-2, regular draws of dimension 23 under a tau_def of 0.15
+# - preserve_docs alt-3, alt-6, alt-9, alt-12 and alt-13, definiteness
+#   refutations by drawn slices of dimension 20 to 24, whose orthonormal bases
+#   and image witnesses the gate compares in canonical form
+POOL_DOCS = [(w, doc_id) for w, docs in POOL_REFS.items() for doc_id in docs]
 
 # perfbench/docs.py run as the references were recorded: with one BLAS thread,
 # as the documents' matrix products round differently on more
@@ -580,7 +570,7 @@ for workload, doc_id in json.loads(sys.argv[2]):
 
 
 class TestPoolReports:
-    """One benchmark pool document of each class against its recorded reference."""
+    """Every benchmark pool document against its recorded reference."""
 
     @pytest.fixture(scope="class")
     def pool_dir(self, tmp_path_factory):
@@ -601,7 +591,7 @@ class TestPoolReports:
         docs, gate = perfbench_module("docs"), perfbench_module("gate")
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         path = pool_dir / f"{workload}-{doc_id}.json"
-        ref = perfbench_module("refs").load(workload)["docs"][doc_id]
+        ref = POOL_REFS[workload][doc_id]
         assert ref["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         samples = str(docs.SAMPLES[workload])
         argv = ("all", "--spec", str(path), "--samples", samples)

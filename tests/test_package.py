@@ -1,7 +1,11 @@
 """The names the package exports: each module's ``__all__``, and no more."""
 
+import ast
 import importlib
+import types
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kreinframes
@@ -13,16 +17,14 @@ FrameCertificate HypothesisNotMetError KreinFramesError KreinSpace
 MemberClassificationError NotAFrameError NotSurjectiveError Operator ProblemSpec
 RankError SchemaError SingularOperatorError Subspace SubspaceKind Tolerances
 UsageError ValidationError VectorFrame WeightError WeightedFamily
-analysis_operator angular_operator as_weighted_family bounds_sandwich_ok
-canonical_dual certify classify coefficient_symmetry converse_check
-definite_span dual_bounds_check estimate_bounds frame_operator
-frame_operator_part fusion_dual_bounds_check gramian gramian_min_modulus
-image_subspace indefinite_product is_j_frame is_j_isometry_multiple j_adjoint
-j_image_family j_projection necessary_conditions_check optimal_bounds
-orthogonal_projection parse_spec partial_frame_operator preservation_report
-preserves_definiteness_with_sign preserves_maximality preserves_regularity
-projection_commutation_check reduced_min_modulus serialize_spec
-synthesis_operator synthesis_part transform_family vframe_optimal_bounds
+angular_operator bounds_sandwich_ok canonical_dual certify classify
+converse_check dual_bounds_check estimate_bounds frame_operator
+fusion_dual_bounds_check gramian image_subspace indefinite_product is_j_frame
+is_j_isometry_multiple j_adjoint j_image_family j_projection
+necessary_conditions_check optimal_bounds orthogonal_projection parse_spec
+preservation_report preserves_definiteness_with_sign preserves_maximality
+preserves_regularity projection_commutation_check reduced_min_modulus
+transform_family vframe_optimal_bounds
 """.split()
 
 # listed in a module's __all__ but, before the package read them from there,
@@ -33,17 +35,43 @@ PredicateVerdict PreservationReport decode_document fundamental_identity_sides
 fundamental_identity_sides_batch
 """.split()
 
+# public names that nothing in the package, its acceptance tests or the
+# benchmark called, deleted from their modules; the tests' references to
+# some of them are in tests/oracles.py and tests/generators.py
+DELETED = {
+    "core": ["gramian_min_modulus"],
+    "duality": ["as_weighted_family", "partial_frame_operator"],
+    "fusion": [
+        "analysis_operator", "coefficient_symmetry", "definite_span",
+        "frame_operator_part", "synthesis_operator", "synthesis_part",
+    ],
+    "problem": ["serialize_spec"],
+}
+
 NOT_EXPORTED = """
 alternating_signature_space neutral_image_operator rng_from_seed random_complex
 random_maximal_definite_subspace random_definite_subspace random_regular_subspace
-""".split()
+""".split() + [n for names in DELETED.values() for n in names]
 
 MODULES = ["core", "duality", "fusion", "problem", "transforms"]
 
+ROOT = Path(__file__).resolve().parents[1]
+# the package, its acceptance tests and the benchmark: every exported name
+# must be read somewhere in these
+CALLERS = [
+    *sorted((ROOT / "src" / "kreinframes").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
-def test_exported_names_are_kept():
-    assert len(EXPORTED) == 68
-    assert [n for n in EXPORTED if not hasattr(kreinframes, n)] == []
+
+def test_exported_names_are_exact():
+    assert len(EXPORTED) == 58
+    public = {
+        n for n, v in vars(kreinframes).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert sorted(public) == sorted(EXPORTED + FROM_ALL)
 
 
 @pytest.mark.parametrize("name", FROM_ALL)
@@ -56,7 +84,43 @@ def test_helpers_are_not_exported(name):
     assert not hasattr(kreinframes, name)
 
 
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in DELETED.items() for n in names]
+)
+def test_deleted_names_are_gone_from_their_module(module, name):
+    assert not hasattr(importlib.import_module(f"kreinframes.{module}"), name)
+
+
+def test_deleted_members_are_gone():
+    space = kreinframes.KreinSpace.from_signs([1, -1])
+    w = kreinframes.Subspace(space, [[1.0], [0.0]])
+    family = kreinframes.WeightedFamily(space, [w], [1.0])
+    operator = kreinframes.Operator(space, np.eye(2))
+    assert [hasattr(w, "contains"), hasattr(operator, "j_adjoint")] == [False, False]
+    assert not hasattr(family, "total_dim")
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_all_is_exported_as_itself(module):
     mod = importlib.import_module(f"kreinframes.{module}")
     assert all(getattr(kreinframes, n) is getattr(mod, n) for n in mod.__all__)
+
+
+def _reads(node, inside=()):
+    """Every name read (a loaded Name or Attribute) under node, except inside
+    the function or class that defines it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = (*inside, node.name)
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        if name not in inside:
+            yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, inside)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_exported_name_has_a_caller(module):
+    read = {n for path in CALLERS for n in _reads(ast.parse(path.read_text()))}
+    mod = importlib.import_module(f"kreinframes.{module}")
+    assert [n for n in mod.__all__ if n not in read] == []

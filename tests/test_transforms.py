@@ -15,6 +15,7 @@ from kreinframes import (
 )
 from kreinframes.errors import (
     ClassificationError,
+    DimensionError,
     HypothesisNotMetError,
     KreinFramesError,
     MemberClassificationError,
@@ -22,7 +23,7 @@ from kreinframes.errors import (
 )
 from kreinframes import sampling, transforms
 from kreinframes.fusion import bounds_sandwich_ok, certify, converse_check
-from kreinframes.core import _def_floor, gramian, gramian_min_modulus
+from kreinframes.core import _def_floor, gramian
 from kreinframes.sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -50,6 +51,7 @@ from generators import (
     random_j_unitary,
     random_space,
 )
+from oracles import gramian_min_modulus
 
 
 @pytest.fixture
@@ -78,6 +80,30 @@ class TestImageSubspace:
         v = Subspace(c3, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         img = image_subspace(t, v)
         assert img.dim == 1
+
+
+class TestOperandsFromAnotherSpace:
+    """An operator refuses a subspace or a family of another Krein space: with
+    T = I on diag(1, -1) and V = span{e1} in diag(-1, 1), the identity would
+    otherwise map a negative line onto a positive one."""
+
+    CALLS = {
+        "image_subspace": lambda T, V: image_subspace(T, V),
+        "definiteness": lambda T, V: preserves_definiteness_with_sign(T, [V], n_random=0),
+        "maximality": lambda T, V: preserves_maximality(T, [V], n_random=0),
+        "regularity": lambda T, V: preserves_regularity(T, [V], n_random=0),
+        "report": lambda T, V: preservation_report(T, [V], n_random=0),
+        "transform_family": lambda T, V: transform_family(
+            T, WeightedFamily(V.space, [V], [1.0])
+        ),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_refused(self, call):
+        T = Operator(KreinSpace.from_signs([1, -1]), np.eye(2))
+        V = Subspace(KreinSpace.from_signs([-1, 1]), [[1.0], [0.0]])
+        with pytest.raises(DimensionError, match=r"does not live in the operator's space$"):
+            call(T, V)
 
 
 class TestDefinitenessPredicate:
