@@ -34,7 +34,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .fusion import _decide, bounds_sandwich_ok, certify, converse_check, optimal_bounds
+from .fusion import bounds_sandwich_ok, certify, converse_check, optimal_bounds
 from .problem import ProblemSpec, _collector_paused, decode_document, parse_spec
 from .sampling import random_complex, rng_from_seed
 from .transforms import (
@@ -126,7 +126,7 @@ def _task_certify(problem: ProblemSpec, seed, samples):
         return report, cert.is_frame
 
     def vframe(name, vf):
-        verdict = _decide(vf).is_frame
+        verdict = vf._certificate.is_frame
         return {"is_frame": verdict}, verdict
 
     return _families_and_frames(problem, family, vframe)
@@ -142,7 +142,7 @@ def _task_bounds(problem: ProblemSpec, seed, samples):
         return {**bounds, "sandwich_ok": sandwich}, sandwich
 
     def vframe(name, vf):
-        if not _decide(vf).is_frame:
+        if not vf._certificate.is_frame:
             return {"error": "not a J-frame"}, False
         return {"optimal": optimal_bounds(vf)}, True
 
@@ -159,7 +159,7 @@ def _task_dual(problem: ProblemSpec, seed, samples):
             return {"advisory": True, "error": str(exc)}, True
 
     def vframe(name, vf):
-        if not _decide(vf).is_frame:
+        if not vf._certificate.is_frame:
             return {"error": "not a J-frame"}, False
         try:
             report = dual_bounds_check(vf)
@@ -174,7 +174,7 @@ def _task_identity(problem: ProblemSpec, seed, samples):
     index = {name: i for i, name in enumerate(sorted(problem.vector_frames))}
 
     def vframe(name, vf):
-        if not _decide(vf).is_frame:
+        if not vf._certificate.is_frame:
             return {"error": "not a J-frame"}, False
         rng = rng_from_seed([seed, zlib.crc32(name.encode()), index[name]])
         trials = max(1, samples)
@@ -188,7 +188,11 @@ def _task_identity(problem: ProblemSpec, seed, samples):
             lhs, rhs = fundamental_identity_sides_batch(vf, masks, fs)
         except SingularOperatorError as exc:
             return {"error": str(exc)}, False
-        rel = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        # relative to each trial's analysis energy sum_i |[f, f_i]|^2, which
+        # scales as the sides' terms do; two sides that are exactly 0 agree
+        energy = (np.abs(vf.matrix.conj().T @ (vf.space.J @ fs)) ** 2).sum(axis=0)
+        scale = np.maximum(energy, np.maximum(np.abs(lhs), np.abs(rhs)))
+        rel = np.divide(np.abs(lhs - rhs), scale, out=np.zeros(trials), where=scale > 0)
         frame_ok = bool(np.all(rel < vf.space.tol.tau_num))
         return {
             "trials": trials, "max_relative_residual": float(rel.max()), "ok": frame_ok

@@ -38,7 +38,6 @@ __all__ = [
     "AngularOperator",
     "indefinite_product",
     "j_adjoint",
-    "classify",
     "orthogonal_projection",
     "j_projection",
     "gramian",
@@ -361,11 +360,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in C^{self.space.dim})"
-
-
-def classify(W: Subspace) -> Classification:
-    """Definiteness class of a subspace from its compressed Gramian U*JU."""
-    return W.classify()
 
 
 class Operator:

@@ -10,28 +10,22 @@ optimal bounds.  The functions of ``fusion`` take a vector frame unchanged.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .core import KreinSpace, Record, Subspace, _def_floor, _frozen
+from .core import KreinSpace, Record, Subspace, _def_floor
 from .errors import (
     DefinitenessTransportError,
     DimensionError,
     MemberClassificationError,
     NotAFrameError,
-    SingularOperatorError,
 )
 from .fusion import (
     FrameBounds,
     WeightedFamily,
     _Sides,
     _Span,
-    _decide,
     _rayleigh_extremes,
-    _set_sides,
     _span_bounds,
-    frame_operator,
     optimal_bounds,
 )
 
@@ -51,6 +45,8 @@ __all__ = [
 
 class VectorFrame(_Sides):
     """A finite family of non-neutral vectors with signs from [f_i, f_i]."""
+
+    _S_NAME = "frame operator"  # as SingularOperatorError names S
 
     def __init__(self, space: KreinSpace, vectors):
         cols = [space.check_vector(v) for v in vectors]
@@ -75,16 +71,14 @@ class VectorFrame(_Sides):
             raise MemberClassificationError(
                 i, f"vector is neutral within tau_def ([f,f]/||f||^2 = {vals[i] / nrm2[i]:g})"
             )
+        # ||f|| = scale sqrt(nrm2) below 2^-511: S sums f f* J, which would underflow
+        tiny = np.flatnonzero(scale < 2.0**-511 / np.sqrt(nrm2))
+        if tiny.size:
+            raise MemberClassificationError(int(tiny[0]), "||f||^2 underflows to subnormal")
         signs = [1 if v > 0 else -1 for v in vals]
         # the vectors are the synthesis columns and span the signed sides
-        _set_sides(self, space, signs, 1, matrix, lambda: matrix)
+        super().__init__(space, signs, 1, matrix, lambda: matrix)
         self.matrix = matrix
-
-    @cached_property
-    def _s_inv(self) -> np.ndarray:
-        """S^-1 from ``_nonsingular``, made once: the frame's matrix is read-only."""
-        s = frame_operator(self).matrix
-        return _frozen(_nonsingular(s, self.space, "frame operator"))
 
     def __len__(self):
         return self.matrix.shape[1]
@@ -110,7 +104,7 @@ def _member_mask(F: VectorFrame, subset) -> np.ndarray:
 
 def is_j_frame(F: VectorFrame) -> bool:
     """True when both signed spans are maximal uniformly definite (the kept decision)."""
-    return _decide(F).is_frame
+    return F._certificate.is_frame
 
 
 # the extreme values of sum_i sigma_i |[f, f_i]|^2 / [f, f] over each signed
@@ -118,67 +112,34 @@ def is_j_frame(F: VectorFrame) -> bool:
 vframe_optimal_bounds = optimal_bounds
 
 
-def _cond_bound(s: np.ndarray, x: np.ndarray) -> float:
-    """beta >= cond_2(S) from a computed inverse X of S, or inf.
+def _dual(F: _Sides, given: np.ndarray, build) -> _Sides:
+    """The canonical dual of F from one product S^-1 [given | U+ | U-].
 
-    With R = SX - I, S^-1 = X (I + R)^-1, so whenever rho >= ||R||_F is
-    below 1, cond_2(S) <= ||S||_F ||X||_F / (1 - rho) (Higham, ASNA, ch. 14).
-    rho adds to the computed ||SX - I||_F a bound on the rounding of the
-    product (ch. 3), and beta a margin for the rounding of the norms.  An
-    inf or nan entry, or rho >= 1, gives inf.
+    ``build`` makes the dual from the columns S^-1 ``given``.  When its members
+    keep F's signs, those of each sign span S^-1 M of it, so the dual is given
+    the spans S^-1 M(+-) by one Householder QR per side of S^-1 U(+-), in place
+    of an SVD of its columns.  S^-1 passed ``_nonsingular``, so S^-1 M has the
+    dimension of M and no rank is decided again.
     """
-    slack = 4 * (len(s) + 2) * np.finfo(float).eps
-    with np.errstate(all="ignore"):
-        scale = np.linalg.norm(s) * np.linalg.norm(x)
-        rho = np.linalg.norm(s @ x - np.eye(len(s))) + slack * scale
-        return scale * (1.0 + slack) / (1.0 - rho) if rho < 1.0 else np.inf
-
-
-def _nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> np.ndarray:
-    """S^-1 for an S with cond(S) <= 1/tau_def; else SingularOperatorError.
-
-    The one LU inverse X passes S without an SVD when ``_cond_bound(S, X)``
-    is at most 1/tau_def.  Otherwise, or on a zero pivot, the exact cond(S)
-    decides, and a zero pivot that passes it is "exactly singular"."""
-    limit = 1.0 / space.tol.tau_def
-    try:
-        x = np.linalg.inv(s)
-    except np.linalg.LinAlgError:  # a zero pivot
-        x = None
-    if x is not None and _cond_bound(s, x) <= limit:
-        return x
-    try:
-        cond = np.linalg.cond(s)
-    except np.linalg.LinAlgError:  # the SVD of a nan entry may not converge
-        cond = np.nan
-    if not cond <= limit:  # "not <=" so that nan fails too
-        raise SingularOperatorError(f"{what} is numerically singular (cond = {cond:g})")
-    if x is None:  # past a tiny tau_def
-        raise SingularOperatorError(f"{what} is exactly singular")
-    return x
-
-
-def _dual_spans(F, dual, images: np.ndarray) -> None:
-    """Give the canonical dual of F the spans S^-1 M(+-) when its members
-    S^-1 W_i keep F's signs, as those of each sign then span S^-1 M of it:
-    one Householder QR per side of ``images`` = X ``F._span_bases``, in
-    place of an SVD of the dual's columns.  X is the S^-1 ``_nonsingular``
-    passed, so X M has the dimension of M and no rank is decided again."""
+    k = given.shape[1]
+    images = F._s_inv @ np.hstack([given, *F._span_bases])
+    dual = build(images[:, :k])
     if dual.signs == F.signs:
         cut = [0 if F.m_plus is None else F.m_plus.dim]
         vars(dual)["_spans"] = tuple(
             _Span._orthonormal(F.space, np.linalg.qr(x)[0]) if x.shape[1] else None
-            for x in np.split(images, cut, axis=1)
+            for x in np.split(images[:, k:], cut, axis=1)
         )
+    return dual
 
 
 def canonical_dual(F: VectorFrame) -> VectorFrame:
-    """The dual frame {S^-1 f_i}; member signs must transport unchanged."""
-    if not _decide(F).is_frame:
+    """The dual frame {S^-1 f_i}; member signs must transport unchanged, and
+    the dual must certify as a J-frame, else DefinitenessTransportError."""
+    if not F._certificate.is_frame:
         raise NotAFrameError("canonical dual is defined for J-frames only")
-    s_inv = F._s_inv
     try:
-        dual = VectorFrame(F.space, (s_inv @ F.matrix).T)
+        dual = _dual(F, F.matrix, lambda cols: VectorFrame(F.space, cols.T))
     except MemberClassificationError as exc:
         raise DefinitenessTransportError(
             f"inverse frame operator produced a neutral dual vector: {exc}"
@@ -188,7 +149,11 @@ def canonical_dual(F: VectorFrame) -> VectorFrame:
             "inverse frame operator changed the sign pattern: "
             f"{F.signs} -> {dual.signs}"
         )
-    _dual_spans(F, dual, s_inv @ np.hstack(F._span_bases))
+    if not dual._certificate.is_frame:
+        w = dual._certificate.witnesses[0]
+        raise DefinitenessTransportError(
+            f"canonical dual is not a J-frame: side {w['side']}: {w['reason']}"
+        )
     return dual
 
 
@@ -248,7 +213,7 @@ def fundamental_identity_sides_batch(F: VectorFrame, masks, fs):
     is evaluated from its own definition, over I_t and over its complement:
     sum_{i in I} sigma_i |[f, f_i]|^2 - sum_i sigma_i |[S_I f, S^-1 f_i]|^2.
     """
-    if not _decide(F).is_frame:
+    if not F._certificate.is_frame:
         raise NotAFrameError("the identity requires a J-frame")
     masks, fs = np.asarray(masks, dtype=bool), np.asarray(fs, dtype=complex)
     trials = masks.shape[0] if masks.ndim == 2 else -1
@@ -290,36 +255,29 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     """Reciprocal-bounds check for the dual family {(S^-1 W_i, v_i)}.
 
     The result is an empirical per-instance finding: the dual family is
-    certified from scratch on its spans S^-1 M(+-) (``_dual_spans``), and a
+    certified from scratch on its spans S^-1 M(+-) (``_dual``), and a
     certification failure is reported as a counterexample rather than raised.
-    S is inverted once (``_nonsingular``), for every member and both spans.
     """
-    cert = _decide(F)
+    cert = F._certificate
     if not cert.is_frame:
         raise NotAFrameError("fusion dual check requires a certified frame")
-    s_inv = _nonsingular(frame_operator(F).matrix, F.space, "fusion frame operator")
     original = cert.optimal_bounds
     expected = _reciprocal_expected(original)
-    # one inverse of S for every member's basis and both spans' bases
-    dual_bases = s_inv @ np.hstack([w.basis for w in F.subspaces] + F._span_bases)
-    *blocks, images = np.split(dual_bases, np.cumsum(F.block_dims), axis=1)
+    cuts = np.cumsum(F.block_dims)[:-1]
+
+    def build(cols):
+        members = [Subspace(F.space, b) for b in np.split(cols, cuts, axis=1)]
+        return WeightedFamily(F.space, members, F.weights)
+
     try:
-        dual_subspaces = [Subspace(F.space, b) for b in blocks]
-        dual_family = WeightedFamily(F.space, dual_subspaces, F.weights)
+        dual = _dual(F, np.hstack([w.basis for w in F.subspaces]), build)
+        failure = "" if dual._certificate.is_frame else "dual family failed frame certification"
     except MemberClassificationError as exc:
-        return FusionDualReport(
-            False, original, None, None, expected, None, False,
-            f"dual member failed classification: {exc}",
-        )
-    _dual_spans(F, dual_family, images)
-    dual_cert = _decide(dual_family)
-    if not dual_cert.is_frame:
-        return FusionDualReport(
-            False, original, None, None, expected, None, False,
-            "dual family failed frame certification",
-        )
-    dual_bounds = dual_cert.optimal_bounds
-    over_original = _span_bounds(F, dual_family, _rayleigh_extremes)
+        failure = f"dual member failed classification: {exc}"
+    if failure:
+        return FusionDualReport(False, original, None, None, expected, None, False, failure)
+    dual_bounds = dual._certificate.optimal_bounds
+    over_original = _span_bounds(F, dual, _rayleigh_extremes)
     err = _bounds_rel_error(dual_bounds, expected)
     holds = err < F.space.tol.tau_num
     note = (

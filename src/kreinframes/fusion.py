@@ -31,6 +31,7 @@ from .errors import (
     MemberClassificationError,
     NotAFrameError,
     NotSurjectiveError,
+    SingularOperatorError,
     WeightError,
 )
 
@@ -42,7 +43,6 @@ __all__ = [
     "frame_operator",
     "certify",
     "optimal_bounds",
-    "estimate_bounds",
     "bounds_sandwich_ok",
     "j_image_family",
     "converse_check",
@@ -50,11 +50,27 @@ __all__ = [
 
 
 class _Sides:
-    """Both family kinds, set up by ``_set_sides``: their signed spans M(+-) and
-    frame decision are cached properties, so a dual can be given S^-1 M(+-)."""
+    """Both family kinds: the read-only synthesis columns T, their signs, each
+    sign's member indices and, through ``bases()``, the unweighted columns
+    whose spans are M(+-); member i has sign signs[i] and block_dims[i]
+    columns.  The signed spans, the frame decision and S^-1 are cached
+    properties, so a dual can be given S^-1 M(+-)."""
+
+    def __init__(self, space: KreinSpace, signs, block_dims, columns, bases):
+        self.space = space
+        self.signs = signs
+        self.plus_indices = [i for i, s in enumerate(signs) if s == 1]
+        self.minus_indices = [i for i, s in enumerate(signs) if s == -1]
+        self._column_signs = np.repeat(np.asarray(signs, dtype=float), block_dims)
+        self._columns = _frozen(columns)
+        self._bases = bases
 
     _spans = cached_property(lambda F: _signed_spans(F.space, F._bases(), F._column_signs))
     _certificate = cached_property(lambda F: _decision(F))
+    # S^-1 from ``_nonsingular``, made once: the columns are read-only
+    _s_inv = cached_property(
+        lambda F: _frozen(_nonsingular(frame_operator(F).matrix, F.space, F._S_NAME))
+    )
     m_plus = property(lambda self: self._spans[0])
     m_minus = property(lambda self: self._spans[1])
     # the spans' orthonormal bases U(+-), as the duals take them
@@ -72,6 +88,8 @@ class _Span(Subspace):
 class WeightedFamily(_Sides):
     """A finite family {(W_i, v_i)} of uniformly definite weighted subspaces."""
 
+    _S_NAME = "fusion frame operator"  # as SingularOperatorError names S
+
     def __init__(self, space: KreinSpace, subspaces, weights):
         subspaces = list(subspaces)
         weights = [float(w) for w in weights]
@@ -85,6 +103,8 @@ class WeightedFamily(_Sides):
         for i, (w, v) in enumerate(zip(subspaces, weights)):
             if not 0.0 < v < np.inf:  # "not" so that nan fails too
                 raise WeightError(f"weight {i} is not positive and finite: {v}")
+            if v < 2.0**-511:  # S holds v^2, which is then subnormal
+                raise WeightError(f"weight {i} underflows: its square is subnormal: {v}")
             if w.space is not space:
                 raise MemberClassificationError(i, "member lives in a different space")
             cls = w.classify()
@@ -99,7 +119,7 @@ class WeightedFamily(_Sides):
         self.block_dims = [w.dim for w in subspaces]
         columns = np.hstack([v * w.ortho_basis for w, v in zip(subspaces, weights)])
         bases = lambda: np.hstack([w.ortho_basis for w in subspaces])
-        _set_sides(self, space, signs, self.block_dims, columns, bases)
+        super().__init__(space, signs, self.block_dims, columns, bases)
 
     def __len__(self):
         return len(self.subspaces)
@@ -114,19 +134,6 @@ class WeightedFamily(_Sides):
         )
 
 
-def _set_sides(F, space: KreinSpace, signs, block_dims, columns, bases) -> None:
-    """Give F the read-only synthesis columns T, their signs, each sign's
-    member indices and, through ``bases()``, the unweighted columns whose
-    spans are M(+-); member i has sign signs[i] and block_dims[i] columns."""
-    F.space = space
-    F.signs = signs
-    F.plus_indices = [i for i, s in enumerate(signs) if s == 1]
-    F.minus_indices = [i for i, s in enumerate(signs) if s == -1]
-    F._column_signs = np.repeat(np.asarray(signs, dtype=float), block_dims)
-    F._columns = _frozen(columns)
-    F._bases = bases
-
-
 def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tuple:
     """(M+, M-), the spans of the columns of each sign; None for a sign no column has."""
     masks = (signs == 1, signs == -1)
@@ -137,6 +144,46 @@ def frame_operator(F: WeightedFamily) -> Operator:
     """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
     cols = F._columns
     return Operator(F.space, (cols * F._column_signs) @ (cols.conj().T @ F.space.J))
+
+
+def _cond_bound(s: np.ndarray, x: np.ndarray) -> float:
+    """beta >= cond_2(S) from a computed inverse X of S, or inf.
+
+    With R = SX - I, S^-1 = X (I + R)^-1, so whenever rho >= ||R||_F is
+    below 1, cond_2(S) <= ||S||_F ||X||_F / (1 - rho) (Higham, ASNA, ch. 14).
+    rho adds to the computed ||SX - I||_F a bound on the rounding of the
+    product (ch. 3), and beta a margin for the rounding of the norms.  An
+    inf or nan entry, or rho >= 1, gives inf.
+    """
+    slack = 4 * (len(s) + 2) * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        scale = np.linalg.norm(s) * np.linalg.norm(x)
+        rho = np.linalg.norm(s @ x - np.eye(len(s))) + slack * scale
+        return scale * (1.0 + slack) / (1.0 - rho) if rho < 1.0 else np.inf
+
+
+def _nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> np.ndarray:
+    """S^-1 for an S with cond(S) <= 1/tau_def; else SingularOperatorError.
+
+    The one LU inverse X passes S without an SVD when ``_cond_bound(S, X)``
+    is at most 1/tau_def.  Otherwise, or on a zero pivot, the exact cond(S)
+    decides, and a zero pivot that passes it is "exactly singular"."""
+    limit = 1.0 / space.tol.tau_def
+    try:
+        x = np.linalg.inv(s)
+    except np.linalg.LinAlgError:  # a zero pivot
+        x = None
+    if x is not None and _cond_bound(s, x) <= limit:
+        return x
+    try:
+        cond = np.linalg.cond(s)
+    except np.linalg.LinAlgError:  # the SVD of a nan entry may not converge
+        cond = np.nan
+    if not cond <= limit:  # "not <=" so that nan fails too
+        raise SingularOperatorError(f"{what} is numerically singular (cond = {cond:g})")
+    if x is None:  # past a tiny tau_def
+        raise SingularOperatorError(f"{what} is exactly singular")
+    return x
 
 
 class FrameBounds(Record):
@@ -242,14 +289,8 @@ def _degenerate_witness(M: Subspace, want_sign: int):
     return w / np.linalg.norm(w)
 
 
-def _decide(F: WeightedFamily) -> FrameCertificate:
-    """The frame decision of F, the cached property ``_certificate``: the verdict,
-    the witnesses and, for a frame, the optimal bounds (no estimate bounds)."""
-    return F._certificate
-
-
 def _decision(F: WeightedFamily) -> FrameCertificate:
-    """The frame decision of F, made afresh; read it through ``_decide``."""
+    """The frame decision of F, made afresh; read it as ``F._certificate``."""
     witnesses = []
 
     def side(sign):
@@ -286,31 +327,24 @@ def _decision(F: WeightedFamily) -> FrameCertificate:
 
 
 def certify(F: WeightedFamily) -> FrameCertificate:
-    """The kept decision of ``_decide`` (verdict, witnesses, optimal bounds), with
+    """The kept decision ``F._certificate`` (verdict, witnesses, optimal bounds), with
     a frame's estimate bounds written into it once, past its read-only guard."""
-    cert = _decide(F)
+    cert = F._certificate
     if cert.is_frame and cert.estimate_bounds is None:
         vars(cert)["estimate_bounds"] = _span_bounds(F, F, _estimate_extremes)
     return cert
 
 
 def optimal_bounds(F: WeightedFamily) -> FrameBounds:
-    cert = _decide(F)
+    cert = F._certificate
     if not cert.is_frame:
         raise NotAFrameError("family is not a J-fusion frame; no optimal bounds")
     return cert.optimal_bounds
 
 
-def estimate_bounds(F: WeightedFamily) -> FrameBounds:
-    cert = certify(F)
-    if not cert.is_frame:
-        raise NotAFrameError("family is not a J-fusion frame; no bound estimates")
-    return cert.estimate_bounds
-
-
 def j_image_family(F: WeightedFamily) -> WeightedFamily:
     """The family {(J(W_i), v_i)}; a frame again, with identical bounds."""
-    if not _decide(F).is_frame:
+    if not F._certificate.is_frame:
         raise NotAFrameError("J-image family is defined for frames only")
     images = [Subspace(F.space, F.space.J @ w.basis) for w in F.subspaces]
     return WeightedFamily(F.space, images, F.weights)
@@ -370,7 +404,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
     Whenever the verdict holds both sides are maximal, so
     ``agrees_with_certify`` holds by construction; it stays for the report.
     """
-    cert = _decide(F)
+    cert = F._certificate
     rank = _sum_dim(F.space, F.m_plus, F.m_minus)
     if rank < F.space.dim:
         raise NotSurjectiveError(

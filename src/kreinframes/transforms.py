@@ -34,7 +34,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
-from .fusion import _decide, _side_verdict, _signed_spans, _sum_dim
+from .fusion import _side_verdict, _signed_spans, _sum_dim
 from .sampling import (
     _maximal_law,
     _regular_law,
@@ -354,7 +354,7 @@ def necessary_conditions_check(
     must decompose the space as a direct sum of maximal uniformly definite
     subspaces of opposite signs.
     """
-    if not _decide(F).is_frame:
+    if not F._certificate.is_frame:
         raise HypothesisNotMetError("F must be a certified J-fusion frame")
     family, cert = transform_family(T, F)
     if not cert.is_frame:

@@ -24,6 +24,7 @@ from kreinframes.errors import DefinitenessTransportError
 from kreinframes.fusion import certify
 from kreinframes.core import Operator
 from kreinframes.problem import ProblemSpec, parse_spec
+from kreinframes.sampling import random_complex, rng_from_seed
 
 from generators import (
     alternating_signature_space,
@@ -213,6 +214,28 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: {where}: squared norm is not finite in float64\n"
+
+    @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            (
+                "families",
+                {"fam": {"subspaces": [[[1, 0]], [[0, 1]]], "weights": [1e-200, 1e-200]}},
+                "families.fam.weights: weight 0 underflows: its square is subnormal: 1e-200",
+            ),
+            (
+                "vector_frames",
+                {"vf": [[1e-170, 0], [0, 1e-170]]},
+                "member 0: vector frame 'vf': ||f||^2 underflows to subnormal",
+            ),
+        ],
+    )
+    def test_underflowing_entries_exit_two(self, capsys, tmp_path, section, entry, message):
+        # certified, they would report bounds of 0.0 and a singular S
+        doc = {"space": {"dim": 2, "J": [[1, 0], [0, -1]]}, section: entry}
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(doc))
+        assert run(capsys, "all", "--spec", str(p), "--samples", "5") == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "section, entry, where",
@@ -938,7 +961,49 @@ class TestVectorFrameDecision:
         assert estimates == []
 
 
+# (J, vectors): the axes under diag(1, -1), and conftest's coupled frame
+IDENTITY_FRAMES = {
+    "axes": ([[1, 0], [0, -1]], [[1.0, 0.0], [0.0, 1.0]]),
+    "coupled": ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [0, 1, 0], [0, 1, 2]]),
+}
+
+
+def scaled_frame(kind, scale) -> ProblemSpec:
+    j, vectors = IDENTITY_FRAMES[kind]
+    frame = (scale * np.array(vectors, dtype=float)).tolist()
+    return parse_spec({"space": {"dim": len(j), "J": j}, "vector_frames": {"vf": frame}})
+
+
+def identity_entry(problem) -> dict:
+    report = cli.run_command("identity", problem, 0, 50)
+    return report["results"]["identity"]["results"]["vector_frames"]["vf"]
+
+
 class TestIdentityTask:
+    @pytest.mark.parametrize("kind", IDENTITY_FRAMES)
+    @pytest.mark.parametrize("scale", [1e-50, 1e-3, 1.0, 1e3, 1e5, 1e50])
+    def test_verdict_does_not_depend_on_the_scale(self, kind, scale):
+        # the sides' terms grow with ||f_i||^2 while the exact sides are 0
+        entry = identity_entry(scaled_frame(kind, scale))
+        assert entry["ok"] is True and entry["max_relative_residual"] < 1e-14
+
+    @pytest.mark.parametrize("kind", IDENTITY_FRAMES)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_perturbed_inverse_fails_at_every_scale(self, kind, scale):
+        problem = scaled_frame(kind, scale)
+        frame = problem.vector_frames["vf"]
+        assert identity_entry(problem)["ok"] is True
+        g = random_complex(rng_from_seed(7), frame.space.dim, frame.space.dim)
+        s_inv = frame._s_inv  # perturbed by 1e-6 relative to its norm
+        frame._s_inv = s_inv + 1e-6 * np.linalg.norm(s_inv, 2) / np.linalg.norm(g, 2) * g
+        assert identity_entry(problem)["ok"] is False
+
+    def test_sides_both_zero_agree(self, monkeypatch):
+        # f = 0 makes both sides and the trial's energy exactly 0: no 0/0
+        monkeypatch.setattr(cli, "random_complex", lambda rng, n: np.zeros(n, dtype=complex))
+        entry = identity_entry(scaled_frame("coupled", 1.0))
+        assert (entry["ok"], entry["max_relative_residual"]) == (True, 0.0)
+
     def test_all_on_demo_identity_block(self, capsys, demo_path):
         code, out, _ = run(capsys, "all", "--spec", demo_path)
         assert code == 0
@@ -976,6 +1041,28 @@ class TestDualTask:
         fam = json.loads(out)["results"]["dual"]["results"]["families"]["axes"]
         assert fam["advisory"] is True
         assert fam["holds"] is False
+
+
+class TestDualThatDoesNotCertify:
+    # cond(S) of about 4.0e12 passes the limit 1/tau_def; whether the dual's
+    # span S^-1 M(-) still classifies as negative turns on rounding
+    DOC = {
+        "space": {"dim": 2, "J": [[1, 0], [0, -1]]},
+        "tolerances": {"tau_def": 1e-13},
+        "vector_frames": {"v": [[1, 0.99999999], [99.99, 100]]},
+    }
+
+    @pytest.mark.parametrize("command", ["dual", "all"])
+    def test_no_traceback_and_a_located_error(self, capsys, tmp_path, command):
+        p = tmp_path / "ill.json"
+        p.write_text(json.dumps(self.DOC))
+        code, out, err = run(capsys, command, "--spec", str(p), "--samples", "5")
+        assert code in (0, 1) and "Traceback" not in err
+        block = json.loads(out)["results"]["dual"]
+        if command == "dual":
+            assert block["pass"] is (code == 0)
+        if not block["pass"]:  # a failed dual says why
+            assert "error" in block["results"]["vector_frames"]["v"]
 
 
 class TestSingularFrameOperator:

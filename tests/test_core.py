@@ -24,7 +24,6 @@ from kreinframes import (
     Tolerances,
     ValidationError,
     angular_operator,
-    classify,
     gramian,
     indefinite_product,
     j_adjoint,
@@ -342,6 +341,9 @@ KEPT = {
         lambda r: r.getfixturevalue("coupled_frame"), "_certificate",
         (fusion, "_rayleigh_extremes"), 2,
     ),
+    "a family's S^-1": (
+        lambda r: r.getfixturevalue("tilted_family"), "_s_inv", (np.linalg, "inv"), 1
+    ),
     "a vector frame's S^-1": (
         lambda r: r.getfixturevalue("coupled_frame"), "_s_inv", (np.linalg, "inv"), 1
     ),
@@ -364,10 +366,6 @@ class TestKeptValues:
         assert len(calls) == runs
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
-
-    def test_the_decision_is_read_through_decide(self, tilted_family, coupled_frame):
-        for F in (tilted_family, coupled_frame):
-            assert fusion._decide(F) is fusion._decide(F) is F._certificate
 
     def test_a_draw_drops_its_builder_once_built(self):
         v = lazy_draw()
@@ -392,7 +390,7 @@ class TestKeptValues:
             with pytest.raises(AttributeError, match="read-only"):
                 delattr(op, name)
         for F in (tilted_family, coupled_frame):
-            cert = fusion._decide(F)
+            cert = F._certificate
             with pytest.raises(AttributeError, match="read-only"):
                 cert.is_frame = False
             # certify writes the estimate bounds into the kept record itself
@@ -584,9 +582,9 @@ class TestClassify:
         assert lo == pytest.approx(0.6)
         assert hi == pytest.approx(0.6)
 
-    def test_function_returns_the_subspace_classification(self, c3):
+    def test_the_classification_is_kept_with_its_margin(self, c3):
         W = Subspace(c3, W_LINE)
-        cls = classify(W)
+        cls = W.classify()
         # one classification per subspace, cached with its Gramian margin
         assert cls is W.classify()
         assert W._margin == pytest.approx(0.6)

@@ -32,7 +32,7 @@ from kreinframes import (
     optimal_bounds,
     vframe_optimal_bounds,
 )
-from kreinframes import duality
+from kreinframes import fusion
 from kreinframes.cli import run_command
 from kreinframes.duality import (
     fundamental_identity_sides,
@@ -89,12 +89,26 @@ class TestVectorFrame:
 
     @pytest.mark.parametrize("scale", [1e308, 1e-300])
     def test_signs_of_extreme_magnitudes(self, minkowski, scale):
-        # [f,f] and ||f||^2 overflow or underflow unless f is scaled first
-        frame = VectorFrame(minkowski, [[scale, 0.0], [0.0, scale], [scale, 0.5 * scale]])
-        assert frame.signs == [1, -1, 1]
+        # [f,f] and ||f||^2 overflow or underflow unless f is scaled first;
+        # a vector whose ||f||^2 underflows is refused once found not neutral
+        vectors = [[scale, 0.0], [0.0, scale], [scale, 0.5 * scale]]
+        if scale > 1.0:
+            assert VectorFrame(minkowski, vectors).signs == [1, -1, 1]
+        else:
+            with pytest.raises(MemberClassificationError, match="member 0: .* underflows"):
+                VectorFrame(minkowski, vectors)
         with pytest.raises(MemberClassificationError) as err:
             VectorFrame(minkowski, [[scale, scale]])
         assert str(err.value).endswith("neutral within tau_def ([f,f]/||f||^2 = 0)")
+
+    def test_vector_whose_squared_norm_underflows_rejected(self, minkowski):
+        # ||f||^2 below 2^-1022 is subnormal; at 2^-1022 the vector is kept
+        small = 2.0**-511
+        with pytest.raises(MemberClassificationError) as err:
+            VectorFrame(minkowski, [[small, 0.0], [0.0, 0.5 * small]])
+        assert (err.value.index, err.value.detail) == (1, "||f||^2 underflows to subnormal")
+        frame = VectorFrame(minkowski, [[small, 0.0], [0.0, small]])
+        assert vframe_optimal_bounds(frame).a_plus == 2.0**-1022
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0.0, -np.inf)])
     def test_non_finite_member_rejected(self, minkowski, entry):
@@ -245,6 +259,14 @@ class TestCanonicalDual:
     def test_requires_frame(self, minkowski):
         with pytest.raises(NotAFrameError):
             canonical_dual(VectorFrame(minkowski, [[1.0, 0.0]]))
+
+    def test_dual_that_does_not_certify_is_a_transport_error(self, axis_frame, monkeypatch):
+        # the dual is decided as the half frame {2 e1} is: its negative side is empty
+        half, decide = VectorFrame(axis_frame.space, [[2.0, 0.0]]), fusion._decision
+        monkeypatch.setattr(fusion, "_decision", lambda F: decide(F if F is axis_frame else half))
+        with pytest.raises(DefinitenessTransportError) as err:
+            canonical_dual(axis_frame)
+        assert str(err.value) == "canonical dual is not a J-frame: side -: dimension deficit"
 
 
 class TestDualBoundsCheck:
@@ -597,7 +619,7 @@ class TestNonsingularDecision:
         ) as svd:
             warnings.simplefilter("error")
             try:
-                got = duality._nonsingular(s, space, "S")
+                got = fusion._nonsingular(s, space, "S")
             except SingularOperatorError as exc:
                 got = str(exc)
         if not cond <= 1.0 / tau:
@@ -607,7 +629,7 @@ class TestNonsingularDecision:
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got, inverse)
             if not svd.called:
-                assert duality._cond_bound(s, inverse) >= cond
+                assert fusion._cond_bound(s, inverse) >= cond
 
 
 class TestDualFailuresAtTheThreshold:
@@ -743,7 +765,7 @@ class TestDualSpans:
         rng = rng_from_seed(seed)
         fam = random_fusion_frame(self.space(n, sides, rng), rng)
         # the dual family is the check's second decision
-        with mock.patch.object(duality, "_decide", wraps=duality._decide) as decide:
+        with mock.patch.object(fusion, "_decision", wraps=fusion._decision) as decide:
             report = fusion_dual_bounds_check(fam)
         dual, want = decide.call_args.args[0], dual_oracle(fam)
         assert dual is not fam and report.dual_is_frame and certify(want).is_frame

@@ -20,7 +20,6 @@ from kreinframes import (
     bounds_sandwich_ok,
     certify,
     converse_check,
-    estimate_bounds,
     frame_operator,
     gramian,
     indefinite_product,
@@ -91,6 +90,14 @@ class TestBuildFamily:
         w1 = Subspace(minkowski, [[1.0], [0.0]])
         with pytest.raises(WeightError, match="positive and finite"):
             WeightedFamily(minkowski, [w1], [weight])
+
+    def test_weight_whose_square_underflows_rejected(self, minkowski):
+        # v^2 of a weight below 2^-511 is subnormal; 2^-511 itself is kept
+        e1, e2 = Subspace(minkowski, [[1.0], [0.0]]), Subspace(minkowski, [[0.0], [1.0]])
+        with pytest.raises(WeightError, match="weight 1 underflows"):
+            WeightedFamily(minkowski, [e1, e2], [1.0, np.nextafter(2.0**-511, 0.0)])
+        fam = WeightedFamily(minkowski, [e1, e2], [2.0**-511] * 2)
+        assert certify(fam).is_frame and optimal_bounds(fam).a_plus == 2.0**-1022
 
 
 class TestCoefficientSpace:
@@ -232,8 +239,7 @@ class TestOptimalBounds:
         fam = WeightedFamily(minkowski, [Subspace(minkowski, [[1.0], [0.0]])], [1.0])
         with pytest.raises(NotAFrameError):
             optimal_bounds(fam)
-        with pytest.raises(NotAFrameError):
-            estimate_bounds(fam)
+        assert certify(fam).estimate_bounds is None
 
     def test_bracket_sampled_quotients(self):
         rng = rng_from_seed(25)
@@ -259,13 +265,13 @@ class TestOptimalBounds:
 class TestEstimateBounds:
     def test_whole_space_hilbert(self, hilbert3):
         fam = WeightedFamily(hilbert3, [Subspace(hilbert3, np.eye(3))], [1.0])
-        est = estimate_bounds(fam)
+        est = certify(fam).estimate_bounds
         opt = optimal_bounds(fam)
         np.testing.assert_allclose(est.as_tuple()[2:], (1.0, 1.0))
         np.testing.assert_allclose(opt.as_tuple()[2:], (1.0, 1.0))
 
     def test_weighted_axes_exact(self, minkowski):
-        est = estimate_bounds(axis_family(minkowski, (2.0, 3.0)))
+        est = certify(axis_family(minkowski, (2.0, 3.0))).estimate_bounds
         np.testing.assert_allclose(est.as_tuple(), (-9.0, -9.0, 4.0, 4.0))
 
     def test_sandwich_on_random_frames(self):
@@ -274,7 +280,7 @@ class TestEstimateBounds:
             space = random_space(rng, int(rng.integers(2, 8)))
             fam = random_fusion_frame(space, rng)
             assert bounds_sandwich_ok(
-                optimal_bounds(fam), estimate_bounds(fam), 1e-9
+                optimal_bounds(fam), certify(fam).estimate_bounds, 1e-9
             )
 
     @settings(max_examples=16)
@@ -291,7 +297,7 @@ class TestEstimateBounds:
         # order), whose bits equal the stacked v_i U_i
         rng = rng_from_seed(seed)
         fam = random_fusion_frame(random_space(rng, n), rng)
-        est = estimate_bounds(fam)
+        est = certify(fam).estimate_bounds
         for sign, got in ((1, (est.a_plus, est.b_plus)), (-1, (est.a_minus, est.b_minus))):
             idx = fam.plus_indices if sign == 1 else fam.minus_indices
             t = np.hstack([fam.weights[i] * fam.subspaces[i].ortho_basis for i in idx])

@@ -1368,6 +1368,17 @@ class TestNecessaryConditions:
         with pytest.raises(HypothesisNotMetError):
             necessary_conditions_check(Operator(c3, np.eye(3)), fam)
 
+    def test_image_family_that_is_no_frame_is_rejected(self, c3):
+        # every image line keeps its sign, but the positive ones, T e1 and
+        # T e2, have the Gramian [[0.19, -0.81], [-0.81, 0.19]] of eigenvalues
+        # 1.0 and -0.62: the positive image span is indefinite
+        fam = WeightedFamily(c3, [Subspace(c3, np.eye(3)[:, [i]]) for i in range(3)], [1.0] * 3)
+        t = Operator(c3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.9, 0.9, 1.0]])
+        image, cert = transform_family(t, fam)
+        assert image.signs == fam.signs and not cert.is_frame
+        with pytest.raises(HypothesisNotMetError, match="image family must also certify"):
+            necessary_conditions_check(t, fam)
+
     def test_sign_swapping_operator_is_caught(self, minkowski):
         # T swaps e1 and e2: the image family is a frame again, but the image
         # of F's positive members is negative, so over F's index sets
