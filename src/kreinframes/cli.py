@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import enum
 import json
-import os
 import sys
 import zlib
 
@@ -44,7 +43,6 @@ from .transforms import (
     transform_family,
 )
 
-SEED_ENV_VAR = "KREIN_FRAMES_SEED"
 _MAX_SAMPLES = 100000  # the identity task allocates a row per sample up front
 
 
@@ -58,10 +56,9 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, float):  # np.float64 too
         return obj if np.isfinite(obj) else repr(float(obj))  # "inf", not numpy's repr
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):  # each entry's [re, im], in one numpy step
-            return np.stack((obj.real, obj.imag), axis=-1).tolist()
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        # each entry's [re, im] in one numpy step; no report holds a real array
+        return np.stack((obj.real, obj.imag), axis=-1).tolist()
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, Subspace):
@@ -112,13 +109,7 @@ def _task_classify(problem: ProblemSpec, seed, samples):
 def _task_certify(problem: ProblemSpec, seed, samples):
     def family(name, fam):
         cert = certify(fam)
-        # copies, as bounds and transform reuse the cached cert; a witness is
-        # normalised as (n, 2) [re, im] pairs to keep the bits it reports
-        report = {**vars(cert), "witnesses": [
-            {**w, "vector": _unit(np.stack((w["vector"].real, w["vector"].imag), -1))}
-            if "vector" in w else w
-            for w in cert.witnesses
-        ]}
+        report = vars(cert).copy()  # bounds and transform reuse the cached cert
         try:
             report["converse"] = converse_check(fam)
         except NotSurjectiveError as exc:
@@ -306,13 +297,8 @@ def _summary_lines(report: dict) -> list[str]:
 
 
 def _resolve_seed(args, problem: ProblemSpec) -> int:
+    """--seed, else the document's seed, else 0."""
     seed = args.seed if args.seed is not None else problem.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if seed is None and env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     if seed is not None and seed < 0:  # numpy's generators take no negative seed
         raise UsageError(f"the seed must be non-negative, got {seed}")
     return 0 if seed is None else seed
@@ -329,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--samples", type=int, default=200, help="samples for sampling-based checks"
     )
-    parser.add_argument("--format", choices=("json", "text"), default="json")
     for name in Tolerances._fields:  # --tol-sym sets tau_sym, and so on
         parser.add_argument("--tol-" + name[4:], type=float, default=None)
     return parser
@@ -362,12 +347,8 @@ def main(argv=None) -> int:
     except (SchemaError, ValidationError, UsageError, MemberClassificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(_summary_lines(report))
-    if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        sys.stderr.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write("\n".join(_summary_lines(report)) + "\n")
     return 0 if report["pass"] else 1
 
 

@@ -132,10 +132,14 @@ def _rows(value, where: str, n: int, noun: str) -> np.ndarray:
     return m
 
 
-def _finite_energy(m: np.ndarray, where: str) -> np.ndarray:
-    """m, unless its squared norm overflows float64 (every product with it would)."""
-    if not np.isfinite(np.vdot(m, m).real):
+def _finite_energy(m: np.ndarray, where: str, normal: bool = False) -> np.ndarray:
+    """m, unless its squared norm overflows float64 (every product with it would)
+    or, with ``normal``, m is nonzero and its squared norm is below 2^-1022."""
+    energy = np.vdot(m, m).real
+    if not np.isfinite(energy):
         raise ValidationError(f"{where}: squared norm is not finite in float64")
+    if normal and energy < 2.0**-1022 and m.any():  # 1e-170 I squares to 0.0
+        raise ValidationError(f"{where}: squared norm underflows to subnormal")
     return m
 
 
@@ -239,7 +243,8 @@ def parse_spec(source) -> ProblemSpec:
         subspaces = []
         for i, cols in enumerate(fdoc["subspaces"]):
             where = f"families.{name}.subspaces[{i}]"
-            columns = _finite_energy(_rows(cols, where, dim, "list of columns"), where)
+            columns = _rows(cols, where, dim, "list of columns")
+            columns = _finite_energy(columns, where, normal=True)
             try:
                 subspaces.append(Subspace(space, columns.T))
             except RankError as exc:
@@ -281,7 +286,8 @@ def parse_spec(source) -> ProblemSpec:
         m = _rows(mdoc, f"operators.{name}", dim, "array of rows")
         if m.shape != (dim, dim):
             raise SchemaError(f"operators.{name}: expected a {dim}x{dim} matrix")
-        operators[name] = Operator(space, _finite_energy(m, f"operators.{name}"))
+        _finite_energy(m, f"operators.{name}", normal=True)
+        operators[name] = Operator(space, m)
 
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):

@@ -171,10 +171,10 @@ def _settles(v: Subspace, cert) -> bool:
     eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.  With
     columns B = U C in V in place of U, each |eigenvalue of B* H B| is at most
     ||C||_2^2 = ||B||_2^2 <= ||B||_F^2 times one of U* H U, so the floor is
-    scaled by ||B||_F^2 and no SVD of B is needed; _clears tries the bound
-    before an eigvalsh does.  B is V's spanning columns where it has them: a
-    B* H B that clears a positive floor is nonsingular, so B has full rank and
-    spans V.
+    scaled by ||B||_F^2 and no SVD of B is needed.  Only _clears settles, as
+    only it proves the bound; what it leaves undecided is checked.  B is V's
+    spanning columns where it has them: a B* H B that clears a positive floor
+    is nonsingular, so B has full rank and spans V.
     """
     if cert is None:
         return False
@@ -187,7 +187,7 @@ def _settles(v: Subspace, cert) -> bool:
     g = b.conj().T @ cert[4] @ b
     g = 0.5 * (g + g.conj().T)
     floor *= float(np.vdot(b, b).real)
-    return _clears(g, floor) or np.abs(np.linalg.eigvalsh(g)).min() > floor
+    return _clears(g, floor)
 
 
 def _check_definite(T, v):

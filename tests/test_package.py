@@ -138,3 +138,19 @@ def test_each_exported_name_has_a_caller(module):
     read = {n for path in CALLERS for n in _reads(ast.parse(path.read_text()))}
     mod = importlib.import_module(f"kreinframes.{module}")
     assert [n for n in mod.__all__ if n not in read] == []
+
+
+# what reading the process environment takes: os.environ, os.environb, os.getenv
+ENVIRONMENT = {"environ", "environb", "getenv"}
+
+
+def test_no_module_reads_the_environment():
+    # a report then depends on the command line and the document alone
+    reads = []
+    for path in sorted((ROOT / "src" / "kreinframes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [a.name for a in node.names]
+            reads += [f"{path.name}:{node.lineno}" for n in names if n in ENVIRONMENT]
+    assert reads == []
