@@ -181,7 +181,7 @@ def _task_identity(problem: ProblemSpec, seed, samples):
             return {"error": str(exc)}, False
         # relative to each trial's analysis energy sum_i |[f, f_i]|^2, which
         # scales as the sides' terms do; two sides that are exactly 0 agree
-        energy = (np.abs(vf.matrix.conj().T @ (vf.space.J @ fs)) ** 2).sum(axis=0)
+        energy = (np.abs(vf.matrix.conj().T @ vf.space._jx(fs)) ** 2).sum(axis=0)
         scale = np.maximum(energy, np.maximum(np.abs(lhs), np.abs(rhs)))
         rel = np.divide(np.abs(lhs - rhs), scale, out=np.zeros(trials), where=scale > 0)
         frame_ok = bool(np.all(rel < vf.space.tol.tau_num))

@@ -150,7 +150,10 @@ class KreinSpace:
     and each eigenvalue of H is within e of +-1: when n e < 1, the
     signature's p is round((n + Re tr J) / 2) exactly, else (a loose tau_sym)
     eigvalsh counts it.  The canonical components, from H's eigh, wait until
-    ``plus_basis``, ``minus_basis`` or ``component(sign)`` is read.
+    ``plus_basis``, ``minus_basis`` or ``component(sign)`` is read.  Every
+    product with J is ``_jx`` (J x) or ``_xj`` (x J), for a J with no nonzero
+    off-diagonal entry a scaling by its diagonal: the dense product's entries
+    have one nonzero term, so it equals them but for the sign of a zero.
     """
 
     def __init__(self, J, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -164,14 +167,16 @@ class KreinSpace:
             asym, norm = np.linalg.norm(J - J.conj().T), np.linalg.norm(J)
             if not asym <= tol.tau_sym * max(1.0, norm):
                 raise ValidationError("J is not Hermitian: ||J - J*|| = %g" % asym)
-            res = np.linalg.norm(J @ J - np.eye(n))
+            self.J, diag = J, J.diagonal()
+            self._diag = diag if np.count_nonzero(J) == np.count_nonzero(diag) else None
+            res = np.linalg.norm(self._jx(J) - np.eye(n))
             if not res <= tol.tau_sym * n:
                 raise ValidationError("J is not involutive: ||J^2 - I|| = %g" % res)
         if n * (res + (2.0 * norm + asym) * asym) < 1.0:
             p = round((n + float(np.trace(J).real)) / 2)
         else:
             p = int(np.count_nonzero(np.linalg.eigvalsh(J) > 0))
-        self.J = _frozen(J)
+        _frozen(J)
         self.dim = n
         self.signature = (p, n - p)
         self.tol = tol
@@ -189,6 +194,15 @@ class KreinSpace:
     def from_signs(cls, signs, tol: Tolerances = DEFAULT_TOLERANCES) -> "KreinSpace":
         """Space with a diagonal symmetry built from a +-1 sign pattern."""
         return cls(np.diag(np.asarray(signs, dtype=float)), tol=tol)
+
+    def _jx(self, x: np.ndarray) -> np.ndarray:
+        """J x, for a vector or a matrix x (see the class docstring)."""
+        d = self._diag
+        return self.J @ x if d is None else (d[:, None] if x.ndim == 2 else d) * x
+
+    def _xj(self, x: np.ndarray) -> np.ndarray:
+        """x J, for a matrix x (see the class docstring)."""
+        return x @ self.J if self._diag is None else x * self._diag
 
     def component(self, sign: int) -> np.ndarray:
         """Orthonormal basis of the canonical component of one sign (+1 or -1)."""
@@ -210,7 +224,7 @@ def indefinite_product(space: KreinSpace, x, y) -> complex:
     """[x, y] = <Jx, y>, linear in x and conjugate-linear in y."""
     x = space.check_vector(x)
     y = space.check_vector(y)
-    return complex(np.vdot(y, space.J @ x))
+    return complex(np.vdot(y, space._jx(x)))
 
 
 class SubspaceKind(enum.Enum):
@@ -321,7 +335,7 @@ class Subspace:
     @property
     def _uj(self) -> np.ndarray:
         """U* J for U = ``ortho_basis``, made on each read (``fusion._Span`` keeps it)."""
-        return self.ortho_basis.conj().T @ self.space.J
+        return self.space._xj(self.ortho_basis.conj().T)
 
     @property
     def dim(self) -> int:
@@ -402,8 +416,8 @@ class Operator:
 
 def j_adjoint(T: Operator) -> Operator:
     """T# = J T* J, the adjoint with respect to [.,.]."""
-    J = T.space.J
-    return Operator(T.space, J @ T.matrix.conj().T @ J)
+    space = T.space
+    return Operator(space, space._xj(space._jx(T.matrix.conj().T)))
 
 
 def orthogonal_projection(W: Subspace) -> Operator:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KreinSpace, Record, Subspace, _def_floor
+from .core import _SAFETY, KreinSpace, Record, Subspace, _def_floor
 from .errors import (
     DefinitenessTransportError,
     DimensionError,
@@ -61,7 +61,7 @@ class VectorFrame(_Sides):
         scale = np.abs(np.vstack([matrix.real, matrix.imag])).max(axis=0)
         f = matrix / np.where(scale == 0.0, 1.0, scale)
         nrm2 = np.einsum("ij,ij->j", f.conj(), f).real
-        vals = np.einsum("ij,ij->j", f.conj(), space.J @ f).real
+        vals = np.einsum("ij,ij->j", f.conj(), space._jx(f)).real
         # the floor classify puts on a family member's one-dimensional Gramian
         neutral = np.flatnonzero(np.abs(vals) <= _def_floor(space, 1) * nrm2)
         if neutral.size:  # the first offender; a zero vector is neutral too
@@ -115,21 +115,22 @@ vframe_optimal_bounds = optimal_bounds
 def _dual(F: _Sides, given: np.ndarray, build) -> _Sides:
     """The canonical dual of F from one product S^-1 [given | U+ | U-].
 
-    ``build`` makes the dual from the columns S^-1 ``given``.  When its members
-    keep F's signs, those of each sign span S^-1 M of it, so the dual is given
-    the spans S^-1 M(+-) by one Householder QR per side of S^-1 U(+-), in place
-    of an SVD of its columns.  S^-1 passed ``_nonsingular``, so S^-1 M has the
-    dimension of M and no rank is decided again.
+    The dual's spans S^-1 M(+-) come first, by one Householder QR per side of
+    S^-1 U(+-): S^-1 passed ``_nonsingular``, so S^-1 M has the dimension of
+    M and no rank is decided again.  ``build(cols, spans)`` makes the dual of
+    the columns S^-1 ``given``; when its members keep F's signs, those of
+    each sign span S^-1 M of it, and the dual is given the spans.
     """
     k = given.shape[1]
     images = F._s_inv @ np.hstack([given, *F._span_bases])
-    dual = build(images[:, :k])
+    cut = [0 if F.m_plus is None else F.m_plus.dim]
+    spans = tuple(
+        _Span._orthonormal(F.space, np.linalg.qr(x)[0]) if x.shape[1] else None
+        for x in np.split(images[:, k:], cut, axis=1)
+    )
+    dual = build(images[:, :k], spans)
     if dual.signs == F.signs:
-        cut = [0 if F.m_plus is None else F.m_plus.dim]
-        vars(dual)["_spans"] = tuple(
-            _Span._orthonormal(F.space, np.linalg.qr(x)[0]) if x.shape[1] else None
-            for x in np.split(images[:, k:], cut, axis=1)
-        )
+        vars(dual)["_spans"] = spans
     return dual
 
 
@@ -139,7 +140,7 @@ def canonical_dual(F: VectorFrame) -> VectorFrame:
     if not F._certificate.is_frame:
         raise NotAFrameError("canonical dual is defined for J-frames only")
     try:
-        dual = _dual(F, F.matrix, lambda cols: VectorFrame(F.space, cols.T))
+        dual = _dual(F, F.matrix, lambda cols, spans: VectorFrame(F.space, cols.T))
     except MemberClassificationError as exc:
         raise DefinitenessTransportError(
             f"inverse frame operator produced a neutral dual vector: {exc}"
@@ -221,9 +222,9 @@ def fundamental_identity_sides_batch(F: VectorFrame, masks, fs):
         raise DimensionError(
             f"masks {masks.shape} and vectors {fs.shape} do not fit {F!r}"
         )
-    J, sigma = F.space.J, F._column_signs[:, None]
-    c = F.matrix.conj().T @ (J @ fs)  # c[i, t] = [f_t, f_i]
-    dual_coeffs = (F._s_inv @ F.matrix).conj().T @ J
+    space, sigma = F.space, F._column_signs[:, None]
+    c = F.matrix.conj().T @ space._jx(fs)  # c[i, t] = [f_t, f_i]
+    dual_coeffs = space._xj((F._s_inv @ F.matrix).conj().T)
     sides = []
     for members in (masks.T, ~masks.T):
         s_f = F.matrix @ np.where(members, sigma * c, 0.0)  # S_I f
@@ -251,12 +252,38 @@ class FusionDualReport(Record):
     note: str
 
 
+def _signs_settle(F: WeightedFamily, spans) -> bool:
+    """Whether the dual spans S^-1 M(+-) prove each dual member S^-1 W_i
+    uniformly definite of W_i's sign, with a margin that classify passes.
+
+    X, the computed S^-1, has kappa(X) <= beta (X^-1 = (I + R)^-1 S, see
+    ``_cond_bound``).  A member, an orthonormal basis of X B_i, is within
+    delta of the span Q(+-) of its sign: n^2 eps beta kappa(B_i) for the
+    product and its factorization (Higham, ASNA, §3.5 and Thm 19.4; Golub &
+    Van Loan, §8.6), as much for W_i's ortho_basis U_i and for X M's QR, and
+    beta sqrt(m) (tau_rank + n K eps) as U_i is a block of the K columns A of
+    the m members whose SVD gave M (it drops singular values up to tau_rank
+    ||A||, errs by n K eps ||A||, and ||A||^2 <= m).  A unit x of the member
+    is y + e, y in Q(+-), ||e|| <= delta <= 1, so sign [x, x] >= gamma -
+    4 delta for the span's margin gamma (Cauchy interlacing), which must
+    clear _SAFETY times the floor of an n-dimensional Gramian (``_settles``).
+    """
+    beta, space, eps = F._beta, F.space, 2.0**-52
+    n, kappa = space.dim, max(w._cond for w in F.subspaces)
+    spread = len(F) ** 0.5 * (space.tol.tau_rank + n * F._columns.shape[1] * eps)
+    floor = _SAFETY * _def_floor(space, n) + 4.0 * beta * (3 * n * n * eps * kappa + spread)
+    return all(M is None or (M.classify().sign == sign and M._margin > floor)
+               for M, sign in zip(spans, (1, -1)))
+
+
 def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     """Reciprocal-bounds check for the dual family {(S^-1 W_i, v_i)}.
 
     The result is an empirical per-instance finding: the dual family is
-    certified from scratch on its spans S^-1 M(+-) (``_dual``), and a
-    certification failure is reported as a counterexample rather than raised.
+    certified on its spans S^-1 M(+-) (``_dual``), and a certification
+    failure is reported as a counterexample rather than raised.  Spans that
+    settle the signs (``_signs_settle``) leave every member unclassified, and
+    one whose rank beta settles (``Subspace._graph``'s rule) is the QR of S^-1 B_i.
     """
     cert = F._certificate
     if not cert.is_frame:
@@ -265,9 +292,14 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     expected = _reciprocal_expected(original)
     cuts = np.cumsum(F.block_dims)[:-1]
 
-    def build(cols):
-        members = [Subspace(F.space, b) for b in np.split(cols, cuts, axis=1)]
-        return WeightedFamily(F.space, members, F.weights)
+    def build(cols, spans):
+        blocks = np.split(cols, cuts, axis=1)
+        if F._beta is None or not _signs_settle(F, spans):
+            return WeightedFamily(F.space, [Subspace(F.space, b) for b in blocks], F.weights)
+        rank = _SAFETY * F.space.tol.tau_rank * F._beta
+        members = [Subspace._orthonormal(F.space, np.linalg.qr(b)[0]) if rank * w._cond < 1.0
+                   else Subspace(F.space, b) for w, b in zip(F.subspaces, blocks)]
+        return WeightedFamily._with_signs(F.space, members, F.weights, F.signs)
 
     try:
         dual = _dual(F, np.hstack([w.basis for w in F.subspaces]), build)

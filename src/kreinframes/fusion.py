@@ -67,10 +67,12 @@ class _Sides:
 
     _spans = cached_property(lambda F: _signed_spans(F.space, F._bases(), F._column_signs))
     _certificate = cached_property(lambda F: _decision(F))
-    # S^-1 from ``_nonsingular``, made once: the columns are read-only
+    # S^-1 from ``_nonsingular``, made once: the columns are read-only; and
+    # _beta >= cond_2(S), the bound that passed S there, if one did
     _s_inv = cached_property(
-        lambda F: _frozen(_nonsingular(frame_operator(F).matrix, F.space, F._S_NAME))
+        lambda F: _frozen(_nonsingular(frame_operator(F).matrix, F.space, F._S_NAME, F))
     )
+    _beta = None
     m_plus = property(lambda self: self._spans[0])
     m_minus = property(lambda self: self._spans[1])
     # the spans' orthonormal bases U(+-), as the duals take them
@@ -114,12 +116,21 @@ class WeightedFamily(_Sides):
                     "every member must be uniformly definite",
                 )
             signs.append(cls.sign)
+        self._assemble(space, subspaces, weights, signs)
+
+    @classmethod
+    def _with_signs(cls, space: KreinSpace, subspaces, weights, signs) -> "WeightedFamily":
+        """A family of known signs and checked weights (a dual's): no check."""
+        return cls.__new__(cls)._assemble(space, subspaces, list(weights), list(signs))
+
+    def _assemble(self, space, subspaces, weights, signs):
         self.subspaces = subspaces
         self.weights = weights
         self.block_dims = [w.dim for w in subspaces]
         columns = np.hstack([v * w.ortho_basis for w, v in zip(subspaces, weights)])
         bases = lambda: np.hstack([w.ortho_basis for w in subspaces])
         super().__init__(space, signs, self.block_dims, columns, bases)
+        return self
 
     def __len__(self):
         return len(self.subspaces)
@@ -143,7 +154,7 @@ def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tup
 def frame_operator(F: WeightedFamily) -> Operator:
     """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
     cols = F._columns
-    return Operator(F.space, (cols * F._column_signs) @ (cols.conj().T @ F.space.J))
+    return Operator(F.space, (cols * F._column_signs) @ F.space._xj(cols.conj().T))
 
 
 def _cond_bound(s: np.ndarray, x: np.ndarray) -> float:
@@ -162,18 +173,22 @@ def _cond_bound(s: np.ndarray, x: np.ndarray) -> float:
         return scale * (1.0 + slack) / (1.0 - rho) if rho < 1.0 else np.inf
 
 
-def _nonsingular(s: np.ndarray, space: KreinSpace, what: str) -> np.ndarray:
+def _nonsingular(s: np.ndarray, space: KreinSpace, what: str, owner=None) -> np.ndarray:
     """S^-1 for an S with cond(S) <= 1/tau_def; else SingularOperatorError.
 
-    The one LU inverse X passes S without an SVD when ``_cond_bound(S, X)``
-    is at most 1/tau_def.  Otherwise, or on a zero pivot, the exact cond(S)
+    The one LU inverse X passes S without an SVD when beta = ``_cond_bound(S,
+    X)`` is at most 1/tau_def, and ``owner`` (S's frame or family), if given,
+    keeps beta as ``_beta``.  Otherwise, or on a zero pivot, the exact cond(S)
     decides, and a zero pivot that passes it is "exactly singular"."""
     limit = 1.0 / space.tol.tau_def
     try:
         x = np.linalg.inv(s)
     except np.linalg.LinAlgError:  # a zero pivot
         x = None
-    if x is not None and _cond_bound(s, x) <= limit:
+    beta = np.inf if x is None else _cond_bound(s, x)
+    if beta <= limit:
+        if owner is not None:
+            owner._beta = beta
         return x
     try:
         cond = np.linalg.cond(s)
@@ -346,7 +361,7 @@ def j_image_family(F: WeightedFamily) -> WeightedFamily:
     """The family {(J(W_i), v_i)}; a frame again, with identical bounds."""
     if not F._certificate.is_frame:
         raise NotAFrameError("J-image family is defined for frames only")
-    images = [Subspace(F.space, F.space.J @ w.basis) for w in F.subspaces]
+    images = [Subspace(F.space, F.space._jx(w.basis)) for w in F.subspaces]
     return WeightedFamily(F.space, images, F.weights)
 
 

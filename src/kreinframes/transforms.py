@@ -281,7 +281,7 @@ def preservation_report(
     cert = T._isometry
     # and T* J T for regularity only: an invertible T that keeps both signs'
     # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
-    congruent = (*cert, T.matrix.conj().T @ T.space.J @ T.matrix)
+    congruent = (*cert, T.space._xj(T.matrix.conj().T) @ T.matrix)
     return PreservationReport(*(
         _predicate_sweep(k, T, c, subspaces, n_random, seed)
         for k, c in enumerate((cert, cert, congruent))

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kreinframes import cli, duality, fusion, transforms
 from kreinframes.cli import main
 from kreinframes.errors import DefinitenessTransportError
 from kreinframes.fusion import certify
-from kreinframes.core import Operator
+from kreinframes.core import KreinSpace, Operator
 from kreinframes.problem import ProblemSpec, parse_spec
 from kreinframes.sampling import random_complex, rng_from_seed
 
@@ -648,6 +649,24 @@ class TestPoolReports:
         assert reports["neutral_image"]["regularity"]["counterexample"]["detail"] == (
             "image is degenerate"
         )
+
+
+class TestDiagonalSymmetryBytes:
+    """A diagonal J is applied as a sign scaling of rows or columns; with the
+    dense products in its place, ``all`` prints the same bytes."""
+
+    @pytest.mark.parametrize("workload, cls", [
+        ("fusion_docs", "frame_diag"), ("vframe_docs", "diag"), ("preserve_docs", "alt"),
+    ])
+    def test_all_without_the_scaling(self, capsys, workload, cls):
+        text = perfbench_module("docs").make_doc(workload, cls, 0).text
+        assert parse_spec(text).space._diag is not None
+        argv = ("all", "--spec", text, "--samples", "20")
+        scaled = run(capsys, *argv)
+        with mock.patch.object(KreinSpace, "_jx", lambda s, x: s.J @ x), \
+                mock.patch.object(KreinSpace, "_xj", lambda s, x: x @ s.J):
+            dense = run(capsys, *argv)
+        assert scaled == dense
 
 
 class TestSeedResolution:

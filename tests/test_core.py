@@ -99,6 +99,57 @@ class TestKreinSpace:
 
 
 @pytest.mark.soundness
+class TestDiagonalSymmetry:
+    """J x and x J of a diagonal J are a scaling by its diagonal, equal to the
+    dense products (``==``, so but for the sign of a zero); a J with any
+    nonzero off-diagonal entry takes the dense products."""
+
+    @staticmethod
+    def symmetry(kind, n, rng):
+        signs = rng.choice([1.0, -1.0], n)
+        if kind == "signs":
+            return np.diag(signs)
+        if kind == "near signs":  # entries 1 +- 1e-12
+            return np.diag(signs * (1.0 + rng.choice([1e-12, -1e-12], n)))
+        if kind == "complex":  # Hermitian and involutive within tau_sym
+            return np.diag(signs + 1j * rng.uniform(-1e-12, 1e-12, n))
+        j = np.diag(signs).astype(complex)  # "tiny off-diagonal"
+        j[0, -1] = j[-1, 0] = 1e-300
+        return j
+
+    @settings(max_examples=examples(40))
+    @given(
+        kind=st.sampled_from(["signs", "near signs", "complex", "tiny off-diagonal"]),
+        n=st.integers(2, 64),
+        m=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaling_equals_the_dense_product(self, kind, n, m, seed):
+        rng = rng_from_seed(seed)
+        space = KreinSpace(self.symmetry(kind, n, rng))
+        assert (space._diag is None) == (kind == "tiny off-diagonal")
+        x = random_complex(rng, n, m)
+        v = x[:, 0].copy()
+        for got, dense in (
+            (space._jx(x), space.J @ x),
+            (space._jx(v), space.J @ v),
+            (space._jx(x.real), space.J @ x.real),
+            (space._xj(x.conj().T), x.conj().T @ space.J),
+        ):
+            assert got.dtype == dense.dtype and np.array_equal(got, dense)
+
+    def test_involution_check_reads_the_diagonal(self):
+        # the same ||J^2 - I|| as the dense square, in O(n^2)
+        for j in ([[1, 0], [0, -1 - 2e-10]], [[1 + 1e-11, 0], [0, -1]]):
+            dense = np.linalg.norm(np.asarray(j, dtype=complex) @ j - np.eye(2))
+            if dense <= 2e-10:
+                assert KreinSpace(j)._diag is not None
+            else:
+                with pytest.raises(ValidationError, match="= %g" % dense):
+                    KreinSpace(j)
+
+
+@pytest.mark.soundness
 class TestSignature:
     """The signature from round((n + tr J) / 2), or from eigvalsh when
     n ||J^2 - I||_F is not below 1 (a loose tau_sym), and the canonical bases

@@ -16,6 +16,7 @@ from kreinframes import (
     KreinSpace,
     MemberClassificationError,
     NotAFrameError,
+    RankError,
     SingularOperatorError,
     Subspace,
     Tolerances,
@@ -32,7 +33,7 @@ from kreinframes import (
     optimal_bounds,
     vframe_optimal_bounds,
 )
-from kreinframes import fusion
+from kreinframes import duality, fusion
 from kreinframes.cli import run_command
 from kreinframes.duality import (
     fundamental_identity_sides,
@@ -740,9 +741,9 @@ class TestDualSpans:
     SIDES = {"both": None, "positive only": 1, "negative only": 0}
 
     @staticmethod
-    def space(n, sides, rng):
+    def space(n, sides, rng, diagonal=False):
         p = TestDualSpans.SIDES[sides]
-        return random_space(rng, n, p=None if p is None else p * n)
+        return random_space(rng, n, p=None if p is None else p * n, diagonal=diagonal)
 
     @staticmethod
     def assert_same_spans(got, want):
@@ -760,10 +761,12 @@ class TestDualSpans:
 
     @pytest.mark.parametrize("sides", SIDES)
     @settings(max_examples=examples(6))
-    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
-    def test_fusion_dual(self, sides, n, seed):
+    @given(n=st.integers(2, 64), diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_fusion_dual(self, sides, n, diagonal, seed):
+        # the spans settle the members' signs here or not; either way the
+        # report is the oracle's: its verdict, bounds and note
         rng = rng_from_seed(seed)
-        fam = random_fusion_frame(self.space(n, sides, rng), rng)
+        fam = random_fusion_frame(self.space(n, sides, rng, diagonal), rng)
         # the dual family is the check's second decision
         with mock.patch.object(fusion, "_decision", wraps=fusion._decision) as decide:
             report = fusion_dual_bounds_check(fam)
@@ -771,6 +774,68 @@ class TestDualSpans:
         assert dual is not fam and report.dual_is_frame and certify(want).is_frame
         self.assert_same_spans(dual, want)
         self.assert_bounds_close(report.dual, optimal_bounds(want))
+        holds = duality._bounds_rel_error(optimal_bounds(want), report.expected) < 1e-9
+        assert report.holds == holds
+        assert report.note == (
+            "reciprocal relation verified on this instance" if holds
+            else "reciprocal relation does not hold on this instance "
+            "(empirical finding for the assumed dual construction)"
+        )
+
+    @pytest.mark.parametrize("case", ["settled", "ill-conditioned member", "loose tau_rank"])
+    def test_the_sign_settle_covers_its_distance(self, count_calls, case):
+        # a positive plane and a negative line 0.005 from the light cone under
+        # diag(1, 1, -1): the dual spans' margin, 0.005, clears the distance
+        # bound at beta 282, but not with a member basis of kappa 5.7e9 or a
+        # tau_rank of 1e-4 in it, and then each member is classified.  X
+        # stretches a, the weak direction of that basis, so X B_1 keeps its rank
+        space = KreinSpace.from_signs(
+            [1, 1, -1], tol=Tolerances(tau_rank=1e-4 if case == "loose tau_rank" else 1e-10)
+        )
+        a, b = np.array([1.0, 0.0, 0.995]), np.array([0.0, 1.0, 0.0])
+        plane = np.column_stack([b, b + a / 4e9 if case == "ill-conditioned member" else a])
+        line = np.array([[0.995], [0.0], [1.0]])
+        fam = WeightedFamily(space, [Subspace(space, plane), Subspace(space, line)], [1.0, 1.0])
+        certify(fam)
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        report = fusion_dual_bounds_check(fam)
+        assert report.dual_is_frame and 200 < fam._beta < 300
+        assert len(eigvalsh) == (2 if case == "settled" else 2 + len(fam))
+        self.assert_bounds_close(report.dual, optimal_bounds(dual_oracle(fam)))
+
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_a_member_past_the_rank_settle_takes_its_svd(self, count_calls, heavy):
+        # a positive plane whose basis has kappa 5e9: beta kappa misses the
+        # rank settle, while the spans still settle the signs, so that member
+        # alone is a Subspace of X B_i, with its SVD.  A heavy line on e2 makes
+        # X shrink e2 tenfold; X B_i is then rank deficient, with the
+        # RankError that Subspace raises on the product the check makes
+        space = KreinSpace.from_signs([1, 1, -1, -1])
+        e = np.eye(4)
+        plane = np.column_stack([e[:, 0], e[:, 0] + 4e-10 * e[:, 1]])
+        members, weights = [Subspace(space, plane), Subspace(space, e[:, 2:])], [1.0, 1.0]
+        if heavy:
+            members, weights = members + [Subspace(space, e[:, [1]])], weights + [3.0]
+        fam = WeightedFamily(space, members, weights)
+        certify(fam)
+        x = fam._s_inv
+        assert 4.0 * space.tol.tau_rank * fam._beta * members[0]._cond >= 1.0
+        spans = [_Span._orthonormal(space, np.linalg.qr(x @ u)[0]) for u in fam._span_bases]
+        assert duality._signs_settle(fam, spans)
+        svd = count_calls(np.linalg, "svd")
+        if not heavy:
+            assert fusion_dual_bounds_check(fam).dual_is_frame
+            # the plane's SVD, then one per side for the dual's bounds and
+            # for its bounds over F's spans
+            assert len(svd) == 1 + 4 and np.array_equal(svd[0][0], x @ plane)
+            return
+        images = x @ np.hstack([*(w.basis for w in members), *fam._span_bases])
+        with pytest.raises(RankError) as today:
+            Subspace(space, images[:, :2])
+        with pytest.raises(RankError) as exc:
+            fusion_dual_bounds_check(fam)
+        assert str(exc.value) == str(today.value)
+        assert str(exc.value).startswith("basis matrix is rank deficient (singular values ")
 
     @pytest.mark.parametrize("sides", SIDES)
     @settings(max_examples=examples(6))
@@ -783,15 +848,18 @@ class TestDualSpans:
         self.assert_bounds_close(dual_bounds_check(frame).dual_own_spans, optimal_bounds(want))
 
     def test_the_dual_spans_make_no_svd(self, count_calls):
-        # twelve members in C^5: an SVD per dual member, as its Subspace, and
-        # one per side for the dual's bounds and for its bounds over F's
-        # spans; the dual's spans take one QR per side and no SVD.  A vector
-        # frame's dual makes only the SVD per side of its decided bounds
+        # twelve members in C^5: the dual's spans take one QR per side and no
+        # SVD, and they settle every member's sign and S^-1's bound its rank,
+        # so each member is one QR, unclassified; an SVD per side for the
+        # dual's bounds and for its bounds over F's spans, and an eigvalsh
+        # per dual span.  A vector frame's dual makes only the SVD per side
+        # of its decided bounds
         fam = random_fusion_frame(KreinSpace.from_signs([1, 1, 1, -1, -1]), rng_from_seed(8), 6)
         certify(fam)
         svd, qr = count_calls(np.linalg, "svd"), count_calls(np.linalg, "qr")
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
         assert fusion_dual_bounds_check(fam).dual_is_frame
-        assert (len(svd), len(qr)) == (len(fam) + 4, 2)
+        assert (len(svd), len(qr), len(eigvalsh)) == (4, len(fam) + 2, 2)
         frame = random_vector_frame(fam.space, rng_from_seed(9))
         is_j_frame(frame)
         svd.clear(), qr.clear()

@@ -154,3 +154,39 @@ def test_no_module_reads_the_environment():
                 names = [a.name for a in node.names]
             reads += [f"{path.name}:{node.lineno}" for n in names if n in ENVIRONMENT]
     assert reads == []
+
+
+def _j_products(node, owner=None):
+    """Where, outside the class KreinSpace, an operand of ``@`` is an attribute
+    ``.J``, or ``.J`` is bound to a name, which would hide such a product."""
+
+    def is_j(n):
+        return isinstance(n, ast.Attribute) and n.attr == "J"
+
+    if isinstance(node, ast.ClassDef):
+        owner = node.name
+    if owner != "KreinSpace":
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if is_j(node.left) or is_j(node.right):
+                yield node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            values = [node.value]
+            if isinstance(node.value, ast.Tuple):
+                values = node.value.elts
+            if any(is_j(v) for v in values):
+                yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _j_products(child, owner)
+
+
+def test_only_the_space_multiplies_by_j():
+    # every other module takes J x and x J from KreinSpace._jx and _xj, which
+    # scale by J's diagonal when J is diagonal
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "kreinframes").glob("*.py"))
+        for line in _j_products(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    bad = "def f(space, x):\n    J = space.J\n    return x @ space.J, J\n"
+    assert list(_j_products(ast.parse(bad))) == [2, 3]
