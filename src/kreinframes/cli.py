@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fusion import bounds_sandwich_ok, certify, converse_check, optimal_bounds
 from .problem import ProblemSpec, _collector_paused, decode_document, parse_spec
-from .sampling import random_complex, rng_from_seed
+from .sampling import rng_from_seed
 from .transforms import (
     _necessary_conditions,
     is_j_isometry_multiple,
@@ -169,12 +169,15 @@ def _task_identity(problem: ProblemSpec, seed, samples):
             return {"error": "not a J-frame"}, False
         rng = rng_from_seed([seed, zlib.crc32(name.encode()), index[name]])
         trials = max(1, samples)
-        # every trial's subset, then its test vector, in the generator's order
-        masks = np.empty((trials, len(vf)), dtype=bool)
-        fs = np.empty((vf.space.dim, trials), dtype=complex)
+        # every trial's subset draw, then its test vector's real and imaginary
+        # parts, in the generator's order, each into its own row
+        u = np.empty((trials, len(vf)))
+        z = np.empty((trials, 2, vf.space.dim))
         for t in range(trials):
-            masks[t] = rng.uniform(size=len(vf)) < 0.5
-            fs[:, t] = random_complex(rng, vf.space.dim)
+            rng.random(out=u[t])
+            rng.standard_normal(out=z[t])
+        masks = u < 0.5
+        fs = np.ascontiguousarray((z[:, 0] + 1j * z[:, 1]).T)
         try:
             lhs, rhs = fundamental_identity_sides_batch(vf, masks, fs)
         except SingularOperatorError as exc:

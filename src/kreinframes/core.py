@@ -281,11 +281,17 @@ class Subspace:
         vars(self).update(space=space, _cond=cond, basis=_frozen(basis), ortho_basis=u)
 
     @classmethod
-    def from_spanning(cls, space: KreinSpace, vectors) -> "Subspace | None":
-        """Subspace spanned by possibly dependent columns; None for the zero span."""
+    def from_spanning(cls, space: KreinSpace, vectors, _most=None) -> "Subspace | None":
+        """Subspace spanned by possibly dependent columns; None for the zero span.
+
+        ``_most``, if given, is the dimension c of a canonical component:
+        the span is first tried from its leading columns (``_leading_span``),
+        and their SVD decides only where that does not settle."""
         vectors = _as_matrix(vectors)
         if vectors.shape[0] != space.dim:
             raise DimensionError(f"columns of shape {vectors.shape} do not fit C^{space.dim}")
+        if _most is not None and (q := _leading_span(vectors, _most, space.tol)) is not None:
+            return cls._orthonormal(space, q)
         u, s, _ = np.linalg.svd(vectors, full_matrices=False)
         r = _rank(s, space.tol)
         return cls._orthonormal(space, u[:, :r].copy()) if r else None
@@ -463,6 +469,55 @@ def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
     """Numerical rank: the count of descending singular values s above tau_rank * s[0]."""
     return int(np.count_nonzero(s > tol.tau_rank * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def _leading_span(a: np.ndarray, c: int, tol: Tolerances) -> np.ndarray | None:
+    """Q, an orthonormal basis of the span of the n x K columns A = ``a``, when
+    its first k = min(K, n, c) columns A_S settle that ``_rank`` of A's
+    singular values is k; else None, and the caller takes A's SVD.
+
+    A uniformly definite span has at most the dimension c of its sign's
+    canonical component, so a side of a frame spans exactly c dimensions,
+    most often with its first c columns.  One Householder QR A_S = Q R and
+    the residual E = A_R - Q (Q* A_R) of the other columns A_R decide.
+    Householder QR is backward stable column by column (Higham, ASNA,
+    Thm 19.4): k reflectors applied to all K columns factor A + D exactly,
+    ||D||_F <= g ||A||_F with g = c' n K u for a small constant c'; the
+    leading block is R and the trailing block has the norm of E (formed
+    with the computed Q, which is orthonormal to the same order, ibid.
+    §19.3), and the k x k SVD of R errs by k^2 u ||R||.  With c' = 2, so
+    g = n K eps, slack = n K eps ||A||_F bounds all three.  Then
+    lo = s_1(R) - slack <= s_1(A) <= hi = hypot(s_1(R) + slack, ||A_R||_F);
+    s_k(A) >= s_k(A_S) >= s_min(R) - slack (interlacing), and s_(k+1)(A)
+    is at most the distance ||E||_F + slack of A from the rank-k matrix
+    Q Q* A (Eckart-Young).  The side settles when the first clears
+    _SAFETY tau_rank hi and the second stays below tau_rank lo / _SAFETY:
+    both are then _SAFETY from the threshold tau_rank s_1(A), far beyond
+    the rounding of an SVD of A, whose rank would be k.  The diagonal of R
+    (min |R_ii| >= s_min(R), max |R_ii| <= s_1(R) <= ||A_S||_F + slack)
+    and E refuse before the k x k SVD, so a refusal adds no SVD.
+    """
+    n, K = a.shape
+    k = min(K, n, c)
+    if k == 0:
+        return None
+    # a huge or tiny A makes a bound inf, nan or 0: the side then refuses
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        a_s, a_r = a[:, :k], a[:, k:]
+        lead, rest = float(np.linalg.norm(a_s)), float(np.linalg.norm(a_r))
+        slack, tau = n * K * 2.0**-52 * float(np.hypot(lead, rest)), tol.tau_rank
+        q, r = np.linalg.qr(a_s)
+        d = np.abs(r.diagonal())
+        if not d.min() - slack > _SAFETY * tau * np.hypot(d.max() + slack, rest):
+            return None
+        e = float(np.linalg.norm(a_r - q @ (q.conj().T @ a_r))) + slack
+        if not e < tau * lead / _SAFETY:
+            return None
+        s = np.linalg.svd(r, compute_uv=False)
+        lo, hi = s[0] - slack, np.hypot(s[0] + slack, rest)
+        if s[-1] - slack > _SAFETY * tau * hi and e < tau * lo / _SAFETY:
+            return q
+    return None
 
 
 def _def_floor(space: KreinSpace, k: int) -> float:

@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     MemberClassificationError,
     NotAFrameError,
+    RankError,
 )
 from .fusion import (
     FrameBounds,
@@ -49,10 +50,16 @@ class VectorFrame(_Sides):
     _S_NAME = "frame operator"  # as SingularOperatorError names S
 
     def __init__(self, space: KreinSpace, vectors):
-        cols = [space.check_vector(v) for v in vectors]
-        if not cols:
-            raise MemberClassificationError(0, "a vector frame needs members")
-        matrix = np.column_stack(cols)
+        try:  # the vectors as the columns of one C-contiguous (n, m) matrix
+            matrix = np.asarray(vectors, dtype=complex).T.copy()
+        except (TypeError, ValueError):  # ragged, or an entry that is no number
+            matrix = None
+        if matrix is None or matrix.ndim != 2 or matrix.shape[0] != space.dim or not matrix.size:
+            # the first vector that is not one of C^n, or no vector, words the error
+            cols = [space.check_vector(v) for v in vectors]
+            if not cols:
+                raise MemberClassificationError(0, "a vector frame needs members")
+            matrix = np.column_stack(cols)
         bad = np.flatnonzero(~np.isfinite(matrix).all(axis=0))
         if bad.size:
             raise MemberClassificationError(int(bad[0]), "vector has a non-finite entry")
@@ -262,8 +269,10 @@ def _signs_settle(F: WeightedFamily, spans) -> bool:
     product and its factorization (Higham, ASNA, §3.5 and Thm 19.4; Golub &
     Van Loan, §8.6), as much for W_i's ortho_basis U_i and for X M's QR, and
     beta sqrt(m) (tau_rank + n K eps) as U_i is a block of the K columns A of
-    the m members whose SVD gave M (it drops singular values up to tau_rank
-    ||A||, errs by n K eps ||A||, and ||A||^2 <= m).  A unit x of the member
+    the m members that span M, ||A||^2 <= m: an SVD of A drops singular values
+    up to tau_rank ||A|| and errs by n K eps ||A||, and a span settled from
+    A's leading columns (``core._leading_span``) leaves A within ||E||_F +
+    2 slack < 2 tau_rank ||A|| / _SAFETY of it, less.  A unit x of the member
     is y + e, y in Q(+-), ||e|| <= delta <= 1, so sign [x, x] >= gamma -
     4 delta for the span's margin gamma (Cauchy interlacing), which must
     clear _SAFETY times the floor of an n-dimensional Gramian (``_settles``).
@@ -306,6 +315,8 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
         failure = "" if dual._certificate.is_frame else "dual family failed frame certification"
     except MemberClassificationError as exc:
         failure = f"dual member failed classification: {exc}"
+    except RankError as exc:  # S^-1 B_i lost the rank of B_i
+        failure = f"dual member failed its rank check: {exc}"
     if failure:
         return FusionDualReport(False, original, None, None, expected, None, False, failure)
     dual_bounds = dual._certificate.optimal_bounds

@@ -146,9 +146,16 @@ class WeightedFamily(_Sides):
 
 
 def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tuple:
-    """(M+, M-), the spans of the columns of each sign; None for a sign no column has."""
-    masks = (signs == 1, signs == -1)
-    return tuple(_Span.from_spanning(space, cols[:, m]) if m.any() else None for m in masks)
+    """(M+, M-), the spans of the columns of each sign; None for a sign no column has.
+
+    Each side is first settled from its leading columns, up to the dimension
+    of its sign's canonical component (``core._leading_span``): a uniformly
+    definite span has no more.  A side that does not settle, a deficit or an
+    indefinite side among them, takes the SVD of all its columns."""
+    return tuple(
+        _Span.from_spanning(space, cols[:, m], _most=c) if m.any() else None
+        for m, c in zip((signs == 1, signs == -1), space.signature)
+    )
 
 
 def frame_operator(F: WeightedFamily) -> Operator:
@@ -295,13 +302,16 @@ def _span_bounds(F, G, extremes) -> FrameBounds:
 
 
 def _degenerate_witness(M: Subspace, want_sign: int):
-    """A unit vector of M witnessing the classification failure."""
+    """A unit vector of M witnessing the classification failure, with its
+    first entry of largest modulus real and positive: then the witness does
+    not depend on which orthonormal basis M has."""
     eigval, eigvec = np.linalg.eigh(gramian(M))
     # worst offender: smallest eigenvalue for a positive side, largest for
     # a negative side
     j = 0 if want_sign == 1 else len(eigval) - 1
     w = M.ortho_basis @ eigvec[:, j]
-    return w / np.linalg.norm(w)
+    top = w[np.argmax(np.abs(w))]
+    return w * (top.conjugate() / abs(top)) / np.linalg.norm(w)
 
 
 def _decision(F: WeightedFamily) -> FrameCertificate:

@@ -143,6 +143,15 @@ def _finite_energy(m: np.ndarray, where: str, normal: bool = False) -> np.ndarra
     return m
 
 
+def _energy_suspects(rows: np.ndarray) -> np.ndarray:
+    """The rows whose squared norm may overflow, in one pass over all rows: a
+    sum at most max/2 in one order is finite in any other, as ``_finite_energy``'s
+    is, so only the rest need its check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = (rows.real**2 + rows.imag**2).sum(axis=1)
+    return np.flatnonzero(~(energy <= np.finfo(float).max / 2))
+
+
 def _collector_paused(f):
     """f with the cyclic collector paused and the caller's state restored on
     every exit: a decoded document's tens of thousands of lists hold no
@@ -271,8 +280,8 @@ def parse_spec(source) -> ProblemSpec:
     for name, vdoc in _named_section(doc, "vector_frames").items():
         where = f"vector_frames.{name}"
         vectors = _rows(vdoc, where, dim, "array")
-        for i, v in enumerate(vectors):
-            _finite_energy(v, f"{where}[{i}]")
+        for i in _energy_suspects(vectors):  # in order: the first overflow is reported
+            _finite_energy(vectors[i], f"{where}[{i}]")
         _finite_energy(vectors, where)  # the frame operator sums every vector's energy
         try:
             vector_frames[name] = VectorFrame(space, vectors)

@@ -27,7 +27,7 @@ from kreinframes.sampling import random_complex, rng_from_seed
 __all__ = [
     "OracleConfig", "rayleigh_extremes", "frame_operator_part", "projection_oracle",
     "in_span", "gamma_oracle", "dual_oracle", "gramian_min_modulus",
-    "partial_frame_operator", "as_weighted_family",
+    "partial_frame_operator", "as_weighted_family", "identity_trials",
 ]
 
 
@@ -232,3 +232,15 @@ def as_weighted_family(F: VectorFrame) -> WeightedFamily:
     subspaces = [Subspace(F.space, F.matrix[:, i : i + 1]) for i in range(len(F))]
     weights = [float(np.linalg.norm(F.matrix[:, i])) for i in range(len(F))]
     return WeightedFamily(F.space, subspaces, weights)
+
+
+def identity_trials(rng: np.random.Generator, trials: int, m: int, n: int):
+    """The identity task's (masks, fs), drawn a trial at a time: its subset of
+    the m members from m uniform draws below 1/2, then its test vector in
+    C^n from ``random_complex``."""
+    masks = np.empty((trials, m), dtype=bool)
+    fs = np.empty((n, trials), dtype=complex)
+    for t in range(trials):
+        masks[t] = rng.uniform(size=m) < 0.5
+        fs[:, t] = random_complex(rng, n)
+    return masks, fs

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -32,7 +33,9 @@ from generators import (
     neutral_image_operator,
     random_fusion_frame,
     random_j_unitary,
+    random_vector_frame,
 )
+from oracles import identity_trials
 
 DEMO = str(Path(kreinframes.__file__).parent / "data" / "c3_demo.json")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -1023,9 +1026,34 @@ class TestIdentityTask:
         frame._s_inv = s_inv + 1e-6 * np.linalg.norm(s_inv, 2) / np.linalg.norm(g, 2) * g
         assert identity_entry(problem)["ok"] is False
 
+    @pytest.mark.parametrize("seed, samples", [(0, 1), (7, 30)])
+    def test_trials_are_the_per_trial_draws(self, seed, samples):
+        # two frames: each draws from its own generator, as the reference
+        # draws a trial at a time, bit for bit
+        rng = rng_from_seed(3)
+        space = alternating_signature_space(6)
+        problem = ProblemSpec(space, vector_frames={
+            name: random_vector_frame(space, rng, extra=3) for name in ("b", "a")
+        })
+        with mock.patch.object(cli, "fundamental_identity_sides_batch",
+                               wraps=cli.fundamental_identity_sides_batch) as batch:
+            cli.run_command("identity", problem, seed, samples)
+        assert batch.call_count == 2
+        for index, (name, call) in enumerate(zip("ab", batch.call_args_list)):
+            frame, masks, fs = call.args
+            assert frame is problem.vector_frames[name]
+            draws = rng_from_seed([seed, zlib.crc32(name.encode()), index])
+            want = identity_trials(draws, samples, len(frame), space.dim)
+            assert masks.dtype == bool and masks.tobytes() == want[0].tobytes()
+            assert fs.flags.c_contiguous and fs.tobytes() == want[1].tobytes()
+
     def test_sides_both_zero_agree(self, monkeypatch):
         # f = 0 makes both sides and the trial's energy exactly 0: no 0/0
-        monkeypatch.setattr(cli, "random_complex", lambda rng, n: np.zeros(n, dtype=complex))
+        class ZeroNormals(np.random.Generator):
+            def standard_normal(self, out):
+                out[...] = 0.0
+
+        monkeypatch.setattr(cli, "rng_from_seed", lambda seed: ZeroNormals(np.random.PCG64(seed)))
         entry = identity_entry(scaled_frame("coupled", 1.0))
         assert (entry["ok"], entry["max_relative_residual"]) == (True, 0.0)
 
@@ -1066,6 +1094,28 @@ class TestDualTask:
         fam = json.loads(out)["results"]["dual"]["results"]["families"]["axes"]
         assert fam["advisory"] is True
         assert fam["holds"] is False
+
+    def test_a_rank_deficient_dual_member_is_a_failed_dual(self, capsys, tmp_path):
+        # a frame whose S^-1 shrinks e2 tenfold: the plane span{e1, e1 +
+        # 4e-10 e2} maps to a rank-deficient basis, reported as a failed dual
+        doc = {
+            "space": {"dim": 4, "J": np.diag([1, 1, -1, -1]).tolist()},
+            "families": {"f": {
+                "subspaces": [[[1, 0, 0, 0], [1, 4e-10, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]],
+                              [[0, 1, 0, 0]]],
+                "weights": [1, 1, 3],
+            }},
+        }
+        p = tmp_path / "shrunk.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "dual", "--spec", str(p))
+        assert code == 0
+        fam = json.loads(out)["results"]["dual"]["results"]["families"]["f"]
+        assert "error" not in fam
+        assert (fam["advisory"], fam["dual_is_frame"], fam["holds"]) == (True, False, False)
+        assert fam["note"].startswith(
+            "dual member failed its rank check: basis matrix is rank deficient (singular values "
+        )
 
 
 class TestDualThatDoesNotCertify:

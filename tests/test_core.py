@@ -34,7 +34,7 @@ from kreinframes import (
 import kreinframes
 from kreinframes import VectorFrame, WeightedFamily, certify, fusion
 from kreinframes.cli import run_command
-from kreinframes.core import Record, _as_matrix, _clears, _def_floor, _rank
+from kreinframes.core import Record, _as_matrix, _clears, _def_floor, _leading_span, _rank
 from kreinframes.errors import MemberClassificationError, UsageError
 from kreinframes.fusion import FrameBounds, FrameCertificate
 from kreinframes.problem import ProblemSpec, parse_spec
@@ -700,6 +700,113 @@ class TestRankDecision:
             assert cls.kind is ref.classify().kind
             lo_hi = ref.classify().extremal_gram_eigen
             np.testing.assert_allclose(cls.extremal_gram_eigen, lo_hi, rtol=0, atol=1e-10)
+
+
+@pytest.mark.soundness
+class TestLeadingSpan:
+    """A span settled from its leading columns (``_leading_span``) against the
+    SVD of all its columns: the same rank, projector and class when it
+    settles; near the threshold tau_rank s_1, or on dependent leading
+    columns, it refuses without an SVD and the span is the SVD's, bit for bit."""
+
+    TAU = DEFAULT_TOLERANCES.tau_rank
+    E = np.eye(6)  # under diag(1, 1, 1, -1, -1, -1): e1..e3 positive, e4..e6 negative
+
+    @pytest.fixture
+    def space(self):
+        return KreinSpace.from_signs([1, 1, 1, -1, -1, -1])
+
+    @staticmethod
+    def spans(space, a, c):
+        return Subspace.from_spanning(space, a, _most=c), Subspace.from_spanning(space, a)
+
+    def refuses(self, space, a, c, count_calls):
+        svd = count_calls(np.linalg, "svd")
+        assert _leading_span(a, c, space.tol) is None and svd == []
+        settled, svd_span = self.spans(space, a, c)
+        assert np.array_equal(settled.ortho_basis, svd_span.ortho_basis)
+
+    def settles(self, space, a, c):
+        q = _leading_span(a, c, space.tol)
+        settled, svd_span = self.spans(space, a, c)
+        assert q is not None and np.array_equal(settled.ortho_basis, q)
+        assert settled.dim == svd_span.dim == min(c, a.shape[1])
+        p1, p2 = (orthogonal_projection(W).matrix for W in (settled, svd_span))
+        assert np.linalg.norm(p1 - p2, 2) <= 1e-12
+
+    @settings(max_examples=examples(24))
+    @given(
+        n=st.integers(2, 64), diagonal=st.booleans(), sign=st.sampled_from([1, -1]),
+        extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_settled_side_is_its_svd_span(self, n, diagonal, sign, extra, seed):
+        # a side of c + extra columns spanning a maximal definite subspace
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal)
+        c = space.signature[0 if sign == 1 else 1]
+        maximal = random_maximal_definite_subspace(space, rng, sign)
+        a = maximal.basis @ random_complex(rng, c, c + extra) * rng.uniform(0.5, 2.0, c + extra)
+        q = _leading_span(a, c, space.tol)
+        assert q is not None
+        settled, svd_span = self.spans(space, a, c)
+        assert np.array_equal(settled.ortho_basis, q) and settled.dim == svd_span.dim == c
+        s = np.linalg.svd(a[:, :c], compute_uv=False)
+        p1, p2 = (orthogonal_projection(W).matrix for W in (settled, svd_span))
+        assert np.linalg.norm(p1 - p2, 2) <= 1e-12 * s[0] / s[-1]
+        got, want = settled.classify(), svd_span.classify()
+        assert (got.kind, got.regular, got.maximal_definite) == (
+            want.kind, want.regular, want.maximal_definite
+        )
+        assert got.sign == sign and got.maximal_definite
+        np.testing.assert_allclose(
+            got.extremal_gram_eigen, want.extremal_gram_eigen, rtol=0, atol=1e-10
+        )
+
+    def test_dependent_leading_columns_refuse(self, space, count_calls):
+        e = self.E
+        self.refuses(space, np.column_stack([e[:, 0], 2 * e[:, 0], e[:, 1], e[:, 2]]), 3,
+                     count_calls)
+
+    @pytest.mark.parametrize("off, settled", [(1.0, False), (0.5, False), (0.01, True)])
+    def test_a_column_off_the_span(self, space, count_calls, off, settled):
+        # a fourth column off span{e1, e2, e3} by off * tau_rank s_1, s_1 = sqrt 2;
+        # tau_rank s_1 / 2 settles without the factor _SAFETY
+        e = self.E
+        u = (e[:, 0] + e[:, 1] + e[:, 2]) / np.sqrt(3.0)
+        a = np.column_stack([e[:, 0], e[:, 1], e[:, 2], u + off * self.TAU * np.sqrt(2.0) * e[:, 3]])
+        if settled:
+            self.settles(space, a, 3)
+        else:
+            self.refuses(space, a, 3, count_calls)
+
+    @pytest.mark.parametrize("s_k, settled", [(1.0, False), (2.0, False), (100.0, True)])
+    def test_the_smallest_singular_value_near_the_threshold(self, space, count_calls, s_k,
+                                                          settled):
+        # s_k = s_k * tau_rank s_1; twice tau_rank s_1 settles without _SAFETY
+        e = self.E
+        a = np.column_stack([e[:, 0], e[:, 1], s_k * self.TAU * e[:, 2]])
+        if settled:
+            self.settles(space, a, 3)
+        else:
+            self.refuses(space, a, 3, count_calls)
+
+    @pytest.mark.parametrize("over, settled", [(0.5, False), (2.0, True)])
+    def test_the_slack_at_its_edge(self, space, count_calls, over, settled):
+        # [e1, d e2]: R = diag(1, d) exactly, slack = n K eps = 12 eps, and the
+        # side settles once d - slack clears _SAFETY tau_rank (1 + slack)
+        slack = 6 * 2 * 2.0**-52
+        d = 4.0 * self.TAU * (1.0 + slack) + over * slack
+        a = np.column_stack([self.E[:, 0], d * self.E[:, 1]])
+        if settled:
+            self.settles(space, a, 3)
+        else:
+            self.refuses(space, a, 3, count_calls)
+
+    def test_fewer_columns_than_the_component(self, space):
+        self.settles(space, self.E[:, :2] @ np.array([[1.0, 1.0], [0.0, 1.0]]), 3)
+
+    def test_an_empty_component_refuses(self, space, count_calls):
+        self.refuses(space, self.E[:, :2], 0, count_calls)
 
 
 class TestProjections:

@@ -118,6 +118,39 @@ class TestVectorFrame:
         assert err.value.index == 1
         assert err.value.detail == "vector has a non-finite entry"
 
+    @pytest.mark.parametrize("vectors", [
+        [[1.0, 0.5j], [0.25, 2.0], [-3.0, 1e-300]],
+        [np.array([1.0, -0.0]), np.array([0.5 + 1j, 2.0])],
+    ])
+    def test_an_array_and_a_list_give_one_matrix(self, minkowski, vectors):
+        # the columns of today's column_stack, bit for bit, C-contiguous and a
+        # copy of the caller's array
+        want = np.column_stack([minkowski.check_vector(v) for v in vectors])
+        rows = np.array(vectors, dtype=complex)
+        for given_as in (vectors, rows, np.asfortranarray(rows), list(rows)):
+            m = VectorFrame(minkowski, given_as).matrix
+            assert m.tobytes() == want.tobytes() and m.flags.c_contiguous
+            assert not np.shares_memory(m, rows)
+
+    @pytest.mark.parametrize("vectors", [
+        [[1.0, 0.0], [0.0, 1.0, 0.0]],  # ragged
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # a wrong length
+        [[[1.0], [0.0]]],  # a column, not a vector
+        [1.0, 0.0],  # numbers, not vectors
+        [],
+        np.zeros((0, 2)),
+    ])
+    def test_an_array_and_a_list_word_one_error(self, minkowski, vectors):
+        def error(given_as):
+            with pytest.raises((DimensionError, MemberClassificationError)) as exc:
+                VectorFrame(minkowski, given_as)
+            return type(exc.value), str(exc.value)
+
+        want = error(vectors)
+        assert want == error(list(vectors)) == error(iter(vectors))
+        if isinstance(vectors, np.ndarray) or len(set(map(np.shape, vectors))) == 1:
+            assert error(np.asarray(vectors)) == want
+
     def test_signed_spans_recorded(self, coupled_frame):
         assert coupled_frame.m_plus.dim == 2
         assert coupled_frame.m_minus.dim == 1
@@ -808,8 +841,9 @@ class TestDualSpans:
         # a positive plane whose basis has kappa 5e9: beta kappa misses the
         # rank settle, while the spans still settle the signs, so that member
         # alone is a Subspace of X B_i, with its SVD.  A heavy line on e2 makes
-        # X shrink e2 tenfold; X B_i is then rank deficient, with the
-        # RankError that Subspace raises on the product the check makes
+        # X shrink e2 tenfold; X B_i is then rank deficient, and the report
+        # is a failed dual whose note carries the RankError that Subspace
+        # raises on the product the check makes
         space = KreinSpace.from_signs([1, 1, -1, -1])
         e = np.eye(4)
         plane = np.column_stack([e[:, 0], e[:, 0] + 4e-10 * e[:, 1]])
@@ -832,10 +866,10 @@ class TestDualSpans:
         images = x @ np.hstack([*(w.basis for w in members), *fam._span_bases])
         with pytest.raises(RankError) as today:
             Subspace(space, images[:, :2])
-        with pytest.raises(RankError) as exc:
-            fusion_dual_bounds_check(fam)
-        assert str(exc.value) == str(today.value)
-        assert str(exc.value).startswith("basis matrix is rank deficient (singular values ")
+        report = fusion_dual_bounds_check(fam)
+        assert (report.dual_is_frame, report.holds, report.dual) == (False, False, None)
+        assert report.note == f"dual member failed its rank check: {today.value}"
+        assert str(today.value).startswith("basis matrix is rank deficient (singular values ")
 
     @pytest.mark.parametrize("sides", SIDES)
     @settings(max_examples=examples(6))

@@ -30,6 +30,7 @@ from kreinframes import (
     vframe_optimal_bounds,
 )
 from kreinframes.sampling import (
+    random_complex,
     random_maximal_definite_subspace,
     rng_from_seed,
 )
@@ -179,6 +180,25 @@ class TestCertify:
         v = np.asarray(vec_witnesses[0]["vector"])
         # the witness violates positivity of the positive span
         assert indefinite_product(c3, v, v).real <= 1e-9
+
+    @settings(max_examples=10)
+    @given(n=st.integers(4, 24), diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_witness_does_not_depend_on_the_basis(self, n, diagonal, seed):
+        # an indefinite span, with its orthonormal basis U and with U V for a
+        # random unitary V: one witness, whose largest entry is real and
+        # positive.  With dim <= p, q the span meets neither canonical
+        # component, so its Gramian's extreme eigenvalues are simple
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, p=n // 2, diagonal=diagonal)
+        k = int(rng.integers(2, n // 2 + 1))
+        u = np.linalg.qr(random_complex(rng, n, k))[0]
+        v = np.linalg.qr(random_complex(rng, k, k))[0]
+        spans = [Subspace._orthonormal(space, b) for b in (u, u @ v)]
+        for sign in (1, -1):
+            w, w_rotated = (fusion._degenerate_witness(m, sign) for m in spans)
+            np.testing.assert_allclose(w_rotated, w, rtol=0, atol=1e-10)
+            top = w[np.argmax(np.abs(w))]
+            assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
 
     def test_span_within_rounding_of_the_light_cone(self):
         # the first line, and the span of the next two, have a Gramian

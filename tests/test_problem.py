@@ -375,6 +375,23 @@ class TestVectorFramesAndOperators:
             parse_spec(doc(vector_frames={"vf": vectors}))
         assert str(exc.value) == "vector_frames.vf: squared norm is not finite in float64"
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [1e200, 0], [1e300, 0]],
+        # 1.44e308 and 1.62e308 are finite, above max / 2: checked and passed
+        [[1.2e154, 0], [0, 9e153], [1e154, 1e154], [1e300, 0]],
+        [[1.2e154, [0, 1.2e154]], [1, 0]],
+    ])
+    def test_first_overflowing_vector_named(self, rows):
+        # the row a per-row check of ||f||^2 finds first
+        def energy(r):
+            v = np.array([complex(*x) if isinstance(x, list) else x for x in r])
+            return np.vdot(v, v).real
+
+        first = next(i for i, r in enumerate(rows) if not np.isfinite(energy(r)))
+        with pytest.raises(ValidationError) as exc:
+            parse_spec(doc(vector_frames={"vf": rows}))
+        assert str(exc.value) == f"vector_frames.vf[{first}]: squared norm is not finite in float64"
+
     def test_malformed_row_before_overflowing_vector(self):
         # every row is read before any vector's energy is checked
         with pytest.raises(SchemaError) as exc:
