@@ -495,7 +495,8 @@ def _leading_span(a: np.ndarray, c: int, tol: Tolerances) -> np.ndarray | None:
     both are then _SAFETY from the threshold tau_rank s_1(A), far beyond
     the rounding of an SVD of A, whose rank would be k.  The diagonal of R
     (min |R_ii| >= s_min(R), max |R_ii| <= s_1(R) <= ||A_S||_F + slack)
-    and E refuse before the k x k SVD, so a refusal adds no SVD.
+    and E refuse most sides before the k x k SVD, so a refusal adds at
+    most that SVD to the SVD of A.
     """
     n, K = a.shape
     k = min(K, n, c)

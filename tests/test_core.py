@@ -707,7 +707,8 @@ class TestLeadingSpan:
     """A span settled from its leading columns (``_leading_span``) against the
     SVD of all its columns: the same rank, projector and class when it
     settles; near the threshold tau_rank s_1, or on dependent leading
-    columns, it refuses without an SVD and the span is the SVD's, bit for bit."""
+    columns, it refuses, mostly before R's SVD, and the span is the SVD's,
+    bit for bit."""
 
     TAU = DEFAULT_TOLERANCES.tau_rank
     E = np.eye(6)  # under diag(1, 1, 1, -1, -1, -1): e1..e3 positive, e4..e6 negative
@@ -789,6 +790,21 @@ class TestLeadingSpan:
             self.settles(space, a, 3)
         else:
             self.refuses(space, a, 3, count_calls)
+
+    @pytest.mark.parametrize("d, settled", [(6.0, False), (20.0, True)])
+    def test_a_coupled_pair_near_the_threshold(self, space, count_calls, d, settled):
+        # [e1, e1 + d tau_rank e2]: R's diagonal (1, d tau_rank) clears _SAFETY
+        # tau_rank, while s_2 = d tau_rank / sqrt 2 clears _SAFETY tau_rank s_1,
+        # s_1 = sqrt 2, only for d > 8; the refusal comes from R's 2 x 2 SVD
+        e = self.E
+        a = np.column_stack([e[:, 0], e[:, 0] + d * self.TAU * e[:, 1]])
+        if settled:
+            self.settles(space, a, 3)
+        else:
+            svd = count_calls(np.linalg, "svd")
+            assert _leading_span(a, 3, space.tol) is None and len(svd) == 1
+            settled_span, svd_span = self.spans(space, a, 3)
+            assert np.array_equal(settled_span.ortho_basis, svd_span.ortho_basis)
 
     @pytest.mark.parametrize("over, settled", [(0.5, False), (2.0, True)])
     def test_the_slack_at_its_edge(self, space, count_calls, over, settled):
