@@ -263,8 +263,8 @@ class Subspace:
     """
 
     # _cond is kappa(basis) and _margin the smallest |Gramian eigenvalue| once
-    # classified, or bounds on both from _graph; _spanning: see _graph
-    _margin = _spanning = None
+    # classified, or bounds on both; _spanning: see _graph; _sign: transforms._signed
+    _margin = _spanning = _sign = None
 
     def __init__(self, space: KreinSpace, basis):
         basis = _as_matrix(basis)
@@ -405,13 +405,19 @@ class Operator:
         return _frozen(np.linalg.svd(self.matrix, compute_uv=False))
 
     @cached_property
+    def _congruence(self) -> np.ndarray:
+        """H = T* J T, from one product with J; T# T = J H."""
+        return _frozen(self.space._xj(self.matrix.conj().T) @ self.matrix)
+
+    @cached_property
     def _isometry(self) -> tuple[float, float, float, float]:
         """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
-        trace(T# T) / n; kappa is inf for a singular T."""
-        g = j_adjoint(self).matrix @ self.matrix
-        n = self.space.dim
-        c = (complex(np.trace(g)) / n).real
-        residual = float(np.linalg.norm(g - c * np.eye(n), 2))
+        trace(T# T) / n; kappa is inf for a singular T.  T# T - c I =
+        J (H - c J) with J unitary, so the residual is the largest
+        |eigenvalue| of the Hermitian H - c J."""
+        h, space = self._congruence, self.space
+        c = (complex(np.trace(space._jx(h))) / space.dim).real
+        residual = float(np.abs(np.linalg.eigvalsh(h - c * space.J)).max())
         s = self._svals
         kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
         return c, residual, float(s[0]), kappa
@@ -530,24 +536,27 @@ def _def_floor(space: KreinSpace, k: int) -> float:
     return max(space.tol.tau_def, 20.0 * k**1.5 * space.dim * 2.0**-52)
 
 
-def _clears(g: np.ndarray, t: float) -> bool:
+def _clears(g: np.ndarray, t: float, sign: int = 0) -> bool:
     """True only if every eigenvalue of the exactly Hermitian g has modulus
-    above t; False leaves it undecided.
+    above t, or for a ``sign`` s of +-1 every eigenvalue of s g is above t;
+    False leaves it undecided.
 
-    True means a Cholesky factor of g g - (t^2 + delta) I exists.  With
-    f = ||g||_F, forming g g errs by at most 1.5 (k + 2) eps f^2 in norm, and a
-    computed factor is one of the matrix plus an error of norm at most
+    True means a Cholesky factor of g g - (t^2 + delta) I (or s g -
+    (t + delta) I) exists.  With f = ||g||_F, forming g g errs by at most
+    1.5 (k + 2) eps f^2 in norm (s g - (t + delta) I by eps (f + t + delta)),
+    and a computed factor is one of the matrix plus an error of norm at most
     k (k + 1) eps times its own (Higham, ASNA, §3.6 and §10.1, complex
     arithmetic included); delta is twice their sum, plus the underflow of
-    k^2 products, so the exact g^2 - t^2 I is positive definite.
+    k^2 products, so the exact g^2 - t^2 I (or s g - t I) is positive definite.
     """
     k = g.shape[0]
     # an overflow or a nan leaves a factor that is not finite, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.vdot(g, g).real) + t * t
+        f2 = float(np.vdot(g, g).real)
+        m, t, scale = (sign * g, t, f2**0.5 + t) if sign else (g @ g, t * t, f2 + t * t)
         delta = 4.0 * (k + 1) ** 2 * (2.0**-52 * scale + 2.0**-1074)
         try:
-            r = np.linalg.cholesky(g @ g - (t * t + delta) * np.eye(k))
+            r = np.linalg.cholesky(m - (t + delta) * np.eye(k))
         except np.linalg.LinAlgError:
             return False
         return bool(np.isfinite(r).all())

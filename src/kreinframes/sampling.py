@@ -24,9 +24,10 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
-    # one call: the generator fills the real halves first, as two calls would
-    real, imag = rng.standard_normal((2, *shape))
-    return real + 1j * imag
+    # one call fills the real halves first, as two calls would, into one array
+    z = np.empty(shape, complex)
+    z.real, z.imag = rng.standard_normal((2, *shape))
+    return z
 
 
 _MAX_TILT = 0.8  # the largest ||K||_2 of a maximal or regular draw
@@ -104,13 +105,15 @@ def random_definite_subspace(
     maximal.basis Q with coeff = QR.  Q has orthonormal columns, so the
     slice keeps both of the maximal draw's bounds: kappa(basis) is at most
     kappa(maximal.basis), and the margin bound holds by Cauchy interlacing.
-    The bases, the QR and the SVDs wait until read, as in a maximal draw.
+    The bases, the QR and the SVDs wait until read, as in a maximal draw;
+    its spanning columns maximal.basis coeff span it when independent.
     """
     maximal = random_maximal_definite_subspace(space, rng, sign)
     d = space.component(sign).shape[1]  # maximal.dim would build its basis
     coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
     return Subspace._graph(
-        space, lambda: maximal.basis @ np.linalg.qr(coeff)[0], maximal._cond, maximal._margin
+        space, lambda: maximal.basis @ np.linalg.qr(coeff)[0], maximal._cond, maximal._margin,
+        lambda: maximal.basis @ coeff,
     )
 
 

@@ -96,11 +96,13 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
     return Subspace.from_spanning(T.space, T.matrix @ _in_space_of(T, V).basis)
 
 
-def _sweep(T, cert, subspaces, n_random, seed, draw, check, law=None) -> PredicateVerdict:
+def _sweep(
+    T, cert, subspaces, n_random, seed, draw, check, law=None, signed=False
+) -> PredicateVerdict:
     """The first counterexample ``check(T, v)`` finds in the supplied
     subspaces, then in ``n_random`` samples ``draw(space, rng)`` takes one at
-    a time from rng_from_seed(seed).  A check that _settles(v, cert) decides
-    is not made.
+    a time from rng_from_seed(seed).  A check that _settles(v, cert, signed)
+    decides is not made.
 
     ``law(space)``, if given, bounds (cond, margin) every draw: when those
     bounds settle T and no draw can fail its rank, no sample is drawn, but
@@ -117,19 +119,23 @@ def _sweep(T, cert, subspaces, n_random, seed, draw, check, law=None) -> Predica
             drawn = repeat(None, n_random)
     tested = 0
     for tested, v in enumerate(chain(subspaces, drawn), 1):
-        bad = None if v is None or _settles(v, cert) else check(T, v)
+        bad = None if v is None or _settles(v, cert, signed) else check(T, v)
         if bad is not None:
             return PredicateVerdict("counterexample", v, bad, tested)
     return PredicateVerdict("holds-on-samples", None, "", tested)
 
 
 def _signed(sampler):
-    """draw(space, rng) for a sampler of one sign; the sign is drawn first."""
+    """draw(space, rng) for a sampler of one sign; the sign is drawn first,
+    and the draw keeps it as ``_sign`` where its margin bound clears the
+    classification floor with _SAFETY, else 0 (see _settles)."""
 
     def draw(space, rng):
         p, q = space.signature
         sign = 1 if (q == 0 or (p > 0 and rng.uniform() < 0.5)) else -1
-        return sampler(space, rng, sign)
+        v = sampler(space, rng, sign)
+        v._sign = sign if v._margin > _SAFETY * _def_floor(space, space.dim) else 0
+        return v
 
     return draw
 
@@ -154,13 +160,15 @@ def _bounds_settle(space, cond: float, margin: float, cert) -> bool:
     return floor is not None and cert[0] > 0 and cert[0] * margin - cert[1] > floor
 
 
-def _settles(v: Subspace, cert) -> bool:
+def _settles(v: Subspace, cert, signed: bool = False) -> bool:
     """Whether ``cert`` = T._isometry proves that T(V) has V's
     dimension and inertia with a Gramian margin above tau_def (or above the
     rounding level that _def_floor puts in its place).  V's margin is then
     above it too, so a drawn V, or one from the pools of
     _predicate_sweep, passes its check and so does its image.  With
-    H = T* J T appended to ``cert``, it is enough that T(V) is regular.
+    H = T* J T appended to ``cert``, it is enough that T(V) is regular or,
+    if ``signed``, uniformly definite of V's sign s: a supplied V's, or a
+    draw's ``_sign``, which it keeps only where it classifies with it.
 
     With T# T = c I + E and ||E|| = r, T* J T = c J + J E.  On an
     orthonormal basis U of V, whose Gramian margin is delta, the image's
@@ -171,23 +179,25 @@ def _settles(v: Subspace, cert) -> bool:
     eigenvalues have modulus at least |eigenvalue of U* H U| / ||T||^2.  With
     columns B = U C in V in place of U, each |eigenvalue of B* H B| is at most
     ||C||_2^2 = ||B||_2^2 <= ||B||_F^2 times one of U* H U, so the floor is
-    scaled by ||B||_F^2 and no SVD of B is needed.  Only _clears settles, as
-    only it proves the bound; what it leaves undecided is checked.  B is V's
-    spanning columns where it has them: a B* H B that clears a positive floor
-    is nonsingular, so B has full rank and spans V.
+    scaled by ||B||_F^2 and no SVD of B is needed; signed, all of this holds
+    of s B* H B, s U* H U and s Q* J Q.  Only _clears settles, as only it
+    proves the bound; what it leaves undecided is checked.  B is V's
+    spanning columns where it has them: a B* H B that clears a positive
+    floor is nonsingular, so B has full rank and spans V.
     """
     if cert is None:
         return False
     if _bounds_settle(v.space, v._cond, v._gram_margin(), cert):
         return True
     floor = _image_floor(v.space, v._cond, cert) if len(cert) == 5 else None
-    if floor is None:
+    sign = (v.classify().sign if v._sign is None else v._sign) if signed else 0
+    if floor is None or signed and not sign:
         return False
     b = v.basis if v._spanning is None else v._spanning()
     g = b.conj().T @ cert[4] @ b
     g = 0.5 * (g + g.conj().T)
     floor *= float(np.vdot(b, b).real)
-    return _clears(g, floor)
+    return _clears(g, floor, sign)
 
 
 def _check_definite(T, v):
@@ -246,7 +256,7 @@ def _predicate_sweep(k, T, cert, subspaces, n_random, seed) -> PredicateVerdict:
         return check(T, v)
 
     pool = [s for s in subspaces if getattr(_in_space_of(T, s).classify(), hypothesis)]
-    return _sweep(T, cert, pool, n_random, seed, draw, checked, law)
+    return _sweep(T, cert, pool, n_random, seed, draw, checked, law, k < 2)
 
 
 def preserves_definiteness_with_sign(
@@ -274,18 +284,14 @@ def preservation_report(
     T: Operator, subspaces=(), n_random: int = 200, seed: int = 0
 ) -> PreservationReport:
     """The three predicates' verdicts on T, each from one _predicate_sweep;
-    the first library error is raised.  Images that _settles decides are not
-    computed; for regularity it may also use T* J T.  A sweep draws nothing
-    once its law's bounds settle T."""
+    the first library error is raised.  Images that _settles decides, by
+    T's scalars or by T* J T, are not computed.  A sweep draws nothing once
+    its law's bounds settle T."""
     subspaces = list(subspaces)  # read by all three sweeps
-    cert = T._isometry
-    # and T* J T for regularity only: an invertible T that keeps both signs'
-    # definiteness is a J-isometry multiple (Krein-Shmul'yan), decided without it
-    congruent = (*cert, T.space._xj(T.matrix.conj().T) @ T.matrix)
-    return PreservationReport(*(
-        _predicate_sweep(k, T, c, subspaces, n_random, seed)
-        for k, c in enumerate((cert, cert, congruent))
-    ))
+    cert = (*T._isometry, T._congruence)
+    return PreservationReport(
+        *(_predicate_sweep(k, T, cert, subspaces, n_random, seed) for k in range(3))
+    )
 
 
 def transform_family(
@@ -352,7 +358,10 @@ def necessary_conditions_check(
 
     When both F and its image family are frames, the signed image spans
     must decompose the space as a direct sum of maximal uniformly definite
-    subspaces of opposite signs.
+    subspaces of opposite signs.  The spans are the images' over F's index
+    sets, so the conditions assume that T keeps signs: the swap
+    [[0, 1], [1, 0]] under diag(1, -1) maps every frame to a frame, and
+    ``holds`` is False for it.
     """
     if not F._certificate.is_frame:
         raise HypothesisNotMetError("F must be a certified J-fusion frame")
@@ -366,8 +375,7 @@ def _necessary_conditions(
     F: WeightedFamily, family: WeightedFamily
 ) -> NecessaryConditionsReport:
     """necessary_conditions_check on F's image family, both already frames."""
-    # the image members spanned over F's index sets, not over the image
-    # family's own signs: an operator that swaps the signs fails here
+    # over F's index sets, not the image family's own signs (see above)
     if family.signs == F.signs:  # the image family's own spans, from the same SVDs
         spans = [family.m_plus, family.m_minus]
     else:

@@ -871,7 +871,7 @@ class TestTransformTask:
 
     def test_transform_and_preserve_factor_each_operator_once(self, count_calls):
         # is_j_isometry_multiple, the surjectivity rank and the preservation
-        # certificates share one SVD of each operator
+        # certificates share one SVD and one T* J T of each operator
         space = alternating_signature_space(8)
         rng = np.random.default_rng(2)
         u = random_j_unitary(space, rng)
@@ -884,10 +884,12 @@ class TestTransformTask:
         family = random_fusion_frame(space, rng)
         problem = ProblemSpec(space, families={"frame": family}, operators=operators)
         svds = count_calls(np.linalg, "svd")
+        congruences = count_calls(vars(Operator)["_congruence"], "func")
         for command in ("transform", "preserve"):
             cli.run_command(command, problem, 0, 30)
         for op in operators.values():
             assert sum(args[0] is op.matrix for args in svds) == 1
+            assert sum(args[0] is op for args in congruences) == 1
 
     def test_member_and_surjectivity_failures_are_reported(self, capsys, tmp_path):
         # the four axes of C^4 under diag(1, -1, 1, -1): the neutral-image

@@ -23,7 +23,7 @@ from kreinframes.errors import (
 )
 from kreinframes import sampling, transforms
 from kreinframes.fusion import bounds_sandwich_ok, certify, converse_check
-from kreinframes.core import _def_floor, gramian
+from kreinframes.core import _def_floor, gramian, j_adjoint
 from kreinframes.sampling import (
     random_definite_subspace,
     random_maximal_definite_subspace,
@@ -582,14 +582,23 @@ class TestCertifiedSweep:
         for T, report in zip(alt48_ops, reports):
             assert_same_report(report, sampled_report(T, 50, 0))
 
-    def test_only_the_other_operator_computes_images(self, alt48_ops, count_calls):
+    def test_only_the_other_operator_computes_images(self, alt48_ops, count_calls, monkeypatch):
         calls = count_calls(transforms, "image_subspace")
+        settled, settles = [], transforms._settles
+
+        def recorded(v, cert, signed=False):
+            settled.append(settles(v, cert, signed))
+            return settled[-1]
+
+        monkeypatch.setattr(transforms, "_settles", recorded)
         reports = [preservation_report(T, [], 50, 0) for T in alt48_ops]
         neutral = reports[2]
         tested = [getattr(neutral, f).samples_tested for f in PREDICATES]
-        # congruence by T* J T settles each of its 50 regularity checks
-        assert tested[2] == 50
-        assert len(calls) == tested[0] + tested[1]
+        # congruence by T* J T settles each of its 50 regularity checks, and
+        # with each draw's sign some of its definiteness and maximality checks;
+        # the J-unitary multiples draw nothing, so every sample is its own
+        assert tested[2] == 50 and len(settled) == sum(tested)
+        assert len(calls) == settled.count(False) < tested[0] + tested[1]
         assert all(args[0] is alt48_ops[2] for args in calls)
         for T, report in zip(alt48_ops, reports):
             assert_same_report(report, sampled_report(T, 50, 0))
@@ -738,8 +747,8 @@ class TestLazyDraws:
 
 
 def congruent_cert(T):
-    """The regularity sweep's certificate: T._isometry and T* J T."""
-    return (*T._isometry, T.matrix.conj().T @ T.space.J @ T.matrix)
+    """The sweeps' certificate: T._isometry and T* J T, as preservation_report forms it."""
+    return (*T._isometry, T._congruence)
 
 
 @pytest.mark.soundness
@@ -825,6 +834,150 @@ class TestCongruence:
         assert preservation_report(alt48_ops[2], [], 50, 0).regularity.holds
         assert len(drawn) == 50
         assert not any("_classification" in vars(v) for v in drawn)
+
+
+def random_invertible(space, rng, log_scale, log_kappa):
+    """10^log_scale Q1 diag(s) Q2 with kappa = 10^log_kappa, no J-isometry multiple."""
+    n = space.dim
+    q1, _ = np.linalg.qr(random_complex(rng, n, n))
+    q2, _ = np.linalg.qr(random_complex(rng, n, n))
+    return Operator(space, 10.0**log_scale * (q1 * np.logspace(0.0, -log_kappa, n)) @ q2)
+
+
+class FixedUniform:
+    """A generator whose uniform draws are all ``value``."""
+
+    def __init__(self, rng, value):
+        self.rng, self.value = rng, value
+
+    def uniform(self, *args):
+        return self.value
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+SIGNED = (
+    (random_definite_subspace, transforms._check_definite),
+    (random_maximal_definite_subspace, transforms._check_maximal),
+)
+
+
+@pytest.mark.soundness
+class TestSignedCongruence:
+    """T* J T with a draw's sign settles a definiteness or maximality check
+    only where the check passes: the image is uniformly definite of that
+    sign, and the draw classifies with it."""
+
+    @settings(max_examples=examples(40))
+    @given(
+        n=st.integers(2, 48),
+        log_scale=st.floats(-3.0, 3.0),
+        log_kappa=st.floats(0.0, 3.0),
+        # a J-unitary U (I + eps E) with eps > 0 keeps most signs; 0: a random T
+        eps=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+        log_tau_def=st.floats(-8.0, np.log10(0.2)),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_settled_checks_pass(self, n, log_scale, log_kappa, eps, log_tau_def, diagonal, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
+        t = random_invertible(space, rng, log_scale, log_kappa)
+        if eps > 0.0:
+            e = random_complex(rng, n, n)
+            near = random_j_unitary(space, rng).matrix @ (np.eye(n) + eps * e / np.linalg.norm(e, 2))
+            t = Operator(space, 10.0**log_scale * near)
+        cert = congruent_cert(t)
+        floor = transforms._SAFETY * _def_floor(space, n)
+        for sampler, check in SIGNED:
+            draw = transforms._signed(sampler)
+            for _ in range(4):
+                v = draw(space, rng)
+                if not transforms._settles(v, cert, True):
+                    continue
+                sign = v._sign
+                assert sign != 0 and v.classify().sign == sign
+                assert check(t, v) is None
+                # Ostrowski: s U* H U / ||T||^2 clears the floor and bounds the
+                # image's signed Gramian
+                u = v.ortho_basis
+                g = u.conj().T @ cert[4] @ u
+                bound = np.linalg.eigvalsh(sign * 0.5 * (g + g.conj().T)).min() / cert[2] ** 2
+                assert bound > floor * (1 - 1e-6)
+                img = image_subspace(t, v)
+                assert img.dim == v.dim
+                assert np.linalg.eigvalsh(sign * gramian(img)).min() > bound * (1 - 1e-9)
+
+    def test_settles_most_draws_of_the_neutral_image_operator(self, alt48_ops):
+        t = alt48_ops[2]
+        cert = congruent_cert(t)
+        rng = rng_from_seed(0)
+        for sampler, check in SIGNED:
+            draws = [transforms._signed(sampler)(t.space, rng) for _ in range(40)]
+            assert not any(transforms._settles(v, cert[:4], True) for v in draws)
+            settled = [v for v in draws if transforms._settles(v, cert, True)]
+            assert len(settled) > 20
+            assert all(check(t, v) is None for v in settled)
+
+    @pytest.mark.parametrize("n", [2, 8, 48])
+    def test_sign_swapping_operators_never_settle(self, n):
+        # the swap e_i <-> e_(n+1-i) under diag(1, -1, ...), [[0, 1], [1, 0]] at
+        # n = 2, and it after a J-unitary U: T# T = -I, so T* J T = -J maps
+        # every definite subspace onto one of the other sign; the image is
+        # regular, so the unsigned settle holds
+        space = alternating_signature_space(n)
+        swap = Operator(space, np.fliplr(np.eye(n)))
+        anti = Operator(space, swap.matrix @ random_j_unitary(space, rng_from_seed(n)).matrix)
+        rng = rng_from_seed(1)
+        for t in (swap, anti):
+            cert = congruent_cert(t)
+            assert t._isometry[0] == pytest.approx(-1.0)
+            for sampler, check in SIGNED:
+                for _ in range(10):
+                    v = transforms._signed(sampler)(space, rng)
+                    assert v._sign != 0
+                    assert not transforms._settles(v, cert, True)
+                    assert transforms._settles(v, cert)
+                    # at p = q the image is maximal with the other sign
+                    assert (check(t, v) is None) is (check is transforms._check_maximal)
+            report = preservation_report(t, [], 20, 0)
+            assert_same_report(report, sampled_report(t, 20, 0))
+            assert report.definiteness_with_sign.samples_tested == 1
+
+    @pytest.mark.parametrize("n", [4, 8, 48])
+    def test_draws_outside_the_hypothesis_still_raise(self, n):
+        # at tau_def 0.3 some draw's margin, at least 0.22, is below tau_def;
+        # I, 3 I and J keep every margin, so none refutes a draw first
+        space = alternating_signature_space(n, tol=Tolerances(tau_def=0.3))
+        for m in (np.eye(n), 3.0 * np.eye(n), space.J):
+            with pytest.raises(ClassificationError, match="predicate only tests"):
+                preservation_report(Operator(space, m), [], 100, 0)
+
+    def test_a_draw_below_tau_def_keeps_its_check(self, monkeypatch):
+        # under tau_def 0.24 a maximal draw of tilt 0.79 (sign -1, as every
+        # uniform draw is 0.79) has margin 0.231 and is outside the
+        # hypothesis; T maps it onto the negative axis at ||T||, so that
+        # T* J T with its sign would clear 4 tau_def: its margin, below
+        # 4 tau_def, withholds the sign
+        space = KreinSpace.from_signs([1, -1], tol=Tolerances(tau_def=0.24))
+
+        def fixed(seed):
+            return FixedUniform(rng_from_seed(seed), 0.79)
+
+        v = transforms._signed(random_maximal_definite_subspace)(space, fixed(0))
+        assert v._sign == 0 and not v.classify().uniformly_definite
+        b = v.basis[:, 0] / np.linalg.norm(v.basis[:, 0])
+        perp = np.array([-b[1].conjugate(), b[0].conjugate()])
+        t = Operator(space, 10.0 * np.outer([0.0, 1.0], b.conj()) + np.outer([1.0, 0.0], perp.conj()))
+        cert = congruent_cert(t)
+        assert not transforms._settles(v, cert, True)
+        v._sign = -1
+        assert transforms._settles(v, cert, True)
+        # the sweeps draw the same subspace first, and definiteness raises
+        monkeypatch.setattr(transforms, "rng_from_seed", fixed)
+        with pytest.raises(ClassificationError, match="definiteness predicate only tests"):
+            preservation_report(t, [], 10, 0)
 
 
 @pytest.mark.soundness
@@ -1335,6 +1488,44 @@ class TestJIsometryMultiple:
         t = Operator(c3, np.array([[0, 0, 1], [0, 1j, 0], [1, 0, 0]], dtype=complex))
         verdict, _ = is_j_isometry_multiple(t)
         assert not verdict
+
+
+def t_sharp_t_scale(T):
+    """c = Re tr(T# T) / n and ||T# T - c I||_2, from T# T itself."""
+    g = j_adjoint(T).matrix @ T.matrix
+    n = T.space.dim
+    c = (complex(np.trace(g)) / n).real
+    return c, float(np.linalg.norm(g - c * np.eye(n), 2))
+
+
+class TestSharedCongruence:
+    """One T* J T per operator gives the isometry scale and residual, and the
+    preservation sweeps' certificate."""
+
+    @pytest.mark.parametrize("n", [2, 8, 48])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_isometry_matches_t_sharp_t(self, n, diagonal):
+        alt = alternating_signature_space(n)
+        q = np.eye(n) if diagonal else np.linalg.qr(random_complex(rng_from_seed(n), n, n))[0]
+        space = KreinSpace(q @ alt.J @ q.conj().T)
+        assert (space._diag is not None) is diagonal
+        u = random_j_unitary(space, rng_from_seed(n + 1)).matrix
+        others = [np.fliplr(np.eye(n)), neutral_image_operator(alt).matrix, np.zeros((n, n))]
+        # J-unitary, twice it, the swap, the neutral image and T = 0
+        for m in [u, 2.0 * u] + [q @ a @ q.conj().T for a in others]:
+            t = Operator(space, m)
+            c, residual, norm, _ = t._isometry
+            c_old, residual_old = t_sharp_t_scale(t)
+            assert abs(c - c_old) <= 1e-12 * max(abs(c_old), norm**2)
+            assert abs(residual - residual_old) <= 1e-12 * max(residual_old, norm**2)
+            assert t._congruence is t._congruence and not t._congruence.flags.writeable
+
+    def test_the_report_uses_the_operators_h(self, alt48_ops, count_calls):
+        for t in alt48_ops:
+            sweeps = count_calls(transforms, "_predicate_sweep")
+            preservation_report(t, [], 5, 0)
+            assert [args[2][4] is t._congruence for args in sweeps] == [True] * 3
+            sweeps.clear()
 
 
 class TestNecessaryConditions:
