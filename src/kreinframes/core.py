@@ -553,10 +553,10 @@ def _clears(g: np.ndarray, t: float, sign: int = 0) -> bool:
     # an overflow or a nan leaves a factor that is not finite, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         f2 = float(np.vdot(g, g).real)
-        m, t, scale = (sign * g, t, f2**0.5 + t) if sign else (g @ g, t * t, f2 + t * t)
+        m, shift, scale = (sign * g, t, f2**0.5 + t) if sign else (g @ g, t * t, f2 + t * t)
         delta = 4.0 * (k + 1) ** 2 * (2.0**-52 * scale + 2.0**-1074)
         try:
-            r = np.linalg.cholesky(m - (t + delta) * np.eye(k))
+            r = np.linalg.cholesky(m - (shift + delta) * np.eye(k))
         except np.linalg.LinAlgError:
             return False
         return bool(np.isfinite(r).all())

@@ -596,7 +596,7 @@ class TestCertifiedSweep:
         tested = [getattr(neutral, f).samples_tested for f in PREDICATES]
         # congruence by T* J T settles each of its 50 regularity checks, and
         # with each draw's sign some of its definiteness and maximality checks;
-        # the J-unitary multiples draw nothing, so every sample is its own
+        # the J-unitary multiples draw nothing, so every settle is the neutral one's
         assert tested[2] == 50 and len(settled) == sum(tested)
         assert len(calls) == settled.count(False) < tested[0] + tested[1]
         assert all(args[0] is alt48_ops[2] for args in calls)
@@ -751,6 +751,14 @@ def congruent_cert(T):
     return (*T._isometry, T._congruence)
 
 
+def random_invertible(space, rng, log_scale, log_kappa):
+    """10^log_scale Q1 diag(s) Q2 with kappa = 10^log_kappa, no J-isometry multiple."""
+    n = space.dim
+    q1, _ = np.linalg.qr(random_complex(rng, n, n))
+    q2, _ = np.linalg.qr(random_complex(rng, n, n))
+    return Operator(space, 10.0**log_scale * (q1 * np.logspace(0.0, -log_kappa, n)) @ q2)
+
+
 @pytest.mark.soundness
 class TestCongruence:
     """T* J T settles a regularity check only where the check passes."""
@@ -767,11 +775,7 @@ class TestCongruence:
     def test_settled_checks_pass(self, n, log_scale, log_kappa, log_tau_def, diagonal, seed):
         rng = rng_from_seed(seed)
         space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
-        # an invertible T with kappa(T) = 10^log_kappa, no J-isometry multiple
-        q1, _ = np.linalg.qr(random_complex(rng, n, n))
-        q2, _ = np.linalg.qr(random_complex(rng, n, n))
-        s = np.logspace(0.0, -log_kappa, n) if n > 1 else np.ones(1)
-        t = Operator(space, 10.0**log_scale * (q1 * s) @ q2)
+        t = random_invertible(space, rng, log_scale, log_kappa)
         assert not is_j_isometry_multiple(t)[0]
         cert = congruent_cert(t)
         norm = cert[2]
@@ -836,14 +840,6 @@ class TestCongruence:
         assert not any("_classification" in vars(v) for v in drawn)
 
 
-def random_invertible(space, rng, log_scale, log_kappa):
-    """10^log_scale Q1 diag(s) Q2 with kappa = 10^log_kappa, no J-isometry multiple."""
-    n = space.dim
-    q1, _ = np.linalg.qr(random_complex(rng, n, n))
-    q2, _ = np.linalg.qr(random_complex(rng, n, n))
-    return Operator(space, 10.0**log_scale * (q1 * np.logspace(0.0, -log_kappa, n)) @ q2)
-
-
 class FixedUniform:
     """A generator whose uniform draws are all ``value``."""
 
@@ -883,8 +879,9 @@ class TestSignedCongruence:
     def test_settled_checks_pass(self, n, log_scale, log_kappa, eps, log_tau_def, diagonal, seed):
         rng = rng_from_seed(seed)
         space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
-        t = random_invertible(space, rng, log_scale, log_kappa)
-        if eps > 0.0:
+        if eps == 0.0:
+            t = random_invertible(space, rng, log_scale, log_kappa)
+        else:
             e = random_complex(rng, n, n)
             near = random_j_unitary(space, rng).matrix @ (np.eye(n) + eps * e / np.linalg.norm(e, 2))
             t = Operator(space, 10.0**log_scale * near)
@@ -1270,9 +1267,7 @@ class TestSpanningColumns:
     ):
         rng = rng_from_seed(seed)
         space = random_space(rng, n, diagonal=diagonal, tol=Tolerances(tau_def=10.0**log_tau_def))
-        q1, _ = np.linalg.qr(random_complex(rng, n, n))
-        q2, _ = np.linalg.qr(random_complex(rng, n, n))
-        t = Operator(space, 10.0**log_scale * (q1 * np.logspace(0.0, -log_kappa, n)) @ q2)
+        t = random_invertible(space, rng, log_scale, log_kappa)
         cert = congruent_cert(t)
         for _ in range(6):
             v = random_regular_subspace(space, rng)
