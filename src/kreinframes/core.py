@@ -183,12 +183,14 @@ class KreinSpace:
 
     @cached_property
     def _components(self) -> tuple:
-        # eigh's eigenvalues ascend: (minus_basis, plus_basis)
+        # eigh's eigenvalues ascend: (minus_basis, plus_basis, E = [plus | minus])
         eigvec, q = np.linalg.eigh(self.J)[1], self.signature[1]
-        return _frozen(eigvec[:, :q].copy()), _frozen(eigvec[:, q:].copy())
+        parts = _frozen(eigvec[:, :q].copy()), _frozen(eigvec[:, q:].copy())
+        return (*parts, _frozen(np.hstack(parts[::-1])))
 
     minus_basis = property(lambda self: self._components[0])
     plus_basis = property(lambda self: self._components[1])
+    _eigenbasis = property(lambda self: self._components[2])
 
     @classmethod
     def from_signs(cls, signs, tol: Tolerances = DEFAULT_TOLERANCES) -> "KreinSpace":
@@ -263,8 +265,8 @@ class Subspace:
     """
 
     # _cond is kappa(basis) and _margin the smallest |Gramian eigenvalue| once
-    # classified, or bounds on both; _spanning: see _graph; _sign: transforms._signed
-    _margin = _spanning = _sign = None
+    # classified, or bounds on both; _canonical: see _graph; _sign: transforms._signed
+    _margin = _canonical = _sign = None
 
     def __init__(self, space: KreinSpace, basis):
         basis = _as_matrix(basis)
@@ -305,14 +307,14 @@ class Subspace:
 
     @classmethod
     def _graph(
-        cls, space: KreinSpace, basis, cond: float, margin: float, spanning=None
+        cls, space: KreinSpace, basis, cond: float, margin: float, canonical=None
     ) -> "Subspace":
         """Subspace(space, basis()) for ``basis``, a function that builds the basis
         of a graph of an angular operator, of a slice of one or of a J-orthogonal
         sum of two slices, given an upper bound ``cond`` on kappa(basis()) and
         a lower bound ``margin`` on the smallest |Gramian eigenvalue|.
-        ``spanning``, if given, builds cheaper columns in the subspace that span
-        it whenever they are independent.
+        ``canonical``, if given, builds cheaper columns C in J's eigenbasis E
+        (``KreinSpace._eigenbasis``): E C spans the subspace when C has full rank.
 
         While the first bound settles the rank, the subspace keeps ``basis``
         as its builder: the cached property ``basis`` calls it on first read
@@ -324,7 +326,7 @@ class Subspace:
             vars(W).update(space=space, _cond=cond, _build=basis)
         else:
             W = cls(space, basis())
-        W._margin, W._spanning = margin, spanning
+        W._margin, W._canonical = margin, canonical
         return W
 
     @cached_property
@@ -408,6 +410,9 @@ class Operator:
     def _congruence(self) -> np.ndarray:
         """H = T* J T, from one product with J; T# T = J H."""
         return _frozen(self.space._xj(self.matrix.conj().T) @ self.matrix)
+
+    _canonical_congruence = cached_property(lambda self: _frozen(  # H in J's eigenbasis E
+        self.space._eigenbasis.conj().T @ self._congruence @ self.space._eigenbasis))
 
     @cached_property
     def _isometry(self) -> tuple[float, float, float, float]:
@@ -556,10 +561,10 @@ def _clears(g: np.ndarray, t: float, sign: int = 0) -> bool:
         m, shift, scale = (sign * g, t, f2**0.5 + t) if sign else (g @ g, t * t, f2 + t * t)
         delta = 4.0 * (k + 1) ** 2 * (2.0**-52 * scale + 2.0**-1074)
         try:
-            r = np.linalg.cholesky(m - (shift + delta) * np.eye(k))
+            m.flat[:: k + 1] -= shift + delta  # m is a new array
+            return bool(np.isfinite(np.linalg.cholesky(m)).all())
         except np.linalg.LinAlgError:
             return False
-        return bool(np.isfinite(r).all())
 
 
 class AngularOperator:

@@ -106,14 +106,14 @@ def random_definite_subspace(
     slice keeps both of the maximal draw's bounds: kappa(basis) is at most
     kappa(maximal.basis), and the margin bound holds by Cauchy interlacing.
     The bases, the QR and the SVDs wait until read, as in a maximal draw;
-    its spanning columns maximal.basis coeff span it when independent.
+    its canonical columns E* maximal.basis coeff span it when independent.
     """
     maximal = random_maximal_definite_subspace(space, rng, sign)
     d = space.component(sign).shape[1]  # maximal.dim would build its basis
     coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
     return Subspace._graph(
         space, lambda: maximal.basis @ np.linalg.qr(coeff)[0], maximal._cond, maximal._margin,
-        lambda: maximal.basis @ coeff,
+        lambda: space._eigenbasis.conj().T @ (maximal.basis @ coeff),
     )
 
 
@@ -130,24 +130,30 @@ def random_regular_subspace(space: KreinSpace, rng: np.random.Generator) -> Subs
     (1 - t^2) / (1 + t)^2 = (1 - t) / (1 + t) (Ostrowski), and kappa(B) is at
     most the inverse.  t is drawn below the maximal draws' 0.8 and below
     (1 - f) / (1 + f), f the definiteness floor, so the margin clears f.  K
-    is scaled by ||K||_F >= ||K||_2, without an SVD.  The random numbers are
-    taken at draw time; B and the QRs that give X and Y wait until the basis
-    is read (``Subspace._graph``).  The Gaussian x and y in place of X and Y
-    give the draw's spanning columns, which span it when independent.
+    is scaled by ||K||_F >= ||K||_2, without an SVD.  K, x and y are drawn at
+    once, one standard_normal call taking what three random_complex calls
+    would; B and the QRs x = X R, y = Y R' wait until the basis is read.  Its
+    canonical columns [[x, K* y], [Kx, y]] span it when they are independent.
     """
     plus, minus = space.component(1), space.component(-1)
     d, c = plus.shape[1], minus.shape[1]
     dim = int(rng.integers(1, space.dim + 1))
     a = int(rng.integers(max(0, dim - c), min(dim, d) + 1))  # dim - a <= c
     tilt = float(rng.uniform(0.0, _regular_tilt(space, dim)))
-    k, x, y = (random_complex(rng, *shape) for shape in ((c, d), (d, a), (c, dim - a)))
-
-    def columns(x, y):  # a zero k (a definite space) is left as it is
-        s = np.linalg.norm(k)
-        kt = k * (tilt / s) if s > 0.0 else k
-        return np.hstack([(plus + minus @ kt) @ x, (minus + plus @ kt.conj().T) @ y])
+    z, at = rng.standard_normal(2 * (c * d + d * a + c * (dim - a))), 0
+    k, x, y = (np.empty(shape, complex) for shape in ((c, d), (d, a), (c, dim - a)))
+    for w in (k, x, y):  # as random_complex fills each, in turn
+        w.real, w.imag = z[at : at + 2 * w.size].reshape(2, *w.shape)
+        at += 2 * w.size
+    kt = k * (tilt / s) if (s := np.linalg.norm(k)) > 0.0 else k  # a definite space's k is 0
 
     def basis():
-        return columns(np.linalg.qr(x)[0], np.linalg.qr(y)[0])
+        qx, qy = np.linalg.qr(x)[0], np.linalg.qr(y)[0]
+        return np.hstack([(plus + minus @ kt) @ qx, (minus + plus @ kt.conj().T) @ qy])
 
-    return Subspace._graph(space, basis, *_regular_bounds(tilt), lambda: columns(x, y))
+    def canonical():  # [[x, K* y], [Kx, y]]
+        bc = np.empty((d + c, dim), complex)
+        bc[:d, :a], bc[d:, a:], bc[d:, :a], bc[:d, a:] = x, y, kt @ x, kt.conj().T @ y
+        return bc
+
+    return Subspace._graph(space, basis, *_regular_bounds(tilt), canonical)

@@ -97,7 +97,7 @@ def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
 
 
 def _sweep(
-    T, cert, subspaces, n_random, seed, draw, check, law=None, signed=False
+    T, cert, subspaces, n_random, seed, draw, check, law=None, signed=0
 ) -> PredicateVerdict:
     """The first counterexample ``check(T, v)`` finds in the supplied
     subspaces, then in ``n_random`` samples ``draw(space, rng)`` takes one at
@@ -160,17 +160,19 @@ def _bounds_settle(space, cond: float, margin: float, cert) -> bool:
     return floor is not None and cert[0] > 0 and cert[0] * margin - cert[1] > floor
 
 
-def _settles(v: Subspace, cert, signed: bool = False) -> bool:
-    """Whether ``cert`` = T._isometry proves that T(V) has V's
-    dimension and inertia with a Gramian margin above tau_def (or above the
-    rounding level that _def_floor puts in its place).  V's margin is then
-    above it too, so a drawn V, or one from the pools of
-    _predicate_sweep, passes its check and so does its image.  With
-    H = T* J T appended to ``cert``, it is enough that T(V) is regular or,
-    if ``signed``, uniformly definite of V's sign s: a supplied V's, or a
-    draw's ``_sign``, which it keeps only where it classifies with it.
+def _settles(v: Subspace, cert, signed: int = 0) -> bool:
+    """Whether ``cert`` = T._isometry proves that T(V) has V's dimension and
+    inertia with a Gramian margin above tau_def (or above the rounding level
+    that _def_floor puts in its place).  V's margin is then above it too, so
+    a drawn V, or one from the pools of _predicate_sweep, passes its check
+    and so does its image.  With a function giving E* H E appended to
+    ``cert`` (H = T* J T, E = ``KreinSpace._eigenbasis``), it is enough that
+    T(V) is regular or, if ``signed``, uniformly definite of V's sign s (a
+    supplied V's, or a draw's ``_sign``, which it keeps only where it
+    classifies with it), or, at ``signed`` 2 and p = q, of -s: a maximal V's
+    image is then maximal too.
 
-    With T# T = c I + E and ||E|| = r, T* J T = c J + J E.  On an
+    With T# T = c I + D and ||D|| = r, T* J T = c J + J D.  On an
     orthonormal basis U of V, whose Gramian margin is delta, the image's
     Gramian keeps V's signs at modulus c delta - r or more (Weyl), and
     orthonormalising divides it by at most ||T||^2 (Ostrowski).  T V.basis
@@ -180,10 +182,11 @@ def _settles(v: Subspace, cert, signed: bool = False) -> bool:
     columns B = U C in V in place of U, each |eigenvalue of B* H B| is at most
     ||C||_2^2 = ||B||_2^2 <= ||B||_F^2 times one of U* H U, so the floor is
     scaled by ||B||_F^2 and no SVD of B is needed; signed, all of this holds
-    of s B* H B, s U* H U and s Q* J Q.  Only _clears settles, as only it
-    proves the bound; what it leaves undecided is checked.  B is V's
-    spanning columns where it has them: a B* H B that clears a positive
-    floor is nonsingular, so B has full rank and spans V.
+    of s B* H B, s U* H U and s Q* J Q.  E is unitary: B = E Bc has B* H B =
+    Bc* (E* H E) Bc and ||B||_F = ||Bc||_F, for Bc a draw's ``_canonical``
+    columns, else E* V.basis.  Only _clears settles, as only it proves the
+    bound; what it leaves undecided is checked.  A Bc* (E* H E) Bc that
+    clears a positive floor is nonsingular, so E Bc has full rank and spans V.
     """
     if cert is None:
         return False
@@ -193,11 +196,12 @@ def _settles(v: Subspace, cert, signed: bool = False) -> bool:
     sign = (v.classify().sign if v._sign is None else v._sign) if signed else 0
     if floor is None or signed and not sign:
         return False
-    b = v.basis if v._spanning is None else v._spanning()
-    g = b.conj().T @ cert[4] @ b
+    b = v.space._eigenbasis.conj().T @ v.basis if v._canonical is None else v._canonical()
+    g = b.conj().T @ (cert[4]() @ b)
     g = 0.5 * (g + g.conj().T)
     floor *= float(np.vdot(b, b).real)
-    return _clears(g, floor, sign)
+    p, q = v.space.signature
+    return _clears(g, floor, sign) or signed == 2 and p == q and _clears(g, floor, -sign)
 
 
 def _check_definite(T, v):
@@ -256,7 +260,7 @@ def _predicate_sweep(k, T, cert, subspaces, n_random, seed) -> PredicateVerdict:
         return check(T, v)
 
     pool = [s for s in subspaces if getattr(_in_space_of(T, s).classify(), hypothesis)]
-    return _sweep(T, cert, pool, n_random, seed, draw, checked, law, k < 2)
+    return _sweep(T, cert, pool, n_random, seed, draw, checked, law, (1, 2, 0)[k])
 
 
 def preserves_definiteness_with_sign(
@@ -288,7 +292,7 @@ def preservation_report(
     T's scalars or by T* J T, are not computed.  A sweep draws nothing once
     its law's bounds settle T."""
     subspaces = list(subspaces)  # read by all three sweeps
-    cert = (*T._isometry, T._congruence)
+    cert = (*T._isometry, lambda: T._canonical_congruence)  # formed on first use
     return PreservationReport(
         *(_predicate_sweep(k, T, cert, subspaces, n_random, seed) for k in range(3))
     )

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kreinframes import (
@@ -747,8 +747,9 @@ class TestLazyDraws:
 
 
 def congruent_cert(T):
-    """The sweeps' certificate: T._isometry and T* J T, as preservation_report forms it."""
-    return (*T._isometry, T._congruence)
+    """The sweeps' certificate: T._isometry and a function giving E* T* J T E
+    in J's canonical eigenbasis E, as preservation_report forms it."""
+    return (*T._isometry, lambda: T._canonical_congruence)
 
 
 def random_invertible(space, rng, log_scale, log_kappa):
@@ -786,7 +787,7 @@ class TestCongruence:
             assert transforms._check_regular(t, v) is None
             # Ostrowski: the image's Gramian keeps |eigenvalues of U* H U| / ||T||^2
             u = v.ortho_basis
-            g = u.conj().T @ cert[4] @ u
+            g = u.conj().T @ t._congruence @ u
             bound = np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))).min() / norm**2
             img = image_subspace(t, v)
             assert img.dim == v.dim
@@ -887,24 +888,26 @@ class TestSignedCongruence:
             t = Operator(space, 10.0**log_scale * near)
         cert = congruent_cert(t)
         floor = transforms._SAFETY * _def_floor(space, n)
-        for sampler, check in SIGNED:
+        for (sampler, check), signed in zip(SIGNED, (1, 2)):
             draw = transforms._signed(sampler)
             for _ in range(4):
                 v = draw(space, rng)
-                if not transforms._settles(v, cert, True):
+                if not transforms._settles(v, cert, signed):
                     continue
-                sign = v._sign
-                assert sign != 0 and v.classify().sign == sign
+                assert v._sign != 0 and v.classify().sign == v._sign
                 assert check(t, v) is None
+                # the image's sign s: V's, or for a maximal V at p = q the other
+                s = v._sign if transforms._settles(v, cert, 1) else -v._sign
+                assert s == v._sign or signed == 2 and len(set(space.signature)) == 1
                 # Ostrowski: s U* H U / ||T||^2 clears the floor and bounds the
                 # image's signed Gramian
                 u = v.ortho_basis
-                g = u.conj().T @ cert[4] @ u
-                bound = np.linalg.eigvalsh(sign * 0.5 * (g + g.conj().T)).min() / cert[2] ** 2
+                g = u.conj().T @ t._congruence @ u
+                bound = np.linalg.eigvalsh(s * 0.5 * (g + g.conj().T)).min() / cert[2] ** 2
                 assert bound > floor * (1 - 1e-6)
                 img = image_subspace(t, v)
                 assert img.dim == v.dim
-                assert np.linalg.eigvalsh(sign * gramian(img)).min() > bound * (1 - 1e-9)
+                assert np.linalg.eigvalsh(s * gramian(img)).min() > bound * (1 - 1e-9)
 
     def test_settles_most_draws_of_the_neutral_image_operator(self, alt48_ops):
         t = alt48_ops[2]
@@ -918,11 +921,13 @@ class TestSignedCongruence:
             assert all(check(t, v) is None for v in settled)
 
     @pytest.mark.parametrize("n", [2, 8, 48])
-    def test_sign_swapping_operators_never_settle(self, n):
+    def test_sign_swapping_operators_settle_maximality_only(self, n):
         # the swap e_i <-> e_(n+1-i) under diag(1, -1, ...), [[0, 1], [1, 0]] at
         # n = 2, and it after a J-unitary U: T# T = -I, so T* J T = -J maps
         # every definite subspace onto one of the other sign; the image is
-        # regular, so the unsigned settle holds
+        # regular, so the unsigned settle holds.  At p = q the image of a
+        # maximal V is maximal of the other sign: the maximality settle
+        # (signed 2) takes that sign, the definiteness one (signed 1) never
         space = alternating_signature_space(n)
         swap = Operator(space, np.fliplr(np.eye(n)))
         anti = Operator(space, swap.matrix @ random_j_unitary(space, rng_from_seed(n)).matrix)
@@ -930,14 +935,15 @@ class TestSignedCongruence:
         for t in (swap, anti):
             cert = congruent_cert(t)
             assert t._isometry[0] == pytest.approx(-1.0)
-            for sampler, check in SIGNED:
+            for (sampler, check), signed in zip(SIGNED, (1, 2)):
+                maximal = signed == 2
                 for _ in range(10):
                     v = transforms._signed(sampler)(space, rng)
                     assert v._sign != 0
-                    assert not transforms._settles(v, cert, True)
+                    assert not transforms._settles(v, cert, 1)
+                    assert transforms._settles(v, cert, signed) is maximal
                     assert transforms._settles(v, cert)
-                    # at p = q the image is maximal with the other sign
-                    assert (check(t, v) is None) is (check is transforms._check_maximal)
+                    assert (check(t, v) is None) is maximal
             report = preservation_report(t, [], 20, 0)
             assert_same_report(report, sampled_report(t, 20, 0))
             assert report.definiteness_with_sign.samples_tested == 1
@@ -1231,17 +1237,23 @@ class TestLawfulSweep:
 
 
 class RepeatedColumn:
-    """A generator whose second standard_normal call (a regular draw's x)
-    repeats its first column."""
+    """A generator under which a regular draw's x repeats its first column:
+    x (d x a, a the draw's last integers call) is the second of the blocks
+    [k, x, y] (k c x d) that its one standard_normal call fills."""
 
-    def __init__(self, rng):
-        self.rng, self.calls = rng, 0
+    def __init__(self, rng, d, c):
+        self.rng, self.d, self.c = rng, d, c
 
-    def standard_normal(self, shape):
-        z = self.rng.standard_normal(shape)
-        self.calls += 1
-        if self.calls == 2 and z.shape[-1] > 1:
-            z[..., 1] = z[..., 0]
+    def integers(self, *args):
+        self.a = self.rng.integers(*args)
+        return self.a
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        at, d, a = 2 * self.c * self.d, self.d, int(self.a)
+        if a > 1:
+            x = z[at : at + 2 * d * a].reshape(2, d, a)  # a view
+            x[..., 1] = x[..., 0]
         return z
 
     def __getattr__(self, name):
@@ -1276,7 +1288,7 @@ class TestSpanningColumns:
             assert "basis" not in vars(v)  # settled before the QRs
             assert transforms._check_regular(t, v) is None
             # the columns span V
-            cols = v._spanning()
+            cols = space._eigenbasis @ v._canonical()
             s = np.linalg.svd(np.hstack([cols, v.basis]), compute_uv=False)
             assert np.linalg.matrix_rank(cols) == v.dim == int((s > 1e-8 * s[0]).sum())
 
@@ -1285,9 +1297,8 @@ class TestSpanningColumns:
         space = alternating_signature_space(8)
         t = neutral_image_operator(space)
         cert = congruent_cert(t)
-        rng, plain_rng = RepeatedColumn(rng_from_seed(seed)), rng_from_seed(seed)
+        rng, plain_rng = RepeatedColumn(rng_from_seed(seed), *space.signature), rng_from_seed(seed)
         for _ in range(30):
-            rng.calls = 0
             v, plain = random_regular_subspace(space, rng), random_regular_subspace(space, plain_rng)
             if int((np.linalg.eigvalsh(gramian(v)) > 0).sum()) < 2:
                 continue  # fewer than two x columns: nothing repeated
@@ -1303,6 +1314,129 @@ def gaussian_slice(space, rng, sign):
     d = space.component(sign).shape[1]
     coeff = random_complex(rng, d, int(rng.integers(1, d + 1)))
     return maximal.basis @ coeff, coeff
+
+
+def eager_draw(space, rng, sampler, sign):
+    """(basis, spanning columns) of one draw of ``sampler`` in the original
+    coordinates, built at draw time with each random_complex on its own."""
+    plus, minus = space.component(1), space.component(-1)
+    d, c = plus.shape[1], minus.shape[1]
+    if sampler is not random_regular_subspace:
+        maximal = eager_maximal_basis(space, rng, sign)
+        if sampler is random_maximal_definite_subspace:
+            return maximal, maximal
+        coeff = random_complex(rng, maximal.shape[1], int(rng.integers(1, maximal.shape[1] + 1)))
+        return maximal @ np.linalg.qr(coeff)[0], maximal @ coeff
+    dim = int(rng.integers(1, space.dim + 1))
+    a = int(rng.integers(max(0, dim - c), min(dim, d) + 1))
+    tilt = float(rng.uniform(0.0, sampling._regular_tilt(space, dim)))
+    k, x, y = (random_complex(rng, *shape) for shape in ((c, d), (d, a), (c, dim - a)))
+    s = np.linalg.norm(k)
+    kt = k * (tilt / s) if s > 0.0 else k
+
+    def columns(x, y):
+        return np.hstack([(plus + minus @ kt) @ x, (minus + plus @ kt.conj().T) @ y])
+
+    return columns(np.linalg.qr(x)[0], np.linalg.qr(y)[0]), columns(x, y)
+
+
+class TestCanonicalDraws:
+    """A draw keeps the generator stream and the basis bits of one made with
+    each random_complex on its own.  A definite or regular draw's canonical
+    columns C, mapped back by J's canonical eigenbasis E, are its spanning
+    columns to rounding; a maximal draw has none, as its basis serves."""
+
+    @pytest.mark.parametrize("n", [2, 8, 48])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize(
+        "sampler",
+        [random_maximal_definite_subspace, random_definite_subspace, random_regular_subspace],
+    )
+    def test_draws_match_separate_generator_calls(self, sampler, diagonal, n):
+        space = random_space(rng_from_seed(n), n, diagonal=diagonal)
+        e = space._eigenbasis
+        np.testing.assert_allclose(e.conj().T @ e, np.eye(n), rtol=0, atol=n * 1e-15)
+        rng, ref_rng = rng_from_seed(n + 1), rng_from_seed(n + 1)
+        for i, sign in enumerate([1, -1] * 4):
+            args = () if sampler is random_regular_subspace else (sign,)
+            v = sampler(space, rng, *args)
+            basis, spanning = eager_draw(space, ref_rng, sampler, sign)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if i % 2:
+                v.basis  # either may be built first
+            if sampler is random_maximal_definite_subspace:
+                assert v._canonical is None
+            else:
+                cols = e @ v._canonical()
+                assert cols.shape == spanning.shape
+                tol = n * 2.0**-52 * np.linalg.norm(spanning)
+                np.testing.assert_allclose(cols, spanning, rtol=0, atol=tol)
+            assert v.basis.tobytes() == basis.tobytes()
+
+
+def swapped(space, m):
+    """S m for the S that exchanges the canonical components of a space with
+    p = q: S = E [[0, I], [I, 0]] E*, so S* J S = -J."""
+    e, p = space._eigenbasis, space.signature[0]
+    return e @ np.roll(e.conj().T @ m, p, axis=0)
+
+
+@pytest.mark.soundness
+class TestCanonicalSettle:
+    """Settled in canonical coordinates, a sample passes its check: on
+    operators whose T* J T is far from every c J, under a dense J.  The
+    canonical g = Bc* (E* H E) Bc is B* H B, B = E Bc, to within a rounding
+    bound that lies below the settle's floor."""
+
+    @settings(max_examples=examples(30))
+    @given(
+        n=st.integers(2, 48),
+        log_scale=st.floats(-3.0, 3.0),
+        log_kappa=st.floats(0.0, 3.0),
+        # after the swap of a p = q space, a near J-unitary T maps most
+        # definite subspaces onto ones of the other sign
+        swap=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+        log_tau_def=st.floats(-8.0, np.log10(0.2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_settled_checks_pass(self, n, log_scale, log_kappa, swap, log_tau_def, seed):
+        rng = rng_from_seed(seed)
+        n -= n % 2 if swap else 0
+        tol = Tolerances(tau_def=10.0**log_tau_def)
+        space = random_space(rng, n, n // 2 if swap else None, tol=tol)
+        if swap:
+            e = random_complex(rng, n, n)
+            near = random_j_unitary(space, rng).matrix @ (np.eye(n) + swap * e / np.linalg.norm(e, 2))
+            t = Operator(space, 10.0**log_scale * swapped(space, near))
+        else:
+            t = random_invertible(space, rng, log_scale, log_kappa)
+        cert = congruent_cert(t)
+        # T* J T far from every c J: T's scalars settle no sample
+        assume(not transforms._bounds_settle(space, 1.0, 1.0, cert))
+        for name, hypothesis, signed in (
+            ("definiteness_with_sign", "uniformly_definite", 1),
+            ("maximality", "maximal_definite", 2),
+            ("regularity", "regular", 0),
+        ):
+            draw, check = PREDICATES[name]
+            for _ in range(4):
+                v = draw(space, rng)
+                e = space._eigenbasis
+                bc = e.conj().T @ v.basis if v._canonical is None else v._canonical()
+                g = bc.conj().T @ (cert[4]() @ bc)
+                b = e @ bc
+                g_original = b.conj().T @ t._congruence @ b
+                fro2 = float(np.vdot(bc, bc).real)
+                rounding = 16.0 * n * 2.0**-52 * cert[2] ** 2 * fro2
+                assert np.linalg.norm(g - g_original, 2) <= rounding
+                floor = transforms._image_floor(space, v._cond, cert)
+                assert floor is None or rounding < floor * fro2
+                # a draw settles on its canonical columns or on E* of its
+                # basis, a supplied subspace on E* of its basis
+                for w in (v, Subspace(space, v.basis)):
+                    if transforms._settles(w, cert, signed):
+                        assert getattr(w.classify(), hypothesis)
+                        assert check(t, w) is None
 
 
 @pytest.mark.soundness
@@ -1519,8 +1653,15 @@ class TestSharedCongruence:
         for t in alt48_ops:
             sweeps = count_calls(transforms, "_predicate_sweep")
             preservation_report(t, [], 5, 0)
-            assert [args[2][4] is t._congruence for args in sweeps] == [True] * 3
+            assert [args[2][4]() is t._canonical_congruence for args in sweeps] == [True] * 3
+            assert not t._canonical_congruence.flags.writeable
             sweeps.clear()
+
+    def test_e_h_e_is_formed_only_when_a_sample_needs_it(self, alt48_ops):
+        # the J-unitary multiples settle by their draw laws and draw nothing
+        for t, formed in zip(alt48_ops, (False, False, True)):
+            preservation_report(t, [], 50, 0)
+            assert ("_canonical_congruence" in vars(t)) is formed
 
 
 class TestNecessaryConditions:
