@@ -265,8 +265,9 @@ class Subspace:
     """
 
     # _cond is kappa(basis) and _margin the smallest |Gramian eigenvalue| once
-    # classified, or bounds on both; _canonical: see _graph; _sign: transforms._signed
-    _margin = _canonical = _sign = None
+    # classified, or bounds on both; _canonical: see _graph; _sign: transforms._signed;
+    # _coeffs: see from_spanning
+    _margin = _canonical = _sign = _coeffs = None
 
     def __init__(self, space: KreinSpace, basis):
         basis = _as_matrix(basis)
@@ -288,21 +289,24 @@ class Subspace:
 
         ``_most``, if given, is the dimension c of a canonical component:
         the span is first tried from its leading columns (``_leading_span``),
-        and their SVD decides only where that does not settle."""
+        and their SVD decides only where that does not settle.  The span
+        keeps the columns' coefficients C = U* A in its orthonormal basis U
+        as ``_coeffs``: [R | Q* A_R] from the leading columns' QR, or
+        Sigma_r V_r* from the SVD."""
         vectors = _as_matrix(vectors)
         if vectors.shape[0] != space.dim:
             raise DimensionError(f"columns of shape {vectors.shape} do not fit C^{space.dim}")
-        if _most is not None and (q := _leading_span(vectors, _most, space.tol)) is not None:
-            return cls._orthonormal(space, q)
-        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+        if _most is not None and (qc := _leading_span(vectors, _most, space.tol)) is not None:
+            return cls._orthonormal(space, *qc)
+        u, s, vh = np.linalg.svd(vectors, full_matrices=False)
         r = _rank(s, space.tol)
-        return cls._orthonormal(space, u[:, :r].copy()) if r else None
+        return cls._orthonormal(space, u[:, :r].copy(), s[:r, None] * vh[:r]) if r else None
 
     @classmethod
-    def _orthonormal(cls, space: KreinSpace, u: np.ndarray) -> "Subspace":
+    def _orthonormal(cls, space: KreinSpace, u: np.ndarray, coeffs=None) -> "Subspace":
         """The subspace whose basis and ortho_basis are the orthonormal u."""
         W = cls.__new__(cls)
-        vars(W).update(space=space, _cond=1.0, basis=_frozen(u), ortho_basis=u)
+        vars(W).update(space=space, _cond=1.0, basis=_frozen(u), ortho_basis=u, _coeffs=coeffs)
         return W
 
     @classmethod
@@ -346,13 +350,18 @@ class Subspace:
         return self.space._xj(self.ortho_basis.conj().T)
 
     @property
+    def _gram(self) -> np.ndarray:
+        """The compressed Gramian U*JU, made on each read (``fusion._Span`` keeps it)."""
+        return _herm(self._uj @ self.ortho_basis)
+
+    @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     @cached_property
     def _classification(self) -> Classification:
         """classify(), from the compressed Gramian; its smallest |eigenvalue| is _margin."""
-        eigs = np.linalg.eigvalsh(gramian(self))
+        eigs = np.linalg.eigvalsh(self._gram)
         floor = _def_floor(self.space, eigs.size)
         lo, hi = float(eigs[0]), float(eigs[-1])
         has_pos = hi > floor
@@ -459,9 +468,9 @@ def j_projection(W: Subspace) -> Operator:
 
 
 def gramian(W: Subspace) -> np.ndarray:
-    """Compressed Gramian U*JU of W in its orthonormal-basis coordinates."""
-    g = W._uj @ W.ortho_basis
-    return 0.5 * (g + g.conj().T)
+    """Compressed Gramian U*JU of W in its orthonormal-basis coordinates
+    (read-only for a signed span, which keeps it)."""
+    return W._gram
 
 
 def reduced_min_modulus(T, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -482,10 +491,11 @@ def _rank(s: np.ndarray, tol: Tolerances) -> int:
     return int(np.count_nonzero(s > tol.tau_rank * s[0])) if s.size and s[0] > 0.0 else 0
 
 
-def _leading_span(a: np.ndarray, c: int, tol: Tolerances) -> np.ndarray | None:
-    """Q, an orthonormal basis of the span of the n x K columns A = ``a``, when
-    its first k = min(K, n, c) columns A_S settle that ``_rank`` of A's
-    singular values is k; else None, and the caller takes A's SVD.
+def _leading_span(a: np.ndarray, c: int, tol: Tolerances):
+    """(Q, C): Q an orthonormal basis of the span of the n x K columns A = ``a``
+    and C = [R | Q* A_R] their coefficients in it, when its first
+    k = min(K, n, c) columns A_S settle that ``_rank`` of A's singular values
+    is k; else None, and the caller takes A's SVD.
 
     A uniformly definite span has at most the dimension c of its sign's
     canonical component, so a side of a frame spans exactly c dimensions,
@@ -506,8 +516,18 @@ def _leading_span(a: np.ndarray, c: int, tol: Tolerances) -> np.ndarray | None:
     both are then _SAFETY from the threshold tau_rank s_1(A), far beyond
     the rounding of an SVD of A, whose rank would be k.  The diagonal of R
     (min |R_ii| >= s_min(R), max |R_ii| <= s_1(R) <= ||A_S||_F + slack)
-    and E refuse most sides before the k x k SVD, so a refusal adds at
-    most that SVD to the SVD of A.
+    and E refuse most sides before R's singular values are bounded.
+
+    Those bounds are first taken without an SVD, on R scaled by a power of
+    two to ||R||_F in [1/2, 1), so that nothing under- or overflows:
+    s_1(R) <= ||R||_F, s_1(R) is at least ``_top_singular_floor``, and
+    s_min(R) > t once ``_clears`` proves every eigenvalue of the computed
+    R*R above t^2 plus its formation error, 2 (k + 2) eps ||R||_F^2 in
+    norm (ch. 3; the halved sum with its conjugate transpose included).
+    As forming R*R squares kappa(R), that proof cannot see an s_min(R)
+    below about sqrt(eps) s_1(R): where the bounds do not settle the
+    side, the k x k SVD of R decides.  A refusal adds a QR and at most
+    that small SVD to the SVD of A.
     """
     n, K = a.shape
     k = min(K, n, c)
@@ -522,14 +542,49 @@ def _leading_span(a: np.ndarray, c: int, tol: Tolerances) -> np.ndarray | None:
         d = np.abs(r.diagonal())
         if not d.min() - slack > _SAFETY * tau * np.hypot(d.max() + slack, rest):
             return None
-        e = float(np.linalg.norm(a_r - q @ (q.conj().T @ a_r))) + slack
+        coeffs = np.hstack([r, q.conj().T @ a_r])
+        e = float(np.linalg.norm(a_r - q @ coeffs[:, k:])) + slack
         if not e < tau * lead / _SAFETY:
             return None
+        # s_1(R) must clear top and s_min(R) t, both scaled with R
+        norm = float(np.linalg.norm(r))
+        scale = np.ldexp(1.0, -np.frexp(norm)[1])
+        r_s, top = r * scale, (_SAFETY * e / tau + slack) * scale
+        t = (slack + _SAFETY * tau * np.hypot(norm + slack, rest)) * scale
+        shift = t * t + 2.0 * (k + 2) * 2.0**-52
+        if _top_singular_floor(r_s, top) > top and _clears(_herm(r_s.conj().T @ r_s), shift, 1):
+            return q, coeffs
         s = np.linalg.svd(r, compute_uv=False)
         lo, hi = s[0] - slack, np.hypot(s[0] + slack, rest)
         if s[-1] - slack > _SAFETY * tau * hi and e < tau * lo / _SAFETY:
-            return q
+            return q, coeffs
     return None
+
+
+def _top_singular_floor(r: np.ndarray, enough: float) -> float:
+    """A lower bound on s_1(r), for a k x k r with ||r||_F <= 1, from power
+    steps on r*r started at r's largest row; they stop once the bound
+    exceeds ``enough``, gains less than 1/1024 of itself, or after 32 steps.
+
+    Each step's bound is ||r y|| / ||y|| <= s_1(r) less its rounding: the
+    computed r y errs by at most (k + 2) eps ||r||_F ||y|| and each of the
+    two norms and their quotient by (k + 2) eps relative (Higham, ASNA, ch. 3,
+    complex arithmetic included)."""
+    rounding = 2.0 * (r.shape[0] + 2) * 2.0**-52
+    y = r[np.argmax(np.linalg.norm(r, axis=1))].conj()
+    best = 0.0
+    for _ in range(32):
+        ry = r @ y
+        bound = float(np.linalg.norm(ry)) / float(np.linalg.norm(y)) * (1.0 - rounding) - rounding
+        if not bound > best * (1.0 + 2.0**-10) or bound > enough:
+            return max(best, bound)
+        best, y = bound, r.conj().T @ ry
+    return best
+
+
+def _herm(g: np.ndarray) -> np.ndarray:
+    """The Hermitian part (g + g*) / 2 of a square g."""
+    return 0.5 * (g + g.conj().T)
 
 
 def _def_floor(space: KreinSpace, k: int) -> float:

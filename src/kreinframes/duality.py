@@ -84,7 +84,7 @@ class VectorFrame(_Sides):
             raise MemberClassificationError(int(tiny[0]), "||f||^2 underflows to subnormal")
         signs = [1 if v > 0 else -1 for v in vals]
         # the vectors are the synthesis columns and span the signed sides
-        super().__init__(space, signs, 1, matrix, lambda: matrix)
+        super().__init__(space, signs, [1.0] * len(signs), 1, matrix, lambda: matrix)
         self.matrix = matrix
 
     def __len__(self):

@@ -52,16 +52,17 @@ __all__ = [
 class _Sides:
     """Both family kinds: the read-only synthesis columns T, their signs, each
     sign's member indices and, through ``bases()``, the unweighted columns
-    whose spans are M(+-); member i has sign signs[i] and block_dims[i]
-    columns.  The signed spans, the frame decision and S^-1 are cached
-    properties, so a dual can be given S^-1 M(+-)."""
+    whose spans are M(+-); member i has sign signs[i], weight weights[i]
+    and block_dims[i] columns.  The signed spans, the frame decision and
+    S^-1 are cached properties, so a dual can be given S^-1 M(+-)."""
 
-    def __init__(self, space: KreinSpace, signs, block_dims, columns, bases):
+    def __init__(self, space: KreinSpace, signs, weights, block_dims, columns, bases):
         self.space = space
         self.signs = signs
         self.plus_indices = [i for i, s in enumerate(signs) if s == 1]
         self.minus_indices = [i for i, s in enumerate(signs) if s == -1]
         self._column_signs = np.repeat(np.asarray(signs, dtype=float), block_dims)
+        self._column_weights = np.repeat(np.asarray(weights, dtype=float), block_dims)
         self._columns = _frozen(columns)
         self._bases = bases
 
@@ -80,11 +81,19 @@ class _Sides:
 
 
 class _Span(Subspace):
-    """A signed span: it keeps U* J, which its Gramian reads, and L, the
-    Cholesky factor of its Gramian times its sign; Rayleigh quotients read both."""
+    """A signed span with orthonormal basis U: it keeps what its one
+    factorization gives and every later pass reads.  ``from_spanning`` gives
+    the coefficients C = U* A of the side's unweighted columns A, which the
+    estimate bounds read (a dual's span S^-1 M has none).  U* J and the
+    Gramian U* J U are formed once, and so is the whitening W = L^-1 U* J,
+    from the Cholesky factor L L* of the Gramian times the span's sign and
+    one inverse of L; every Rayleigh pass reads W."""
 
     _uj = cached_property(Subspace._uj.fget)
-    _chol = cached_property(lambda M: np.linalg.cholesky(M.classify().sign * gramian(M)))
+    _gram = cached_property(lambda M: _frozen(Subspace._gram.fget(M)))
+    _whitening = cached_property(
+        lambda M: np.linalg.inv(np.linalg.cholesky(M.classify().sign * M._gram)) @ M._uj
+    )
 
 
 class WeightedFamily(_Sides):
@@ -129,7 +138,7 @@ class WeightedFamily(_Sides):
         self.block_dims = [w.dim for w in subspaces]
         columns = np.hstack([v * w.ortho_basis for w, v in zip(subspaces, weights)])
         bases = lambda: np.hstack([w.ortho_basis for w in subspaces])
-        super().__init__(space, signs, self.block_dims, columns, bases)
+        super().__init__(space, signs, weights, self.block_dims, columns, bases)
         return self
 
     def __len__(self):
@@ -256,32 +265,39 @@ def _side_verdict(space: KreinSpace, M: Subspace | None, sign: int):
     return M.dim, cls, cls.maximal_definite and cls.sign == sign
 
 
-def _rayleigh_extremes(M: Subspace, cols: np.ndarray, sign: int):
+def _rayleigh_extremes(M: Subspace, G: _Sides, sign: int):
     """Extreme values of [S f, f] / [f, f] over a uniformly definite M.
 
-    S = T T* J is the unsigned operator of one side's synthesis columns
-    T = ``cols``.  With U = M.ortho_basis and f = U x, [S f, f] = x* a x and
-    [f, f] = x* p x, where a = G G* with G = U* J T, and p = U* J U.  As M is
-    uniformly definite of the given sign, its classified sign, L L* = sign * p
-    is a Cholesky factorization, and the quotient's values are sign * s^2 over the
-    singular values s of L^-1 G, zero-padded to dim M when T has fewer
-    columns.  Taking them from the factor, not from L^-1 a L^-*, keeps the
-    smallest bound accurate relative to itself.  Raises
-    numpy.linalg.LinAlgError when sign * p is not positive definite.  U* J
-    and L are the ones the span M keeps (``_Span``): the dual checks read F's
-    spans again, with the dual's columns.
+    S = T T* J is the unsigned operator of the synthesis columns T of G's
+    side of the given sign.  With U = M.ortho_basis and f = U x,
+    [S f, f] = x* a x and [f, f] = x* p x, where a = G G* with G = U* J T,
+    and p = U* J U.  As M is uniformly definite of the given sign, its
+    classified sign, L L* = sign * p is a Cholesky factorization, and the
+    quotient's values are sign * s^2 over the singular values s of
+    L^-1 G = W T, zero-padded to dim M when T has fewer columns.  Taking
+    them from the factor, not from L^-1 a L^-*, keeps the smallest bound
+    accurate relative to itself, and the full T, not its coefficients in
+    M, keeps T's part off M (a dual's columns over F's spans).  W is the
+    whitening the span M keeps (``_Span``): the dual checks read F's spans
+    again, with the dual's columns.  Raises numpy.linalg.LinAlgError when
+    sign * p is not positive definite.
     """
-    s2 = np.linalg.svd(np.linalg.solve(M._chol, M._uj @ cols), compute_uv=False) ** 2
+    s2 = np.linalg.svd(M._whitening @ _side_columns(G, sign), compute_uv=False) ** 2
     lo = float(s2[-1]) if s2.size == M.dim else 0.0
     return (sign * lo, sign * float(s2[0]))[::sign]  # ascending, as FrameBounds.side
 
 
-def _estimate_extremes(M: Subspace, cols: np.ndarray, sign: int):
-    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, from one SVD
-    of U* T, U = M.ortho_basis: T = ``cols`` lies in M, so T = U (U* T), and
-    as T spans M, gamma(T) is the (dim M)-th singular value of U* T; gamma(G_M)
-    is the Gramian margin ``classify`` keeps on the definite M."""
-    s = np.linalg.svd(M.ortho_basis.conj().T @ cols, compute_uv=False)
+def _estimate_extremes(M: Subspace, G: _Sides, sign: int):
+    """gamma(T)^2 gamma(G_M)^2 and ||T||^2 / gamma(G_M), signed, for the
+    synthesis columns T of G's side of the given sign, from one SVD of U* T,
+    U = M.ortho_basis: T lies in M, so T = U (U* T), and as T spans M,
+    gamma(T) is the (dim M)-th singular value of U* T; gamma(G_M) is the
+    Gramian margin ``classify`` keeps on the definite M.  U* T is the kept
+    coefficients C of the side's unweighted columns times their weights, or,
+    on a span that keeps none, the product itself."""
+    c, w = M._coeffs, G._column_weights[G._column_signs == sign]
+    u_t = M.ortho_basis.conj().T @ _side_columns(G, sign) if c is None else c * w
+    s = np.linalg.svd(u_t, compute_uv=False)
     gam_g = M._gram_margin()
     with np.errstate(over="ignore"):  # a bound overflows to inf for a large enough weight
         lo = s[M.dim - 1] ** 2 * gam_g**2
@@ -292,10 +308,10 @@ def _estimate_extremes(M: Subspace, cols: np.ndarray, sign: int):
 def _span_bounds(F, G, extremes) -> FrameBounds:
     """Bounds of G's synthesis columns over F's signed spans, a side at a time.
 
-    ``extremes(M, cols, sign)`` gives a side's extremes in ascending
+    ``extremes(M, G, sign)`` gives a side's extremes in ascending
     order, as ``FrameBounds.side``; a side whose span M is None has none."""
     plus, minus = (
-        (None, None) if m is None else extremes(m, _side_columns(G, sign), sign)
+        (None, None) if m is None else extremes(m, G, sign)
         for m, sign in ((F.m_plus, 1), (F.m_minus, -1))
     )
     return FrameBounds(*minus, *plus)
@@ -446,7 +462,7 @@ def converse_check(F: WeightedFamily) -> ConverseReport:
             # quotient changes sign or degenerates: no valid constants
             return cls.regular, False
         if bounds is None:  # a definite side of a non-frame
-            extremes = _rayleigh_extremes(m, _side_columns(F, sign), sign)
+            extremes = _rayleigh_extremes(m, F, sign)
         else:
             extremes = bounds.side(sign)
         inner, outer = extremes[::sign]  # (A, B): A is the bound nearer zero

@@ -22,6 +22,7 @@ from .core import (
     _SAFETY,
     _clears,
     _def_floor,
+    _herm,
     _rank,
     j_adjoint,
     j_projection,
@@ -197,8 +198,7 @@ def _settles(v: Subspace, cert, signed: int = 0) -> bool:
     if floor is None or signed and not sign:
         return False
     b = v.space._eigenbasis.conj().T @ v.basis if v._canonical is None else v._canonical()
-    g = b.conj().T @ (cert[4]() @ b)
-    g = 0.5 * (g + g.conj().T)
+    g = _herm(b.conj().T @ (cert[4]() @ b))
     floor *= float(np.vdot(b, b).real)
     p, q = v.space.signature
     return _clears(g, floor, sign) or signed == 2 and p == q and _clears(g, floor, -sign)

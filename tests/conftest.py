@@ -1,5 +1,7 @@
 """Shared fixtures and small constructions used across the suite."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -68,5 +70,25 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
         return calls
+
+    return wrap
+
+
+@pytest.fixture
+def count_kept(monkeypatch):
+    """count_kept(cls, name) wraps the cached property cls.name for one test;
+    returns the objects it was made for, one entry per time it was made."""
+
+    def wrap(cls, name):
+        made, make = [], vars(cls)[name].func
+
+        def counted(obj):
+            made.append(obj)
+            return make(obj)
+
+        kept = cached_property(counted)
+        kept.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, kept)
+        return made
 
     return wrap

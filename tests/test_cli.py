@@ -654,6 +654,27 @@ class TestPoolReports:
         )
 
 
+class TestFrameDocumentWork:
+    """The numerical work of one ``fusion_docs`` frame document, parsed and
+    run through ``all``: 32 member SVDs, and per signed side of the frame
+    and of its dual one Gramian, one whitening and the SVDs of the bounds;
+    no SVD of R settles a span, and nothing is solved."""
+
+    @pytest.mark.parametrize("cls", ["frame_diag", "frame_full"])
+    def test_work_counts(self, count_calls, count_kept, cls):
+        docs = perfbench_module("docs")
+        text = docs.make_doc("fusion_docs", cls, 0).text
+        svd, solve = count_calls(np.linalg, "svd"), count_calls(np.linalg, "solve")
+        grams = count_kept(fusion._Span, "_gram")
+        problem = parse_spec(text)
+        report = cli.run_command("all", problem, 0, docs.SAMPLES["fusion_docs"])
+        assert report["results"]["certify"]["pass"] is True
+        # 32 members, 2 estimate sides and 6 Rayleigh passes (certify, the
+        # dual's own spans and the dual over the original spans)
+        assert (len(svd), len(solve)) == (40, 0)
+        assert len(grams) == len({id(m) for m in grams}) == 4
+
+
 class TestDiagonalSymmetryBytes:
     """A diagonal J is applied as a sign scaling of rows or columns; with the
     dense products in its place, ``all`` prints the same bytes."""

@@ -34,7 +34,16 @@ from kreinframes import (
 import kreinframes
 from kreinframes import VectorFrame, WeightedFamily, certify, fusion
 from kreinframes.cli import run_command
-from kreinframes.core import Record, _as_matrix, _clears, _def_floor, _leading_span, _rank
+from kreinframes.core import (
+    _SAFETY,
+    Record,
+    _as_matrix,
+    _clears,
+    _def_floor,
+    _leading_span,
+    _rank,
+    _top_singular_floor,
+)
 from kreinframes.errors import MemberClassificationError, UsageError
 from kreinframes.fusion import FrameBounds, FrameCertificate
 from kreinframes.problem import ProblemSpec, parse_spec
@@ -706,9 +715,12 @@ class TestRankDecision:
 class TestLeadingSpan:
     """A span settled from its leading columns (``_leading_span``) against the
     SVD of all its columns: the same rank, projector and class when it
-    settles; near the threshold tau_rank s_1, or on dependent leading
-    columns, it refuses, mostly before R's SVD, and the span is the SVD's,
-    bit for bit."""
+    settles, and coefficients C with Q C = A to the slack; near the
+    threshold tau_rank s_1, or on dependent leading columns, it refuses,
+    mostly before R's singular values are bounded, and the span is the
+    SVD's, bit for bit.  R's SVD runs only where the bounds without it
+    (``_top_singular_floor``, ||R||_F and the Cholesky proof on R*R) do not
+    settle the side."""
 
     TAU = DEFAULT_TOLERANCES.tau_rank
     E = np.eye(6)  # under diag(1, 1, 1, -1, -1, -1): e1..e3 positive, e4..e6 negative
@@ -727,13 +739,32 @@ class TestLeadingSpan:
         settled, svd_span = self.spans(space, a, c)
         assert np.array_equal(settled.ortho_basis, svd_span.ortho_basis)
 
-    def settles(self, space, a, c):
-        q = _leading_span(a, c, space.tol)
+    @staticmethod
+    def leading(a, c, tol, count_calls):
+        """_leading_span's result and how many SVDs (of R) it took."""
+        svd = count_calls(np.linalg, "svd")
+        found = _leading_span(a, c, tol)
+        return found, len(svd)
+
+    @staticmethod
+    def coefficients_hold(a, q, coeffs):
+        # C = [R | Q* A_R]: Q C is A up to the slack n K eps ||A||_F
+        k = q.shape[1]
+        assert np.array_equal(coeffs[:, :k], np.triu(coeffs[:, :k]))
+        slack = a.shape[0] * a.shape[1] * 2.0**-52 * np.linalg.norm(a)
+        assert np.linalg.norm(q @ coeffs - a) <= slack + 2 * np.linalg.norm(
+            a[:, k:] - q @ coeffs[:, k:])
+
+    def settles(self, space, a, c, count_calls=None, svds=None):
+        q, coeffs = _leading_span(a, c, space.tol)
+        if count_calls is not None:  # and how many SVDs of R it takes
+            assert self.leading(a, c, space.tol, count_calls)[1] == svds
         settled, svd_span = self.spans(space, a, c)
-        assert q is not None and np.array_equal(settled.ortho_basis, q)
+        assert np.array_equal(settled.ortho_basis, q) and np.array_equal(settled._coeffs, coeffs)
         assert settled.dim == svd_span.dim == min(c, a.shape[1])
         p1, p2 = (orthogonal_projection(W).matrix for W in (settled, svd_span))
         assert np.linalg.norm(p1 - p2, 2) <= 1e-12
+        self.coefficients_hold(a, q, coeffs)
 
     @settings(max_examples=examples(24))
     @given(
@@ -747,10 +778,12 @@ class TestLeadingSpan:
         c = space.signature[0 if sign == 1 else 1]
         maximal = random_maximal_definite_subspace(space, rng, sign)
         a = maximal.basis @ random_complex(rng, c, c + extra) * rng.uniform(0.5, 2.0, c + extra)
-        q = _leading_span(a, c, space.tol)
-        assert q is not None
+        q, coeffs = _leading_span(a, c, space.tol)
         settled, svd_span = self.spans(space, a, c)
         assert np.array_equal(settled.ortho_basis, q) and settled.dim == svd_span.dim == c
+        self.coefficients_hold(a, q, coeffs)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)  # the SVD span's C = Sigma_c V_c*
+        assert np.array_equal(svd_span._coeffs, s[:c, None] * vh[:c])
         s = np.linalg.svd(a[:, :c], compute_uv=False)
         p1, p2 = (orthogonal_projection(W).matrix for W in (settled, svd_span))
         assert np.linalg.norm(p1 - p2, 2) <= 1e-12 * s[0] / s[-1]
@@ -771,23 +804,25 @@ class TestLeadingSpan:
     @pytest.mark.parametrize("off, settled", [(1.0, False), (0.5, False), (0.01, True)])
     def test_a_column_off_the_span(self, space, count_calls, off, settled):
         # a fourth column off span{e1, e2, e3} by off * tau_rank s_1, s_1 = sqrt 2;
-        # tau_rank s_1 / 2 settles without the factor _SAFETY
+        # tau_rank s_1 / 2 settles without the factor _SAFETY; R = I needs no SVD
         e = self.E
         u = (e[:, 0] + e[:, 1] + e[:, 2]) / np.sqrt(3.0)
         a = np.column_stack([e[:, 0], e[:, 1], e[:, 2], u + off * self.TAU * np.sqrt(2.0) * e[:, 3]])
         if settled:
-            self.settles(space, a, 3)
+            self.settles(space, a, 3, count_calls, svds=0)
         else:
             self.refuses(space, a, 3, count_calls)
 
     @pytest.mark.parametrize("s_k, settled", [(1.0, False), (2.0, False), (100.0, True)])
     def test_the_smallest_singular_value_near_the_threshold(self, space, count_calls, s_k,
                                                           settled):
-        # s_k = s_k * tau_rank s_1; twice tau_rank s_1 settles without _SAFETY
+        # s_k = s_k * tau_rank s_1; twice tau_rank s_1 settles without _SAFETY;
+        # an s_k far below sqrt(eps) s_1 takes R's SVD, which the Cholesky
+        # proof on R*R cannot see
         e = self.E
         a = np.column_stack([e[:, 0], e[:, 1], s_k * self.TAU * e[:, 2]])
         if settled:
-            self.settles(space, a, 3)
+            self.settles(space, a, 3, count_calls, svds=1)
         else:
             self.refuses(space, a, 3, count_calls)
 
@@ -795,14 +830,13 @@ class TestLeadingSpan:
     def test_a_coupled_pair_near_the_threshold(self, space, count_calls, d, settled):
         # [e1, e1 + d tau_rank e2]: R's diagonal (1, d tau_rank) clears _SAFETY
         # tau_rank, while s_2 = d tau_rank / sqrt 2 clears _SAFETY tau_rank s_1,
-        # s_1 = sqrt 2, only for d > 8; the refusal comes from R's 2 x 2 SVD
+        # s_1 = sqrt 2, only for d > 8; either way R's 2 x 2 SVD decides
         e = self.E
         a = np.column_stack([e[:, 0], e[:, 0] + d * self.TAU * e[:, 1]])
         if settled:
-            self.settles(space, a, 3)
+            self.settles(space, a, 3, count_calls, svds=1)
         else:
-            svd = count_calls(np.linalg, "svd")
-            assert _leading_span(a, 3, space.tol) is None and len(svd) == 1
+            assert self.leading(a, 3, space.tol, count_calls) == (None, 1)
             settled_span, svd_span = self.spans(space, a, 3)
             assert np.array_equal(settled_span.ortho_basis, svd_span.ortho_basis)
 
@@ -814,15 +848,92 @@ class TestLeadingSpan:
         d = 4.0 * self.TAU * (1.0 + slack) + over * slack
         a = np.column_stack([self.E[:, 0], d * self.E[:, 1]])
         if settled:
-            self.settles(space, a, 3)
+            self.settles(space, a, 3, count_calls, svds=1)
         else:
             self.refuses(space, a, 3, count_calls)
 
-    def test_fewer_columns_than_the_component(self, space):
-        self.settles(space, self.E[:, :2] @ np.array([[1.0, 1.0], [0.0, 1.0]]), 3)
+    def test_fewer_columns_than_the_component(self, space, count_calls):
+        self.settles(space, self.E[:, :2] @ np.array([[1.0, 1.0], [0.0, 1.0]]), 3,
+                     count_calls, svds=0)
 
     def test_an_empty_component_refuses(self, space, count_calls):
         self.refuses(space, self.E[:, :2], 0, count_calls)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+    def test_the_bounds_do_not_depend_on_the_scale(self, space, count_calls, scale):
+        # R is scaled by a power of two to ||R||_F in [1/2, 1) first, so R*R
+        # neither under- nor overflows
+        e = self.E
+        a = scale * np.column_stack([e[:, 0], e[:, 1] + e[:, 0], e[:, 2], e[:, 0] - e[:, 2]])
+        self.settles(space, a, 3, count_calls, svds=0)
+
+    def test_near_its_residual_limit_a_wide_side_settles_without_r_svd(self, count_calls):
+        # 48 columns of a maximal positive subspace of C^64 (c = 32), the last
+        # one off it by 0.6 of tau_rank s_1(A) / _SAFETY: the power steps must
+        # bound s_1(R) from below to 0.6 of it and more, which a column norm
+        # of R (about half of s_1(R) here) does not
+        rng = rng_from_seed(5)
+        space = random_space(rng, 64, diagonal=False)
+        c = space.signature[0]
+        maximal = random_maximal_definite_subspace(space, rng, 1)
+        a = maximal.ortho_basis @ random_complex(rng, c, 48)
+        a /= np.linalg.norm(a, axis=0)
+        s_1 = np.linalg.svd(a, compute_uv=False)[0]
+        out = random_complex(rng, 64, 1)[:, 0]  # a unit vector orthogonal to the span
+        out -= maximal.ortho_basis @ (maximal.ortho_basis.conj().T @ out)
+        a[:, -1] += 0.6 * self.TAU * s_1 / _SAFETY * out / np.linalg.norm(out)
+        assert np.linalg.norm(a, axis=0).max() < 0.6 * s_1
+        q, coeffs = _leading_span(a, c, space.tol)
+        assert self.leading(a, c, space.tol, count_calls)[1] == 0
+        self.coefficients_hold(a, q, coeffs)
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-6])
+    def test_a_near_tie_at_the_top(self, count_calls, gap):
+        # R's top two singular values 1 and 1 - gap, in a basis the power steps
+        # must turn, next to a residual at 0.9 of tau_rank s_1 / _SAFETY
+        rng = rng_from_seed(11)
+        space = random_space(rng, 24, diagonal=True)
+        c = space.signature[0]
+        v = np.linalg.qr(random_complex(rng, c, c))[0]
+        s = np.r_[1.0, 1.0 - gap, np.linspace(0.5, 0.1, c - 2)]
+        a_s = space.plus_basis @ (s[:, None] * v)
+        a = np.column_stack([a_s, 0.9 * self.TAU / _SAFETY * space.minus_basis[:, 0]])
+        q, coeffs = _leading_span(a, c, space.tol)
+        assert self.leading(a, c, space.tol, count_calls)[1] == 0
+        self.coefficients_hold(a, q, coeffs)
+
+    @pytest.mark.parametrize("part, svds", [(0.5, 1), (1.5, 0)])
+    def test_the_error_of_forming_r_star_r_decides(self, space, count_calls, part, svds):
+        # R = diag(1/2, 1/2, s) exactly (||R||_F in [1/2, 1), so unscaled), whose
+        # R*R = diag(1/4, 1/4, s^2) rounds only in s^2: the Cholesky proof
+        # needs s^2 above t^2 + delta + 2 (k + 2) eps, the formation error of
+        # R*R; part of that last term alone keeps the proof from settling
+        e, k, eps = self.E, 3, 2.0**-52
+        slack = 6 * 3 * eps * np.sqrt(0.5)
+        t = slack + _SAFETY * self.TAU * np.hypot(np.sqrt(0.5) + slack, 0.0)
+        form = 2 * (k + 2) * eps
+        delta = 4 * (k + 1) ** 2 * (eps * (np.hypot(0.25, 0.25) + t * t + form) + 2.0**-1074)
+        s = np.sqrt(t * t + delta + part * form)
+        a = np.column_stack([0.5 * e[:, 0], 0.5 * e[:, 1], s * e[:, 2]])
+        assert np.linalg.qr(a)[1].diagonal().tolist() == [0.5, 0.5, s]
+        self.settles(space, a, 3, count_calls, svds=svds)
+
+    def test_the_top_floor_is_below_s_1(self):
+        # the power steps' bound never exceeds s_1(r), here max |r_ii| exactly,
+        # though the computed quotient ||r y|| / ||y|| alone sometimes does
+        rng = rng_from_seed(3)
+        over = 0
+        for _ in range(400):
+            k = int(rng.integers(1, 9))
+            d = rng.uniform(0.1, 1.0, k) * rng.choice([1.0, -1.0], k)
+            d /= 1.0000001 * np.linalg.norm(d)
+            r = np.diag(d).astype(complex)
+            s_1 = np.abs(d).max()
+            y = r[np.argmax(np.abs(d))].conj()
+            over += np.linalg.norm(r @ y) / np.linalg.norm(y) > s_1
+            assert _top_singular_floor(r, np.inf) <= s_1
+            assert _top_singular_floor(r, np.inf) >= s_1 * (1 - 1e-13)
+        assert over > 0
 
 
 class TestProjections:

@@ -350,13 +350,13 @@ class TestDualBoundsCheck:
             report = dual_bounds_check(frame)
             assert report.ok, report.max_rel_error
 
-    def test_one_cholesky_per_span(self, coupled_frame, count_calls):
-        # certify factors the frame's two spans and the check the dual's two;
-        # the dual's bounds over the frame's spans reuse the frame's factors
-        cholesky = count_calls(np.linalg, "cholesky")
+    def test_one_whitening_per_span(self, coupled_frame, count_kept):
+        # certify whitens the frame's two spans and the check the dual's two;
+        # the dual's bounds over the frame's spans reuse the frame's whitening
+        whitened = count_kept(_Span, "_whitening")
         certify(coupled_frame)
-        assert len(cholesky) == 2
-        assert dual_bounds_check(coupled_frame).ok and len(cholesky) == 4
+        assert whitened == [coupled_frame.m_plus, coupled_frame.m_minus]
+        assert dual_bounds_check(coupled_frame).ok and len(whitened) == 4
 
 
 class TestFundamentalIdentity:
@@ -566,9 +566,10 @@ class TestFusionDualBounds:
     ):
         # the demo family, or twelve members in C^5: one inverse of S decides
         # it nonsingular without an SVD and maps all members and both spans'
-        # orthonormal bases (the dual's spans are S^-1 M(+-)); S is solved
-        # with nowhere, next to one Cholesky solve per side for the dual's
-        # bounds and one per side for its bounds over the original spans
+        # orthonormal bases (the dual's spans are S^-1 M(+-)); nothing is
+        # solved, and the only other inverses are those of the dual spans'
+        # Cholesky factors, one per side for its whitening; the dual's bounds
+        # over the original spans reuse theirs
         fam = tilted_family
         if members_per_side is not None:
             space = KreinSpace.from_signs([1, 1, 1, -1, -1])
@@ -579,30 +580,30 @@ class TestFusionDualBounds:
         solve = count_calls(np.linalg, "solve")
         cond = count_calls(np.linalg, "cond")
         assert fusion_dual_bounds_check(fam).dual_is_frame
-        assert len(inv) == 1 and np.array_equal(inv[0][0], s)
-        assert len(cond) == 0 and len(solve) == 4
-        for a, _ in solve:  # a span's lower triangular Cholesky factor
+        assert len(inv) == 3 and np.array_equal(inv[0][0], s)
+        assert len(cond) == 0 and len(solve) == 0
+        for (a,) in inv[1:]:  # a dual span's lower triangular Cholesky factor
             assert a.shape in {(m.dim, m.dim) for m in (fam.m_plus, fam.m_minus)}
             assert np.array_equal(a, np.tril(a))
 
     @pytest.mark.parametrize("members_per_side", [None, 6])
-    def test_one_cholesky_per_span(self, tilted_family, count_calls, members_per_side):
-        # certify factors F's two spans and the check the dual family's two;
-        # the dual's bounds over F's spans reuse F's factors, bit for bit
+    def test_one_whitening_per_span(self, tilted_family, count_kept, members_per_side):
+        # certify whitens F's two spans and the check the dual family's two;
+        # the dual's bounds over F's spans reuse F's whitening, bit for bit
         fam = tilted_family
         if members_per_side is not None:
             space = KreinSpace.from_signs([1, 1, 1, -1, -1])
             fam = random_fusion_frame(space, rng_from_seed(8), members_per_side)
-        cholesky = count_calls(np.linalg, "cholesky")
+        whitened = count_kept(_Span, "_whitening")
         certify(fam)
-        assert len(cholesky) == 2
+        assert whitened == [fam.m_plus, fam.m_minus]
         report = fusion_dual_bounds_check(fam)
-        assert report.dual_is_frame and len(cholesky) == 4
+        assert report.dual_is_frame and len(whitened) == 4
         for m in (fam.m_plus, fam.m_minus):
-            del m._chol
+            del m._whitening
         again = fusion_dual_bounds_check(fam)
         assert again.dual_over_original_spans == report.dual_over_original_spans
-        assert len(cholesky) == 4 + 4
+        assert len(whitened) == 4 + 4
 
 
 @pytest.mark.soundness
@@ -1053,14 +1054,17 @@ class TestFamilyFunctionsTakeVectorFrames:
         ([[1.0, 0.0], [2.0, 0.5], [0.0, 1.0]], 2),  # both signs
         ([[1.0, 0.0], [2.0, 0.5]], 1),  # no negative vector
     ])
-    def test_one_svd_per_nonempty_side(self, minkowski, count_calls, vectors, sides):
-        # the spans wait until the decision reads them
+    def test_spans_wait_for_the_decision(self, minkowski, count_calls, vectors, sides):
+        # the spans wait until the decision reads them; then the positive
+        # side, whose second vector is off the first, takes the SVD of its
+        # columns, and the negative side, if any, settles from its one
+        # column by a 1 x 1 Cholesky proof, with no SVD of R
         svd = count_calls(np.linalg, "svd")
         cholesky = count_calls(np.linalg, "cholesky")
         frame = VectorFrame(minkowski, vectors)
         assert svd == []
         is_j_frame(frame)
-        assert (len(svd), len(cholesky)) == (sides, 0)
+        assert (len(svd), len(cholesky)) == (1, sides - 1)
 
     @settings(max_examples=10)
     @given(n=st.integers(2, 64), c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))

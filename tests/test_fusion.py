@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kreinframes import fusion
+from kreinframes import canonical_dual, fusion
 from kreinframes import (
     FrameBounds,
     KreinSpace,
@@ -35,9 +35,10 @@ from kreinframes.sampling import (
     rng_from_seed,
 )
 
-from generators import random_fusion_frame, random_space
+from generators import examples, random_fusion_frame, random_space, random_vector_frame
 from oracles import (
     OracleConfig,
+    dual_oracle,
     frame_operator_part,
     gramian_min_modulus,
     in_span,
@@ -310,11 +311,12 @@ class TestEstimateBounds:
         # T the side's columns v_i U_i and U the span's orthonormal basis (T
         # lies in M, so T = U (U* T)), gamma(T) as the (dim M)-th, and
         # gamma(G_M) from the span's Gramian eigenvalues: the one-SVD estimate
-        # must give the same bits, and agree up to rounding with gamma(T),
-        # ||T|| and gamma(G_M) as reduced_min_modulus, the 2-norm of T itself
-        # and gramian_min_modulus give them.  The product U* T is formed on
-        # the family's own copy of T (a column selection, laid out in column
-        # order), whose bits equal the stacked v_i U_i
+        # takes U* T as the span's kept coefficients C of the unweighted U_i
+        # times each column's weight, and must give the bits of that SVD,
+        # and agree up to rounding with gamma(T), ||T|| and gamma(G_M) as
+        # reduced_min_modulus, the 2-norm of T itself and gramian_min_modulus
+        # give them.  The family's own copy of T (a column selection, laid
+        # out in column order) has the bits of the stacked v_i U_i
         rng = rng_from_seed(seed)
         fam = random_fusion_frame(random_space(rng, n), rng)
         est = certify(fam).estimate_bounds
@@ -325,8 +327,11 @@ class TestEstimateBounds:
             t = fusion._side_columns(fam, sign)
             m = fam.m_plus if sign == 1 else fam.m_minus
             gam_g = np.abs(np.linalg.eigvalsh(gramian(m))).min()
-            s = np.linalg.svd(m.ortho_basis.conj().T @ t, compute_uv=False)
+            w = np.concatenate([[fam.weights[i]] * fam.subspaces[i].dim for i in idx])
+            s = np.linalg.svd(m._coeffs * w, compute_uv=False)
             assert got == (sign * s[m.dim - 1] ** 2 * gam_g**2, sign * s[0] ** 2 / gam_g)
+            u_t = m.ortho_basis.conj().T @ t  # C w is U* T up to rounding
+            assert np.linalg.norm(m._coeffs * w - u_t) <= 1e-13 * np.linalg.norm(t)
             gam_g = gramian_min_modulus(m)
             gam_t = reduced_min_modulus(t, tol=fam.space.tol)
             norm2 = np.linalg.norm(t, 2) ** 2
@@ -337,6 +342,76 @@ class TestEstimateBounds:
         opt = FrameBounds(-4.0, -2.0, 1.0, 3.0)
         bad = FrameBounds(-3.5, -2.5, 1.5, 2.5)  # estimates strictly inside
         assert not bounds_sandwich_ok(opt, bad, 1e-9)
+
+
+def solved_extremes(M, cols, sign):
+    """A side's Rayleigh extremes as L^-1 (U* J T) gives them, one solve with
+    the Cholesky factor L of the span's signed Gramian per pass."""
+    chol = np.linalg.cholesky(sign * gramian(M))
+    s2 = np.linalg.svd(np.linalg.solve(chol, M._uj @ cols), compute_uv=False) ** 2
+    lo = float(s2[-1]) if s2.size == M.dim else 0.0
+    return (sign * lo, sign * float(s2[0]))[::sign]
+
+
+@pytest.mark.soundness
+class TestKeptFactors:
+    """What a signed span keeps from its one factorization, against what the
+    bounds were computed from without it: the Rayleigh extremes from the
+    kept whitening W = L^-1 U* J against the sampling oracle and against one
+    solve L^-1 (U* J T) per pass, over F's spans, the dual's spans and with
+    the dual's columns over F's spans; the estimates from the kept
+    coefficients C against gamma(T), ||T||_2 and gamma(G_M) computed from
+    T itself.  Spans come from the leading columns' QR or, forced, from the
+    SVD of all a side's columns."""
+
+    @settings(max_examples=examples(8))
+    @given(
+        n=st.integers(2, 160), diagonal=st.booleans(), vectors=st.booleans(),
+        svd_path=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=160, diagonal=False, vectors=False, svd_path=False, seed=1)
+    @example(n=160, diagonal=True, vectors=True, svd_path=True, seed=2)
+    def test_bounds_from_the_kept_factors(self, n, diagonal, vectors, svd_path, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal)
+        frame = (random_vector_frame(space, rng, extra=int(rng.integers(0, 4))) if vectors
+                 else random_fusion_frame(space, rng))
+        if svd_path:
+            cols = frame._bases()
+            vars(frame)["_spans"] = tuple(
+                fusion._Span.from_spanning(space, cols[:, frame._column_signs == sign])
+                for sign in (1, -1)
+            )
+        cert = certify(frame)
+        assert cert.is_frame
+        config = OracleConfig(n_samples=500, seed=seed % 1000)
+        dual = canonical_dual(frame) if vectors else dual_oracle(frame)
+        for sign in (1, -1):
+            m = frame._spans[sign < 0]
+            t = fusion._side_columns(frame, sign)
+            got = cert.optimal_bounds.side(sign)
+            np.testing.assert_allclose(got, solved_extremes(m, t, sign), rtol=1e-12, atol=0)
+            # over F's span with the dual's columns, and over the dual's own span
+            over = fusion._rayleigh_extremes(m, dual, sign)
+            np.testing.assert_allclose(
+                over, solved_extremes(m, fusion._side_columns(dual, sign), sign), rtol=1e-12, atol=0
+            )
+            own = fusion._rayleigh_extremes(dual._spans[sign < 0], dual, sign)
+            want = solved_extremes(dual._spans[sign < 0], fusion._side_columns(dual, sign), sign)
+            np.testing.assert_allclose(own, want, rtol=1e-12, atol=0)
+            for bounds, g in ((got, frame), (own, dual)):
+                # sampled quotients are attained values, and the ascent reaches both
+                scale = max(map(abs, bounds))
+                lo, hi = rayleigh_extremes(g, sign, config)
+                tol = config.tolerance * scale
+                assert bounds[0] - tol <= lo <= hi <= bounds[1] + tol
+                assert lo - bounds[0] < 1e-6 * scale and bounds[1] - hi < 1e-6 * scale
+            # the estimates from C times the column weights
+            est = cert.estimate_bounds.side(sign)
+            gam_g = gramian_min_modulus(m)
+            gam_t = reduced_min_modulus(t, tol=space.tol)
+            want = (sign * gam_t**2 * gam_g**2, sign * np.linalg.norm(t, 2) ** 2 / gam_g)
+            np.testing.assert_allclose(est, want[::sign], rtol=1e-12, atol=0)
 
 
 class TestBoundsSandwich:
