@@ -567,9 +567,10 @@ def _top_singular_floor(r: np.ndarray, enough: float) -> float:
     exceeds ``enough``, gains less than 1/1024 of itself, or after 32 steps.
 
     Each step's bound is ||r y|| / ||y|| <= s_1(r) less its rounding: the
-    computed r y errs by at most (k + 2) eps ||r||_F ||y|| and each of the
-    two norms and their quotient by (k + 2) eps relative (Higham, ASNA, ch. 3,
-    complex arithmetic included)."""
+    computed r y errs by at most (k + 2) eps ||r||_F ||y||, and the computed
+    quotient of the two norms is within (k + 2) eps of theirs, relative
+    (Higham, ASNA, ch. 3, complex arithmetic included); each term is taken
+    twice."""
     rounding = 2.0 * (r.shape[0] + 2) * 2.0**-52
     y = r[np.argmax(np.linalg.norm(r, axis=1))].conj()
     best = 0.0

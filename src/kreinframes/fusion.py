@@ -292,9 +292,9 @@ def _estimate_extremes(M: Subspace, G: _Sides, sign: int):
     synthesis columns T of G's side of the given sign, from one SVD of U* T,
     U = M.ortho_basis: T lies in M, so T = U (U* T), and as T spans M,
     gamma(T) is the (dim M)-th singular value of U* T; gamma(G_M) is the
-    Gramian margin ``classify`` keeps on the definite M.  U* T is the kept
-    coefficients C of the side's unweighted columns times their weights, or,
-    on a span that keeps none, the product itself."""
+    Gramian margin ``classify`` keeps on the definite M, G's own span.  U* T
+    is the kept coefficients C of the side's unweighted columns times their
+    weights, or, on a span that keeps none, the product itself."""
     c, w = M._coeffs, G._column_weights[G._column_signs == sign]
     u_t = M.ortho_basis.conj().T @ _side_columns(G, sign) if c is None else c * w
     s = np.linalg.svd(u_t, compute_uv=False)
