@@ -423,21 +423,34 @@ class Operator:
     _canonical_congruence = cached_property(lambda self: _frozen(  # H in J's eigenbasis E
         self.space._eigenbasis.conj().T @ self._congruence @ self.space._eigenbasis))
 
+    # kappa(T) from the one SVD; inf for a singular T
+    _cond = property(lambda self: float(self._svals[0] / self._svals[-1])
+                     if self._svals[-1] > 0 else float("inf"))
+
     @cached_property
     def _isometry(self) -> tuple[float, float, float, float]:
-        """(c, ||T# T - c I||_2, ||T||_2, kappa(T)) with c the real part of
-        trace(T# T) / n; kappa is inf for a singular T.  T# T - c I =
-        J (H - c J) with J unitary, so the residual is the largest
-        |eigenvalue| of the Hermitian H - c J."""
-        h, space = self._congruence, self.space
+        """(c, r, ||T||_2, kappa(T)) with c the real part of trace(T# T) / n
+        and r >= ||T# T - c I||_2.  T# T - c I = J (H - c J) with J unitary,
+        so that norm is the largest |eigenvalue| of the Hermitian H - c J, at
+        most its Frobenius norm: r is the Frobenius norm where that already
+        passes ``is_j_isometry_multiple`` (``_isometry_limit``), else the
+        eigenvalue, so the verdict is the same either way."""
+        h, space, norm = self._congruence, self.space, float(self._svals[0])
         c = (complex(np.trace(space._jx(h))) / space.dim).real
-        residual = float(np.abs(np.linalg.eigvalsh(h - c * space.J)).max())
-        s = self._svals
-        kappa = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
-        return c, residual, float(s[0]), kappa
+        d = h - c * space.J
+        residual = float(np.linalg.norm(d))
+        if not residual < _isometry_limit(space, norm):
+            residual = float(np.abs(np.linalg.eigvalsh(d)).max())
+        return c, residual, norm, self._cond
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ self.space.check_vector(x)
+
+
+def _isometry_limit(space: KreinSpace, norm: float) -> float:
+    """tau_num n ||T||_2^2 for norm = ||T||_2: T# T counts as c I when its
+    residual is below it, a verdict that does not change when T is scaled."""
+    return space.tol.tau_num * space.dim * norm * norm
 
 
 def j_adjoint(T: Operator) -> Operator:

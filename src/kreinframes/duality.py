@@ -24,7 +24,7 @@ from .fusion import (
     FrameBounds,
     WeightedFamily,
     _Sides,
-    _Span,
+    _image_family,
     _rayleigh_extremes,
     _span_bounds,
     optimal_bounds,
@@ -119,35 +119,15 @@ def is_j_frame(F: VectorFrame) -> bool:
 vframe_optimal_bounds = optimal_bounds
 
 
-def _dual(F: _Sides, given: np.ndarray, build) -> _Sides:
-    """The canonical dual of F from one product S^-1 [given | U+ | U-].
-
-    The dual's spans S^-1 M(+-) come first, by one Householder QR per side of
-    S^-1 U(+-): S^-1 passed ``_nonsingular``, so S^-1 M has the dimension of
-    M and no rank is decided again.  ``build(cols, spans)`` makes the dual of
-    the columns S^-1 ``given``; when its members keep F's signs, those of
-    each sign span S^-1 M of it, and the dual is given the spans.
-    """
-    k = given.shape[1]
-    images = F._s_inv @ np.hstack([given, *F._span_bases])
-    cut = [0 if F.m_plus is None else F.m_plus.dim]
-    spans = tuple(
-        _Span._orthonormal(F.space, np.linalg.qr(x)[0]) if x.shape[1] else None
-        for x in np.split(images[:, k:], cut, axis=1)
-    )
-    dual = build(images[:, :k], spans)
-    if dual.signs == F.signs:
-        vars(dual)["_spans"] = spans
-    return dual
-
-
 def canonical_dual(F: VectorFrame) -> VectorFrame:
     """The dual frame {S^-1 f_i}; member signs must transport unchanged, and
     the dual must certify as a J-frame, else DefinitenessTransportError."""
     if not F._certificate.is_frame:
         raise NotAFrameError("canonical dual is defined for J-frames only")
     try:
-        dual = _dual(F, F.matrix, lambda cols, spans: VectorFrame(F.space, cols.T))
+        dual = _image_family(
+            F, F._s_inv, F.matrix, lambda cols, spans: VectorFrame(F.space, cols.T)
+        )
     except MemberClassificationError as exc:
         raise DefinitenessTransportError(
             f"inverse frame operator produced a neutral dual vector: {exc}"
@@ -289,7 +269,7 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
     """Reciprocal-bounds check for the dual family {(S^-1 W_i, v_i)}.
 
     The result is an empirical per-instance finding: the dual family is
-    certified on its spans S^-1 M(+-) (``_dual``), and a certification
+    certified on its spans S^-1 M(+-) (``_image_family``), and a certification
     failure is reported as a counterexample rather than raised.  Spans that
     settle the signs (``_signs_settle``) leave every member unclassified, and
     one whose rank beta settles (``Subspace._graph``'s rule) is the QR of S^-1 B_i.
@@ -311,7 +291,7 @@ def fusion_dual_bounds_check(F: WeightedFamily) -> FusionDualReport:
         return WeightedFamily._with_signs(F.space, members, F.weights, F.signs)
 
     try:
-        dual = _dual(F, np.hstack([w.basis for w in F.subspaces]), build)
+        dual = _image_family(F, F._s_inv, np.hstack([w.basis for w in F.subspaces]), build)
         failure = "" if dual._certificate.is_frame else "dual family failed frame certification"
     except MemberClassificationError as exc:
         failure = f"dual member failed classification: {exc}"

@@ -167,6 +167,31 @@ def _signed_spans(space: KreinSpace, cols: np.ndarray, signs: np.ndarray) -> tup
     )
 
 
+def _image_family(F: _Sides, x: np.ndarray, given: np.ndarray, build) -> _Sides:
+    """The family of the images under x of F's members, from one product
+    x [given | U+ | U-]: the canonical dual (x = S^-1) or an image family
+    (x = T, ``transforms.transform_family``).
+
+    x must prove that x M(+-) has the dimension of M(+-): S^-1 by passing
+    ``_nonsingular``, T by its condition number.  So each image span x M is
+    one Householder QR of x U(+-), and no rank is decided again.
+    ``build(cols, spans)`` makes the family of the columns x ``given``; when
+    its members keep F's signs and dimensions, those of each sign span x M
+    of it, and the family is given the spans.
+    """
+    k = given.shape[1]
+    images = x @ np.hstack([given, *F._span_bases])
+    cut = [0 if F.m_plus is None else F.m_plus.dim]
+    spans = tuple(
+        _Span._orthonormal(F.space, np.linalg.qr(a)[0]) if a.shape[1] else None
+        for a in np.split(images[:, k:], cut, axis=1)
+    )
+    family = build(images[:, :k], spans)
+    if np.array_equal(family._column_signs, F._column_signs):
+        vars(family)["_spans"] = spans
+    return family
+
+
 def frame_operator(F: WeightedFamily) -> Operator:
     """S = sum_i sigma_i v_i^2 pi_{W_i} J = T J2 T* J, from the synthesis T."""
     cols = F._columns

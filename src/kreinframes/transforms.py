@@ -23,6 +23,7 @@ from .core import (
     _clears,
     _def_floor,
     _herm,
+    _isometry_limit,
     _rank,
     j_adjoint,
     j_projection,
@@ -35,7 +36,7 @@ from .errors import (
     NotSurjectiveError,
 )
 from .fusion import WeightedFamily, FrameCertificate, certify
-from .fusion import _side_verdict, _signed_spans, _sum_dim
+from .fusion import _image_family, _side_verdict, _signed_spans, _sum_dim
 from .sampling import (
     _maximal_law,
     _regular_law,
@@ -93,8 +94,19 @@ def _in_space_of(T: Operator, x):
 
 
 def image_subspace(T: Operator, V: Subspace) -> Subspace | None:
-    """Column space of T applied to V; None when the image is {0}."""
-    return Subspace.from_spanning(T.space, T.matrix @ _in_space_of(T, V).basis)
+    """Column space of T applied to V; None when the image is {0}.  One QR
+    where kappa(T) kappa(V.basis) proves its rank, else an SVD (``_span_of``)."""
+    V = _in_space_of(T, V)
+    return _span_of(T.space, T.matrix @ V.basis, T._cond * V._cond)
+
+
+def _span_of(space, a: np.ndarray, kappa: float) -> Subspace | None:
+    """The column space of a = T B, for kappa >= kappa(T) kappa(B): one
+    Householder QR where kappa proves that a has B's full column rank
+    (``_image_slack``), else ``from_spanning``'s SVD decides the rank."""
+    if _image_slack(space, kappa) is None:
+        return Subspace.from_spanning(space, a)
+    return Subspace._orthonormal(space, np.linalg.qr(a)[0])
 
 
 def _sweep(
@@ -141,14 +153,23 @@ def _signed(sampler):
     return draw
 
 
+def _image_slack(space, kappa: float) -> float | None:
+    """The rounding slack 1e-13 n kappa of T(V)'s classification for kappa >=
+    kappa(T) kappa(V.basis), or None when kappa does not prove that T V.basis
+    has full column rank.  T V.basis has condition number at most kappa, up
+    to the slack, so the proof is that _SAFETY tau_rank kappa, plus the
+    slack, is below 1: an SVD's rank test would then pass by _SAFETY."""
+    slack = 1e-13 * space.dim * kappa
+    return slack if kappa * (_SAFETY * space.tol.tau_rank + slack) < 1.0 else None
+
+
 def _image_floor(space, cond: float, cert) -> float | None:
     """The floor that the image's Gramian margin must clear for ``cert`` to
     settle a V with kappa(V.basis) <= cond, or None when kappa(T) cond does not
     settle the image's rank (see _settles)."""
     c, r, norm, kappa, *_ = cert
-    kappa *= cond
-    slack = 1e-13 * space.dim * kappa  # rounding in the image's classification
-    if kappa * (_SAFETY * space.tol.tau_rank + slack) >= 1.0:
+    slack = _image_slack(space, kappa * cond)  # rounding in the image's classification
+    if slack is None:
         return None
     # the floor of a Gramian of dimension n bounds that of V and T(V)
     return (_SAFETY * _def_floor(space, space.dim) + slack) * norm * norm
@@ -305,17 +326,36 @@ def transform_family(
 
     Raises MemberClassificationError when some image is not uniformly
     definite; that is exactly a definiteness-preservation failure.
+
+    Where kappa(T) proves that T keeps the rank of F's spans (``_image_slack``),
+    the family is ``_image_family``'s, from one product T [B | U+ | U-]: the
+    image spans are QRs of T U(+-).  Each member is one QR where kappa(T)
+    kappa(B_i) proves its rank (``_span_of``), and no member is classified
+    where T._isometry settles every T(W_i) uniformly definite of W_i's sign
+    (``_settles``).
     """
     _in_space_of(T, F)
-    if _rank(T._svals, T.space.tol) < T.space.dim:
+    space = T.space
+    if _rank(T._svals, space.tol) < space.dim:
         raise NotSurjectiveError("transform requires a surjective operator")
-    images = []
-    for w in F.subspaces:
-        img = image_subspace(T, w)
-        if img is None:
-            raise NotSurjectiveError("a member was annihilated by the operator")
-        images.append(img)
-    family = WeightedFamily(F.space, images, F.weights)
+    cuts = np.cumsum(F.block_dims)[:-1]
+
+    def build(cols, spans):
+        images = []
+        for w, b in zip(F.subspaces, np.split(cols, cuts, axis=1)):
+            img = _span_of(space, b, T._cond * w._cond)
+            if img is None:
+                raise NotSurjectiveError("a member was annihilated by the operator")
+            images.append(img)
+        if all(_settles(w, T._isometry, 1) for w in F.subspaces):
+            return WeightedFamily._with_signs(space, images, F.weights, F.signs)
+        return WeightedFamily(space, images, F.weights)
+
+    given = np.hstack([w.basis for w in F.subspaces])
+    if _image_slack(space, T._cond) is None:
+        family = build(T.matrix @ given, None)
+    else:
+        family = _image_family(F, T.matrix, given, build)
     return family, certify(family)
 
 
@@ -342,7 +382,7 @@ def is_j_isometry_multiple(T: Operator) -> tuple[bool, float]:
     does not change when T is scaled.
     """
     c, residual, norm, _ = T._isometry
-    scalar = residual < T.space.tol.tau_num * T.space.dim * norm * norm
+    scalar = residual < _isometry_limit(T.space, norm)
     return scalar and c > 0, c
 
 

@@ -675,6 +675,58 @@ class TestFrameDocumentWork:
         assert len(grams) == len({id(m) for m in grams}) == 4
 
 
+class TestPreserveDocumentWork:
+    """The numerical work of one ``preserve_docs`` document, parsed and run
+    through ``all``: each operator's condition number proves every image's
+    rank, so an image is one QR and no SVD; the two J-isometry multiples
+    settle every member of their image families, so none is classified; and
+    only the neutral-image operator's residual needs the eigenvalues of
+    H - c J."""
+
+    def test_work_counts(self, count_calls, monkeypatch):
+        docs = perfbench_module("docs")
+        text = docs.make_doc("preserve_docs", "alt", 0).text
+        svd, eigvalsh = count_calls(np.linalg, "svd"), count_calls(np.linalg, "eigvalsh")
+        builders = count_calls(transforms, "_image_family")
+        image_svds, families, residual_eigs = [], {}, {}
+        span_of, transform = transforms._span_of, cli.transform_family
+        isometry = vars(Operator)["_isometry"].func
+
+        def spanned(space, a, kappa):
+            before = len(svd)
+            image = span_of(space, a, kappa)
+            image_svds.append(len(svd) - before)
+            return image
+
+        def transformed(T, F):
+            families[T] = transform(T, F)[0]
+            return families[T], certify(families[T])
+
+        def scaled(T):
+            before = len(eigvalsh)
+            cert = isometry(T)
+            residual_eigs[T] = len(eigvalsh) - before
+            return cert
+
+        monkeypatch.setattr(transforms, "_span_of", spanned)
+        monkeypatch.setattr(cli, "transform_family", transformed)
+        monkeypatch.setattr(vars(Operator)["_isometry"], "func", scaled)
+        problem = parse_spec(text)
+        ops = problem.operators
+        report = cli.run_command("all", problem, 0, docs.SAMPLES["preserve_docs"])
+        assert report["results"]["certify"]["pass"] is True
+        # 4 members at parse, 6 estimate sides and 10 Rayleigh passes (certify,
+        # the dual over both spans and the two J-isometry multiples' image
+        # families), 3 operators' singular values and the 2 counterexamples'
+        # orthonormal bases; 12 transform members and 2 sweep images, none
+        assert (len(svd), image_svds) == (25, [0] * 14)
+        assert len(builders) == len(ops)  # one image family per operator
+        for name in ("j_unitary", "scaled_j_unitary"):
+            assert all("_classification" not in vars(w) for w in families[ops[name]].subspaces)
+        assert residual_eigs == {ops["j_unitary"]: 0, ops["neutral_image"]: 1,
+                                 ops["scaled_j_unitary"]: 0}
+
+
 class TestDiagonalSymmetryBytes:
     """A diagonal J is applied as a sign scaling of rows or columns; with the
     dense products in its place, ``all`` prints the same bytes."""
@@ -888,7 +940,9 @@ class TestTransformTask:
         entry = json.loads(out)["results"]["transform"]["results"]["operators"]
         families = entry["fundamental_symmetry"]["families"]
         assert families["tilted_lines"]["necessary_conditions"]["holds"] is True
-        assert len(images) == 3  # one per member, none again for the conditions
+        # the members come from the one image-family product, none from
+        # image_subspace, and none again for the conditions
+        assert len(images) == 0
 
     def test_transform_and_preserve_factor_each_operator_once(self, count_calls):
         # is_j_isometry_multiple, the surjectivity rank and the preservation

@@ -1,5 +1,7 @@
 """Tests for operators acting on subspaces and weighted families."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -612,11 +614,12 @@ class TestCertifiedSweep:
             transforms._sweep(T, c, [], 100, 0, draw, check) for T, c in zip(alt48_ops, certs)
         ]
         assert [v.holds for v in verdicts] == [True, True, False]
-        # one SVD per image of the neutral-image operator, none per draw
-        assert len(svds) == len(images) == verdicts[2].samples_tested
+        # no SVD per image of the neutral-image operator, whose condition
+        # number proves each image's rank (one QR each), and none per draw
+        assert len(svds) == 0 and len(images) == verdicts[2].samples_tested
         v = verdicts[2].counterexample
         u = v.ortho_basis  # the reported counterexample's SVD
-        assert len(svds) == len(images) + 1
+        assert len(svds) == 1
         eager = Subspace(v.space, v.basis)
         np.testing.assert_array_equal(u, eager.ortho_basis)
         assert v.classify() == eager.classify()
@@ -1662,6 +1665,188 @@ class TestSharedCongruence:
         for t, formed in zip(alt48_ops, (False, False, True)):
             preservation_report(t, [], 50, 0)
             assert ("_canonical_congruence" in vars(t)) is formed
+
+
+def exact_residual(T, c):
+    """||T# T - c I||_2 with T# T formed in extended precision, so that only
+    the final rounding to double remains."""
+    m, j = T.matrix.astype(np.clongdouble), T.space.J.astype(np.clongdouble)
+    d = j @ m.conj().T @ j @ m - c * np.eye(T.space.dim)
+    return float(np.linalg.norm(d.astype(complex), 2))
+
+
+def eigen_verdict(T):
+    """is_j_isometry_multiple's verdict from the largest |eigenvalue| of H - c J."""
+    c, _, norm, _ = T._isometry
+    residual = np.abs(np.linalg.eigvalsh(T._congruence - c * T.space.J)).max()
+    return residual < T.space.tol.tau_num * T.space.dim * norm * norm and c > 0, c
+
+
+class TestIsometryResidualBound:
+    """_isometry takes ||H - c J||_F, at least ||T# T - c I||_2, where that
+    passes is_j_isometry_multiple, and the largest |eigenvalue| of H - c J
+    otherwise: the verdict and c are those of the eigenvalues, and the
+    residual is never below the exact one beyond the rounding of forming H,
+    which _image_floor's slack covers."""
+
+    def check(self, T, count_calls, eigen):
+        """T's verdict and residual, and whether _isometry took eigenvalues."""
+        calls = count_calls(np.linalg, "eigvalsh")
+        c, residual, norm, _ = T._isometry
+        assert (len(calls) == 1) is eigen
+        assert is_j_isometry_multiple(T) == eigen_verdict(T)
+        n, fro2 = T.space.dim, float(np.vdot(T.matrix, T.matrix).real)
+        assert residual >= exact_residual(T, c) - 4 * (n + 2) * 2.0**-52 * fro2
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_j_unitary_multiples(self, count_calls, scale, diagonal):
+        space = random_space(rng_from_seed(3), 8, diagonal=diagonal)
+        u = random_j_unitary(space, rng_from_seed(4), 1.5)
+        t = Operator(space, scale * u.matrix)
+        self.check(t, count_calls, eigen=False)
+        assert is_j_isometry_multiple(t)[0]
+
+    @pytest.mark.parametrize("name, eigen", [("swap", False), ("neutral", True), ("zero", True)])
+    def test_other_operators(self, alt4, count_calls, name, eigen):
+        # T# T = -I for the swap, whose residual 0 passes; T = 0 passes nothing
+        matrix = {"swap": np.fliplr(np.eye(4)), "zero": np.zeros((4, 4)),
+                  "neutral": neutral_image_operator(alt4).matrix}[name]
+        t = Operator(alt4, matrix)
+        self.check(t, count_calls, eigen)
+        assert not is_j_isometry_multiple(t)[0]
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("where, eigen, scalar", [
+        ("fro", False, True),  # eps ||D||_F at half the limit
+        ("between", True, True),  # eps ||D||_2 below the limit, eps ||D||_F above
+        ("two", True, False),  # eps ||D||_2 at twice the limit
+    ])
+    def test_perturbed_identity(self, count_calls, diagonal, where, eigen, scalar):
+        # T = I + eps E has T# T - c I = eps D + O(eps^2), with D the part of
+        # E + E# off the multiples of I; eps is placed by the limit / ||D||
+        n = 8
+        space = random_space(rng_from_seed(5), n, diagonal=diagonal)
+        e = random_complex(rng_from_seed(6), n, n)
+        d = space.J @ e.conj().T @ space.J + e
+        d -= (np.trace(d).real / n) * np.eye(n)
+        fro, two = np.linalg.norm(d), np.linalg.norm(d, 2)
+        assert fro > 1.5 * two  # room for an eps between the two
+        limit = space.tol.tau_num * n  # ||T||_2 = 1 + O(eps)
+        eps = limit * {"fro": 0.5 / fro, "between": (fro * two) ** -0.5, "two": 2.0 / two}[where]
+        t = Operator(space, np.eye(n) + eps * e)
+        self.check(t, count_calls, eigen)
+        assert is_j_isometry_multiple(t)[0] is scalar
+
+    @settings(max_examples=examples(30))
+    @given(
+        n=st.integers(2, 48),
+        log_scale=st.floats(-4.0, 4.0),
+        boost=st.floats(0.0, 3.0),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_j_unitary_multiples(self, n, log_scale, boost, diagonal, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal)
+        t = Operator(space, 10.0**log_scale * random_j_unitary(space, rng, boost).matrix)
+        c, residual, _, _ = t._isometry
+        assert is_j_isometry_multiple(t) == eigen_verdict(t)
+        fro2 = float(np.vdot(t.matrix, t.matrix).real)
+        assert residual >= exact_residual(t, c) - 4 * (n + 2) * 2.0**-52 * fro2
+
+
+def svd_image(T, V):
+    """T(V) as image_subspace took it from the SVD of T V.basis alone."""
+    return Subspace.from_spanning(T.space, T.matrix @ V.basis)
+
+
+@pytest.mark.soundness
+class TestImageRankRule:
+    """Where kappa(T) kappa(V.basis) proves the rank of T V.basis
+    (_image_slack), the image is one QR: it spans the SVD image's subspace,
+    with its dimension and classification, and every check says the same;
+    elsewhere it is the SVD's.  An image family whose member signs T settles
+    certifies as the family of classified SVD images does."""
+
+    @settings(max_examples=examples(30))
+    @given(
+        n=st.integers(2, 48),
+        log_tau_rank=st.floats(-8.0, -3.0),
+        # log10 kappa(T), as a share of 1 past log10 (1 / (4 tau_rank))
+        share=st.floats(0.0, 1.0),
+        log_scale=st.floats(-3.0, 3.0),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_images_match_the_svd(self, n, log_tau_rank, share, log_scale, diagonal, seed):
+        rng = rng_from_seed(seed)
+        tol = Tolerances(tau_rank=10.0**log_tau_rank)
+        space = random_space(rng, n, diagonal=diagonal, tol=tol)
+        t = random_invertible(space, rng, log_scale, share * (1.0 - log_tau_rank - np.log10(4.0)))
+        supplied = [Subspace(space, random_complex(rng, n, int(rng.integers(1, n + 1))))]
+        draws = [draw(space, rng) for draw, _ in PREDICATES.values() for _ in range(2)]
+        for v in supplied + draws:
+            kappa = t._isometry[3] * v._cond
+            img, svd = image_subspace(t, v), svd_image(t, v)
+            if transforms._image_slack(space, kappa) is None:
+                # the SVD's, bit for bit
+                assert (img is None) is (svd is None)
+                if img is not None:
+                    np.testing.assert_array_equal(img.ortho_basis, svd.ortho_basis)
+                continue
+            assert img.dim == svd.dim == v.dim
+            projector = lambda u: u @ u.conj().T
+            gap = np.linalg.norm(projector(img.ortho_basis) - projector(svd.ortho_basis), 2)
+            assert gap <= 1e-12 * kappa
+            assert img.classify().kind == svd.classify().kind
+            for _, check in PREDICATES.values():
+                with mock.patch.object(transforms, "image_subspace", svd_image):
+                    want = check(t, v)
+                assert check(t, v) == want
+
+    @settings(max_examples=examples(30))
+    @given(
+        n=st.integers(2, 24),
+        isometry=st.booleans(),
+        log_scale=st.floats(-2.0, 2.0),
+        boost=st.floats(0.0, 1.5),  # kappa(T) up to exp(3), about 20
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_settled_families_certify_alike(self, n, isometry, log_scale, boost, diagonal, seed):
+        rng = rng_from_seed(seed)
+        space = random_space(rng, n, diagonal=diagonal)
+        F = random_fusion_frame(space, rng)
+        if isometry:
+            t = Operator(space, 10.0**log_scale * random_j_unitary(space, rng, boost).matrix)
+        else:
+            t = random_invertible(space, rng, log_scale, boost)
+        settled = all(transforms._settles(w, t._isometry, 1) for w in F.subspaces)
+        try:
+            family, cert = transform_family(t, F)
+        except KreinFramesError as exc:
+            family, cert = None, exc
+        try:
+            classified = WeightedFamily(space, [svd_image(t, w) for w in F.subspaces], F.weights)
+            want = certify(classified)
+        except KreinFramesError as exc:
+            want = exc
+        if family is None or isinstance(want, Exception):
+            assert not settled
+            assert type(cert) is type(want) and str(cert) == str(want)
+            return
+        assert settled is all("_classification" not in vars(w) for w in family.subspaces)
+        assert family.signs == classified.signs
+        assert (cert.is_frame, cert.positive_range_dim, cert.negative_range_dim) == (
+            want.is_frame, want.positive_range_dim, want.negative_range_dim)
+        if cert.is_frame:
+            for got, expected in ((cert.optimal_bounds, want.optimal_bounds),
+                                  (cert.estimate_bounds, want.estimate_bounds)):
+                for a, b in zip(got.as_tuple(), expected.as_tuple()):
+                    assert (a is None) is (b is None)
+                    if a is not None:
+                        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
 class TestNecessaryConditions:
