@@ -327,12 +327,10 @@ def transform_family(
     Raises MemberClassificationError when some image is not uniformly
     definite; that is exactly a definiteness-preservation failure.
 
-    Where kappa(T) proves that T keeps the rank of F's spans (``_image_slack``),
-    the family is ``_image_family``'s, from one product T [B | U+ | U-]: the
-    image spans are QRs of T U(+-).  Each member is one QR where kappa(T)
-    kappa(B_i) proves its rank (``_span_of``), and no member is classified
-    where T._isometry settles every T(W_i) uniformly definite of W_i's sign
-    (``_settles``).
+    Where kappa(T) proves the rank of F's spans (``_image_slack``), it is
+    ``_image_family``'s, with the QRs of T U(+-) as its spans; each member is
+    ``_span_of`` T B_i, and none is classified where T._isometry settles every
+    T(W_i) uniformly definite of W_i's sign (``_settles``).
     """
     _in_space_of(T, F)
     space = T.space

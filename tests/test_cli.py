@@ -699,8 +699,9 @@ class TestPreserveDocumentWork:
             return image
 
         def transformed(T, F):
-            families[T] = transform(T, F)[0]
-            return families[T], certify(families[T])
+            result = transform(T, F)
+            families[T] = result[0]
+            return result
 
         def scaled(T):
             before = len(eigvalsh)
